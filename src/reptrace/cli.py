@@ -20,7 +20,6 @@ golden mismatch. Diagnostics go to stderr, data to stdout.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -42,7 +41,7 @@ from .pipeline import (
     world_to_document,
 )
 from .render import REP_TYPE_DISPLAY, default_templates, render_text
-from .scenario import load_scenario
+from .scenario import load_scenario, parse_json
 from .simulate import run_scenario
 
 EXIT_OK = 0
@@ -60,10 +59,7 @@ def _load_json(path: str) -> dict:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise _IOFailure(f"cannot read {path}: {exc}") from exc
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
+    return parse_json(text, path)
 
 
 class _IOFailure(Exception):

@@ -13,6 +13,7 @@ for round-tripping.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Optional, Sequence
@@ -153,6 +154,9 @@ class Preferences:
     component_weights: Mapping[ReputationType, float]
 
     def __post_init__(self):
+        weights = (*self.term_weights.values(), *self.component_weights.values())
+        if not all(math.isfinite(w) for w in weights):
+            raise ValueError("weights must be finite")
         if not self.term_weights or not any(w > 0 for w in self.term_weights.values()):
             raise ValueError("at least one positive term weight required")
         if not self.component_weights or not any(

@@ -224,10 +224,16 @@ def world_from_document(doc: dict) -> World:
         )
         for r in doc.get("role_rules", ())
     )
+    rounds = int(doc["rounds"])
     rating_stores: dict[AgentId, RatingStore] = {}
     for agent in agents:
         store = RatingStore(history_cap=fire.history_cap)
-        for rec in doc["ratings"].get(agent.id, ()):
+        for index, rec in enumerate(doc["ratings"].get(agent.id, ())):
+            if rec["timestamp"] > rounds - 1:
+                raise ConfigError(
+                    f"stores document invalid at ratings/{agent.id}/{index}/timestamp: "
+                    f"{rec['timestamp']} is after the last round {rounds - 1}"
+                )
             store.insert(
                 Rating(
                     source=rec["source"],
@@ -259,7 +265,7 @@ def world_from_document(doc: dict) -> World:
         observation_stores[agent.id] = obs
     return World(
         seed=int(doc["seed"]),
-        rounds=int(doc["rounds"]),
+        rounds=rounds,
         preferences=preferences,
         fire=fire,
         travos=travos,
@@ -273,7 +279,10 @@ def world_from_document(doc: dict) -> World:
 
 def dump_document(doc: dict) -> str:
     """Deterministic JSON serialization (insertion-ordered keys)."""
-    return json.dumps(doc, indent=2, sort_keys=False, ensure_ascii=False) + "\n"
+    return (
+        json.dumps(doc, indent=2, sort_keys=False, ensure_ascii=False, allow_nan=False)
+        + "\n"
+    )
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ is the term declaration order used everywhere downstream.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from pathlib import Path
@@ -47,14 +48,36 @@ def load_schema(name: str) -> dict:
     return json.loads(text)
 
 
-def validate_document(doc: dict, schema_name: str) -> None:
-    """Validate a document against a shipped schema; raise ConfigError."""
+@functools.lru_cache(maxsize=None)
+def _validator(schema_name: str):
+    """The checked validator for a shipped schema, built once per process."""
     schema = load_schema(schema_name)
-    try:
-        jsonschema.validate(doc, schema)
-    except jsonschema.ValidationError as exc:
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+def validate_document(doc: dict, schema_name: str) -> None:
+    """Validate a document against a shipped schema; raise ConfigError.
+
+    Reports the same error ``jsonschema.validate`` would pick.
+    """
+    exc = jsonschema.exceptions.best_match(_validator(schema_name).iter_errors(doc))
+    if exc is not None:
         path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
         raise ConfigError(f"{schema_name} document invalid at {path}: {exc.message}") from exc
+
+
+def parse_json(text: str, source: Union[str, Path]) -> dict:
+    """Parse a JSON document, rejecting NaN and Infinity; raise ConfigError."""
+
+    def reject(constant: str):
+        raise ConfigError(f"{source}: non-finite number {constant} is not allowed")
+
+    try:
+        return json.loads(text, parse_constant=reject)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{source}: not valid JSON: {exc}") from exc
 
 
 def _component_weights(doc: dict) -> dict[ReputationType, float]:
@@ -177,10 +200,7 @@ def scenario_from_document(doc: dict, seed_override: int | None = None) -> Scena
 
 def load_scenario(path: Union[str, Path]) -> Scenario:
     """Read and validate a scenario file, honouring REPTRACE_SEED."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
+    doc = parse_json(Path(path).read_text(encoding="utf-8"), path)
     seed_override = None
     env_seed = os.environ.get(SEED_ENV_VAR)
     if env_seed is not None:

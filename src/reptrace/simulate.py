@@ -20,15 +20,16 @@ import hashlib
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Mapping, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from .core import AgentId, Preferences, Rating, ReputationType, Term
 from .errors import ConfigError
 from .fire import FireConfig
 from .store import ObservationRecord, ObservationStore, RatingPattern, RatingStore, RoleRule
 from .travos import TravosConfig, beta_from_ratings, binarize_value
+
+if TYPE_CHECKING:
+    import numpy as np
 
 TIMELINESS = "timeliness"
 QUALITY = "quality"
@@ -154,6 +155,9 @@ def agent_rng(seed: int, agent_id: AgentId) -> np.random.Generator:
     """Per-agent PCG64 stream keyed by seed and a stable id hash."""
     digest = hashlib.sha256(agent_id.encode("utf-8")).digest()
     agent_key = int.from_bytes(digest[:8], "big")
+    # Imported here so that loading stores and assessing never pay for numpy.
+    import numpy as np
+
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, agent_key))))
 
 

@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence
-
-from scipy.special import betainc
 
 from .core import (
     AgentId,
@@ -137,10 +136,59 @@ def expected_value(p: BetaParams) -> float:
     return p.mean
 
 
+#: Continued-fraction stopping tolerance and iteration cap; the fraction
+#: needs O(sqrt(max(a, b))) terms, so the cap is never near for real counts.
+_BETACF_EPS = sys.float_info.epsilon
+_BETACF_MAXIT = 10_000
+_BETACF_TINY = 1e-300
+
+
+def _beta_continued_fraction(a: float, b: float, x: float) -> float:
+    """Continued fraction for I_x(a, b) by the modified Lentz method.
+
+    Numerical Recipes section 6.4; converges fast for x < (a+1)/(a+b+2).
+    Returns NaN if it does not converge within the iteration cap.
+    """
+    tiny = _BETACF_TINY
+    c = 1.0
+    d = 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) >= tiny else tiny)
+    h = d
+    for m in range(1, _BETACF_MAXIT + 1):
+        m2 = 2 * m
+        # Even step, then odd step, of the fraction's coefficients.
+        for coeff in (
+            m * (b - m) * x / ((a - 1.0 + m2) * (a + m2)),
+            -(a + m) * (a + b + m) * x / ((a + m2) * (a + 1.0 + m2)),
+        ):
+            d = 1.0 + coeff * d
+            d = 1.0 / (d if abs(d) >= tiny else tiny)
+            c = 1.0 + coeff / c
+            c = c if abs(c) >= tiny else tiny
+            delta = d * c
+            h *= delta
+        if abs(delta - 1.0) <= _BETACF_EPS:
+            return h
+    return math.nan
+
+
 def regularized_incomplete_beta(x: float, alpha: float, beta: float) -> float:
     """Cumulative mass of Beta(alpha, beta) below x, clipping x into [0, 1]."""
     x = min(1.0, max(0.0, x))
-    result = float(betainc(alpha, beta, x))
+    if x == 0.0 or x == 1.0:
+        result = x
+    else:
+        front = math.exp(
+            math.lgamma(alpha + beta)
+            - math.lgamma(alpha)
+            - math.lgamma(beta)
+            + alpha * math.log(x)
+            + beta * math.log1p(-x)
+        )
+        if x < (alpha + 1.0) / (alpha + beta + 2.0):
+            result = front * _beta_continued_fraction(alpha, beta, x) / alpha
+        else:
+            result = 1.0 - front * _beta_continued_fraction(beta, alpha, 1.0 - x) / beta
     if not math.isfinite(result) or not -1e-12 <= result <= 1.0 + 1e-12:
         raise NumericalFailureError(
             f"regularized incomplete beta failed for x={x}, a={alpha}, b={beta}"

@@ -1,14 +1,19 @@
 """Command-line behaviour: exit codes, determinism, document validity."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from reptrace.cli import main
+from reptrace.errors import ConfigError
 from reptrace.scenario import validate_document
 
-SCENARIO_PATH = Path(__file__).resolve().parent.parent / "demos" / "delivery_scenario.json"
+REPO = Path(__file__).resolve().parent.parent
+SCENARIO_PATH = REPO / "demos" / "delivery_scenario.json"
 
 
 @pytest.fixture()
@@ -111,6 +116,83 @@ class TestExplain:
             ]
         ) == 4
         assert "outranks" in capsys.readouterr().err
+
+
+def _set_first_term_weight(doc, value):
+    doc["terms"][next(iter(doc["terms"]))] = value
+
+
+def _set_first_raw_value(doc, value):
+    doc["ratings"]["alice"][0]["raw_value"] = value
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("command", ["assess", "explain"])
+    @pytest.mark.parametrize(
+        "set_value, value, constant",
+        [
+            (_set_first_term_weight, float("nan"), "NaN"),
+            (_set_first_term_weight, float("inf"), "Infinity"),
+            (_set_first_raw_value, float("nan"), "NaN"),
+        ],
+        ids=["nan-term-weight", "infinite-term-weight", "nan-raw-value"],
+    )
+    def test_rejected_with_exit_two(
+        self, stores_path, capsys, command, set_value, value, constant
+    ):
+        doc = json.loads(stores_path.read_text())
+        set_value(doc, value)
+        stores_path.write_text(json.dumps(doc))
+        providers = [p["id"] for p in doc["providers"]]
+        argv = [command, str(stores_path), "--model", "fire", "--assessor", "alice"]
+        if command == "explain":
+            argv += ["--preferred", providers[0], "--other", providers[1]]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "NaN" not in captured.out and "Infinity" not in captured.out
+        assert constant in captured.err
+
+
+class TestDocumentBoundary:
+    def test_future_timestamp_names_the_record(self, stores_path, capsys):
+        doc = json.loads(stores_path.read_text())
+        doc["ratings"]["bob"][2]["timestamp"] = doc["rounds"]
+        stores_path.write_text(json.dumps(doc))
+        assert main(
+            ["assess", str(stores_path), "--model", "fire", "--assessor", "bob"]
+        ) == 2
+        assert "ratings/bob/2/timestamp" in capsys.readouterr().err
+
+    def test_validation_error_repeats_after_caching(self):
+        doc = json.loads(SCENARIO_PATH.read_text())
+        doc["rounds"] = 0
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ConfigError) as info:
+                validate_document(doc, "scenario")
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert "scenario document invalid at rounds" in messages[0]
+
+
+def test_assess_loads_neither_scipy_nor_numpy(stores_path):
+    script = (
+        "import sys\n"
+        "def heavy():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'numpy'))\n"
+        "import reptrace.cli\n"
+        "assert heavy() == [], heavy()\n"
+        "code = reptrace.cli.main(['assess', sys.argv[1], '--model', 'travos', '--assessor', 'alice'])\n"
+        "assert code == 0, code\n"
+        "assert heavy() == [], heavy()\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(stores_path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+    )
+    assert result.returncode == 0, result.stderr
 
 
 class TestDemo:

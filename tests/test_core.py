@@ -196,6 +196,11 @@ class TestTypes:
             Preferences(term_weights={"t": 0.0}, component_weights={I: 1.0})
         with pytest.raises(ValueError):
             Preferences(term_weights={"t": 1.0}, component_weights={I: -0.1})
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                Preferences(term_weights={"t": 1.0, "u": bad}, component_weights={I: 1.0})
+            with pytest.raises(ValueError, match="finite"):
+                Preferences(term_weights={"t": 1.0}, component_weights={I: bad})
 
     def test_preferences_term_order(self):
         prefs = Preferences(

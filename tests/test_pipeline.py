@@ -73,6 +73,10 @@ class TestStoresDocument:
             world_to_document(world)
         )
 
+    def test_dump_rejects_non_finite(self):
+        with pytest.raises(ValueError):
+            dump_document({"overall": float("nan")})
+
     def test_ratings_preserved(self, world):
         doc = world_to_document(world)
         restored = world_from_document(doc)

@@ -1,5 +1,7 @@
 """Beta-evidence numerics, discounting and the per-term pipeline."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -113,6 +115,22 @@ class TestConfidence:
             value = confidence(BetaParams(0.6 * mass, 0.4 * mass), 0.1)
             assert value >= previous - 1e-12
             previous = value
+
+    def test_matches_scipy_betainc(self):
+        from scipy.special import betainc
+
+        rng = random.Random(20060818)
+        integer = [(float(rng.randint(1, 600)), float(rng.randint(1, 600))) for _ in range(60)]
+        fractional = [(0.6 * m, 0.4 * m) for m in (1, 2.5, 7, 40, 160, 600)]
+        fractional += [(0.4 * m, 0.6 * m) for m in (1, 2.5, 7, 40, 160, 600)]
+        below_one = [(rng.uniform(0.05, 1.0), rng.uniform(0.05, 600.0)) for _ in range(20)]
+        below_one += [(b, a) for a, b in below_one[:10]]
+        params = integer + fractional + below_one + [(500.0, 500.0), (1.0, 1.0)]
+        bounds = [k / 5 for k in range(6)]  # 0, 1 and every bound of 5 bins
+        for a, b in params:
+            for x in bounds + [rng.random() for _ in range(4)] + [a / (a + b)]:
+                expected = float(betainc(a, b, x))
+                assert abs(regularized_incomplete_beta(x, a, b) - expected) <= 1e-12, (x, a, b)
 
     def test_symmetry_identity(self):
         # I_x(a, b) + I_{1-x}(b, a) = 1
