@@ -74,7 +74,6 @@ from .travos import (
     confidence,
     decomposition_weights,
     discount_opinion,
-    expected_value,
     witness_accuracy,
 )
 

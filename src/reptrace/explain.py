@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Optional, Sequence
+from typing import ClassVar, Mapping, Optional, Sequence, Union
 
 from .core import (
     AgentId,
@@ -86,6 +86,7 @@ class ComparisonContext:
 class DecisiveDominance:
     """Domination case: pros that matter most, never any cons."""
 
+    kind: ClassVar[str] = "decisive_dominance"
     pros: tuple[Term, ...]
     weighted_differences: Mapping[Term, float]
     reference: float
@@ -95,6 +96,7 @@ class DecisiveDominance:
 class DecisiveTradeoff:
     """Trade-off case: minimal pros covering the unmentioned cons."""
 
+    kind: ClassVar[str] = "decisive_tradeoff"
     pros: tuple[Term, ...]
     cons: tuple[Term, ...]
     weighted_differences: Mapping[Term, float]
@@ -104,6 +106,7 @@ class DecisiveTradeoff:
 class TypePermutation:
     """Weight swaps among reputation types that would flip a term trust."""
 
+    kind: ClassVar[str] = "type_permutation"
     term: Term
     swaps: tuple[tuple[ReputationType, ReputationType], ...]
     preferred_original: float
@@ -116,6 +119,7 @@ class TypePermutation:
 class FireRecencyGlobal:
     """Overall ranking that uniform rating weights would reverse."""
 
+    kind: ClassVar[str] = "recency_overall"
     preferred_overall: float
     other_overall: float
     uniform_preferred_overall: float
@@ -126,6 +130,7 @@ class FireRecencyGlobal:
 class FireRecencyLocal:
     """Component trust ordering that uniform rating weights would reverse."""
 
+    kind: ClassVar[str] = "recency_component"
     term: Term
     rep_type: ReputationType
     preferred_value: float
@@ -138,6 +143,7 @@ class FireRecencyLocal:
 class TravosLowConfidence:
     """Witness evidence decided this term under scarce own experience."""
 
+    kind: ClassVar[str] = "low_confidence"
     term: Term
     preferred_confidence: float
     other_confidence: float
@@ -146,14 +152,18 @@ class TravosLowConfidence:
     threshold: float
 
 
-Argument = (
-    DecisiveDominance
-    | DecisiveTradeoff
-    | TypePermutation
-    | FireRecencyGlobal
-    | FireRecencyLocal
-    | TravosLowConfidence
+#: Every argument kind, in document schema order. Each class's ``kind`` is
+#: its tag in explanation documents; its fields, in order, are the keys.
+ARGUMENT_KINDS = (
+    DecisiveDominance,
+    DecisiveTradeoff,
+    TypePermutation,
+    FireRecencyGlobal,
+    FireRecencyLocal,
+    TravosLowConfidence,
 )
+
+Argument = Union[ARGUMENT_KINDS]
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,6 @@ from .core import (
     REPUTATION_ORDER,
     Term,
     build_assessment,
-    combine_term_trust,
     normalize_rating,
 )
 from .store import RatingPattern, RatingStore, RoleRule
@@ -132,6 +131,36 @@ def _weighted_mean(pairs: Sequence[tuple[float, float]]) -> Optional[float]:
     return sum(w * v for v, w in pairs) / den
 
 
+def _component_trust(
+    ratings: Sequence[Rating],
+    rep_type: ReputationType,
+    config: FireConfig,
+    now: int,
+    role_evidence: Sequence[PseudoRating],
+    recency: bool,
+) -> ComponentTrust:
+    if rep_type is ReputationType.ROLE_BASED:
+        pairs = [(p.value, p.weight) for p in role_evidence]
+    elif recency:
+        pairs = [
+            (r.value, recency_weight(now - r.timestamp, config.lambda_))
+            for r in ratings
+        ]
+    else:
+        pairs = [(r.value, 1.0) for r in ratings]
+    value = _weighted_mean(pairs)
+    if value is None:
+        return ComponentTrust(rep_type=rep_type, value=None, weight=0.0)
+    reliability = config.reliability(ratings, rep_type, now)
+    importance = config.importance.get(rep_type, 0.0)
+    return ComponentTrust(
+        rep_type=rep_type,
+        value=value,
+        weight=importance * reliability,
+        reliability=reliability,
+    )
+
+
 def component_trust(
     ratings: Sequence[Rating],
     rep_type: ReputationType,
@@ -144,23 +173,8 @@ def component_trust(
     Empty evidence yields an absent value with zero weight. The returned
     weight is the component's importance scaled by its reliability.
     """
-    if rep_type is ReputationType.ROLE_BASED:
-        pairs = [(p.value, p.weight) for p in role_evidence]
-    else:
-        pairs = [
-            (r.value, recency_weight(now - r.timestamp, config.lambda_))
-            for r in ratings
-        ]
-    value = _weighted_mean(pairs)
-    if value is None:
-        return ComponentTrust(rep_type=rep_type, value=None, weight=0.0)
-    reliability = config.reliability(ratings, rep_type, now)
-    importance = config.importance.get(rep_type, 0.0)
-    return ComponentTrust(
-        rep_type=rep_type,
-        value=value,
-        weight=importance * reliability,
-        reliability=reliability,
+    return _component_trust(
+        ratings, rep_type, config, now, role_evidence, recency=True
     )
 
 
@@ -176,25 +190,9 @@ def component_trust_uniform(
     Role-based evidence keeps its likelihood weights: the baseline removes
     only the recency factor, which never applies to rules.
     """
-    if rep_type is ReputationType.ROLE_BASED:
-        return component_trust(ratings, rep_type, config, now, role_evidence)
-    pairs = [(r.value, 1.0) for r in ratings]
-    value = _weighted_mean(pairs)
-    if value is None:
-        return ComponentTrust(rep_type=rep_type, value=None, weight=0.0)
-    reliability = config.reliability(ratings, rep_type, now)
-    importance = config.importance.get(rep_type, 0.0)
-    return ComponentTrust(
-        rep_type=rep_type,
-        value=value,
-        weight=importance * reliability,
-        reliability=reliability,
+    return _component_trust(
+        ratings, rep_type, config, now, role_evidence, recency=False
     )
-
-
-def term_trust_fire(components: Sequence[ComponentTrust]) -> float:
-    """Combine component trusts; weights already carry importance and reliability."""
-    return combine_term_trust(components)
 
 
 @dataclass(frozen=True)

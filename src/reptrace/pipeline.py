@@ -9,8 +9,10 @@ deterministic: identical inputs produce byte-identical documents.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Mapping, Optional
+from collections.abc import Callable, Mapping
+from dataclasses import dataclass, fields
+from enum import Enum
+from typing import Optional, get_args, get_origin, get_type_hints
 
 from .core import (
     AgentId,
@@ -23,17 +25,13 @@ from .core import (
 )
 from .errors import ConfigError, UnknownAgentError
 from .explain import (
+    ARGUMENT_KINDS,
+    Argument,
     ComparisonContext,
-    DecisiveDominance,
-    DecisiveTradeoff,
     Explanation,
     FireDiagnostics,
-    FireRecencyGlobal,
-    FireRecencyLocal,
     Model,
     TravosDiagnostics,
-    TravosLowConfidence,
-    TypePermutation,
     explain,
 )
 from .fire import FireConfig, assess_provider as assess_fire
@@ -412,114 +410,58 @@ def ranking_to_document(
     return doc
 
 
-def _argument_to_doc(argument) -> dict:
-    if isinstance(argument, DecisiveDominance):
-        return {
-            "kind": "decisive_dominance",
-            "pros": list(argument.pros),
-            "weighted_differences": dict(argument.weighted_differences),
-            "reference": argument.reference,
-        }
-    if isinstance(argument, DecisiveTradeoff):
-        return {
-            "kind": "decisive_tradeoff",
-            "pros": list(argument.pros),
-            "cons": list(argument.cons),
-            "weighted_differences": dict(argument.weighted_differences),
-        }
-    if isinstance(argument, TypePermutation):
-        return {
-            "kind": "type_permutation",
-            "term": argument.term,
-            "swaps": [[a.value, b.value] for a, b in argument.swaps],
-            "preferred_original": argument.preferred_original,
-            "other_original": argument.other_original,
-            "preferred_swapped": argument.preferred_swapped,
-            "other_swapped": argument.other_swapped,
-        }
-    if isinstance(argument, FireRecencyGlobal):
-        return {
-            "kind": "recency_overall",
-            "preferred_overall": argument.preferred_overall,
-            "other_overall": argument.other_overall,
-            "uniform_preferred_overall": argument.uniform_preferred_overall,
-            "uniform_other_overall": argument.uniform_other_overall,
-        }
-    if isinstance(argument, FireRecencyLocal):
-        return {
-            "kind": "recency_component",
-            "term": argument.term,
-            "rep_type": argument.rep_type.value,
-            "preferred_value": argument.preferred_value,
-            "other_value": argument.other_value,
-            "uniform_preferred_value": argument.uniform_preferred_value,
-            "uniform_other_value": argument.uniform_other_value,
-        }
-    if isinstance(argument, TravosLowConfidence):
-        return {
-            "kind": "low_confidence",
-            "term": argument.term,
-            "preferred_confidence": argument.preferred_confidence,
-            "other_confidence": argument.other_confidence,
-            "preferred_witness_trust": argument.preferred_witness_trust,
-            "other_witness_trust": argument.other_witness_trust,
-            "threshold": argument.threshold,
-        }
-    raise TypeError(f"unknown argument kind: {type(argument).__name__}")
+# The explanation document's argument objects are derived from the
+# dataclasses in ARGUMENT_KINDS: {"kind": cls.kind, <field>: <value>, ...}
+# in field order, each value decoded according to the field's type hint.
 
 
-def _argument_from_doc(doc: dict):
-    kind = doc["kind"]
-    if kind == "decisive_dominance":
-        return DecisiveDominance(
-            pros=tuple(doc["pros"]),
-            weighted_differences=dict(doc["weighted_differences"]),
-            reference=float(doc["reference"]),
-        )
-    if kind == "decisive_tradeoff":
-        return DecisiveTradeoff(
-            pros=tuple(doc["pros"]),
-            cons=tuple(doc["cons"]),
-            weighted_differences=dict(doc["weighted_differences"]),
-        )
-    if kind == "type_permutation":
-        return TypePermutation(
-            term=doc["term"],
-            swaps=tuple(
-                (ReputationType.from_string(a), ReputationType.from_string(b))
-                for a, b in doc["swaps"]
-            ),
-            preferred_original=float(doc["preferred_original"]),
-            other_original=float(doc["other_original"]),
-            preferred_swapped=float(doc["preferred_swapped"]),
-            other_swapped=float(doc["other_swapped"]),
-        )
-    if kind == "recency_overall":
-        return FireRecencyGlobal(
-            preferred_overall=float(doc["preferred_overall"]),
-            other_overall=float(doc["other_overall"]),
-            uniform_preferred_overall=float(doc["uniform_preferred_overall"]),
-            uniform_other_overall=float(doc["uniform_other_overall"]),
-        )
-    if kind == "recency_component":
-        return FireRecencyLocal(
-            term=doc["term"],
-            rep_type=ReputationType.from_string(doc["rep_type"]),
-            preferred_value=float(doc["preferred_value"]),
-            other_value=float(doc["other_value"]),
-            uniform_preferred_value=float(doc["uniform_preferred_value"]),
-            uniform_other_value=float(doc["uniform_other_value"]),
-        )
-    if kind == "low_confidence":
-        return TravosLowConfidence(
-            term=doc["term"],
-            preferred_confidence=float(doc["preferred_confidence"]),
-            other_confidence=float(doc["other_confidence"]),
-            preferred_witness_trust=float(doc["preferred_witness_trust"]),
-            other_witness_trust=float(doc["other_witness_trust"]),
-            threshold=float(doc["threshold"]),
-        )
-    raise ConfigError(f"unknown argument kind {kind!r}")
+def _field_to_doc(value):
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return [_field_to_doc(v) for v in value]
+    if isinstance(value, Mapping):
+        return dict(value)
+    return value
+
+
+def _field_from_doc(hint) -> Callable:
+    """Converter from a document value to a field of type ``hint``."""
+    if hint is float or (isinstance(hint, type) and issubclass(hint, Enum)):
+        return hint
+    if get_origin(hint) is tuple:
+        args = get_args(hint)
+        if args[-1] is Ellipsis:
+            item = _field_from_doc(args[0])
+            return lambda values: tuple(item(v) for v in values)
+        items = [_field_from_doc(h) for h in args]
+        return lambda values: tuple(f(v) for f, v in zip(items, values))
+    if get_origin(hint) is Mapping:
+        return dict
+    return lambda value: value
+
+
+def _argument_fields(cls) -> tuple[tuple[str, Callable], ...]:
+    """(name, decoder) per field of an argument class, in document order."""
+    hints = get_type_hints(cls)
+    return tuple((f.name, _field_from_doc(hints[f.name])) for f in fields(cls))
+
+
+_ARGUMENT_FIELDS = {cls: _argument_fields(cls) for cls in ARGUMENT_KINDS}
+_ARGUMENT_CLASSES = {cls.kind: cls for cls in ARGUMENT_KINDS}
+
+
+def _argument_to_doc(argument: Argument) -> dict:
+    doc = {"kind": argument.kind}
+    for name, _ in _ARGUMENT_FIELDS[type(argument)]:
+        doc[name] = _field_to_doc(getattr(argument, name))
+    return doc
+
+
+def _argument_from_doc(doc: dict) -> Argument:
+    # The schema has already rejected unknown kinds and missing fields.
+    cls = _ARGUMENT_CLASSES[doc["kind"]]
+    return cls(**{name: decode(doc[name]) for name, decode in _ARGUMENT_FIELDS[cls]})
 
 
 def explanation_to_document(explanation: Explanation) -> dict:

@@ -9,7 +9,7 @@ explanation, the display names and the template set.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 from typing import Mapping, Union
@@ -34,16 +34,6 @@ REP_TYPE_DISPLAY = {
     ReputationType.CERTIFIED: "certified reputation",
 }
 
-_TEMPLATE_KEYS = (
-    "dominance",
-    "tradeoff",
-    "tradeoff_cons_clause",
-    "recency_overall",
-    "type_permutation",
-    "low_confidence",
-    "recency_component",
-)
-
 _PLACEHOLDER = re.compile(r"\{\{(\w+)\}\}")
 
 
@@ -58,6 +48,9 @@ class TemplateSet:
     type_permutation: str
     low_confidence: str
     recency_component: str
+
+
+_TEMPLATE_KEYS = tuple(f.name for f in fields(TemplateSet))
 
 
 def _parse_sections(text: str) -> dict[str, str]:
@@ -76,22 +69,24 @@ def _parse_sections(text: str) -> dict[str, str]:
     return {name: "\n".join(body).strip("\n").strip() for name, body in sections.items()}
 
 
-def load_templates(path: Union[str, Path]) -> TemplateSet:
-    """Read a template file, requiring one section per argument kind."""
-    sections = _parse_sections(Path(path).read_text(encoding="utf-8"))
+def _template_set(text: str, origin: object) -> TemplateSet:
+    """Parse a template file's text, requiring one section per field."""
+    sections = _parse_sections(text)
     missing = [k for k in _TEMPLATE_KEYS if k not in sections]
     if missing:
-        raise ValueError(f"template file {path}: missing sections {missing}")
+        raise ValueError(f"template file {origin}: missing sections {missing}")
     return TemplateSet(**{k: sections[k] for k in _TEMPLATE_KEYS})
+
+
+def load_templates(path: Union[str, Path]) -> TemplateSet:
+    """Read a template file, requiring one section per argument kind."""
+    return _template_set(Path(path).read_text(encoding="utf-8"), path)
 
 
 def default_templates() -> TemplateSet:
     """The shipped template set."""
-    text = (
-        resources.files("reptrace").joinpath("templates/default.txt").read_text("utf-8")
-    )
-    sections = _parse_sections(text)
-    return TemplateSet(**{k: sections[k] for k in _TEMPLATE_KEYS})
+    default = resources.files("reptrace").joinpath("templates/default.txt")
+    return _template_set(default.read_text("utf-8"), default)
 
 
 def join_terms(terms) -> str:

@@ -273,11 +273,6 @@ class Scenario:
         """Assessment time: the last simulated round index."""
         return self.rounds - 1
 
-    def agent_roles(self) -> dict[AgentId, tuple[str, ...]]:
-        roles = {a.id: a.roles for a in self.agents}
-        roles.update({p.id: p.roles for p in self.providers})
-        return roles
-
 
 @dataclass
 class SimulationWorld:

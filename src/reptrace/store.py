@@ -105,16 +105,6 @@ class RatingStore:
         return {r.source for r in self._records}
 
 
-def insert_rating(store: RatingStore, rating: Rating) -> RatingStore:
-    """Functional-style wrapper around :meth:`RatingStore.insert`."""
-    store.insert(rating)
-    return store
-
-
-def query(store: RatingStore, pattern: RatingPattern) -> list[Rating]:
-    return store.query(pattern)
-
-
 @dataclass(frozen=True)
 class RoleRule:
     """Expectation rule: agents in (role_a, role_b) relate with likelihood e.
@@ -208,17 +198,6 @@ class ObservationStore:
             and rec.term == term
             and _in_bin(rec.opinion_value, opinion_bin, bins)
         ]
-
-
-def query_observations(
-    obs_store: ObservationStore,
-    assessor: AgentId,
-    witness: AgentId,
-    term: Term,
-    opinion_bin: int,
-    bins: int,
-) -> list[ObservationRecord]:
-    return obs_store.query(assessor, witness, term, opinion_bin, bins)
 
 
 #: Column order of the flat-file rating format.

@@ -132,10 +132,6 @@ def beta_from_ratings(ratings: Sequence[Rating]) -> BetaParams:
     return BetaParams(1.0 + pos, 1.0 + neg)
 
 
-def expected_value(p: BetaParams) -> float:
-    return p.mean
-
-
 #: Continued-fraction stopping tolerance and iteration cap; the fraction
 #: needs O(sqrt(max(a, b))) terms, so the cap is never near for real counts.
 _BETACF_EPS = sys.float_info.epsilon

@@ -10,6 +10,7 @@ from reptrace.core import (
     Preferences,
     Rating,
     ReputationType,
+    combine_term_trust,
     validate_assessment,
 )
 from reptrace.errors import NoEvidenceError
@@ -22,7 +23,6 @@ from reptrace.fire import (
     recency_weight,
     register_reliability_plugin,
     role_pseudo_ratings,
-    term_trust_fire,
 )
 from reptrace.store import RatingStore, RoleRule
 
@@ -168,24 +168,24 @@ class TestTermTrust:
             ComponentTrust(I, 0.75, weight=0.75, reliability=1.0),
             ComponentTrust(W, 0.95, weight=0.25, reliability=1.0),
         ]
-        assert term_trust_fire(components) == pytest.approx(0.80, abs=1e-12)
+        assert combine_term_trust(components) == pytest.approx(0.80, abs=1e-12)
 
     def test_absent_component_renormalizes(self):
         components = [
             ComponentTrust(I, 0.6, weight=0.75),
             ComponentTrust(W, None, weight=0.0),
         ]
-        assert term_trust_fire(components) == pytest.approx(0.6)
+        assert combine_term_trust(components) == pytest.approx(0.6)
 
     def test_zero_reliability_equals_absent(self):
-        with_zero = term_trust_fire(
+        with_zero = combine_term_trust(
             [ComponentTrust(I, 0.6, weight=0.75), ComponentTrust(W, 0.1, weight=0.0, reliability=0.0)]
         )
         assert with_zero == pytest.approx(0.6)
 
     def test_no_evidence_propagates(self):
         with pytest.raises(NoEvidenceError):
-            term_trust_fire([ComponentTrust(I, None, weight=0.0)])
+            combine_term_trust([ComponentTrust(I, None, weight=0.0)])
 
 
 TABLE = {
@@ -205,7 +205,7 @@ TABLE_ROUNDED = {
 def test_running_example_term_trusts():
     for provider, terms in TABLE.items():
         for term, (vi, vw) in terms.items():
-            value = term_trust_fire(
+            value = combine_term_trust(
                 [
                     ComponentTrust(I, vi, weight=0.75),
                     ComponentTrust(W, vw, weight=0.25),

@@ -1,5 +1,6 @@
 """Document round-trips, schema validation and assessment orchestration."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -7,7 +8,17 @@ import pytest
 
 from reptrace.core import ReputationType, validate_assessment
 from reptrace.errors import ConfigError, UnknownAgentError
-from reptrace.explain import Model
+from reptrace.explain import (
+    ARGUMENT_KINDS,
+    DecisiveDominance,
+    DecisiveTradeoff,
+    Explanation,
+    FireRecencyGlobal,
+    FireRecencyLocal,
+    Model,
+    TravosLowConfidence,
+    TypePermutation,
+)
 from reptrace.pipeline import (
     assess_all,
     build_context,
@@ -21,12 +32,15 @@ from reptrace.pipeline import (
     world_from_simulation,
     world_to_document,
 )
-from reptrace.scenario import load_scenario, scenario_from_document
+from reptrace.scenario import load_schema, load_scenario, scenario_from_document
 from reptrace.simulate import run_scenario
 
 SCENARIO_PATH = Path(__file__).resolve().parent.parent / "demos" / "delivery_scenario.json"
 
 I = ReputationType.INTERACTION
+W = ReputationType.WITNESS
+R = ReputationType.ROLE_BASED
+C = ReputationType.CERTIFIED
 
 
 @pytest.fixture(scope="module")
@@ -171,3 +185,158 @@ class TestExplanationDocuments:
     def test_unknown_provider(self, world):
         with pytest.raises(UnknownAgentError):
             build_context(world, Model.FIRE, "alice", "nope", "steady")
+
+
+#: One argument of every kind, so the document codec meets each field type.
+EVERY_KIND = Explanation(
+    assessor="alice",
+    preferred="swift",
+    other="steady",
+    model=Model.FIRE,
+    arguments=(
+        DecisiveDominance(
+            pros=("quality", "timeliness"),
+            weighted_differences={"quality": 0.25, "timeliness": 0.125, "cost": 0.0},
+            reference=0.0625,
+        ),
+        DecisiveTradeoff(
+            pros=("quality",),
+            cons=("cost",),
+            weighted_differences={"quality": 0.5, "cost": 0.375},
+        ),
+        TypePermutation(
+            term="quality",
+            swaps=((I, W), (R, C)),
+            preferred_original=0.75,
+            other_original=0.5,
+            preferred_swapped=0.25,
+            other_swapped=0.625,
+        ),
+        FireRecencyGlobal(
+            preferred_overall=0.7,
+            other_overall=0.6,
+            uniform_preferred_overall=0.4,
+            uniform_other_overall=0.55,
+        ),
+        FireRecencyLocal(
+            term="timeliness",
+            rep_type=W,
+            preferred_value=0.9,
+            other_value=0.8,
+            uniform_preferred_value=0.3,
+            uniform_other_value=0.35,
+        ),
+        TravosLowConfidence(
+            term="cost",
+            preferred_confidence=0.125,
+            other_confidence=0.0,
+            preferred_witness_trust=0.875,
+            other_witness_trust=0.5,
+            threshold=0.0,
+        ),
+    ),
+)
+
+EVERY_KIND_DOCUMENT = """\
+{
+  "schema": "reptrace/explanation/v1",
+  "model": "fire",
+  "assessor": "alice",
+  "preferred": "swift",
+  "other": "steady",
+  "arguments": [
+    {
+      "kind": "decisive_dominance",
+      "pros": [
+        "quality",
+        "timeliness"
+      ],
+      "weighted_differences": {
+        "quality": 0.25,
+        "timeliness": 0.125,
+        "cost": 0.0
+      },
+      "reference": 0.0625
+    },
+    {
+      "kind": "decisive_tradeoff",
+      "pros": [
+        "quality"
+      ],
+      "cons": [
+        "cost"
+      ],
+      "weighted_differences": {
+        "quality": 0.5,
+        "cost": 0.375
+      }
+    },
+    {
+      "kind": "type_permutation",
+      "term": "quality",
+      "swaps": [
+        [
+          "interaction",
+          "witness"
+        ],
+        [
+          "role",
+          "certified"
+        ]
+      ],
+      "preferred_original": 0.75,
+      "other_original": 0.5,
+      "preferred_swapped": 0.25,
+      "other_swapped": 0.625
+    },
+    {
+      "kind": "recency_overall",
+      "preferred_overall": 0.7,
+      "other_overall": 0.6,
+      "uniform_preferred_overall": 0.4,
+      "uniform_other_overall": 0.55
+    },
+    {
+      "kind": "recency_component",
+      "term": "timeliness",
+      "rep_type": "witness",
+      "preferred_value": 0.9,
+      "other_value": 0.8,
+      "uniform_preferred_value": 0.3,
+      "uniform_other_value": 0.35
+    },
+    {
+      "kind": "low_confidence",
+      "term": "cost",
+      "preferred_confidence": 0.125,
+      "other_confidence": 0.0,
+      "preferred_witness_trust": 0.875,
+      "other_witness_trust": 0.5,
+      "threshold": 0.0
+    }
+  ]
+}
+"""
+
+
+class TestArgumentCodec:
+    def test_every_kind_document_is_pinned(self):
+        doc = explanation_to_document(EVERY_KIND)
+        assert dump_document(doc) == EVERY_KIND_DOCUMENT
+        assert explanation_from_document(doc) == EVERY_KIND
+
+    def test_integer_json_number_decodes_as_float(self):
+        doc = json.loads(EVERY_KIND_DOCUMENT)
+        doc["arguments"][-1]["threshold"] = 0
+        explanation = explanation_from_document(doc)
+        assert type(explanation.arguments[-1].threshold) is float
+        assert dump_document(explanation_to_document(explanation)) == EVERY_KIND_DOCUMENT
+
+    def test_schema_matches_dataclass_fields(self):
+        schema = load_schema("explanation")
+        defs = schema["$defs"]
+        refs = [one["$ref"] for one in schema["properties"]["arguments"]["items"]["oneOf"]]
+        assert refs == [f"#/$defs/{cls.kind}" for cls in ARGUMENT_KINDS]
+        for cls in ARGUMENT_KINDS:
+            names = [f.name for f in dataclasses.fields(cls)]
+            assert defs[cls.kind]["required"] == ["kind", *names], cls.__name__

@@ -12,7 +12,6 @@ from reptrace.store import (
     RatingStore,
     bin_of,
     load_ratings_tsv,
-    query_observations,
     save_ratings_tsv,
 )
 
@@ -151,22 +150,22 @@ class TestObservationBins:
         store.insert(self.obs(0.79, "in-hi"))
         store.insert(self.obs(0.80, "above"))
         store.insert(self.obs(0.59, "below"))
-        out = query_observations(store, "a", "w", "q", opinion_bin=4, bins=5)
+        out = store.query("a", "w", "q", opinion_bin=4, bins=5)
         assert {rec.interaction_id for rec in out} == {"in-lo", "in-hi"}
 
     def test_last_bin_closed(self):
         store = ObservationStore()
         store.insert(self.obs(1.0))
-        assert len(query_observations(store, "a", "w", "q", 5, 5)) == 1
+        assert len(store.query("a", "w", "q", 5, 5)) == 1
 
     def test_empty_store(self):
-        assert query_observations(ObservationStore(), "a", "w", "q", 1, 5) == []
+        assert ObservationStore().query("a", "w", "q", 1, 5) == []
 
     def test_bad_bin(self):
         with pytest.raises(BadBinError):
-            query_observations(ObservationStore(), "a", "w", "q", 0, 5)
+            ObservationStore().query("a", "w", "q", 0, 5)
         with pytest.raises(BadBinError):
-            query_observations(ObservationStore(), "a", "w", "q", 6, 5)
+            ObservationStore().query("a", "w", "q", 6, 5)
 
 
 class TestFlatFile:

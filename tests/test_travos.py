@@ -23,7 +23,6 @@ from reptrace.travos import (
     confidence,
     decomposition_weights,
     discount_opinion,
-    expected_value,
     regularized_incomplete_beta,
     witness_accuracy,
 )
@@ -77,14 +76,14 @@ class TestEvidenceCounting:
 
 class TestExpectedValue:
     def test_uniform(self):
-        assert expected_value(BetaParams(1, 1)) == 0.5
+        assert BetaParams(1, 1).mean == 0.5
 
     def test_counts(self):
-        assert abs(expected_value(BetaParams(4, 2)) - 4 / 6) <= 1e-12
+        assert abs(BetaParams(4, 2).mean - 4 / 6) <= 1e-12
 
     @given(st.floats(min_value=0.5, max_value=50.0))
     def test_symmetric(self, a):
-        assert expected_value(BetaParams(a, a)) == 0.5
+        assert BetaParams(a, a).mean == 0.5
 
 
 class TestConfidence:
@@ -268,7 +267,7 @@ class TestAssessTerm:
         # Interaction prior only, one fully trusted witness holding (11, 1).
         discounted = discount_opinion(opinion(11, 1), 1.0)
         combined = combine_evidence(BetaParams(1, 1), [discounted])
-        assert abs(expected_value(combined) - 12 / 14) <= 1e-6
+        assert abs(combined.mean - 12 / 14) <= 1e-6
 
     def test_no_evidence_flags_low_confidence(self):
         res = assess_term(
