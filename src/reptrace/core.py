@@ -222,13 +222,8 @@ class Assessment:
         return None if ta is None else ta.term_trust
 
     def component_value(self, term: Term, rep_type: ReputationType) -> Optional[float]:
-        ta = self.per_term.get(term)
-        if ta is None:
-            return None
-        for c in ta.components:
-            if c.rep_type is rep_type:
-                return c.value
-        return None
+        c = self.component(term, rep_type)
+        return None if c is None else c.value
 
     def component(self, term: Term, rep_type: ReputationType) -> Optional[ComponentTrust]:
         ta = self.per_term.get(term)

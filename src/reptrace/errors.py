@@ -42,7 +42,7 @@ class NotDominantError(ReptraceError):
 
 
 class InfeasibleTradeoffError(ReptraceError):
-    """No subset pair satisfies the trade-off condition (invalid context)."""
+    """No pro has a positive weighted difference to cover the cons (invalid context)."""
 
 
 class MissingDiagnosticsError(ReptraceError):

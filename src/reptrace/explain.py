@@ -18,6 +18,7 @@ by the domination rule is on the same scale as the actual weights.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import ClassVar, Mapping, Optional, Sequence, Union
@@ -43,7 +44,8 @@ from .travos import TravosTermDiagnostics
 #: Two overall scores closer than this are treated as an ambiguous order.
 ORDER_TOL = 1e-9
 
-#: Exhaustive subset search bound; larger term sets fall back to greedy.
+#: Bounds nothing in this package: ``perfbench/workloads.py`` reads it to
+#: size its wide-terms comparisons. It goes with the next benchmark change.
 EXHAUSTIVE_TERM_LIMIT = 12
 
 
@@ -244,81 +246,51 @@ def decisive_terms_dominance(ctx: ComparisonContext) -> DecisiveDominance:
     )
 
 
-def _tradeoff_candidates(
-    pros_pool: Sequence[Term],
-    cons_pool: Sequence[Term],
-    weighted: Mapping[Term, float],
-):
-    """Yield every (pro subset, con subset) satisfying the cover condition."""
-    cons_total = sum(weighted[t] for t in cons_pool)
-    for p_sel in itertools.chain.from_iterable(
-        itertools.combinations(pros_pool, k) for k in range(len(pros_pool) + 1)
-    ):
-        p_sum = sum(weighted[t] for t in p_sel)
-        for c_sel in itertools.chain.from_iterable(
-            itertools.combinations(cons_pool, k) for k in range(len(cons_pool) + 1)
-        ):
-            uncovered = cons_total - sum(weighted[t] for t in c_sel)
-            if p_sum > uncovered:
-                yield p_sel, c_sel
-
-
 def decisive_terms_tradeoff(ctx: ComparisonContext) -> DecisiveTradeoff:
-    """Trade-off argument selection.
+    """Trade-off argument selection by one sort-and-prefix rule.
 
-    Among all subset pairs satisfying the cover condition, an empty
-    mentioned-cons set is preferred outright (an explanation that needs no
-    counterpoints); after that the pro set, then the con set, is smallest;
-    remaining ties go to the largest selected weighted difference and then
-    to term declaration order. The search is exhaustive up to
-    EXHAUSTIVE_TERM_LIMIT terms and greedy beyond.
+    Pros and cons are each ordered by weighted difference, largest first,
+    ties to the earlier-declared term. If some prefix of the pros outweighs
+    every con, the shortest such prefix is the answer and no con is
+    mentioned. Otherwise the answer is the top pro plus the fewest largest
+    cons that leave less than it unmentioned. This is the pair an exhaustive
+    search over all (pro subset, con subset) pairs picks: no mentioned cons
+    first, then fewest pros, fewest cons, largest selected total and
+    declaration order. Each cover test is exact: the sign of one correctly
+    rounded ``math.fsum``, so ties never depend on float summation order.
     """
     terms = _compared_terms(ctx)
     _, weighted = _weighted_differences(ctx, terms)
-    decl_index = {t: i for i, t in enumerate(terms)}
-    pros_pool = [
+
+    def largest_first(pool):
+        # Terms come in declaration order and sorted() is stable.
+        return sorted(pool, key=lambda t: -weighted[t])
+
+    pros = largest_first(
         t for t in terms if ctx.preferred.term_trust(t) > ctx.other.term_trust(t)
-    ]
-    cons_pool = [
-        t for t in terms if ctx.preferred.term_trust(t) < ctx.other.term_trust(t)
-    ]
-
-    if len(terms) > EXHAUSTIVE_TERM_LIMIT:
-        chosen: list[Term] = []
-        cons_total = sum(weighted[t] for t in cons_pool)
-        for t in sorted(pros_pool, key=lambda t: (-weighted[t], decl_index[t])):
-            chosen.append(t)
-            if sum(weighted[t] for t in chosen) > cons_total:
-                return DecisiveTradeoff(
-                    pros=tuple(chosen), cons=(), weighted_differences=weighted
-                )
-        raise InfeasibleTradeoffError(
-            "pros never cover the cons; is the context ordered correctly?"
-        )
-
-    def key(pair):
-        p_sel, c_sel = pair
-        return (
-            0 if not c_sel else 1,
-            len(p_sel),
-            len(c_sel),
-            -sum(weighted[t] for t in p_sel) - sum(weighted[t] for t in c_sel),
-            tuple(sorted(decl_index[t] for t in p_sel)),
-            tuple(sorted(decl_index[t] for t in c_sel)),
-        )
-
-    best = min(
-        _tradeoff_candidates(pros_pool, cons_pool, weighted), key=key, default=None
     )
-    if best is None:
-        raise InfeasibleTradeoffError(
-            "pros never cover the cons; is the context ordered correctly?"
-        )
-    p_sel, c_sel = best
-    pros = sorted(p_sel, key=lambda t: (-weighted[t], decl_index[t]))
-    cons = sorted(c_sel, key=lambda t: (-weighted[t], decl_index[t]))
-    return DecisiveTradeoff(
-        pros=tuple(pros), cons=tuple(cons), weighted_differences=weighted
+    cons = largest_first(
+        t for t in terms if ctx.preferred.term_trust(t) < ctx.other.term_trust(t)
+    )
+
+    def covers(n_pros: int, n_cons: int) -> bool:
+        """Do the top n_pros pros outweigh all but the top n_cons cons?"""
+        return math.fsum(
+            [weighted[t] for t in pros[:n_pros]] + [-weighted[t] for t in cons[n_cons:]]
+        ) > 0
+
+    for k in range(1, len(pros) + 1):
+        if covers(k, 0):
+            return DecisiveTradeoff(
+                pros=tuple(pros[:k]), cons=(), weighted_differences=weighted
+            )
+    for m in range(1, len(cons) + 1):
+        if covers(1, m):
+            return DecisiveTradeoff(
+                pros=tuple(pros[:1]), cons=tuple(cons[:m]), weighted_differences=weighted
+            )
+    raise InfeasibleTradeoffError(
+        "pros never cover the cons; is the context ordered correctly?"
     )
 
 

@@ -8,6 +8,7 @@ explanation, the display names and the template set.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, fields
 from importlib import resources
@@ -83,8 +84,9 @@ def load_templates(path: Union[str, Path]) -> TemplateSet:
     return _template_set(Path(path).read_text(encoding="utf-8"), path)
 
 
+@functools.cache
 def default_templates() -> TemplateSet:
-    """The shipped template set."""
+    """The shipped template set, read and parsed once per process."""
     default = resources.files("reptrace").joinpath("templates/default.txt")
     return _template_set(default.read_text("utf-8"), default)
 

@@ -101,9 +101,6 @@ class RatingStore:
     def all_records(self) -> list[Rating]:
         return self.query(RatingPattern())
 
-    def sources(self) -> set[AgentId]:
-        return {r.source for r in self._records}
-
 
 @dataclass(frozen=True)
 class RoleRule:

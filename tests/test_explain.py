@@ -1,5 +1,7 @@
 """Argument selection: decisive terms, weight swaps, model arguments."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -190,6 +192,109 @@ class TestTradeoff:
                 pros_pool, cons_pool, arg.weighted_differences, terms
             )
             assert (arg.pros, arg.cons) == oracle
+
+        # Up to 14 terms, some with evidence on one side only. The preferred
+        # provider can then win on a one-sided term while its compared pros
+        # fall short of the cons, so cons must be mentioned.
+        rng = np.random.default_rng(8)
+        checked = mentioned = 0
+        while checked < 60:
+            n = int(rng.integers(2, 15))
+            terms = [f"t{i}" for i in range(n)]
+            weights = {t: float(rng.uniform(0.05, 1.0)) for t in terms}
+            pref = {t: float(rng.uniform(0, 1)) for t in terms}
+            other = {t: float(rng.uniform(0, 1)) for t in terms}
+            for t in terms[: int(rng.integers(0, 3))]:
+                del (other if rng.uniform() < 0.5 else pref)[t]
+            ctx = context_from_values(pref, other, weights)
+            po, oo = ctx.preferred.overall, ctx.other.overall
+            if po is None or oo is None or po <= oo or dominates(ctx):
+                continue
+            compared = [t for t in terms if t in pref and t in other]
+            pros_pool = [t for t in compared if pref[t] > other[t]]
+            cons_pool = [t for t in compared if pref[t] < other[t]]
+            if not pros_pool:
+                continue
+            arg = decisive_terms_tradeoff(ctx)
+            oracle = tradeoff_oracle(
+                pros_pool, cons_pool, arg.weighted_differences, compared
+            )
+            assert (arg.pros, arg.cons) == oracle
+            mentioned += bool(arg.cons)
+            checked += 1
+        assert mentioned > 0
+
+    def test_more_than_twelve_terms_mention_cons(self):
+        # "solo" carries the preferred provider's win: the other provider
+        # has no evidence on it. On the 13 compared terms the pros (0.3,
+        # 0.2, 0.1) fall short of the cons (0.66 in all), so the answer is
+        # the top pro plus the fewest largest cons leaving less than 0.3.
+        cons_deltas = (0.15, 0.12, 0.1, 0.08, 0.06, 0.05, 0.04, 0.03, 0.02, 0.01)
+        pref = {"solo": 1.0, "p0": 0.8, "p1": 0.7, "p2": 0.6}
+        pref.update({f"c{i}": 0.5 - d for i, d in enumerate(cons_deltas)})
+        other = {t: 0.5 for t in pref if t != "solo"}
+        ctx = context_from_values(pref, other, {t: 1.0 for t in pref})
+        assert ctx.preferred.overall > ctx.other.overall
+        assert not dominates(ctx)
+        arg = decisive_terms_tradeoff(ctx)
+        oracle = tradeoff_oracle(
+            ["p0", "p1", "p2"],
+            [f"c{i}" for i in range(len(cons_deltas))],
+            arg.weighted_differences,
+            list(other),
+        )
+        assert (arg.pros, arg.cons) == oracle
+        assert arg.pros == ("p0",)
+        assert arg.cons == ("c0", "c1", "c2")
+
+    def test_equal_differences_pick_earlier_declared_term(self):
+        # x and y have equal weighted differences; either alone covers c.
+        ctx = context_from_values(
+            {"x": 0.75, "y": 0.5, "c": 0.5},
+            {"x": 0.5, "y": 0.25, "c": 0.625},
+            {"x": 1.0, "y": 1.0, "c": 1.0},
+        )
+        assert decisive_terms_tradeoff(ctx).pros == ("x",)
+        ctx = context_from_values(
+            {"x": 0.75, "y": 0.5, "c": 0.5},
+            {"x": 0.5, "y": 0.25, "c": 0.625},
+            {"y": 1.0, "x": 1.0, "c": 1.0},
+        )
+        assert decisive_terms_tradeoff(ctx).pros == ("y",)
+        # Equal cons: the earlier-declared one is mentioned.
+        ctx = context_from_values(
+            {"solo": 1.0, "p": 0.875, "c1": 0.25, "c2": 0.25},
+            {"p": 0.5, "c1": 0.5, "c2": 0.5},
+            {"solo": 1.0, "p": 1.0, "c1": 1.0, "c2": 1.0},
+        )
+        arg = decisive_terms_tradeoff(ctx)
+        assert (arg.pros, arg.cons) == (("p",), ("c1",))
+
+    def test_cover_test_is_exact(self):
+        # Weighted differences are exact dyadics: p = 2**-58, c_big =
+        # 0.125, c_small = 2**-57. Summed in floats, c_big + c_small
+        # rounds to c_big, so naming c_big alone would seem to leave
+        # nothing for p to outweigh; exactly, c_small is still left.
+        ctx = context_from_values(
+            {"solo": 1.0, "p": 2.0**-56, "c_big": 0.0, "c_small": 0.0},
+            {"p": 0.0, "c_big": 0.5, "c_small": 2.0**-56},
+            {"solo": 1.0, "p": 1.0, "c_big": 1.0, "c_small": 2.0},
+        )
+        arg = decisive_terms_tradeoff(ctx)
+        exact = {t: Fraction(w) for t, w in arg.weighted_differences.items()}
+        oracle = tradeoff_oracle(["p"], ["c_big", "c_small"], exact, list(ctx.other.per_term))
+        assert (arg.pros, arg.cons) == oracle == (("p",), ("c_big", "c_small"))
+        # p1 + p2 = 0.125 + 2**-57 exceeds c = 0.125, but a float sum of
+        # the pros rounds p2 away, so they would seem only to tie c.
+        ctx = context_from_values(
+            {"solo": 1.0, "p1": 1.0, "p2": 2.0**-55, "c": 0.25},
+            {"p1": 0.5, "p2": 0.0, "c": 0.5},
+            {"solo": 1.0, "p1": 1.0, "p2": 1.0, "c": 2.0},
+        )
+        arg = decisive_terms_tradeoff(ctx)
+        exact = {t: Fraction(w) for t, w in arg.weighted_differences.items()}
+        oracle = tradeoff_oracle(["p1", "p2"], ["c"], exact, ["p1", "p2", "c"])
+        assert (arg.pros, arg.cons) == oracle == (("p1", "p2"), ())
 
 
 class TestInvertPermutation:

@@ -172,6 +172,9 @@ class TestRenderMechanics:
         path.write_text(source, encoding="utf-8")
         assert load_templates(path) == default_templates()
 
+    def test_default_templates_read_once(self):
+        assert default_templates() is default_templates()
+
     def test_missing_section_rejected(self, tmp_path):
         path = tmp_path / "broken.txt"
         path.write_text("[dominance]\nonly this\n", encoding="utf-8")
