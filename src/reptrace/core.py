@@ -180,8 +180,9 @@ class ComponentTrust:
 
     ``value`` is None when the component has no evidence; an absent value
     forces a zero weight so it never enters a mean. ``weight`` is the
-    effective combination weight (importance scaled by reliability for
-    FIRE, evidence-mass share for TRAVOS).
+    effective combination weight (importance for FIRE, evidence-mass share
+    for TRAVOS). ``reliability`` is 1 under both models; ranking documents
+    carry it.
     """
 
     rep_type: ReputationType

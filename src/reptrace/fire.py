@@ -3,8 +3,8 @@
 Component trust is a weighted mean of ratings. Interaction, witness and
 certified ratings are weighted by an exponential recency factor; role-based
 pseudo-ratings derived from rules are weighted by the rule's likelihood.
-Component trusts combine into term trust through importance weights scaled
-by a per-component reliability (constant 1 by default, or a named plugin).
+Component trusts combine into term trust through their importance weights;
+each component's reliability is the constant 1.
 
 Each assessment is built twice: once with the recency weights and once with
 every rating weighted equally. The uniform baseline exists solely so the
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .core import (
     AgentId,
@@ -40,20 +40,10 @@ RECENCY_TYPES = (
     ReputationType.CERTIFIED,
 )
 
-#: Signature of a reliability plugin: (ratings, rep_type, now) -> [0, 1].
-ReliabilityFn = Callable[[Sequence[Rating], ReputationType, int], float]
-
-_RELIABILITY_PLUGINS: dict[str, ReliabilityFn] = {}
-
-
-def register_reliability_plugin(name: str, fn: ReliabilityFn) -> None:
-    """Register a named reliability function for use in FireConfig."""
-    _RELIABILITY_PLUGINS[name] = fn
-
 
 @dataclass(frozen=True)
 class FireConfig:
-    """Recency scale, component importance and reliability selection."""
+    """Recency scale, component importance and per-source history cap."""
 
     lambda_: float = 5.0
     importance: Mapping[ReputationType, float] = field(
@@ -62,7 +52,6 @@ class FireConfig:
             ReputationType.WITNESS: 0.25,
         }
     )
-    reliability_plugin: Optional[str] = None
     history_cap: Optional[int] = None
 
     def __post_init__(self):
@@ -70,19 +59,6 @@ class FireConfig:
             raise ValueError("lambda must be positive")
         if not self.importance or not any(w > 0 for w in self.importance.values()):
             raise ValueError("at least one positive importance weight required")
-        if self.reliability_plugin is not None and (
-            self.reliability_plugin not in _RELIABILITY_PLUGINS
-        ):
-            raise ValueError(
-                f"unknown reliability plugin {self.reliability_plugin!r}"
-            )
-
-    def reliability(
-        self, ratings: Sequence[Rating], rep_type: ReputationType, now: int
-    ) -> float:
-        if self.reliability_plugin is None:
-            return 1.0
-        return _RELIABILITY_PLUGINS[self.reliability_plugin](ratings, rep_type, now)
 
 
 def recency_weight(delta_tau: float, lambda_: float) -> float:
@@ -151,13 +127,8 @@ def _component_trust(
     value = _weighted_mean(pairs)
     if value is None:
         return ComponentTrust(rep_type=rep_type, value=None, weight=0.0)
-    reliability = config.reliability(ratings, rep_type, now)
-    importance = config.importance.get(rep_type, 0.0)
     return ComponentTrust(
-        rep_type=rep_type,
-        value=value,
-        weight=importance * reliability,
-        reliability=reliability,
+        rep_type=rep_type, value=value, weight=config.importance.get(rep_type, 0.0)
     )
 
 
@@ -171,7 +142,7 @@ def component_trust(
     """Recency-weighted component trust (likelihood-weighted for roles).
 
     Empty evidence yields an absent value with zero weight. The returned
-    weight is the component's importance scaled by its reliability.
+    weight is the component's importance.
     """
     return _component_trust(
         ratings, rep_type, config, now, role_evidence, recency=True

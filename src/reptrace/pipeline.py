@@ -2,8 +2,10 @@
 
 This module glues the stores, backends and explanation layer together for
 programmatic use and for the command line. It owns the JSON document
-formats (validated against the shipped schemas) and keeps serialization
-deterministic: identical inputs produce byte-identical documents.
+formats and keeps serialization deterministic: identical inputs produce
+byte-identical documents. Input documents are validated against the
+shipped schemas. Output documents are not; the tests check them against
+the same schemas instead.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .explain import (
     explain,
 )
 from .fire import FireConfig, assess_provider as assess_fire
-from .scenario import validate_document
+from .scenario import config_from_document, validate_document
 from .simulate import AgentSpec, SimulationWorld
 from .store import ObservationRecord, ObservationStore, RatingStore, RoleRule
 from .travos import (
@@ -132,7 +134,7 @@ def _observation_to_doc(o: ObservationRecord) -> dict:
 
 def world_to_document(world: World) -> dict:
     """Serialize a world as a stores document."""
-    doc = {
+    return {
         "schema": STORES_SCHEMA,
         "seed": world.seed,
         "rounds": world.rounds,
@@ -143,7 +145,8 @@ def world_to_document(world: World) -> dict:
         "fire": {
             "lambda": world.fire.lambda_,
             "history_cap": world.fire.history_cap,
-            "reliability_plugin": world.fire.reliability_plugin,
+            # FIRE reliability is the constant 1; stores/v1 keeps the key.
+            "reliability_plugin": None,
         },
         "travos": {
             "epsilon": world.travos.epsilon,
@@ -176,61 +179,27 @@ def world_to_document(world: World) -> dict:
             for a in world.agents
         },
     }
-    validate_document(doc, "stores")
-    return doc
 
 
 def world_from_document(doc: dict) -> World:
     """Rebuild a world from a stores document."""
     validate_document(doc, "stores")
-    term_weights = {str(t): float(w) for t, w in doc["terms"].items()}
-    importance = {
-        ReputationType.from_string(k): float(v)
-        for k, v in doc["component_weights"].items()
-    }
-    try:
-        preferences = Preferences(
-            term_weights=term_weights, component_weights=importance
-        )
-        fire = FireConfig(
-            lambda_=float(doc["fire"]["lambda"]),
-            importance=importance,
-            reliability_plugin=doc["fire"].get("reliability_plugin"),
-            history_cap=doc["fire"].get("history_cap"),
-        )
-        travos = TravosConfig(
-            epsilon=float(doc["travos"]["epsilon"]),
-            confidence_threshold=float(doc["travos"]["confidence_threshold"]),
-            bins=int(doc["travos"]["bins"]),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    agents = tuple(
-        AgentSpec(id=a["id"], roles=tuple(a.get("roles", ()))) for a in doc["agents"]
-    )
-    providers = tuple(
-        ProviderRef(id=p["id"], roles=tuple(p.get("roles", ())))
-        for p in doc["providers"]
-    )
-    role_rules = tuple(
-        RoleRule(
-            role_a=r["role_a"],
-            role_b=r["role_b"],
-            term=r["term"],
-            likelihood=float(r["likelihood"]),
-            expected_value=float(r["value"]),
-        )
-        for r in doc.get("role_rules", ())
-    )
-    rounds = int(doc["rounds"])
+    config = config_from_document(doc)
+    rounds = config["rounds"]
     rating_stores: dict[AgentId, RatingStore] = {}
-    for agent in agents:
-        store = RatingStore(history_cap=fire.history_cap)
+    for agent in config["agents"]:
+        store = RatingStore(history_cap=config["fire"].history_cap)
         for index, rec in enumerate(doc["ratings"].get(agent.id, ())):
+            where = f"stores document invalid at ratings/{agent.id}/{index}"
             if rec["timestamp"] > rounds - 1:
                 raise ConfigError(
-                    f"stores document invalid at ratings/{agent.id}/{index}/timestamp: "
+                    f"{where}/timestamp: "
                     f"{rec['timestamp']} is after the last round {rounds - 1}"
+                )
+            if rec["rep_type"] == "interaction" and rec["source"] != agent.id:
+                raise ConfigError(
+                    f"{where}/source: an interaction rating in {agent.id}'s store "
+                    f"must have source {agent.id!r}, not {rec['source']!r}"
                 )
             store.insert(
                 Rating(
@@ -246,7 +215,7 @@ def world_from_document(doc: dict) -> World:
             )
         rating_stores[agent.id] = store
     observation_stores: dict[AgentId, ObservationStore] = {}
-    for agent in agents:
+    for agent in config["agents"]:
         obs = ObservationStore()
         for rec in doc["observations"].get(agent.id, ()):
             obs.insert(
@@ -263,15 +232,13 @@ def world_from_document(doc: dict) -> World:
         observation_stores[agent.id] = obs
     return World(
         seed=int(doc["seed"]),
-        rounds=rounds,
-        preferences=preferences,
-        fire=fire,
-        travos=travos,
-        agents=agents,
-        providers=providers,
-        role_rules=role_rules,
+        providers=tuple(
+            ProviderRef(id=p["id"], roles=tuple(p.get("roles", ())))
+            for p in doc["providers"]
+        ),
         rating_stores=rating_stores,
         observation_stores=observation_stores,
+        **config,
     )
 
 
@@ -387,7 +354,7 @@ def _component_to_doc(c: ComponentTrust) -> dict:
 def ranking_to_document(
     model: Model, assessor: AgentId, ranked: list[ProviderResult]
 ) -> dict:
-    doc = {
+    return {
         "schema": RANKING_SCHEMA,
         "model": model.value,
         "assessor": assessor,
@@ -406,8 +373,6 @@ def ranking_to_document(
             for r in ranked
         ],
     }
-    validate_document(doc, "ranking")
-    return doc
 
 
 # The explanation document's argument objects are derived from the
@@ -465,7 +430,7 @@ def _argument_from_doc(doc: dict) -> Argument:
 
 
 def explanation_to_document(explanation: Explanation) -> dict:
-    doc = {
+    return {
         "schema": EXPLANATION_SCHEMA,
         "model": explanation.model.value if explanation.model else None,
         "assessor": explanation.assessor,
@@ -473,8 +438,6 @@ def explanation_to_document(explanation: Explanation) -> dict:
         "other": explanation.other,
         "arguments": [_argument_to_doc(a) for a in explanation.arguments],
     }
-    validate_document(doc, "explanation")
-    return doc
 
 
 def explanation_from_document(doc: dict) -> Explanation:

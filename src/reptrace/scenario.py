@@ -80,31 +80,56 @@ def parse_json(text: str, source: Union[str, Path]) -> dict:
         raise ConfigError(f"{source}: not valid JSON: {exc}") from exc
 
 
-def _component_weights(doc: dict) -> dict[ReputationType, float]:
-    raw = doc.get(
-        "component_weights",
-        {"interaction": 0.75, "witness": 0.25},
-    )
-    return {ReputationType.from_string(k): float(v) for k, v in raw.items()}
+def config_from_document(doc: dict) -> dict:
+    """Parse the fields that scenario and stores documents share.
 
-
-def _fire_config(doc: dict, importance: dict[ReputationType, float]) -> FireConfig:
-    raw = doc.get("fire", {})
-    return FireConfig(
-        lambda_=float(raw.get("lambda", 5.0)),
-        importance=importance,
-        reliability_plugin=raw.get("reliability_plugin"),
-        history_cap=raw.get("history_cap"),
-    )
-
-
-def _travos_config(doc: dict) -> TravosConfig:
-    raw = doc.get("travos", {})
-    return TravosConfig(
-        epsilon=float(raw.get("epsilon", 0.2)),
-        confidence_threshold=float(raw.get("confidence_threshold", 0.2)),
-        bins=int(raw.get("bins", 5)),
-    )
+    Returns the keyword arguments common to ``Scenario`` and
+    ``pipeline.World``: rounds, preferences, fire, travos, agents and
+    role_rules. Sections a scenario may omit take their defaults; the
+    stores schema requires them all.
+    """
+    importance = {
+        ReputationType.from_string(k): float(v)
+        for k, v in doc.get(
+            "component_weights", {"interaction": 0.75, "witness": 0.25}
+        ).items()
+    }
+    fire = doc.get("fire", {})
+    travos = doc.get("travos", {})
+    try:
+        return {
+            "rounds": int(doc["rounds"]),
+            "preferences": Preferences(
+                term_weights={str(t): float(w) for t, w in doc["terms"].items()},
+                component_weights=importance,
+            ),
+            "fire": FireConfig(
+                lambda_=float(fire.get("lambda", 5.0)),
+                importance=importance,
+                history_cap=fire.get("history_cap"),
+            ),
+            "travos": TravosConfig(
+                epsilon=float(travos.get("epsilon", 0.2)),
+                confidence_threshold=float(travos.get("confidence_threshold", 0.2)),
+                bins=int(travos.get("bins", 5)),
+            ),
+            "agents": tuple(
+                AgentSpec(id=a["id"], roles=tuple(a.get("roles", ())))
+                for a in doc["agents"]
+            ),
+            "role_rules": tuple(
+                RoleRule(
+                    role_a=r["role_a"],
+                    role_b=r["role_b"],
+                    term=r["term"],
+                    likelihood=float(r["likelihood"]),
+                    expected_value=float(r["value"]),
+                )
+                for r in doc.get("role_rules", ())
+            ),
+        }
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _profile(doc: dict) -> RaterProfile:
@@ -139,18 +164,7 @@ def _witnesses(doc: dict, agent_ids: list[str]) -> dict[str, tuple[str, ...]]:
 def scenario_from_document(doc: dict, seed_override: int | None = None) -> Scenario:
     """Build a typed scenario from a validated document."""
     validate_document(doc, "scenario")
-    term_weights = {str(t): float(w) for t, w in doc["terms"].items()}
-    importance = _component_weights(doc)
-    try:
-        preferences = Preferences(
-            term_weights=term_weights, component_weights=importance
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    agents = tuple(
-        AgentSpec(id=a["id"], roles=tuple(a.get("roles", ()))) for a in doc["agents"]
-    )
+    config = config_from_document(doc)
     providers = tuple(
         ProviderModel(
             id=p["id"],
@@ -169,30 +183,15 @@ def scenario_from_document(doc: dict, seed_override: int | None = None) -> Scena
         )
         for p in doc["providers"]
     )
-    role_rules = tuple(
-        RoleRule(
-            role_a=r["role_a"],
-            role_b=r["role_b"],
-            term=r["term"],
-            likelihood=float(r["likelihood"]),
-            expected_value=float(r["value"]),
-        )
-        for r in doc.get("role_rules", ())
-    )
     seed = int(doc["seed"]) if seed_override is None else seed_override
     try:
         return Scenario(
             seed=seed,
-            rounds=int(doc["rounds"]),
-            preferences=preferences,
-            agents=agents,
             providers=providers,
-            witnesses=_witnesses(doc, [a.id for a in agents]),
-            fire=_fire_config(doc, importance),
-            travos=_travos_config(doc),
+            witnesses=_witnesses(doc, [a.id for a in config["agents"]]),
             provider_selection=doc.get("provider_selection", "uniform"),
             profile=_profile(doc),
-            role_rules=role_rules,
+            **config,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Iterable, Optional, Union
+from typing import Optional
 
 from .core import AgentId, Rating, ReputationType, Term
 from .errors import BadBinError
@@ -87,10 +86,6 @@ class RatingStore:
         # Oldest by timestamp; among equal timestamps the earliest insertion.
         evict = min(indices, key=lambda i: (self._records[i].timestamp, i))
         del self._records[evict]
-
-    def insert_many(self, ratings: Iterable[Rating]) -> None:
-        for r in ratings:
-            self.insert(r)
 
     def query(self, pattern: RatingPattern) -> list[Rating]:
         """All records matching the pattern, in timestamp order."""
@@ -171,9 +166,6 @@ class ObservationStore:
     def insert(self, record: ObservationRecord) -> None:
         self._records.append(record)
 
-    def insert_many(self, records: Iterable[ObservationRecord]) -> None:
-        self._records.extend(records)
-
     def all_records(self) -> list[ObservationRecord]:
         return list(self._records)
 
@@ -195,65 +187,3 @@ class ObservationStore:
             and rec.term == term
             and _in_bin(rec.opinion_value, opinion_bin, bins)
         ]
-
-
-#: Column order of the flat-file rating format.
-TSV_FIELDS = (
-    "source",
-    "target",
-    "term",
-    "rep_type",
-    "value",
-    "raw_value",
-    "timestamp",
-    "interaction_id",
-)
-
-
-def save_ratings_tsv(store: RatingStore, path: Union[str, Path]) -> None:
-    """Write all records as tab-separated lines under a named header."""
-    lines = ["\t".join(TSV_FIELDS)]
-    for r in store.all_records():
-        lines.append(
-            "\t".join(
-                (
-                    r.source,
-                    r.target,
-                    r.term,
-                    r.rep_type.value,
-                    repr(r.value),
-                    repr(r.raw_value),
-                    str(r.timestamp),
-                    r.interaction_id or "",
-                )
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def load_ratings_tsv(
-    path: Union[str, Path], history_cap: Optional[int] = None
-) -> RatingStore:
-    """Read a flat rating file written by :func:`save_ratings_tsv`."""
-    store = RatingStore(history_cap=history_cap)
-    text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or tuple(lines[0].split("\t")) != TSV_FIELDS:
-        raise ValueError(f"{path}: missing or unexpected header line")
-    for ln in lines[1:]:
-        parts = ln.split("\t")
-        if len(parts) != len(TSV_FIELDS):
-            raise ValueError(f"{path}: malformed record {ln!r}")
-        store.insert(
-            Rating(
-                source=parts[0],
-                target=parts[1],
-                term=parts[2],
-                rep_type=ReputationType.from_string(parts[3]),
-                value=float(parts[4]),
-                raw_value=float(parts[5]),
-                timestamp=int(parts[6]),
-                interaction_id=parts[7] or None,
-            )
-        )
-    return store

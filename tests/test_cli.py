@@ -67,6 +67,7 @@ class TestAssess:
             ["assess", str(stores_path), "--model", "travos", "--assessor", "alice"]
         ) == 0
         doc = json.loads(capsys.readouterr().out)
+        validate_document(doc, "ranking")
         assert doc["model"] == "travos"
 
     def test_unknown_assessor_exits_two(self, stores_path):
@@ -76,9 +77,9 @@ class TestAssess:
 
 
 class TestExplain:
-    def ranked_ids(self, stores_path, capsys):
+    def ranked_ids(self, stores_path, capsys, model="fire"):
         assert main(
-            ["assess", str(stores_path), "--model", "fire", "--assessor", "alice"]
+            ["assess", str(stores_path), "--model", model, "--assessor", "alice"]
         ) == 0
         doc = json.loads(capsys.readouterr().out)
         return [p["id"] for p in doc["providers"]]
@@ -94,6 +95,18 @@ class TestExplain:
         doc = json.loads(capsys.readouterr().out)
         validate_document(doc, "explanation")
         assert doc["preferred"] == best
+
+    def test_travos_document_output(self, stores_path, capsys):
+        best, second = self.ranked_ids(stores_path, capsys, "travos")[:2]
+        assert main(
+            [
+                "explain", str(stores_path), "--model", "travos",
+                "--assessor", "alice", "--preferred", best, "--other", second,
+            ]
+        ) == 0
+        doc = json.loads(capsys.readouterr().out)
+        validate_document(doc, "explanation")
+        assert doc["model"] == "travos" and doc["preferred"] == best
 
     def test_text_output(self, stores_path, capsys):
         best, second = self.ranked_ids(stores_path, capsys)[:2]
@@ -162,6 +175,36 @@ class TestDocumentBoundary:
             ["assess", str(stores_path), "--model", "fire", "--assessor", "bob"]
         ) == 2
         assert "ratings/bob/2/timestamp" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model", ["fire", "travos"])
+    def test_interaction_source_must_be_the_owner(self, stores_path, capsys, model):
+        doc = json.loads(stores_path.read_text())
+        ratings = doc["ratings"]["alice"]
+        index = next(i for i, r in enumerate(ratings) if r["rep_type"] == "interaction")
+        ratings[index]["source"] = "bob"
+        stores_path.write_text(json.dumps(doc))
+        assert main(
+            ["assess", str(stores_path), "--model", model, "--assessor", "alice"]
+        ) == 2
+        assert f"ratings/alice/{index}/source" in capsys.readouterr().err
+
+    def test_reliability_plugin_accepts_only_null(self, stores_path, tmp_path, capsys):
+        # Both documents carry FIRE's config; only a null plugin loads.
+        scenario_path = tmp_path / "scenario.json"
+        commands = (
+            (stores_path, ["assess", str(stores_path), "--model", "fire",
+                           "--assessor", "alice"]),
+            (scenario_path, ["simulate", str(scenario_path), str(tmp_path / "o.json")]),
+        )
+        scenario_path.write_text(SCENARIO_PATH.read_text())
+        for path, argv in commands:
+            doc = json.loads(path.read_text())
+            for value, code in (("count", 2), (None, 0)):
+                doc["fire"]["reliability_plugin"] = value
+                path.write_text(json.dumps(doc))
+                assert main(argv) == code
+                err = capsys.readouterr().err
+                assert ("invalid at fire/reliability_plugin" in err) == bool(code)
 
     def test_validation_error_repeats_after_caching(self):
         doc = json.loads(SCENARIO_PATH.read_text())

@@ -121,6 +121,27 @@ class TestDominance:
         arg = decisive_terms_dominance(ctx)
         assert arg.pros == ("q",)
 
+    @pytest.mark.parametrize(
+        "declared", [("q", "t", "c"), ("t", "q", "c"), ("c", "t", "q")]
+    )
+    def test_equal_differences_pick_earlier_declared_term(self, declared):
+        # q and t tie above the reference; c is average. Equal weighted
+        # differences keep declaration order, whatever the term names.
+        above = context_from_values(
+            {"q": 0.75, "t": 0.75, "c": 0.5}, {"q": 0.25, "t": 0.25, "c": 0.5},
+            {term: 1.0 for term in declared},
+        )
+        assert decisive_terms_dominance(above).pros == tuple(
+            t for t in declared if t != "c"
+        )
+        # All three tie at the reference, so the single-largest fallback
+        # picks the first-declared term.
+        fallback = context_from_values(
+            {"q": 0.75, "t": 0.75, "c": 0.75}, {"q": 0.25, "t": 0.25, "c": 0.25},
+            {term: 1.0 for term in declared},
+        )
+        assert decisive_terms_dominance(fallback).pros == declared[:1]
+
     def test_delta_scale_invariance(self):
         # Scaling every difference by a constant keeps the selection.
         base = context_from_values(

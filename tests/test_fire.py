@@ -21,7 +21,6 @@ from reptrace.fire import (
     component_trust,
     component_trust_uniform,
     recency_weight,
-    register_reliability_plugin,
     role_pseudo_ratings,
 )
 from reptrace.store import RatingStore, RoleRule
@@ -43,12 +42,8 @@ def rating(value, ts, source="a", target="b", term="q", rep_type=I):
     )
 
 
-def config(lambda_=5.0, importance=None, plugin=None):
-    return FireConfig(
-        lambda_=lambda_,
-        importance=importance or {I: 0.75, W: 0.25},
-        reliability_plugin=plugin,
-    )
+def config(lambda_=5.0, importance=None):
+    return FireConfig(lambda_=lambda_, importance=importance or {I: 0.75, W: 0.25})
 
 
 class TestRecencyWeight:
@@ -247,6 +242,16 @@ class TestAssessProvider:
         assert uniform_i == pytest.approx(0.55, abs=1e-12)
         assert fa.assessment.component_value("q", W) == pytest.approx(0.8)
 
+    def test_component_weight_is_importance(self):
+        fa = assess_provider(
+            self.build_store(), "a", "b", self.prefs(), config(lambda_=1.0), now=5
+        )
+        for assessment in (fa.assessment, fa.uniform):
+            for rep_type, importance in ((I, 0.75), (W, 0.25)):
+                component = assessment.component("q", rep_type)
+                assert component.weight == importance
+                assert component.reliability == 1.0
+
     def test_role_rules_flow(self):
         prefs = Preferences(
             term_weights={"q": 1.0}, component_weights={I: 0.5, R: 0.5}
@@ -275,21 +280,3 @@ class TestAssessProvider:
             [RoleRule("x", "y", "q", 0.5, 0.5)], ("buyer",), ("courier",), "q"
         )
         assert out == []
-
-    def test_reliability_plugin(self):
-        register_reliability_plugin("halve", lambda ratings, rep_type, now: 0.5)
-        fa = assess_provider(
-            self.build_store(),
-            "a",
-            "b",
-            self.prefs(),
-            config(lambda_=1.0, plugin="halve"),
-            now=5,
-        )
-        component = fa.assessment.component("q", I)
-        assert component.reliability == 0.5
-        assert component.weight == pytest.approx(0.75 * 0.5)
-
-    def test_unknown_plugin_rejected(self):
-        with pytest.raises(ValueError):
-            config(plugin="missing")

@@ -91,6 +91,13 @@ class TestStoresDocument:
         with pytest.raises(ValueError):
             dump_document({"overall": float("nan")})
 
+    def test_config_matches_scenario(self, world):
+        # Scenario and stores documents share one config reader.
+        scenario = load_scenario(SCENARIO_PATH)
+        restored = world_from_document(world_to_document(world))
+        for name in ("rounds", "preferences", "fire", "travos", "agents", "role_rules"):
+            assert getattr(restored, name) == getattr(scenario, name), name
+
     def test_ratings_preserved(self, world):
         doc = world_to_document(world)
         restored = world_from_document(doc)

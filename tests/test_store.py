@@ -1,4 +1,4 @@
-"""Store behaviour: eviction, pattern queries, binning, flat files."""
+"""Store behaviour: eviction, pattern queries, binning."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,8 +11,6 @@ from reptrace.store import (
     RatingPattern,
     RatingStore,
     bin_of,
-    load_ratings_tsv,
-    save_ratings_tsv,
 )
 
 I = ReputationType.INTERACTION
@@ -122,8 +120,10 @@ class TestQuery:
             r(source="a", ts=0, value=0.3, iid="z"),
         ]
         s1, s2 = RatingStore(), RatingStore()
-        s1.insert_many(records)
-        s2.insert_many(reversed(records))
+        for rec in records:
+            s1.insert(rec)
+        for rec in reversed(records):
+            s2.insert(rec)
         assert s1.query(RatingPattern()) == s2.query(RatingPattern())
 
 
@@ -167,24 +167,3 @@ class TestObservationBins:
         with pytest.raises(BadBinError):
             ObservationStore().query("a", "w", "q", 6, 5)
 
-
-class TestFlatFile:
-    def test_roundtrip(self, tmp_path):
-        store = RatingStore()
-        store.insert(r(ts=3, value=0.25, iid="x1"))
-        store.insert(r(source="w", rep_type=W, ts=1, value=1.0))
-        path = tmp_path / "ratings.tsv"
-        save_ratings_tsv(store, path)
-        loaded = load_ratings_tsv(path)
-        assert loaded.all_records() == store.all_records()
-        header = path.read_text().splitlines()[0]
-        assert header.split("\t") == [
-            "source", "target", "term", "rep_type",
-            "value", "raw_value", "timestamp", "interaction_id",
-        ]
-
-    def test_rejects_bad_header(self, tmp_path):
-        path = tmp_path / "bad.tsv"
-        path.write_text("nope\n")
-        with pytest.raises(ValueError):
-            load_ratings_tsv(path)
