@@ -186,6 +186,14 @@ def world_from_document(doc: dict) -> World:
     validate_document(doc, "stores")
     config = config_from_document(doc)
     rounds = config["rounds"]
+    agent_ids = {agent.id for agent in config["agents"]}
+    for section in ("ratings", "observations"):
+        for key in doc[section]:
+            if key not in agent_ids:
+                raise ConfigError(
+                    f"stores document invalid at {section}/{key}: "
+                    f"{key!r} is not a listed agent"
+                )
     rating_stores: dict[AgentId, RatingStore] = {}
     for agent in config["agents"]:
         store = RatingStore(history_cap=config["fire"].history_cap)
@@ -196,17 +204,23 @@ def world_from_document(doc: dict) -> World:
                     f"{where}/timestamp: "
                     f"{rec['timestamp']} is after the last round {rounds - 1}"
                 )
-            if rec["rep_type"] == "interaction" and rec["source"] != agent.id:
+            rep_type = rec["rep_type"]
+            if rep_type == "interaction" and rec["source"] != agent.id:
                 raise ConfigError(
                     f"{where}/source: an interaction rating in {agent.id}'s store "
                     f"must have source {agent.id!r}, not {rec['source']!r}"
+                )
+            if rep_type == "witness" and rec["source"] == agent.id:
+                raise ConfigError(
+                    f"{where}/source: a witness rating in {agent.id}'s store "
+                    f"must not have source {agent.id!r}"
                 )
             store.insert(
                 Rating(
                     source=rec["source"],
                     target=rec["target"],
                     term=rec["term"],
-                    rep_type=ReputationType.from_string(rec["rep_type"]),
+                    rep_type=ReputationType.from_string(rep_type),
                     value=float(rec["value"]),
                     raw_value=float(rec["raw_value"]),
                     timestamp=int(rec["timestamp"]),

@@ -26,7 +26,7 @@ from .core import AgentId, Preferences, Rating, ReputationType, Term
 from .errors import ConfigError
 from .fire import FireConfig
 from .store import ObservationRecord, ObservationStore, RatingPattern, RatingStore, RoleRule
-from .travos import TravosConfig, beta_from_ratings, binarize_value
+from .travos import TravosConfig, binarized_beta
 
 if TYPE_CHECKING:
     import numpy as np
@@ -347,9 +347,7 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> SimulationWo
                     ]
                     if not past:
                         continue
-                    opinion = beta_from_ratings(
-                        [replace(r, value=binarize_value(r.value)) for r in past]
-                    )
+                    opinion = binarized_beta(past)
                     observations[agent.id].insert(
                         ObservationRecord(
                             assessor=agent.id,

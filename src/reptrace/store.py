@@ -10,8 +10,10 @@ fresh lists that callers may keep across later mutations.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Optional
 
 from .core import AgentId, Rating, ReputationType, Term
@@ -55,9 +57,21 @@ def _content_key(rating: Rating):
     )
 
 
+def _bucket_key(rating: Rating):
+    # ``_content_key`` without the fields every record of a bucket shares,
+    # so it orders a bucket exactly as ``_content_key`` does, only cheaper.
+    return (rating.timestamp, rating.source, rating.value, rating.interaction_id or "")
+
+
 @dataclass
 class RatingStore:
     """Ordered multiset of ratings with an optional per-source history cap.
+
+    Records live in buckets keyed by (target, term, rep_type), each kept
+    in ``_content_key`` order, so a query naming all three reads one
+    bucket; any other query merges the buckets it can match and sorts them.
+    Either way the result is every matching record in ``_content_key``
+    order, equal keys in insertion order.
 
     With ``history_cap`` set to H, each source agent keeps only its H
     most recent ratings (by timestamp; insertion order breaks ties, the
@@ -66,31 +80,62 @@ class RatingStore:
     """
 
     history_cap: Optional[int] = None
-    _records: list[Rating] = field(default_factory=list)
+    _buckets: dict[tuple[AgentId, Term, ReputationType], list[Rating]] = field(
+        default_factory=dict
+    )
+    # Per source, in (timestamp, insertion) order; kept only under a cap.
+    _by_source: dict[AgentId, list[Rating]] = field(default_factory=dict)
+    _size: int = 0
 
     def __post_init__(self):
         if self.history_cap is not None and self.history_cap <= 0:
             raise ValueError("history_cap must be positive when set")
 
     def __len__(self) -> int:
-        return len(self._records)
+        return self._size
 
     def insert(self, rating: Rating) -> None:
-        """Append a rating, evicting the source's oldest record over the cap."""
-        self._records.append(rating)
+        """Add a rating, evicting the source's oldest record over the cap."""
+        bucket = self._buckets.setdefault(
+            (rating.target, rating.term, rating.rep_type), []
+        )
+        # insort is insort_right: equal keys stay in insertion order.
+        bisect.insort(bucket, rating, key=_bucket_key)
+        self._size += 1
         if self.history_cap is None:
             return
-        indices = [i for i, r in enumerate(self._records) if r.source == rating.source]
-        if len(indices) <= self.history_cap:
-            return
-        # Oldest by timestamp; among equal timestamps the earliest insertion.
-        evict = min(indices, key=lambda i: (self._records[i].timestamp, i))
-        del self._records[evict]
+        history = self._by_source.setdefault(rating.source, [])
+        bisect.insort(history, rating, key=attrgetter("timestamp"))
+        if len(history) > self.history_cap:
+            self._evict(history.pop(0))
+
+    def _evict(self, rating: Rating) -> None:
+        key = (rating.target, rating.term, rating.rep_type)
+        bucket = self._buckets[key]
+        # Records with an equal bucket key share the evicted one's source
+        # and timestamp and were inserted after it, so it comes first.
+        del bucket[bisect.bisect_left(bucket, _bucket_key(rating), key=_bucket_key)]
+        if not bucket:
+            del self._buckets[key]
+        self._size -= 1
 
     def query(self, pattern: RatingPattern) -> list[Rating]:
         """All records matching the pattern, in timestamp order."""
+        keyed = (pattern.target, pattern.term, pattern.rep_type)
+        if ANY not in keyed:
+            bucket = self._buckets.get(keyed, ())
+            return [r for r in bucket if pattern.matches(r)]
         return sorted(
-            (r for r in self._records if pattern.matches(r)), key=_content_key
+            (
+                r
+                for (target, term, rep_type), bucket in self._buckets.items()
+                if (pattern.target is ANY or target == pattern.target)
+                and (pattern.term is ANY or term == pattern.term)
+                and (pattern.rep_type is ANY or rep_type is pattern.rep_type)
+                for r in bucket
+                if pattern.matches(r)
+            ),
+            key=_content_key,
         )
 
     def all_records(self) -> list[Rating]:
@@ -147,24 +192,26 @@ def bin_of(opinion_value: float, bins: int) -> int:
     return min(bins, int(math.floor(opinion_value * bins)) + 1)
 
 
-def _in_bin(value: float, opinion_bin: int, bins: int) -> bool:
-    lo, hi = bin_bounds(opinion_bin, bins)
-    if opinion_bin == bins:
-        return lo <= value <= hi
-    return lo <= value < hi
-
-
 @dataclass
 class ObservationStore:
-    """Append-only list of observation records."""
+    """Append-only observation records, indexed by (assessor, witness, term).
+
+    A query reads one index entry and filters it by bin, in insertion
+    order; ``all_records`` returns every record in insertion order.
+    """
 
     _records: list[ObservationRecord] = field(default_factory=list)
+    _index: dict[tuple[AgentId, AgentId, Term], list[ObservationRecord]] = field(
+        default_factory=dict
+    )
 
     def __len__(self) -> int:
         return len(self._records)
 
     def insert(self, record: ObservationRecord) -> None:
         self._records.append(record)
+        key = (record.assessor, record.witness, record.term)
+        self._index.setdefault(key, []).append(record)
 
     def all_records(self) -> list[ObservationRecord]:
         return list(self._records)
@@ -178,12 +225,10 @@ class ObservationStore:
         bins: int,
     ) -> list[ObservationRecord]:
         """Records whose past opinion falls in the given bin."""
-        bin_bounds(opinion_bin, bins)  # validate even when the store is empty
+        lo, hi = bin_bounds(opinion_bin, bins)  # validate even when the store is empty
+        closed = opinion_bin == bins  # the last bin includes 1
         return [
             rec
-            for rec in self._records
-            if rec.assessor == assessor
-            and rec.witness == witness
-            and rec.term == term
-            and _in_bin(rec.opinion_value, opinion_bin, bins)
+            for rec in self._index.get((assessor, witness, term), ())
+            if lo <= rec.opinion_value < hi or (closed and rec.opinion_value == hi)
         ]

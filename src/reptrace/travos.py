@@ -18,7 +18,7 @@ from __future__ import annotations
 import logging
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .core import (
@@ -130,6 +130,12 @@ def beta_from_ratings(ratings: Sequence[Rating]) -> BetaParams:
                 f"rating value {r.value!r} is not binary; binarize first"
             )
     return BetaParams(1.0 + pos, 1.0 + neg)
+
+
+def binarized_beta(ratings: Sequence[Rating]) -> BetaParams:
+    """Beta parameters of ratings binarized at the success threshold."""
+    pos = sum(1 for r in ratings if binarize_value(r.value) == 1.0)
+    return BetaParams(1.0 + pos, 1.0 + (len(ratings) - pos))
 
 
 #: Continued-fraction stopping tolerance and iteration cap; the fraction
@@ -316,14 +322,6 @@ class TravosTermResult:
         return None
 
 
-def _binarized(ratings: Sequence[Rating]) -> list[Rating]:
-    out = []
-    for r in ratings:
-        b = binarize_value(r.value)
-        out.append(r if r.value == b else replace(r, value=b))
-    return out
-
-
 def gather_witness_opinions(
     rating_store: RatingStore, assessor: AgentId, target: AgentId, term: Term
 ) -> list[WitnessOpinion]:
@@ -338,7 +336,7 @@ def gather_witness_opinions(
         by_witness.setdefault(r.source, []).append(r)
     opinions = []
     for witness in sorted(by_witness):
-        params = beta_from_ratings(_binarized(by_witness[witness]))
+        params = binarized_beta(by_witness[witness])
         opinions.append(
             WitnessOpinion(
                 witness=witness,
@@ -374,7 +372,7 @@ def assess_term(
             rep_type=ReputationType.INTERACTION,
         )
     )
-    interaction = beta_from_ratings(_binarized(own))
+    interaction = binarized_beta(own)
     conf = confidence(interaction, config.epsilon)
     low_confidence = conf < config.confidence_threshold
 

@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the library's own code paths: masses
 come from adaptive quadrature over the raw density, subset and permutation
-searches are separate exhaustive enumerations, and moment checks recompute
-beta moments from first principles.
+searches are separate exhaustive enumerations, moment checks recompute
+beta moments from first principles, and the stores are plain lists
+scanned on every query.
 """
 
 from __future__ import annotations
@@ -100,3 +101,74 @@ def any_inverting_permutation(
         if mean(values_a, weights_a, perm) < mean(values_b, weights_b, perm):
             return True
     return False
+
+
+def _fields_match(pattern, rating) -> bool:
+    return all(
+        wanted is None or wanted == got
+        for wanted, got in (
+            (pattern.source, rating.source),
+            (pattern.target, rating.target),
+            (pattern.term, rating.term),
+            (pattern.rep_type, rating.rep_type),
+            (pattern.interaction_id, rating.interaction_id),
+        )
+    )
+
+
+class RatingStoreOracle:
+    """A plain list: every query scans and sorts it, every capped insert
+    rescans it and evicts the source's oldest record by (timestamp,
+    insertion)."""
+
+    def __init__(self, history_cap=None):
+        self.history_cap = history_cap
+        self.records = []
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+    def insert(self, rating) -> None:
+        self.records.append(rating)
+        if self.history_cap is None:
+            return
+        mine = [i for i, r in enumerate(self.records) if r.source == rating.source]
+        if len(mine) > self.history_cap:
+            del self.records[min(mine, key=lambda i: (self.records[i].timestamp, i))]
+
+    def query(self, pattern) -> list:
+        return sorted(
+            (r for r in self.records if _fields_match(pattern, r)),
+            key=lambda r: (
+                r.timestamp,
+                r.source,
+                r.target,
+                r.term,
+                r.rep_type.value,
+                r.value,
+                r.interaction_id or "",
+            ),
+        )
+
+
+class ObservationStoreOracle:
+    """A plain list filtered linearly; bin b of n is [(b-1)/n, b/n), the
+    last bin closed at 1."""
+
+    def __init__(self):
+        self.records = []
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+    def insert(self, record) -> None:
+        self.records.append(record)
+
+    def query(self, assessor, witness, term, opinion_bin, bins) -> list:
+        lo, hi = (opinion_bin - 1) / bins, opinion_bin / bins
+        return [
+            rec
+            for rec in self.records
+            if (rec.assessor, rec.witness, rec.term) == (assessor, witness, term)
+            and (lo <= rec.opinion_value < hi or (opinion_bin == bins and rec.opinion_value == hi))
+        ]

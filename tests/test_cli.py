@@ -188,6 +188,28 @@ class TestDocumentBoundary:
         ) == 2
         assert f"ratings/alice/{index}/source" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("model", ["fire", "travos"])
+    def test_witness_source_must_not_be_the_owner(self, stores_path, capsys, model):
+        doc = json.loads(stores_path.read_text())
+        ratings = doc["ratings"]["alice"]
+        index = next(i for i, r in enumerate(ratings) if r["rep_type"] == "witness")
+        ratings[index]["source"] = "alice"
+        stores_path.write_text(json.dumps(doc))
+        assert main(
+            ["assess", str(stores_path), "--model", model, "--assessor", "alice"]
+        ) == 2
+        assert f"ratings/alice/{index}/source" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section", ["ratings", "observations"])
+    def test_records_under_an_unlisted_agent_exit_two(self, stores_path, capsys, section):
+        doc = json.loads(stores_path.read_text())
+        doc[section]["mallory"] = doc[section]["alice"][:3]
+        stores_path.write_text(json.dumps(doc))
+        assert main(
+            ["assess", str(stores_path), "--model", "fire", "--assessor", "alice"]
+        ) == 2
+        assert f"invalid at {section}/mallory" in capsys.readouterr().err
+
     def test_reliability_plugin_accepts_only_null(self, stores_path, tmp_path, capsys):
         # Both documents carry FIRE's config; only a null plugin loads.
         scenario_path = tmp_path / "scenario.json"

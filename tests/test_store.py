@@ -1,8 +1,11 @@
 """Store behaviour: eviction, pattern queries, binning."""
 
-import pytest
-from hypothesis import given, strategies as st
+import itertools
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from oracles import ObservationStoreOracle, RatingStoreOracle
 from reptrace.core import Rating, ReputationType
 from reptrace.errors import BadBinError
 from reptrace.store import (
@@ -15,6 +18,7 @@ from reptrace.store import (
 
 I = ReputationType.INTERACTION
 W = ReputationType.WITNESS
+C = ReputationType.CERTIFIED
 
 
 def r(source="a", target="b", term="q", rep_type=I, value=0.5, ts=0, iid=None):
@@ -167,3 +171,111 @@ class TestObservationBins:
         with pytest.raises(BadBinError):
             ObservationStore().query("a", "w", "q", 6, 5)
 
+
+
+SOURCES = ("a", "b", "c")
+TARGETS = ("x", "y")
+TERMS = ("q", "t")
+IIDS = (None, "i1", "i2")
+
+ratings = st.builds(
+    Rating,
+    source=st.sampled_from(SOURCES),
+    target=st.sampled_from(TARGETS),
+    term=st.sampled_from(TERMS),
+    rep_type=st.sampled_from(list(ReputationType)),
+    value=st.sampled_from([0.0, 0.5, 1.0]),
+    # Records may differ only in raw_value, which no sort key reads, so
+    # equal keys must come back in insertion order.
+    raw_value=st.sampled_from([0.0, 1.0]),
+    timestamp=st.integers(0, 3),
+    interaction_id=st.sampled_from(IIDS),
+)
+
+
+def optional(values):
+    return st.none() | st.sampled_from(values)
+
+
+random_patterns = st.builds(
+    RatingPattern,
+    source=optional(SOURCES),
+    target=optional(TARGETS),
+    term=optional(TERMS),
+    rep_type=optional(list(ReputationType)),
+    interaction_id=optional(IIDS),
+)
+
+# The shapes the engines and the simulator query with: FIRE and TRAVOS
+# interaction evidence, witness and certified evidence, the simulator's
+# final copy step, and all_records.
+CALLER_PATTERNS = (
+    [
+        RatingPattern(source=s, target=t, term=q, rep_type=I)
+        for s, t, q in itertools.product(SOURCES, TARGETS, TERMS)
+    ]
+    + [
+        RatingPattern(target=t, term=q, rep_type=k)
+        for t, q, k in itertools.product(TARGETS, TERMS, (W, C))
+    ]
+    + [RatingPattern(source=s, rep_type=I) for s in SOURCES]
+    + [RatingPattern()]
+)
+
+
+def same_records(got, expected):
+    # Identity, not equality: the store must keep and order the very
+    # records the oracle does, even among equal ones.
+    return [id(rec) for rec in got] == [id(rec) for rec in expected]
+
+
+class TestRatingStoreAgainstOracle:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        st.lists(ratings, max_size=25),
+        st.none() | st.integers(1, 4),
+        st.lists(random_patterns, min_size=1, max_size=5),
+    )
+    def test_queries_match_a_full_scan(self, inserts, cap, patterns):
+        store = RatingStore(history_cap=cap)
+        oracle = RatingStoreOracle(history_cap=cap)
+        for rec in inserts:
+            store.insert(rec)
+            oracle.insert(rec)
+            assert len(store) == len(oracle)
+            for pattern in CALLER_PATTERNS + patterns:
+                assert same_records(store.query(pattern), oracle.query(pattern)), pattern
+            assert same_records(store.all_records(), oracle.query(RatingPattern()))
+
+
+observations = st.builds(
+    ObservationRecord,
+    assessor=st.sampled_from(("a", "b")),
+    witness=st.sampled_from(("v", "w")),
+    target=st.just("x"),
+    term=st.sampled_from(TERMS),
+    interaction_id=st.sampled_from(("i1", "i2")),
+    # Bin edges of 2 to 5 bins, and values between them.
+    opinion_value=st.sampled_from([0.0, 0.2, 0.25, 0.4, 0.5, 0.6, 0.75, 0.8, 1.0])
+    | st.floats(0.0, 1.0),
+    outcome_rating=st.sampled_from([0.0, 1.0]),
+)
+
+
+class TestObservationStoreAgainstOracle:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.lists(observations, max_size=15))
+    def test_queries_match_a_linear_filter(self, inserts):
+        store = ObservationStore()
+        oracle = ObservationStoreOracle()
+        for rec in inserts:
+            store.insert(rec)
+            oracle.insert(rec)
+            assert len(store) == len(oracle)
+            assert same_records(store.all_records(), oracle.records)
+            for assessor, witness, term, bins in itertools.product(
+                ("a", "b"), ("v", "w"), TERMS, range(1, 6)
+            ):
+                for opinion_bin in range(1, bins + 1):
+                    key = (assessor, witness, term, opinion_bin, bins)
+                    assert same_records(store.query(*key), oracle.query(*key)), key
