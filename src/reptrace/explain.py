@@ -17,6 +17,7 @@ by the domination rule is on the same scale as the actual weights.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -47,6 +48,13 @@ ORDER_TOL = 1e-9
 #: Bounds nothing in this package: ``perfbench/workloads.py`` reads it to
 #: size its wide-terms comparisons. It goes with the next benchmark change.
 EXHAUSTIVE_TERM_LIMIT = 12
+
+#: How far the lowest mean the preferred provider can reach under a weight
+#: permutation must lie above the other's highest before
+#: ``invert_permutation`` skips its search. Far above float rounding.
+PERMUTATION_BOUND_MARGIN = 1e-12
+
+_TYPE_INDEX = {k: i for i, k in enumerate(REPUTATION_ORDER)}
 
 
 class Model(Enum):
@@ -316,10 +324,12 @@ def _component_table(
 
 def _recombine(
     table: Mapping[ReputationType, tuple[float, float]],
-    new_weights: Mapping[ReputationType, float],
+    perm: Mapping[ReputationType, ReputationType],
 ) -> float:
-    num = sum(new_weights[k] * v for k, (v, _) in table.items())
-    den = sum(new_weights[k] for k in table)
+    """Weighted mean of the table's values after each type takes the weight
+    of its image under ``perm``; types ``perm`` does not name keep theirs."""
+    num = sum(table[perm.get(k, k)][1] * v for k, (v, _) in table.items())
+    den = sum(table[perm.get(k, k)][1] for k in table)
     return num / den
 
 
@@ -327,10 +337,9 @@ def _cycle_swaps(
     perm: Mapping[ReputationType, ReputationType]
 ) -> list[tuple[ReputationType, ReputationType]]:
     """Decompose a permutation into sequential pairwise swaps."""
-    order = {k: i for i, k in enumerate(REPUTATION_ORDER)}
     seen: set[ReputationType] = set()
     swaps: list[tuple[ReputationType, ReputationType]] = []
-    for start in sorted(perm, key=lambda k: order[k]):
+    for start in sorted(perm, key=lambda k: _TYPE_INDEX[k]):
         if start in seen or perm[start] is start:
             seen.add(start)
             continue
@@ -346,6 +355,54 @@ def _cycle_swaps(
     return swaps
 
 
+@functools.cache
+def _permutations_by_swaps(shared: tuple[ReputationType, ...]) -> tuple[tuple, ...]:
+    """Non-identity permutations of ``shared`` as (perm, swaps), grouped by
+    swap count, fewest first; each group is in canonical swap order."""
+    groups: list[list] = [[] for _ in shared[1:]]
+    for image in itertools.permutations(shared):
+        perm = dict(zip(shared, image))
+        swaps = tuple(_cycle_swaps(perm))
+        if swaps:
+            groups[len(swaps) - 1].append((perm, swaps))
+    return tuple(
+        tuple(sorted(g, key=lambda c: [(_TYPE_INDEX[a], _TYPE_INDEX[b]) for a, b in c[1]]))
+        for g in groups
+    )
+
+
+def _settled_by_bound(
+    pref_table: Mapping[ReputationType, tuple[float, float]],
+    other_table: Mapping[ReputationType, tuple[float, float]],
+    shared: Sequence[ReputationType],
+) -> bool:
+    """True when no permutation of the shared types' weights can bring the
+    preferred mean below the other's.
+
+    By the rearrangement inequality the preferred mean is lowest with its
+    shared values ascending against its shared weights descending, and the
+    other mean highest with both ascending; the weight sums do not change.
+    Values lie in [0, 1] and each sum has at most four non-negative terms,
+    so every computed mean is within about 1e-15 of its exact value while
+    the weight sum is neither subnormal nor near overflow. A lowest mean
+    more than ``PERMUTATION_BOUND_MARGIN`` above the highest one therefore
+    settles the search for the computed means as well.
+    """
+
+    def extreme_mean(table, descending):
+        values = sorted(table[k][0] for k in shared)
+        weights = sorted((table[k][1] for k in shared), reverse=descending)
+        fixed = [(v, w) for k, (v, w) in table.items() if k not in shared]
+        den = sum(w for _, w in table.values())
+        if not 1e-300 <= den <= 1e300:
+            return math.nan  # rounding is unbounded here: never settle
+        return sum(w * v for v, w in [*zip(values, weights), *fixed]) / den
+
+    lowest = extreme_mean(pref_table, descending=True)
+    highest = extreme_mean(other_table, descending=False)
+    return lowest - highest > PERMUTATION_BOUND_MARGIN
+
+
 def invert_permutation(
     ctx: ComparisonContext, term: Term
 ) -> Optional[TypePermutation]:
@@ -353,14 +410,21 @@ def invert_permutation(
 
     Returns None when the preferred provider already dominates at the
     component level (no further justification needed) or when no
-    permutation of the component weights reverses the term-trust order.
+    permutation of the shared types' component weights reverses the
+    term-trust order. Each provider's weights are permuted the same way;
+    components the other provider lacks keep their weights.
+
     Among inverting permutations the fewest swaps win; ties prefer the
-    largest total weight gap across swapped pairs, then canonical type
-    order.
+    largest total weight gap across swapped pairs, measured on the
+    preferred provider's weights, then canonical type order. The search
+    first applies a rearrangement bound (see ``_settled_by_bound``), which
+    returns None without enumerating when no permutation can invert. It
+    then tries one swap, then two, then three, and stops at the first
+    swap count with an inverting permutation.
     """
     pref_table = _component_table(ctx.preferred, term)
     other_table = _component_table(ctx.other, term)
-    shared = [k for k in REPUTATION_ORDER if k in pref_table and k in other_table]
+    shared = tuple(k for k in REPUTATION_ORDER if k in pref_table and k in other_table)
     if len(shared) < 2:
         return None
 
@@ -368,48 +432,30 @@ def invert_permutation(
     any_worse = any(pref_table[k][0] < other_table[k][0] for k in shared)
     if any_better and not any_worse:
         return None  # component-level domination: decisive term is enough
-
-    pref_orig = _recombine(pref_table, {k: w for k, (_, w) in pref_table.items()})
-    other_orig = _recombine(other_table, {k: w for k, (_, w) in other_table.items()})
-
-    order = {k: i for i, k in enumerate(REPUTATION_ORDER)}
-    best = None
-    for image in itertools.permutations(shared):
-        perm = dict(zip(shared, image))
-        if all(perm[k] is k for k in shared):
-            continue
-        pref_weights = {k: w for k, (_, w) in pref_table.items()}
-        other_weights = {k: w for k, (_, w) in other_table.items()}
-        pref_weights.update({k: pref_table[perm[k]][1] for k in shared})
-        other_weights.update({k: other_table[perm[k]][1] for k in shared})
-        pref_swapped = _recombine(pref_table, pref_weights)
-        other_swapped = _recombine(other_table, other_weights)
-        if not pref_swapped < other_swapped:
-            continue
-        swaps = _cycle_swaps(perm)
-        gap = sum(abs(pref_table[a][1] - pref_table[b][1]) for a, b in swaps)
-        rank = (
-            len(swaps),
-            -gap,
-            tuple((order[a], order[b]) for a, b in swaps),
-        )
-        if best is None or rank < best[0]:
-            best = (rank, swaps, pref_swapped, other_swapped)
-
-    if best is None:
+    if _settled_by_bound(pref_table, other_table, shared):
         return None
-    _, swaps, pref_swapped, other_swapped = best
-    oriented = tuple(
-        (a, b) if pref_table[a][1] >= pref_table[b][1] else (b, a) for a, b in swaps
-    )
-    return TypePermutation(
-        term=term,
-        swaps=oriented,
-        preferred_original=pref_orig,
-        other_original=other_orig,
-        preferred_swapped=pref_swapped,
-        other_swapped=other_swapped,
-    )
+
+    def gap(candidate):
+        return sum(abs(pref_table[a][1] - pref_table[b][1]) for a, b in candidate[1])
+
+    for group in _permutations_by_swaps(shared):
+        # Largest gap first; sorted() is stable, so canonical order breaks ties.
+        for perm, swaps in sorted(group, key=gap, reverse=True):
+            pref_swapped = _recombine(pref_table, perm)
+            other_swapped = _recombine(other_table, perm)
+            if pref_swapped < other_swapped:
+                return TypePermutation(
+                    term=term,
+                    swaps=tuple(
+                        (a, b) if pref_table[a][1] >= pref_table[b][1] else (b, a)
+                        for a, b in swaps
+                    ),
+                    preferred_original=_recombine(pref_table, {}),
+                    other_original=_recombine(other_table, {}),
+                    preferred_swapped=pref_swapped,
+                    other_swapped=other_swapped,
+                )
+    return None
 
 
 def _require_fire_diagnostics(ctx: ComparisonContext) -> FireDiagnostics:

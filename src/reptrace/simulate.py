@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
@@ -383,7 +383,18 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> SimulationWo
             for r in stores[witness].query(
                 RatingPattern(source=witness, rep_type=ReputationType.INTERACTION)
             ):
-                stores[agent.id].insert(replace(r, rep_type=ReputationType.WITNESS))
+                stores[agent.id].insert(
+                    Rating(
+                        source=r.source,
+                        target=r.target,
+                        term=r.term,
+                        rep_type=ReputationType.WITNESS,
+                        value=r.value,
+                        raw_value=r.raw_value,
+                        timestamp=r.timestamp,
+                        interaction_id=r.interaction_id,
+                    )
+                )
 
     return SimulationWorld(
         scenario=scenario,

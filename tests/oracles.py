@@ -15,6 +15,9 @@ import math
 from scipy.integrate import quad
 from scipy.special import betaln
 
+from reptrace.core import REPUTATION_ORDER
+from reptrace.explain import TypePermutation
+
 
 def beta_mass_quadrature(alpha: float, beta: float, lo: float, hi: float) -> float:
     """Probability mass of Beta(alpha, beta) on [lo, hi] by quadrature."""
@@ -101,6 +104,93 @@ def any_inverting_permutation(
         if mean(values_a, weights_a, perm) < mean(values_b, weights_b, perm):
             return True
     return False
+
+
+def _permuted_mean(table, new_weights) -> float:
+    num = sum(new_weights[k] * v for k, (v, _) in table.items())
+    den = sum(new_weights[k] for k in table)
+    return num / den
+
+
+def _cycle_swaps(perm, order) -> list:
+    seen = set()
+    swaps = []
+    for start in sorted(perm, key=lambda k: order[k]):
+        if start in seen or perm[start] is start:
+            seen.add(start)
+            continue
+        cycle = [start]
+        seen.add(start)
+        nxt = perm[start]
+        while nxt is not start:
+            cycle.append(nxt)
+            seen.add(nxt)
+            nxt = perm[nxt]
+        swaps.extend(zip(cycle, cycle[1:]))
+    return swaps
+
+
+def permutation_oracle(ctx, term):
+    """Exhaustive search for the weight swaps that flip one term.
+
+    Walks every non-identity permutation of the shared reputation types,
+    rebuilding both weight tables per candidate, and keeps the inverting
+    one with the fewest swaps, then the largest weight gap on the
+    preferred provider's weights, then canonical type order. Means are
+    summed in component order, so the floats match the library's.
+    """
+    def component_table(assessment):
+        ta = assessment.per_term.get(term)
+        if ta is None:
+            return {}
+        return {c.rep_type: (c.value, c.weight) for c in ta.components if c.value is not None}
+
+    pref_table = component_table(ctx.preferred)
+    other_table = component_table(ctx.other)
+    shared = [k for k in REPUTATION_ORDER if k in pref_table and k in other_table]
+    if len(shared) < 2:
+        return None
+    any_better = any(pref_table[k][0] > other_table[k][0] for k in shared)
+    any_worse = any(pref_table[k][0] < other_table[k][0] for k in shared)
+    if any_better and not any_worse:
+        return None
+
+    pref_orig = _permuted_mean(pref_table, {k: w for k, (_, w) in pref_table.items()})
+    other_orig = _permuted_mean(other_table, {k: w for k, (_, w) in other_table.items()})
+
+    order = {k: i for i, k in enumerate(REPUTATION_ORDER)}
+    best = None
+    for image in itertools.permutations(shared):
+        perm = dict(zip(shared, image))
+        if all(perm[k] is k for k in shared):
+            continue
+        pref_weights = {k: w for k, (_, w) in pref_table.items()}
+        other_weights = {k: w for k, (_, w) in other_table.items()}
+        pref_weights.update({k: pref_table[perm[k]][1] for k in shared})
+        other_weights.update({k: other_table[perm[k]][1] for k in shared})
+        pref_swapped = _permuted_mean(pref_table, pref_weights)
+        other_swapped = _permuted_mean(other_table, other_weights)
+        if not pref_swapped < other_swapped:
+            continue
+        swaps = _cycle_swaps(perm, order)
+        gap = sum(abs(pref_table[a][1] - pref_table[b][1]) for a, b in swaps)
+        rank = (len(swaps), -gap, tuple((order[a], order[b]) for a, b in swaps))
+        if best is None or rank < best[0]:
+            best = (rank, swaps, pref_swapped, other_swapped)
+
+    if best is None:
+        return None
+    _, swaps, pref_swapped, other_swapped = best
+    return TypePermutation(
+        term=term,
+        swaps=tuple(
+            (a, b) if pref_table[a][1] >= pref_table[b][1] else (b, a) for a, b in swaps
+        ),
+        preferred_original=pref_orig,
+        other_original=other_orig,
+        preferred_swapped=pref_swapped,
+        other_swapped=other_swapped,
+    )
 
 
 def _fields_match(pattern, rating) -> bool:

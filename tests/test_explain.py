@@ -1,13 +1,16 @@
 """Argument selection: decisive terms, weight swaps, model arguments."""
 
+import importlib
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from oracles import any_inverting_permutation, tradeoff_oracle
+from oracles import any_inverting_permutation, permutation_oracle, tradeoff_oracle
 from reptrace import fixture
 from reptrace.core import (
+    REPUTATION_ORDER,
     ComponentTrust,
     Preferences,
     Rating,
@@ -41,11 +44,18 @@ from reptrace.explain import (
     travos_low_confidence,
 )
 from reptrace.fire import FireConfig, assess_provider as assess_fire
+from reptrace.pipeline import dump_document, explanation_to_document
 from reptrace.store import RatingStore
 from reptrace.travos import TravosTermDiagnostics
 
 I = ReputationType.INTERACTION
 W = ReputationType.WITNESS
+ROLE = ReputationType.ROLE_BASED
+CERT = ReputationType.CERTIFIED
+
+# The package re-exports the function ``explain`` under the submodule's
+# name, so ``reptrace.explain`` as an attribute is the function.
+explain_module = importlib.import_module("reptrace.explain")
 
 
 def context_from_values(
@@ -398,6 +408,141 @@ class TestInvertPermutation:
 
                 assert mean(pref_vals, pref_weights) < mean(other_vals, other_weights)
         assert emitted > 10 and skipped > 10
+
+
+#: Coarse grids, so equal weight gaps and exactly equal means occur; the
+#: tenths are not dyadic, so sums also round.
+GRID_VALUES = (0.0, 0.1, 0.25, 0.3, 0.5, 0.75, 1.0)
+GRID_WEIGHTS = (0.0, 0.25, 0.5, 1.0, 2.0)
+
+
+@st.composite
+def permutation_tables(draw):
+    """Two component tables for one term: 2-4 shared types, each other
+    type on one side or neither, every side in its own shuffled order and
+    with its own weights."""
+    types = draw(st.permutations(REPUTATION_ORDER))
+    n_shared = draw(st.integers(2, 4))
+    sides = {k: "both" for k in types[:n_shared]}
+    for k in types[n_shared:]:
+        sides[k] = draw(st.sampled_from(("preferred", "other", "neither")))
+    cell = st.tuples(st.sampled_from(GRID_VALUES), st.sampled_from(GRID_WEIGHTS))
+    tables = []
+    for side in ("preferred", "other"):
+        keys = draw(st.permutations([k for k, s in sides.items() if s in ("both", side)]))
+        table = {k: draw(cell) for k in keys}
+        assume(sum(w for _, w in table.values()) > 0)
+        tables.append(table)
+    return tables
+
+
+def term_context(pref_table, other_table):
+    return context_from_values({"q": pref_table}, {"q": other_table}, {"q": 1.0})
+
+
+class TestPermutationSearchOracle:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(permutation_tables())
+    def test_matches_exhaustive_search(self, tables):
+        ctx = term_context(*tables)
+        # Dataclass equality: swaps, and every float bit for bit.
+        assert invert_permutation(ctx, "q") == permutation_oracle(ctx, "q")
+
+    def test_bound_settles_without_enumerating(self, monkeypatch):
+        # Lowest preferred mean (0.9*1 + 0.6*2)/3 = 0.7 exceeds the
+        # highest other mean (0.1*1 + 0.8*2)/3 = 0.5667.
+        ctx = term_context({I: (0.9, 1.0), W: (0.6, 2.0)}, {I: (0.1, 1.0), W: (0.8, 2.0)})
+        assert permutation_oracle(ctx, "q") is None
+
+        def no_recombine(*args):
+            raise AssertionError("the bound should have settled the search")
+
+        monkeypatch.setattr(explain_module, "_recombine", no_recombine)
+        assert invert_permutation(ctx, "q") is None
+
+    def test_bound_within_margin_enumerates(self):
+        # Mathematically the lowest preferred mean equals the highest other
+        # mean. The bound, summed in its own order, reads them one ulp apart
+        # in the preferred provider's favour; the swap itself, summed in
+        # component order, inverts the term by one ulp.
+        ctx = term_context(
+            {ROLE: (0.3, 0.6), I: (0.8, 0.7), W: (0.2, 0.6)},
+            {W: (0.4842105263157893, 0.2), CERT: (0.4, 0.7), I: (0.4, 0.3)},
+        )
+        arg = invert_permutation(ctx, "q")
+        assert arg is not None and arg.swaps == ((I, W),)
+        assert arg == permutation_oracle(ctx, "q")
+
+
+@st.composite
+def scalable_contexts(draw):
+    """Grid weights and values for a FIRE comparison over 2-4 terms with
+    2-4 reputation types each, plus its uniform baselines."""
+    n_terms = draw(st.integers(2, 4))
+    terms = [f"t{i}" for i in range(n_terms)]
+    types = draw(st.permutations(REPUTATION_ORDER))[: draw(st.integers(2, 4))]
+    term_weights = {t: draw(st.sampled_from(GRID_WEIGHTS[1:])) for t in terms}
+    component_weights = {k: draw(st.sampled_from(GRID_WEIGHTS[1:])) for k in types}
+    values = {
+        (role, t, k): draw(st.sampled_from(GRID_VALUES))
+        for role in ("preferred", "other", "uniform_preferred", "uniform_other")
+        for t in terms
+        for k in types
+    }
+    return term_weights, component_weights, values
+
+
+def scaled_context(spec, term_scale=1.0, component_scale=1.0):
+    term_weights, component_weights, values = spec
+    prefs = Preferences(
+        term_weights={t: w * term_scale for t, w in term_weights.items()},
+        component_weights={k: w * component_scale for k, w in component_weights.items()},
+    )
+
+    def assessment(role, target):
+        comps = {
+            t: [
+                ComponentTrust(k, values[role, t, k], weight=prefs.component_weights[k])
+                for k in component_weights
+            ]
+            for t in term_weights
+        }
+        return build_assessment("a", target, comps, prefs)
+
+    preferred, other = assessment("preferred", "b"), assessment("other", "b2")
+    uniform_preferred = assessment("uniform_preferred", "b")
+    uniform_other = assessment("uniform_other", "b2")
+    if preferred.overall < other.overall:
+        preferred, other = other, preferred
+        uniform_preferred, uniform_other = uniform_other, uniform_preferred
+    return ComparisonContext(
+        assessor="a",
+        preferred=preferred,
+        other=other,
+        preferences=prefs,
+        model=Model.FIRE,
+        fire_diagnostics=FireDiagnostics(
+            uniform_preferred=uniform_preferred, uniform_other=uniform_other
+        ),
+    )
+
+
+def explanation_text(ctx):
+    return dump_document(explanation_to_document(explain(ctx)))
+
+
+class TestWeightScale:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        scalable_contexts(),
+        st.sampled_from((2.0, 0.25, 1024.0)),
+        st.sampled_from(("term", "component")),
+    )
+    def test_power_of_two_scale_gives_identical_document(self, spec, scale, which):
+        base = scaled_context(spec)
+        assume(abs(base.preferred.overall - base.other.overall) > 1e-6)
+        scaled = scaled_context(spec, **{f"{which}_scale": scale})
+        assert explanation_text(scaled) == explanation_text(base)
 
 
 def recency_context(b_ratings, b2_ratings, lambda_=1.0, now=5):
