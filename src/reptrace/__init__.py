@@ -39,7 +39,6 @@ from .explain import (
     decisive_terms_dominance,
     decisive_terms_tradeoff,
     dominates,
-    explain,
     fire_recency_global,
     fire_recency_local,
     invert_permutation,

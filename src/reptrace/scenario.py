@@ -13,8 +13,6 @@ import os
 from pathlib import Path
 from typing import Union
 
-import jsonschema
-
 from .core import Preferences, ReputationType
 from .errors import ConfigError
 from .fire import FireConfig
@@ -29,6 +27,7 @@ from .simulate import (
 )
 from .store import RoleRule
 from .travos import TravosConfig
+from .validator import Violation, compile_schema
 
 #: Environment variable overriding the scenario seed.
 SEED_ENV_VAR = "REPTRACE_SEED"
@@ -50,21 +49,20 @@ def load_schema(name: str) -> dict:
 
 @functools.lru_cache(maxsize=None)
 def _validator(schema_name: str):
-    """The checked validator for a shipped schema, built once per process."""
-    schema = load_schema(schema_name)
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+    """The compiled check for a shipped schema, built once per process."""
+    return compile_schema(load_schema(schema_name))
 
 
 def validate_document(doc: dict, schema_name: str) -> None:
     """Validate a document against a shipped schema; raise ConfigError.
 
-    Reports the same error ``jsonschema.validate`` would pick.
+    The message names the first violation found and the path of the value
+    it concerns, as ``<schema> document invalid at <path>: <message>``.
     """
-    exc = jsonschema.exceptions.best_match(_validator(schema_name).iter_errors(doc))
-    if exc is not None:
-        path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
+    try:
+        _validator(schema_name)(doc)
+    except Violation as exc:
+        path = "/".join(map(str, exc.path)) or "<root>"
         raise ConfigError(f"{schema_name} document invalid at {path}: {exc.message}") from exc
 
 
@@ -96,6 +94,7 @@ def config_from_document(doc: dict) -> dict:
     }
     fire = doc.get("fire", {})
     travos = doc.get("travos", {})
+    cap = fire.get("history_cap")
     try:
         return {
             "rounds": int(doc["rounds"]),
@@ -106,7 +105,7 @@ def config_from_document(doc: dict) -> dict:
             "fire": FireConfig(
                 lambda_=float(fire.get("lambda", 5.0)),
                 importance=importance,
-                history_cap=fire.get("history_cap"),
+                history_cap=None if cap is None else int(cap),
             ),
             "travos": TravosConfig(
                 epsilon=float(travos.get("epsilon", 0.2)),

@@ -3,20 +3,39 @@
 Everything here deliberately avoids the library's own code paths: masses
 come from adaptive quadrature over the raw density, subset and permutation
 searches are separate exhaustive enumerations, moment checks recompute
-beta moments from first principles, and the stores are plain lists
-scanned on every query.
+beta moments from first principles, the stores are plain lists
+scanned on every query, and documents are checked by jsonschema.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
+import jsonschema
 from scipy.integrate import quad
 from scipy.special import betaln
 
 from reptrace.core import REPUTATION_ORDER
 from reptrace.explain import TypePermutation
+from reptrace.scenario import load_schema
+
+
+@functools.lru_cache(maxsize=None)
+def jsonschema_validator(name: str):
+    """jsonschema's validator for a shipped schema, built once."""
+    schema = load_schema(name)
+    return jsonschema.validators.validator_for(schema)(schema)
+
+
+def assert_schema_valid(doc: dict, name: str) -> None:
+    """Fail with every error jsonschema finds in ``doc``."""
+    errors = [
+        f"{'/'.join(map(str, e.absolute_path)) or '<root>'}: {e.message}"
+        for e in jsonschema_validator(name).iter_errors(doc)
+    ]
+    assert not errors, errors
 
 
 def beta_mass_quadrature(alpha: float, beta: float, lo: float, hi: float) -> float:

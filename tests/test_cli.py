@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from oracles import assert_schema_valid
 from reptrace.cli import main
 from reptrace.errors import ConfigError
 from reptrace.scenario import validate_document
@@ -26,13 +27,25 @@ def stores_path(tmp_path):
 class TestSimulate:
     def test_writes_valid_stores(self, stores_path):
         doc = json.loads(stores_path.read_text())
-        validate_document(doc, "stores")
+        assert_schema_valid(doc, "stores")
 
     def test_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         assert main(["simulate", str(SCENARIO_PATH), str(a)]) == 0
         assert main(["simulate", str(SCENARIO_PATH), str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_integral_float_history_cap_writes_the_same_stores(self, tmp_path):
+        # 3.0 is a JSON Schema integer, so it must load as the cap 3.
+        outputs = []
+        for cap in (3, 3.0):
+            scenario, out = tmp_path / f"scenario-{cap}.json", tmp_path / f"stores-{cap}.json"
+            doc = json.loads(SCENARIO_PATH.read_text())
+            doc["fire"]["history_cap"] = cap
+            scenario.write_text(json.dumps(doc))
+            assert main(["simulate", str(scenario), str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_malformed_scenario_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -58,7 +71,7 @@ class TestAssess:
             ["assess", str(stores_path), "--model", "fire", "--assessor", "alice"]
         ) == 0
         doc = json.loads(capsys.readouterr().out)
-        validate_document(doc, "ranking")
+        assert_schema_valid(doc, "ranking")
         overalls = [p["overall"] for p in doc["providers"]]
         assert overalls == sorted(overalls, reverse=True)
 
@@ -67,7 +80,7 @@ class TestAssess:
             ["assess", str(stores_path), "--model", "travos", "--assessor", "alice"]
         ) == 0
         doc = json.loads(capsys.readouterr().out)
-        validate_document(doc, "ranking")
+        assert_schema_valid(doc, "ranking")
         assert doc["model"] == "travos"
 
     def test_unknown_assessor_exits_two(self, stores_path):
@@ -93,7 +106,7 @@ class TestExplain:
             ]
         ) == 0
         doc = json.loads(capsys.readouterr().out)
-        validate_document(doc, "explanation")
+        assert_schema_valid(doc, "explanation")
         assert doc["preferred"] == best
 
     def test_travos_document_output(self, stores_path, capsys):
@@ -105,7 +118,7 @@ class TestExplain:
             ]
         ) == 0
         doc = json.loads(capsys.readouterr().out)
-        validate_document(doc, "explanation")
+        assert_schema_valid(doc, "explanation")
         assert doc["model"] == "travos" and doc["preferred"] == best
 
     def test_text_output(self, stores_path, capsys):
@@ -240,19 +253,30 @@ class TestDocumentBoundary:
         assert "scenario document invalid at rounds" in messages[0]
 
 
-def test_assess_loads_neither_scipy_nor_numpy(stores_path):
+def test_commands_load_no_test_only_dependency(stores_path, tmp_path):
+    # jsonschema and scipy are test-only; numpy is imported by simulate alone.
     script = (
         "import sys\n"
-        "def heavy():\n"
-        "    return sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'numpy'))\n"
+        "def loaded(*names):\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] in names)\n"
+        "HEAVY = ('jsonschema', 'referencing', 'scipy', 'numpy')\n"
         "import reptrace.cli\n"
-        "assert heavy() == [], heavy()\n"
-        "code = reptrace.cli.main(['assess', sys.argv[1], '--model', 'travos', '--assessor', 'alice'])\n"
-        "assert code == 0, code\n"
-        "assert heavy() == [], heavy()\n"
+        "assert loaded(*HEAVY) == [], loaded(*HEAVY)\n"
+        "stores, scenario, out = sys.argv[1:]\n"
+        "for argv in (\n"
+        "    ['assess', stores, '--model', 'travos', '--assessor', 'alice'],\n"
+        "    ['explain', stores, '--model', 'fire', '--assessor', 'alice',\n"
+        "     '--preferred', 'steady', '--other', 'bargain', '--text'],\n"
+        "):\n"
+        "    code = reptrace.cli.main(argv)\n"
+        "    assert code == 0, (argv, code)\n"
+        "    assert loaded(*HEAVY) == [], loaded(*HEAVY)\n"
+        "assert reptrace.cli.main(['simulate', scenario, out]) == 0\n"
+        "assert loaded('jsonschema', 'scipy') == [], loaded('jsonschema', 'scipy')\n"
     )
     result = subprocess.run(
-        [sys.executable, "-c", script, str(stores_path)],
+        [sys.executable, "-c", script, str(stores_path), str(SCENARIO_PATH),
+         str(tmp_path / "out.json")],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(REPO / "src")},

@@ -1,6 +1,6 @@
 """Argument selection: decisive terms, weight swaps, model arguments."""
 
-import importlib
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +8,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from oracles import any_inverting_permutation, permutation_oracle, tradeoff_oracle
+import reptrace
+import reptrace.explain as explain_module
 from reptrace import fixture
 from reptrace.core import (
     REPUTATION_ORDER,
@@ -52,10 +54,6 @@ I = ReputationType.INTERACTION
 W = ReputationType.WITNESS
 ROLE = ReputationType.ROLE_BASED
 CERT = ReputationType.CERTIFIED
-
-# The package re-exports the function ``explain`` under the submodule's
-# name, so ``reptrace.explain`` as an attribute is the function.
-explain_module = importlib.import_module("reptrace.explain")
 
 
 def context_from_values(
@@ -675,6 +673,12 @@ class TestTravosLowConfidence:
 
 
 class TestExplain:
+    def test_package_attribute_is_the_module(self):
+        # The package must not shadow its submodule with the function.
+        assert isinstance(reptrace.explain, types.ModuleType)
+        assert reptrace.explain is explain_module
+        assert explain_module.explain is explain
+
     def test_domination_example(self):
         explanation = explain(fixture.comparison("B", "C"))
         assert len(explanation.arguments) == 1
