@@ -57,13 +57,7 @@ from .simulate import (
     run_scenario,
     simulate_interaction,
 )
-from .store import (
-    ObservationRecord,
-    ObservationStore,
-    RatingPattern,
-    RatingStore,
-    RoleRule,
-)
+from .store import ObservationRecord, ObservationStore, RatingStore, RoleRule
 from .travos import (
     BetaParams,
     TravosConfig,

@@ -13,8 +13,9 @@ Subcommands:
   self-checks its golden values.
 
 Exit codes: 0 success, 2 invalid input or schema violation, 3 I/O error,
-4 the preferred provider does not strictly outrank the other, 5 demo
-golden mismatch. Diagnostics go to stderr, data to stdout.
+4 the preferred provider does not strictly outrank the other or is better
+on no weighted term both have evidence on, 5 demo golden mismatch.
+Diagnostics go to stderr, data to stdout.
 """
 
 from __future__ import annotations

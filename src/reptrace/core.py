@@ -140,33 +140,44 @@ class Rating:
             raise ValueError("timestamp must be a non-negative round index")
 
 
+def weight_problem(weights: Mapping[object, float]) -> Optional[str]:
+    """Why a weight section cannot weigh a mean, or None if it can."""
+    values = list(weights.values())
+    if not all(math.isfinite(w) for w in values):
+        return "a weight is not finite"
+    if any(w < 0 for w in values):
+        return "a weight is negative"
+    if not any(w > 0 for w in values):
+        return "no weight is positive"
+    try:
+        math.fsum(values)
+    except OverflowError:
+        return "the sum of the weights is not finite"
+    return None
+
+
 @dataclass(frozen=True)
 class Preferences:
     """Assessor preferences: term weights and component importance.
 
-    Weights are non-negative and need not sum to one; every combination
-    divides by the applicable weight sum. Term declaration order (the
-    insertion order of ``term_weights``) is meaningful: explanation
-    arguments are emitted per term in this order.
+    Weights are finite and non-negative, each section has a positive
+    weight and a finite sum, and weights need not sum to one; every
+    combination divides by the applicable weight sum. Term declaration
+    order (the insertion order of ``term_weights``) is meaningful:
+    explanation arguments are emitted per term in this order.
     """
 
     term_weights: Mapping[Term, float]
     component_weights: Mapping[ReputationType, float]
 
     def __post_init__(self):
-        weights = (*self.term_weights.values(), *self.component_weights.values())
-        if not all(math.isfinite(w) for w in weights):
-            raise ValueError("weights must be finite")
-        if not self.term_weights or not any(w > 0 for w in self.term_weights.values()):
-            raise ValueError("at least one positive term weight required")
-        if not self.component_weights or not any(
-            w > 0 for w in self.component_weights.values()
+        for section, weights in (
+            ("term", self.term_weights),
+            ("component", self.component_weights),
         ):
-            raise ValueError("at least one positive component weight required")
-        if any(w < 0 for w in self.term_weights.values()) or any(
-            w < 0 for w in self.component_weights.values()
-        ):
-            raise ValueError("weights must be non-negative")
+            problem = weight_problem(weights)
+            if problem:
+                raise ValueError(f"{section} weights invalid: {problem}")
 
     @property
     def terms(self) -> tuple[Term, ...]:

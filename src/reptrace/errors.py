@@ -41,16 +41,13 @@ class NotDominantError(ReptraceError):
     """The dominance argument was requested for a non-dominating pair."""
 
 
-class InfeasibleTradeoffError(ReptraceError):
-    """No pro has a positive weighted difference to cover the cons (invalid context)."""
-
-
 class MissingDiagnosticsError(ReptraceError):
     """A model-specific argument needs diagnostics absent from the context."""
 
 
 class NotPreferredError(ReptraceError):
-    """The allegedly preferred provider does not strictly outrank the other."""
+    """The allegedly preferred provider does not strictly outrank the other,
+    or the evidence both share gives no reason why it does."""
 
     def __init__(self, message: str, preferred_overall=None, other_overall=None):
         super().__init__(message)
@@ -60,6 +57,11 @@ class NotPreferredError(ReptraceError):
 
 class AmbiguousOrderError(NotPreferredError):
     """The two overall scores are equal within tolerance."""
+
+
+class InfeasibleTradeoffError(NotPreferredError):
+    """No pro has a positive weighted difference to cover the cons: the
+    preferred provider is better on no weighted term both have evidence on."""
 
 
 class UnknownAgentError(ReptraceError, KeyError):

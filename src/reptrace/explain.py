@@ -298,7 +298,8 @@ def decisive_terms_tradeoff(ctx: ComparisonContext) -> DecisiveTradeoff:
                 pros=tuple(pros[:1]), cons=tuple(cons[:m]), weighted_differences=weighted
             )
     raise InfeasibleTradeoffError(
-        "pros never cover the cons; is the context ordered correctly?"
+        f"{ctx.preferred.target} is better than {ctx.other.target} on no "
+        "weighted term both have evidence on"
     )
 
 

@@ -31,7 +31,7 @@ from .core import (
     build_assessment,
     normalize_rating,
 )
-from .store import RatingPattern, RatingStore, RoleRule
+from .store import RatingStore, RoleRule
 
 #: Components whose rating weight is the recency factor.
 RECENCY_TYPES = (
@@ -185,32 +185,23 @@ def _collect(
     """Gather the evidence backing every component of one term."""
     evidence: dict[ReputationType, tuple[list[Rating], list[PseudoRating]]] = {}
     evidence[ReputationType.INTERACTION] = (
-        rating_store.query(
-            RatingPattern(
-                source=assessor,
-                target=target,
-                term=term,
-                rep_type=ReputationType.INTERACTION,
-            )
-        ),
+        [
+            r
+            for r in rating_store.query(target, term, ReputationType.INTERACTION)
+            if r.source == assessor
+        ],
         [],
     )
     evidence[ReputationType.WITNESS] = (
         [
             r
-            for r in rating_store.query(
-                RatingPattern(
-                    target=target, term=term, rep_type=ReputationType.WITNESS
-                )
-            )
+            for r in rating_store.query(target, term, ReputationType.WITNESS)
             if r.source != assessor
         ],
         [],
     )
     evidence[ReputationType.CERTIFIED] = (
-        rating_store.query(
-            RatingPattern(target=target, term=term, rep_type=ReputationType.CERTIFIED)
-        ),
+        rating_store.query(target, term, ReputationType.CERTIFIED),
         [],
     )
     evidence[ReputationType.ROLE_BASED] = (

@@ -184,7 +184,7 @@ def world_to_document(world: World) -> dict:
 def world_from_document(doc: dict) -> World:
     """Rebuild a world from a stores document."""
     validate_document(doc, "stores")
-    config = config_from_document(doc)
+    config = config_from_document(doc, "stores")
     rounds = config["rounds"]
     agent_ids = {agent.id for agent in config["agents"]}
     for section in ("ratings", "observations"):
@@ -231,7 +231,13 @@ def world_from_document(doc: dict) -> World:
     observation_stores: dict[AgentId, ObservationStore] = {}
     for agent in config["agents"]:
         obs = ObservationStore()
-        for rec in doc["observations"].get(agent.id, ()):
+        for index, rec in enumerate(doc["observations"].get(agent.id, ())):
+            if rec["assessor"] != agent.id:
+                raise ConfigError(
+                    f"stores document invalid at observations/{agent.id}/{index}/"
+                    f"assessor: an observation in {agent.id}'s store must have "
+                    f"assessor {agent.id!r}, not {rec['assessor']!r}"
+                )
             obs.insert(
                 ObservationRecord(
                     assessor=rec["assessor"],

@@ -13,7 +13,7 @@ import os
 from pathlib import Path
 from typing import Union
 
-from .core import Preferences, ReputationType
+from .core import Preferences, ReputationType, weight_problem
 from .errors import ConfigError
 from .fire import FireConfig
 from .simulate import (
@@ -78,18 +78,28 @@ def parse_json(text: str, source: Union[str, Path]) -> dict:
         raise ConfigError(f"{source}: not valid JSON: {exc}") from exc
 
 
-def config_from_document(doc: dict) -> dict:
+def _weights(doc: dict, kind: str, section: str, default: dict) -> dict:
+    weights = {k: float(v) for k, v in doc.get(section, default).items()}
+    problem = weight_problem(weights)
+    if problem:
+        raise ConfigError(f"{kind} document invalid at {section}: {problem}")
+    return weights
+
+
+def config_from_document(doc: dict, kind: str) -> dict:
     """Parse the fields that scenario and stores documents share.
 
     Returns the keyword arguments common to ``Scenario`` and
     ``pipeline.World``: rounds, preferences, fire, travos, agents and
     role_rules. Sections a scenario may omit take their defaults; the
-    stores schema requires them all.
+    stores schema requires them all. ``kind`` names the document in
+    error messages.
     """
+    terms = _weights(doc, kind, "terms", {})
     importance = {
-        ReputationType.from_string(k): float(v)
-        for k, v in doc.get(
-            "component_weights", {"interaction": 0.75, "witness": 0.25}
+        ReputationType.from_string(k): w
+        for k, w in _weights(
+            doc, kind, "component_weights", {"interaction": 0.75, "witness": 0.25}
         ).items()
     }
     fire = doc.get("fire", {})
@@ -99,7 +109,7 @@ def config_from_document(doc: dict) -> dict:
         return {
             "rounds": int(doc["rounds"]),
             "preferences": Preferences(
-                term_weights={str(t): float(w) for t, w in doc["terms"].items()},
+                term_weights=terms,
                 component_weights=importance,
             ),
             "fire": FireConfig(
@@ -163,7 +173,7 @@ def _witnesses(doc: dict, agent_ids: list[str]) -> dict[str, tuple[str, ...]]:
 def scenario_from_document(doc: dict, seed_override: int | None = None) -> Scenario:
     """Build a typed scenario from a validated document."""
     validate_document(doc, "scenario")
-    config = config_from_document(doc)
+    config = config_from_document(doc, "scenario")
     providers = tuple(
         ProviderModel(
             id=p["id"],

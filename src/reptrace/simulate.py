@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 from .core import AgentId, Preferences, Rating, ReputationType, Term
 from .errors import ConfigError
 from .fire import FireConfig
-from .store import ObservationRecord, ObservationStore, RatingPattern, RatingStore, RoleRule
+from .store import ObservationRecord, ObservationStore, RatingStore, RoleRule
 from .travos import TravosConfig, binarized_beta
 
 if TYPE_CHECKING:
@@ -333,15 +333,11 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> SimulationWo
                 for term, value in ratings.items():
                     if value is None:
                         continue
+                    # During the rounds only the witness writes its store.
                     past = [
                         r
                         for r in stores[witness].query(
-                            RatingPattern(
-                                source=witness,
-                                target=chosen,
-                                term=term,
-                                rep_type=ReputationType.INTERACTION,
-                            )
+                            chosen, term, ReputationType.INTERACTION
                         )
                         if r.timestamp < rnd
                     ]
@@ -378,11 +374,11 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> SimulationWo
             if ratings.get(TIMELINESS) is not None:
                 last_timeliness[(agent.id, chosen)] = ratings[TIMELINESS]
 
+    # Every store still holds only its owner's interaction ratings.
+    own = {a.id: stores[a.id].all_records() for a in scenario.agents}
     for agent in scenario.agents:
         for witness in scenario.witnesses.get(agent.id, ()):
-            for r in stores[witness].query(
-                RatingPattern(source=witness, rep_type=ReputationType.INTERACTION)
-            ):
+            for r in own[witness]:
                 stores[agent.id].insert(
                     Rating(
                         source=r.source,

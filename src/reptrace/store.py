@@ -1,4 +1,4 @@
-"""Pattern-queryable evidence databases.
+"""Evidence databases, each read by one indexed key.
 
 Three stores back the reputation engines: a rating store with an optional
 bounded per-source history, a role-rule list, and an observation store
@@ -11,6 +11,7 @@ fresh lists that callers may keep across later mutations.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -19,32 +20,9 @@ from typing import Optional
 from .core import AgentId, Rating, ReputationType, Term
 from .errors import BadBinError
 
-#: Wildcard marker for pattern fields ("match any value").
-ANY = None
-
-
-@dataclass(frozen=True)
-class RatingPattern:
-    """Conjunctive match over rating fields; None fields match anything."""
-
-    source: Optional[AgentId] = ANY
-    target: Optional[AgentId] = ANY
-    term: Optional[Term] = ANY
-    rep_type: Optional[ReputationType] = ANY
-    interaction_id: Optional[str] = ANY
-
-    def matches(self, rating: Rating) -> bool:
-        return (
-            (self.source is ANY or rating.source == self.source)
-            and (self.target is ANY or rating.target == self.target)
-            and (self.term is ANY or rating.term == self.term)
-            and (self.rep_type is ANY or rating.rep_type is self.rep_type)
-            and (self.interaction_id is ANY or rating.interaction_id == self.interaction_id)
-        )
-
 
 def _content_key(rating: Rating):
-    # Query order must depend on store content only, never on insertion
+    # Record order must depend on store content only, never on insertion
     # interleaving, so ties at a timestamp sort by the remaining fields.
     return (
         rating.timestamp,
@@ -68,10 +46,8 @@ class RatingStore:
     """Ordered multiset of ratings with an optional per-source history cap.
 
     Records live in buckets keyed by (target, term, rep_type), each kept
-    in ``_content_key`` order, so a query naming all three reads one
-    bucket; any other query merges the buckets it can match and sorts them.
-    Either way the result is every matching record in ``_content_key``
-    order, equal keys in insertion order.
+    in ``_content_key`` order with equal keys in insertion order. A query
+    returns one bucket; callers filter it by source themselves.
 
     With ``history_cap`` set to H, each source agent keeps only its H
     most recent ratings (by timestamp; insertion order breaks ties, the
@@ -119,27 +95,14 @@ class RatingStore:
             del self._buckets[key]
         self._size -= 1
 
-    def query(self, pattern: RatingPattern) -> list[Rating]:
-        """All records matching the pattern, in timestamp order."""
-        keyed = (pattern.target, pattern.term, pattern.rep_type)
-        if ANY not in keyed:
-            bucket = self._buckets.get(keyed, ())
-            return [r for r in bucket if pattern.matches(r)]
-        return sorted(
-            (
-                r
-                for (target, term, rep_type), bucket in self._buckets.items()
-                if (pattern.target is ANY or target == pattern.target)
-                and (pattern.term is ANY or term == pattern.term)
-                and (pattern.rep_type is ANY or rep_type is pattern.rep_type)
-                for r in bucket
-                if pattern.matches(r)
-            ),
-            key=_content_key,
-        )
+    def query(self, target: AgentId, term: Term, rep_type: ReputationType) -> list[Rating]:
+        """The records about ``target`` on ``term`` of one reputation type."""
+        return list(self._buckets.get((target, term, rep_type), ()))
 
     def all_records(self) -> list[Rating]:
-        return self.query(RatingPattern())
+        """Every record in ``_content_key`` order, equal keys in insertion order."""
+        # Equal keys share a bucket, and the sort is stable.
+        return sorted(itertools.chain.from_iterable(self._buckets.values()), key=_content_key)
 
 
 @dataclass(frozen=True)

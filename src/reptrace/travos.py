@@ -36,7 +36,7 @@ from .errors import (
     NonBinaryRatingError,
     NumericalFailureError,
 )
-from .store import ObservationRecord, ObservationStore, RatingPattern, RatingStore, bin_bounds, bin_of
+from .store import ObservationRecord, ObservationStore, RatingStore, bin_bounds, bin_of
 
 logger = logging.getLogger(__name__)
 
@@ -326,9 +326,7 @@ def gather_witness_opinions(
     rating_store: RatingStore, assessor: AgentId, target: AgentId, term: Term
 ) -> list[WitnessOpinion]:
     """Build per-witness opinions from witness-type records about a target."""
-    records = rating_store.query(
-        RatingPattern(target=target, term=term, rep_type=ReputationType.WITNESS)
-    )
+    records = rating_store.query(target, term, ReputationType.WITNESS)
     by_witness: dict[AgentId, list[Rating]] = {}
     for r in records:
         if r.source == assessor:
@@ -364,14 +362,11 @@ def assess_term(
     each consulted opinion is discounted by the witness's historical
     accuracy in the opinion's bin before pooling.
     """
-    own = rating_store.query(
-        RatingPattern(
-            source=assessor,
-            target=target,
-            term=term,
-            rep_type=ReputationType.INTERACTION,
-        )
-    )
+    own = [
+        r
+        for r in rating_store.query(target, term, ReputationType.INTERACTION)
+        if r.source == assessor
+    ]
     interaction = binarized_beta(own)
     conf = confidence(interaction, config.epsilon)
     low_confidence = conf < config.confidence_threshold

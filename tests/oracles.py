@@ -212,19 +212,6 @@ def permutation_oracle(ctx, term):
     )
 
 
-def _fields_match(pattern, rating) -> bool:
-    return all(
-        wanted is None or wanted == got
-        for wanted, got in (
-            (pattern.source, rating.source),
-            (pattern.target, rating.target),
-            (pattern.term, rating.term),
-            (pattern.rep_type, rating.rep_type),
-            (pattern.interaction_id, rating.interaction_id),
-        )
-    )
-
-
 class RatingStoreOracle:
     """A plain list: every query scans and sorts it, every capped insert
     rescans it and evicts the source's oldest record by (timestamp,
@@ -245,9 +232,16 @@ class RatingStoreOracle:
         if len(mine) > self.history_cap:
             del self.records[min(mine, key=lambda i: (self.records[i].timestamp, i))]
 
-    def query(self, pattern) -> list:
+    def query(self, target, term, rep_type) -> list:
+        return [
+            r
+            for r in self.all_records()
+            if (r.target, r.term, r.rep_type) == (target, term, rep_type)
+        ]
+
+    def all_records(self) -> list:
         return sorted(
-            (r for r in self.records if _fields_match(pattern, r)),
+            self.records,
             key=lambda r: (
                 r.timestamp,
                 r.source,

@@ -133,6 +133,26 @@ class TestExplain:
         out = capsys.readouterr().out
         assert f"{best} has a better reputation than {second}" in out
 
+    def test_preferred_better_on_no_shared_term_exits_four(self, tmp_path, capsys):
+        # With a cap of 7 every agent's store keeps no evidence on bargain's
+        # quality, timeliness or price, and swift is better on both terms
+        # they share, yet bargain's overall score is the higher.
+        scenario, stores = tmp_path / "scenario.json", tmp_path / "stores.json"
+        doc = json.loads(SCENARIO_PATH.read_text())
+        doc["fire"]["history_cap"] = 7
+        scenario.write_text(json.dumps(doc))
+        assert main(["simulate", str(scenario), str(stores)]) == 0
+        for agent in ("alice", "bob", "carol"):
+            assert main(
+                [
+                    "explain", str(stores), "--model", "fire", "--assessor", agent,
+                    "--preferred", "bargain", "--other", "swift",
+                ]
+            ) == 4
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "bargain is better than swift on no weighted term" in captured.err
+
     def test_reversed_pair_exits_four(self, stores_path, capsys):
         best, second = self.ranked_ids(stores_path, capsys)[:2]
         assert main(
@@ -212,6 +232,40 @@ class TestDocumentBoundary:
             ["assess", str(stores_path), "--model", model, "--assessor", "alice"]
         ) == 2
         assert f"ratings/alice/{index}/source" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model", ["fire", "travos"])
+    def test_observation_assessor_must_be_the_owner(self, stores_path, capsys, model):
+        doc = json.loads(stores_path.read_text())
+        observations = doc["observations"]["alice"]
+        index = len(observations) - 1
+        observations[index]["assessor"] = "carol"
+        stores_path.write_text(json.dumps(doc))
+        assert main(
+            ["assess", str(stores_path), "--model", model, "--assessor", "alice"]
+        ) == 2
+        assert f"observations/alice/{index}/assessor" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section", ["terms", "component_weights"])
+    @pytest.mark.parametrize("weight", [0, 1.7e308], ids=["all-zero", "overflowing-sum"])
+    def test_weight_section_names_its_field(
+        self, stores_path, tmp_path, capsys, section, weight
+    ):
+        # Every section has at least two weights, so 1.7e308 each overflows.
+        scenario_path = tmp_path / "scenario.json"
+        scenario_path.write_text(SCENARIO_PATH.read_text())
+        commands = [
+            (stores_path, ["assess", str(stores_path), "--model", model,
+                           "--assessor", "alice"])
+            for model in ("fire", "travos")
+        ] + [(scenario_path, ["simulate", str(scenario_path), str(tmp_path / "o.json")])]
+        for path, argv in commands:
+            doc = json.loads(path.read_text())
+            doc[section] = {key: weight for key in doc[section]}
+            path.write_text(json.dumps(doc))
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"document invalid at {section}: " in captured.err
 
     @pytest.mark.parametrize("section", ["ratings", "observations"])
     def test_records_under_an_unlisted_agent_exit_two(self, stores_path, capsys, section):

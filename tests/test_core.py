@@ -202,6 +202,14 @@ class TestTypes:
             with pytest.raises(ValueError, match="finite"):
                 Preferences(term_weights={"t": 1.0}, component_weights={I: bad})
 
+    def test_preferences_reject_an_overflowing_weight_sum(self):
+        huge = 1.7e308
+        with pytest.raises(ValueError, match="term weights invalid: the sum"):
+            Preferences(term_weights={"t": huge, "u": huge}, component_weights={I: 1.0})
+        with pytest.raises(ValueError, match="component weights invalid: the sum"):
+            Preferences(term_weights={"t": 1.0}, component_weights={I: huge, W: huge})
+        Preferences(term_weights={"t": huge, "u": 0.0}, component_weights={I: huge})
+
     def test_preferences_term_order(self):
         prefs = Preferences(
             term_weights={"z": 1.0, "a": 2.0}, component_weights={I: 1.0}

@@ -726,6 +726,16 @@ class TestExplain:
             explain(fixture.comparison("C", "B"))
         assert "outranks" in str(excinfo.value)
 
+    def test_better_on_no_shared_term_rejected(self):
+        # b outranks b2 only through q, on which b2 has no evidence.
+        ctx = context_from_values(
+            {"q": 0.9, "t": 0.4}, {"t": 0.5}, {"q": 0.5, "t": 0.5}
+        )
+        assert ctx.preferred.overall > ctx.other.overall
+        with pytest.raises(NotPreferredError) as excinfo:
+            explain(ctx)
+        assert "better than b2 on no weighted term" in str(excinfo.value)
+
     def test_tie_rejected(self):
         ctx = context_from_values({"q": 0.5}, {"q": 0.5}, {"q": 1.0})
         with pytest.raises(AmbiguousOrderError):

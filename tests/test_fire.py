@@ -222,6 +222,8 @@ class TestAssessProvider:
         store.insert(rating(0.8, ts=5, source="w", rep_type=W))
         # A witness record authored by the assessor must not count.
         store.insert(rating(0.1, ts=5, source="a", rep_type=W))
+        # Nor may another agent's interaction record.
+        store.insert(rating(0.0, ts=5, source="w"))
         return store
 
     def test_components_and_uniform_baseline(self):

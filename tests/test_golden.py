@@ -1,0 +1,101 @@
+"""End-to-end golden outputs of the demo scenario, uncapped and capped.
+
+Simulates ``demos/delivery_scenario.json`` with ``history_cap`` null, 3
+and 7 through the CLI, then pins the sha256 of the stores document, of
+every agent's ``assess`` document and of every ordered provider pair's
+``explain`` document and ``--text`` output, under both models. A command
+that fails is pinned by its exit code instead. The capped runs are the
+only end-to-end check of the witness-copy and eviction paths.
+
+To print the table for the current code (after checking that a change
+in it is intended):
+
+    PYTHONPATH=src:tests python tests/test_golden.py > tests/demo_golden.json
+"""
+
+from __future__ import annotations
+
+import contextlib
+import functools
+import hashlib
+import io
+import itertools
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+from reptrace import cli
+
+REPO = Path(__file__).resolve().parent.parent
+SCENARIO_PATH = REPO / "demos" / "delivery_scenario.json"
+GOLDEN_PATH = Path(__file__).resolve().parent / "demo_golden.json"
+CAPS = (None, 3, 7)
+MODELS = ("fire", "travos")
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _run(argv: list[str]) -> str | int:
+    """The sha256 of the command's stdout, or its exit code if it fails."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    return _sha256(out.getvalue().encode()) if code == 0 else code
+
+
+def capture(workdir: Path) -> dict[str, str | int]:
+    """Every pinned output, keyed ``cap/model/agent/command``."""
+    scenario = json.loads(SCENARIO_PATH.read_text())
+    agents = [a["id"] for a in scenario["agents"]]
+    providers = [p["id"] for p in scenario["providers"]]
+    table: dict[str, str | int] = {}
+    for cap in CAPS:
+        scenario["fire"]["history_cap"] = cap
+        scenario_path = workdir / f"scenario-{cap}.json"
+        stores = workdir / f"stores-{cap}.json"
+        scenario_path.write_text(json.dumps(scenario))
+        assert cli.main(["simulate", str(scenario_path), str(stores)]) == 0
+        name = json.dumps(cap)
+        table[f"{name}/stores"] = _sha256(stores.read_bytes())
+        for model, agent in itertools.product(MODELS, agents):
+            base = [str(stores), "--model", model, "--assessor", agent]
+            table[f"{name}/{model}/{agent}/assess"] = _run(["assess", *base])
+            for preferred, other in itertools.permutations(providers, 2):
+                pair = ["--preferred", preferred, "--other", other]
+                key = f"{name}/{model}/{agent}/explain {preferred}>{other}"
+                table[key] = _run(["explain", *base, *pair])
+                table[f"{key} --text"] = _run(["explain", *base, *pair, "--text"])
+    return table
+
+
+def _memoised_loading(monkeypatch) -> None:
+    # Each stores document is parsed, validated and built once, not once
+    # per command; the commands themselves run unchanged.
+    worlds = {}
+
+    def world_from_document(doc):
+        if id(doc) not in worlds:
+            worlds[id(doc)] = load_world(doc)
+        return worlds[id(doc)]
+
+    load_world = cli.world_from_document
+    monkeypatch.setattr(cli, "_load_json", functools.lru_cache(None)(cli._load_json))
+    monkeypatch.setattr(cli, "world_from_document", world_from_document)
+
+
+def test_demo_outputs_match_golden(tmp_path, monkeypatch):
+    _memoised_loading(monkeypatch)
+    expected = json.loads(GOLDEN_PATH.read_text())
+    got = capture(tmp_path)
+    assert list(got) == list(expected)
+    changed = [key for key in got if got[key] != expected[key]]
+    assert not changed, {key: (expected[key], got[key]) for key in changed}
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as workdir:
+        json.dump(capture(Path(workdir)), sys.stdout, indent=1)
+    sys.stdout.write("\n")

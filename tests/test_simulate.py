@@ -19,7 +19,6 @@ from reptrace.simulate import (
     run_scenario,
     simulate_interaction,
 )
-from reptrace.store import RatingPattern
 
 I = ReputationType.INTERACTION
 W = ReputationType.WITNESS
@@ -154,9 +153,7 @@ class TestRunScenario:
         )
         world = run_scenario(sc)
         store = world.rating_stores["alice"]
-        price_ratings = store.query(
-            RatingPattern(source="alice", term="price", rep_type=I)
-        )
+        price_ratings = store.query("P1", "price", I)
         assert [r.timestamp for r in price_ratings] == [0, 1, 2, 3]
         # Phase 2 kicks in at round 2 and halves the price score.
         assert price_ratings[0].value == pytest.approx(0.9)
@@ -175,9 +172,11 @@ class TestRunScenario:
             rounds=3,
         )
         world = run_scenario(sc)
-        witness_records = world.rating_stores["alice"].query(
-            RatingPattern(target="P1", rep_type=W)
-        )
+        witness_records = [
+            r
+            for r in world.rating_stores["alice"].all_records()
+            if r.target == "P1" and r.rep_type is W
+        ]
         assert witness_records
         assert {r.source for r in witness_records} == {"bob"}
 
@@ -216,7 +215,9 @@ class TestRunScenario:
     def test_history_cap_applies_per_source(self):
         sc = scenario(rounds=6, fire=FireConfig(lambda_=5.0, history_cap=3))
         world = run_scenario(sc)
-        own = world.rating_stores["alice"].query(RatingPattern(source="alice"))
+        own = [
+            r for r in world.rating_stores["alice"].all_records() if r.source == "alice"
+        ]
         assert len(own) == 3
         assert min(r.timestamp for r in own) >= 3
 
@@ -229,9 +230,8 @@ class TestRunScenario:
         world = run_scenario(sc)
         targets = [
             r.target
-            for r in world.rating_stores["alice"].query(
-                RatingPattern(source="alice", term="timeliness")
-            )
+            for r in world.rating_stores["alice"].all_records()
+            if r.source == "alice" and r.term == "timeliness"
         ]
         assert len(set(targets)) == 3
         assert targets[:3] == targets[3:]

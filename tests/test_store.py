@@ -1,4 +1,4 @@
-"""Store behaviour: eviction, pattern queries, binning."""
+"""Store behaviour: eviction, bucket queries, binning."""
 
 import itertools
 
@@ -11,7 +11,6 @@ from reptrace.errors import BadBinError
 from reptrace.store import (
     ObservationRecord,
     ObservationStore,
-    RatingPattern,
     RatingStore,
     bin_of,
 )
@@ -79,10 +78,9 @@ class TestEviction:
             store.insert(rec)
             full.insert(rec)
         for source in ("a", "b"):
-            pattern = RatingPattern(source=source)
-            kept = {rec.interaction_id for rec in store.query(pattern)}
+            kept = {rec.interaction_id for rec in store.all_records() if rec.source == source}
             everything = sorted(
-                full.query(pattern),
+                (rec for rec in full.all_records() if rec.source == source),
                 key=lambda rec: (rec.timestamp, int(rec.interaction_id)),
             )
             expected = {rec.interaction_id for rec in everything[-cap:]}
@@ -98,24 +96,34 @@ class TestQuery:
         store.insert(r(source="a", target="c", term="q", rep_type=I, ts=3))
         return store
 
-    def test_exact_pattern(self):
+    def test_bucket_query(self):
         store = self.build()
-        out = store.query(RatingPattern(source="a", target="b", term="q"))
-        assert len(out) == 1 and out[0].rep_type is I
+        out = store.query("b", "q", I)
+        assert [(rec.source, rec.timestamp) for rec in out] == [("a", 2)]
+        assert store.query("b", "q", C) == []
 
-    def test_witness_pattern(self):
+    def test_witness_bucket(self):
         store = self.build()
-        out = store.query(RatingPattern(target="b", term="q", rep_type=W))
+        out = store.query("b", "q", W)
         assert [rec.source for rec in out] == ["w"]
 
-    def test_all_wildcards(self):
+    def test_all_records(self):
         store = self.build()
-        assert len(store.query(RatingPattern())) == 4
+        assert [rec.timestamp for rec in store.all_records()] == [0, 1, 2, 3]
 
     def test_timestamp_order(self):
+        store = RatingStore()
+        timestamps = [3, 0, 2, 0, 1]
+        for ts in timestamps:
+            store.insert(r(ts=ts))
+        assert [rec.timestamp for rec in store.query("b", "q", I)] == sorted(timestamps)
+
+    def test_query_returns_a_fresh_list(self):
         store = self.build()
-        out = store.query(RatingPattern(source="a"))
-        assert [rec.timestamp for rec in out] == [0, 2, 3]
+        out = store.query("b", "q", I)
+        out.clear()
+        store.all_records().clear()
+        assert len(store.query("b", "q", I)) == 1 and len(store.all_records()) == 4
 
     def test_result_independent_of_insertion_order(self):
         records = [
@@ -128,7 +136,7 @@ class TestQuery:
             s1.insert(rec)
         for rec in reversed(records):
             s2.insert(rec)
-        assert s1.query(RatingPattern()) == s2.query(RatingPattern())
+        assert s1.all_records() == s2.all_records()
 
 
 class TestObservationBins:
@@ -192,35 +200,7 @@ ratings = st.builds(
     interaction_id=st.sampled_from(IIDS),
 )
 
-
-def optional(values):
-    return st.none() | st.sampled_from(values)
-
-
-random_patterns = st.builds(
-    RatingPattern,
-    source=optional(SOURCES),
-    target=optional(TARGETS),
-    term=optional(TERMS),
-    rep_type=optional(list(ReputationType)),
-    interaction_id=optional(IIDS),
-)
-
-# The shapes the engines and the simulator query with: FIRE and TRAVOS
-# interaction evidence, witness and certified evidence, the simulator's
-# final copy step, and all_records.
-CALLER_PATTERNS = (
-    [
-        RatingPattern(source=s, target=t, term=q, rep_type=I)
-        for s, t, q in itertools.product(SOURCES, TARGETS, TERMS)
-    ]
-    + [
-        RatingPattern(target=t, term=q, rep_type=k)
-        for t, q, k in itertools.product(TARGETS, TERMS, (W, C))
-    ]
-    + [RatingPattern(source=s, rep_type=I) for s in SOURCES]
-    + [RatingPattern()]
-)
+BUCKETS = list(itertools.product(TARGETS, TERMS, ReputationType))
 
 
 def same_records(got, expected):
@@ -234,18 +214,17 @@ class TestRatingStoreAgainstOracle:
     @given(
         st.lists(ratings, max_size=25),
         st.none() | st.integers(1, 4),
-        st.lists(random_patterns, min_size=1, max_size=5),
     )
-    def test_queries_match_a_full_scan(self, inserts, cap, patterns):
+    def test_queries_match_a_full_scan(self, inserts, cap):
         store = RatingStore(history_cap=cap)
         oracle = RatingStoreOracle(history_cap=cap)
         for rec in inserts:
             store.insert(rec)
             oracle.insert(rec)
             assert len(store) == len(oracle)
-            for pattern in CALLER_PATTERNS + patterns:
-                assert same_records(store.query(pattern), oracle.query(pattern)), pattern
-            assert same_records(store.all_records(), oracle.query(RatingPattern()))
+            for bucket in BUCKETS:
+                assert same_records(store.query(*bucket), oracle.query(*bucket)), bucket
+            assert same_records(store.all_records(), oracle.all_records())
 
 
 observations = st.builds(

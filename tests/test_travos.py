@@ -263,6 +263,19 @@ class TestAssessTerm:
         assert interaction_component.weight == 1.0
         assert res.witness_trust is None
 
+    def test_interaction_evidence_is_the_assessors_own(self):
+        own, mixed = RatingStore(), RatingStore()
+        for value in (1.0, 0.0):
+            own.insert(rating(value))
+            mixed.insert(rating(value))
+        for ts in range(5):
+            mixed.insert(rating(1.0, source="w", ts=ts))
+        results = [
+            assess_term(store, ObservationStore(), "a", "b", "q", make_config())
+            for store in (own, mixed)
+        ]
+        assert results[0] == results[1]
+
     def test_formula_chain_with_perfect_witness(self):
         # Interaction prior only, one fully trusted witness holding (11, 1).
         discounted = discount_opinion(opinion(11, 1), 1.0)
