@@ -9,22 +9,24 @@ four-provider example step by step.
 
 from reptrace import fixture
 from reptrace.core import (
-    BIPOLAR_RANGE,
     ComponentTrust,
     ReputationType,
     combine_term_trust,
-    normalize_rating,
     overall_trust,
 )
+from reptrace.fire import role_pseudo_ratings
+from reptrace.store import RoleRule
 
 I = ReputationType.INTERACTION
 W = ReputationType.WITNESS
 
 
 def main():
-    print("Ratings arrive in each model's native scale and are mapped to [0, 1].")
+    print("Role-rule values on the bipolar scale [-1, 1] are mapped to [0, 1].")
     for raw in (-1.0, 0.0, 0.6, 1.0):
-        print(f"  bipolar {raw:+.1f}  ->  {normalize_rating(raw, BIPOLAR_RANGE):.2f}")
+        rule = RoleRule("buyer", "courier", "quality", likelihood=1.0, expected_value=raw)
+        [pseudo] = role_pseudo_ratings([rule], ("buyer",), ("courier",), "quality")
+        print(f"  bipolar {raw:+.1f}  ->  {pseudo.value:.2f}")
     print()
 
     print("Component trusts combine into a term trust by weighted mean.")

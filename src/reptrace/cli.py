@@ -41,7 +41,7 @@ from .pipeline import (
     world_from_simulation,
     world_to_document,
 )
-from .render import REP_TYPE_DISPLAY, default_templates, render_text
+from .render import REP_TYPE_DISPLAY, render_text
 from .scenario import load_scenario, parse_json
 from .simulate import run_scenario
 
@@ -125,7 +125,6 @@ def _demo_failures() -> tuple[list[str], list[str]]:
     failures: list[str] = []
     names = {p: p for p in fixture.PROVIDERS}
     names[fixture.ASSESSOR] = fixture.ASSESSOR
-    templates = default_templates()
 
     lines.append(f"Provider assessments (assessor {fixture.ASSESSOR})")
     header = ["id"] + list(fixture.TERMS) + ["overall"]
@@ -162,9 +161,7 @@ def _demo_failures() -> tuple[list[str], list[str]]:
     }
     for preferred, other in (("B", "C"), ("B", "D")):
         ctx = fixture.comparison(preferred, other)
-        text = render_text(
-            explain_ctx(ctx), names, templates, ascending_pros=True
-        )
+        text = render_text(explain_ctx(ctx), names, ascending_pros=True)
         lines.append("")
         lines.append(f"Explanation {preferred} vs {other}:")
         lines.append(text)

@@ -6,9 +6,9 @@ value per term, and term trusts are combined into one overall score using
 the assessor's term preferences. Both combinations are weighted means, so
 weights never need to be pre-normalised.
 
-All values handled here live in [0, 1]. Ratings arriving in a model's
-native scale are mapped onto [0, 1] at ingestion and keep their raw value
-for round-tripping.
+All values handled here live in [0, 1]. Ratings arrive on that scale;
+the one other scale, FIRE's [-1, 1] role-rule values, is mapped onto it
+where role rules become pseudo-ratings.
 """
 
 from __future__ import annotations
@@ -25,9 +25,6 @@ from .errors import (
     WeightSumZeroError,
 )
 
-#: Absolute tolerance for assessment self-consistency checks.
-ASSESSMENT_TOL = 1e-9
-
 AgentId = str
 Term = str
 
@@ -40,13 +37,6 @@ class ReputationType(Enum):
     ROLE_BASED = "role"
     CERTIFIED = "certified"
 
-    @classmethod
-    def from_string(cls, s: str) -> "ReputationType":
-        for member in cls:
-            if member.value == s:
-                return member
-        raise ValueError(f"unknown reputation type: {s!r}")
-
 
 #: Canonical component ordering used for iteration and display.
 REPUTATION_ORDER = (
@@ -58,67 +48,11 @@ REPUTATION_ORDER = (
 
 
 @dataclass(frozen=True)
-class NativeRange:
-    """Declared value range of a rating source.
-
-    ``binary`` ranges admit only the two endpoint values and map onto
-    [0, 1] by identity; continuous ranges are mapped affinely.
-    """
-
-    lo: float
-    hi: float
-    binary: bool = False
-
-    def __post_init__(self):
-        if not self.hi > self.lo:
-            raise ValueError("native range must have hi > lo")
-
-    def contains(self, raw: float) -> bool:
-        if self.binary:
-            return raw == self.lo or raw == self.hi
-        return self.lo <= raw <= self.hi
-
-
-#: Bipolar scale with -1 absolutely negative, +1 absolutely positive.
-BIPOLAR_RANGE = NativeRange(-1.0, 1.0)
-#: Ratings already expressed in [0, 1].
-UNIT_RANGE = NativeRange(0.0, 1.0)
-#: Success / failure ratings.
-BINARY_RANGE = NativeRange(0.0, 1.0, binary=True)
-
-
-def normalize_rating(raw: float, native_range: NativeRange) -> float:
-    """Map a raw rating from its native range onto [0, 1].
-
-    Raises OutOfRangeError when ``raw`` lies outside the declared range
-    (or, for binary ranges, is not one of the two admissible values).
-    """
-    if not native_range.contains(raw):
-        raise OutOfRangeError(
-            f"value {raw!r} outside native range "
-            f"[{native_range.lo}, {native_range.hi}]"
-            + (" (binary)" if native_range.binary else "")
-        )
-    if native_range.binary:
-        return 1.0 if raw == native_range.hi else 0.0
-    return (raw - native_range.lo) / (native_range.hi - native_range.lo)
-
-
-def denormalize_rating(value: float, native_range: NativeRange) -> float:
-    """Inverse of :func:`normalize_rating`."""
-    if not 0.0 <= value <= 1.0:
-        raise OutOfRangeError(f"normalized value {value!r} outside [0, 1]")
-    if native_range.binary:
-        return native_range.hi if value >= 0.5 else native_range.lo
-    return native_range.lo + value * (native_range.hi - native_range.lo)
-
-
-@dataclass(frozen=True)
 class Rating:
     """One piece of trust evidence: source rated target on a term.
 
-    ``value`` is the normalized score in [0, 1]; ``raw_value`` preserves
-    the score in the source model's native range. ``timestamp`` is the
+    ``value`` is the score in [0, 1]; ``raw_value`` is carried through
+    stores documents unchanged and read by no engine. ``timestamp`` is the
     simulation round the rating was recorded in.
     """
 
@@ -192,14 +126,12 @@ class ComponentTrust:
     ``value`` is None when the component has no evidence; an absent value
     forces a zero weight so it never enters a mean. ``weight`` is the
     effective combination weight (importance for FIRE, evidence-mass share
-    for TRAVOS). ``reliability`` is 1 under both models; ranking documents
-    carry it.
+    for TRAVOS).
     """
 
     rep_type: ReputationType
     value: Optional[float]
     weight: float
-    reliability: float = 1.0
 
     def __post_init__(self):
         if self.value is None and self.weight != 0.0:
@@ -208,8 +140,6 @@ class ComponentTrust:
             raise OutOfRangeError(f"component trust {self.value!r} outside [0, 1]")
         if self.weight < 0:
             raise ValueError("component weight must be non-negative")
-        if not 0.0 <= self.reliability <= 1.0:
-            raise ValueError("reliability must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -314,36 +244,3 @@ def build_assessment(
         if sum(weights.values()) > 0:
             overall = overall_trust(evidenced, weights)
     return Assessment(assessor=assessor, target=target, per_term=per_term, overall=overall)
-
-
-def validate_assessment(
-    assessment: Assessment, preferences: Preferences, tol: float = ASSESSMENT_TOL
-) -> None:
-    """Check an assessment's internal consistency.
-
-    Recomputes every term trust from its components and the overall score
-    from the term trusts; raises ValueError when any value drifts by more
-    than ``tol``.
-    """
-    evidenced: dict[Term, float] = {}
-    for term, ta in assessment.per_term.items():
-        if ta.term_trust is None:
-            continue
-        recomputed = combine_term_trust(ta.components)
-        if abs(recomputed - ta.term_trust) > tol:
-            raise ValueError(
-                f"term trust for {term!r} inconsistent: "
-                f"{ta.term_trust} stored vs {recomputed} recomputed"
-            )
-        evidenced[term] = ta.term_trust
-    if assessment.overall is None:
-        if evidenced and sum(preferences.term_weights[t] for t in evidenced) > 0:
-            raise ValueError("overall missing despite evidenced terms")
-        return
-    weights = {t: preferences.term_weights[t] for t in evidenced}
-    recomputed = overall_trust(evidenced, weights)
-    if abs(recomputed - assessment.overall) > tol:
-        raise ValueError(
-            f"overall inconsistent: {assessment.overall} stored "
-            f"vs {recomputed} recomputed"
-        )

@@ -6,7 +6,7 @@ class ReptraceError(Exception):
 
 
 class OutOfRangeError(ReptraceError, ValueError):
-    """A raw rating value lies outside its declared native range."""
+    """A trust value lies outside its range."""
 
 
 class NoEvidenceError(ReptraceError):
@@ -23,10 +23,6 @@ class WeightSumZeroError(ReptraceError):
 
 class BadBinError(ReptraceError, ValueError):
     """An opinion bin index is outside 1..bins."""
-
-
-class NonBinaryRatingError(ReptraceError, ValueError):
-    """A binary-evidence operation received a rating value outside {0, 1}."""
 
 
 class NumericalFailureError(ReptraceError):

@@ -186,10 +186,6 @@ class Explanation:
     arguments: tuple[Argument, ...]
     model: Optional[Model] = None
 
-    @property
-    def decisive(self) -> DecisiveDominance | DecisiveTradeoff:
-        return self.arguments[0]  # type: ignore[return-value]
-
 
 def _compared_terms(ctx: ComparisonContext) -> list[Term]:
     """Terms, in declaration order, with a trust value for both providers."""

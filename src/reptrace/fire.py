@@ -3,8 +3,7 @@
 Component trust is a weighted mean of ratings. Interaction, witness and
 certified ratings are weighted by an exponential recency factor; role-based
 pseudo-ratings derived from rules are weighted by the rule's likelihood.
-Component trusts combine into term trust through their importance weights;
-each component's reliability is the constant 1.
+Component trusts combine into term trust through their importance weights.
 
 Each assessment is built twice: once with the recency weights and once with
 every rating weighted equally. The uniform baseline exists solely so the
@@ -20,16 +19,13 @@ from typing import Mapping, Optional, Sequence
 from .core import (
     AgentId,
     Assessment,
-    BIPOLAR_RANGE,
     ComponentTrust,
-    NativeRange,
     Preferences,
     Rating,
     ReputationType,
     REPUTATION_ORDER,
     Term,
     build_assessment,
-    normalize_rating,
 )
 from .store import RatingStore, RoleRule
 
@@ -83,9 +79,12 @@ def role_pseudo_ratings(
     assessor_roles: Sequence[str],
     target_roles: Sequence[str],
     term: Term,
-    native_range: NativeRange = BIPOLAR_RANGE,
 ) -> list[PseudoRating]:
-    """Instantiate matching role rules as weighted pseudo-ratings."""
+    """Instantiate matching role rules as weighted pseudo-ratings.
+
+    A rule's expected value in [-1, 1] maps affinely onto [0, 1], so -1,
+    0 and 1 become 0, 0.5 and 1; its likelihood is the rating's weight.
+    """
     out = []
     for rule in rules:
         if rule.term != term:
@@ -93,8 +92,7 @@ def role_pseudo_ratings(
         if rule.role_a in assessor_roles and rule.role_b in target_roles:
             out.append(
                 PseudoRating(
-                    value=normalize_rating(rule.expected_value, native_range),
-                    weight=rule.likelihood,
+                    value=(rule.expected_value + 1.0) / 2.0, weight=rule.likelihood
                 )
             )
     return out
@@ -107,14 +105,22 @@ def _weighted_mean(pairs: Sequence[tuple[float, float]]) -> Optional[float]:
     return sum(w * v for v, w in pairs) / den
 
 
-def _component_trust(
+def component_trust(
     ratings: Sequence[Rating],
     rep_type: ReputationType,
     config: FireConfig,
     now: int,
-    role_evidence: Sequence[PseudoRating],
-    recency: bool,
+    role_evidence: Sequence[PseudoRating] = (),
+    recency: bool = True,
 ) -> ComponentTrust:
+    """Recency-weighted component trust (likelihood-weighted for roles).
+
+    With ``recency`` off every rating weighs the same: that is the uniform
+    baseline. Role-based evidence keeps its likelihood weights either way,
+    because the recency factor never applies to rules. Empty evidence
+    yields an absent value with zero weight; otherwise the returned weight
+    is the component's importance.
+    """
     if rep_type is ReputationType.ROLE_BASED:
         pairs = [(p.value, p.weight) for p in role_evidence]
     elif recency:
@@ -129,40 +135,6 @@ def _component_trust(
         return ComponentTrust(rep_type=rep_type, value=None, weight=0.0)
     return ComponentTrust(
         rep_type=rep_type, value=value, weight=config.importance.get(rep_type, 0.0)
-    )
-
-
-def component_trust(
-    ratings: Sequence[Rating],
-    rep_type: ReputationType,
-    config: FireConfig,
-    now: int,
-    role_evidence: Sequence[PseudoRating] = (),
-) -> ComponentTrust:
-    """Recency-weighted component trust (likelihood-weighted for roles).
-
-    Empty evidence yields an absent value with zero weight. The returned
-    weight is the component's importance.
-    """
-    return _component_trust(
-        ratings, rep_type, config, now, role_evidence, recency=True
-    )
-
-
-def component_trust_uniform(
-    ratings: Sequence[Rating],
-    rep_type: ReputationType,
-    config: FireConfig,
-    now: int,
-    role_evidence: Sequence[PseudoRating] = (),
-) -> ComponentTrust:
-    """Baseline component trust with every rating weighted equally.
-
-    Role-based evidence keeps its likelihood weights: the baseline removes
-    only the recency factor, which never applies to rules.
-    """
-    return _component_trust(
-        ratings, rep_type, config, now, role_evidence, recency=False
     )
 
 
@@ -236,13 +208,11 @@ def assess_provider(
             rating_store, role_rules, agent_roles, assessor, target, term
         )
         weighted[term] = [
-            component_trust(evidence[k][0], k, config, now, role_evidence=evidence[k][1])
+            component_trust(evidence[k][0], k, config, now, evidence[k][1])
             for k in active_types
         ]
         uniform[term] = [
-            component_trust_uniform(
-                evidence[k][0], k, config, now, role_evidence=evidence[k][1]
-            )
+            component_trust(evidence[k][0], k, config, now, evidence[k][1], recency=False)
             for k in active_types
         ]
     return FireAssessment(

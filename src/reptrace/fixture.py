@@ -75,10 +75,6 @@ def assessment(provider: str) -> Assessment:
     return build_assessment(ASSESSOR, provider, components, preferences())
 
 
-def assessments() -> dict[str, Assessment]:
-    return {p: assessment(p) for p in PROVIDERS}
-
-
 def comparison(preferred: str, other: str) -> ComparisonContext:
     """Model-agnostic comparison context between two fixture providers."""
     return ComparisonContext(

@@ -11,10 +11,10 @@ the same schemas instead.
 from __future__ import annotations
 
 import json
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Optional, get_args, get_origin, get_type_hints
+from typing import Optional
 
 from .core import (
     AgentId,
@@ -181,12 +181,27 @@ def world_to_document(world: World) -> dict:
     }
 
 
+def _check_subject(rec: dict, where: str, providers: set, terms: Mapping) -> None:
+    """Reject a record about anything but a listed provider and a declared term."""
+    if rec["target"] not in providers:
+        raise ConfigError(f"{where}/target: {rec['target']!r} is not a listed provider")
+    if rec["term"] not in terms:
+        raise ConfigError(f"{where}/term: {rec['term']!r} is not a declared term")
+
+
 def world_from_document(doc: dict) -> World:
-    """Rebuild a world from a stores document."""
+    """Rebuild a world from a stores document.
+
+    Beyond the schema, every record must be one an engine reads: it sits
+    in a listed agent's store, is about a listed provider on a declared
+    term, and is sourced as its store and kind require.
+    """
     validate_document(doc, "stores")
     config = config_from_document(doc, "stores")
     rounds = config["rounds"]
+    terms = config["preferences"].term_weights
     agent_ids = {agent.id for agent in config["agents"]}
+    provider_ids = {p["id"] for p in doc["providers"]}
     for section in ("ratings", "observations"):
         for key in doc[section]:
             if key not in agent_ids:
@@ -215,12 +230,13 @@ def world_from_document(doc: dict) -> World:
                     f"{where}/source: a witness rating in {agent.id}'s store "
                     f"must not have source {agent.id!r}"
                 )
+            _check_subject(rec, where, provider_ids, terms)
             store.insert(
                 Rating(
                     source=rec["source"],
                     target=rec["target"],
                     term=rec["term"],
-                    rep_type=ReputationType.from_string(rep_type),
+                    rep_type=ReputationType(rep_type),
                     value=float(rec["value"]),
                     raw_value=float(rec["raw_value"]),
                     timestamp=int(rec["timestamp"]),
@@ -232,12 +248,18 @@ def world_from_document(doc: dict) -> World:
     for agent in config["agents"]:
         obs = ObservationStore()
         for index, rec in enumerate(doc["observations"].get(agent.id, ())):
+            where = f"stores document invalid at observations/{agent.id}/{index}"
             if rec["assessor"] != agent.id:
                 raise ConfigError(
-                    f"stores document invalid at observations/{agent.id}/{index}/"
-                    f"assessor: an observation in {agent.id}'s store must have "
-                    f"assessor {agent.id!r}, not {rec['assessor']!r}"
+                    f"{where}/assessor: an observation in {agent.id}'s store must "
+                    f"have assessor {agent.id!r}, not {rec['assessor']!r}"
                 )
+            if rec["witness"] == agent.id or rec["witness"] not in agent_ids:
+                raise ConfigError(
+                    f"{where}/witness: an observation in {agent.id}'s store must "
+                    f"name another listed agent, not {rec['witness']!r}"
+                )
+            _check_subject(rec, where, provider_ids, terms)
             obs.insert(
                 ObservationRecord(
                     assessor=rec["assessor"],
@@ -367,7 +389,8 @@ def _component_to_doc(c: ComponentTrust) -> dict:
         "type": c.rep_type.value,
         "value": c.value,
         "weight": c.weight,
-        "reliability": c.reliability,
+        # Both models' reliability is the constant 1; ranking/v1 keeps the key.
+        "reliability": 1.0,
     }
 
 
@@ -397,7 +420,7 @@ def ranking_to_document(
 
 # The explanation document's argument objects are derived from the
 # dataclasses in ARGUMENT_KINDS: {"kind": cls.kind, <field>: <value>, ...}
-# in field order, each value decoded according to the field's type hint.
+# in field order.
 
 
 def _field_to_doc(value):
@@ -410,43 +433,16 @@ def _field_to_doc(value):
     return value
 
 
-def _field_from_doc(hint) -> Callable:
-    """Converter from a document value to a field of type ``hint``."""
-    if hint is float or (isinstance(hint, type) and issubclass(hint, Enum)):
-        return hint
-    if get_origin(hint) is tuple:
-        args = get_args(hint)
-        if args[-1] is Ellipsis:
-            item = _field_from_doc(args[0])
-            return lambda values: tuple(item(v) for v in values)
-        items = [_field_from_doc(h) for h in args]
-        return lambda values: tuple(f(v) for f, v in zip(items, values))
-    if get_origin(hint) is Mapping:
-        return dict
-    return lambda value: value
-
-
-def _argument_fields(cls) -> tuple[tuple[str, Callable], ...]:
-    """(name, decoder) per field of an argument class, in document order."""
-    hints = get_type_hints(cls)
-    return tuple((f.name, _field_from_doc(hints[f.name])) for f in fields(cls))
-
-
-_ARGUMENT_FIELDS = {cls: _argument_fields(cls) for cls in ARGUMENT_KINDS}
-_ARGUMENT_CLASSES = {cls.kind: cls for cls in ARGUMENT_KINDS}
+_ARGUMENT_FIELDS = {
+    cls: tuple(f.name for f in fields(cls)) for cls in ARGUMENT_KINDS
+}
 
 
 def _argument_to_doc(argument: Argument) -> dict:
     doc = {"kind": argument.kind}
-    for name, _ in _ARGUMENT_FIELDS[type(argument)]:
+    for name in _ARGUMENT_FIELDS[type(argument)]:
         doc[name] = _field_to_doc(getattr(argument, name))
     return doc
-
-
-def _argument_from_doc(doc: dict) -> Argument:
-    # The schema has already rejected unknown kinds and missing fields.
-    cls = _ARGUMENT_CLASSES[doc["kind"]]
-    return cls(**{name: decode(doc[name]) for name, decode in _ARGUMENT_FIELDS[cls]})
 
 
 def explanation_to_document(explanation: Explanation) -> dict:
@@ -458,15 +454,3 @@ def explanation_to_document(explanation: Explanation) -> dict:
         "other": explanation.other,
         "arguments": [_argument_to_doc(a) for a in explanation.arguments],
     }
-
-
-def explanation_from_document(doc: dict) -> Explanation:
-    validate_document(doc, "explanation")
-    model = Model(doc["model"]) if doc["model"] else None
-    return Explanation(
-        assessor=doc["assessor"],
-        preferred=doc["preferred"],
-        other=doc["other"],
-        arguments=tuple(_argument_from_doc(a) for a in doc["arguments"]),
-        model=model,
-    )

@@ -1,9 +1,9 @@
 """Deterministic text rendering of explanations.
 
-Each argument kind maps to exactly one sentence template; templates are
-plain text files with ``{{placeholder}}`` slots so deployments can reword
-sentences without touching code. Rendering is a pure function of the
-explanation, the display names and the template set.
+Each argument kind maps to exactly one sentence template. The shipped
+template file holds them as plain text with ``{{placeholder}}`` slots, so
+sentences can be reworded without touching code. Rendering is a pure
+function of the explanation and the display names.
 """
 
 from __future__ import annotations
@@ -12,8 +12,7 @@ import functools
 import re
 from dataclasses import dataclass, fields
 from importlib import resources
-from pathlib import Path
-from typing import Mapping, Union
+from typing import Mapping
 
 from .core import ReputationType
 from .errors import UnknownAgentError
@@ -79,11 +78,6 @@ def _template_set(text: str, origin: object) -> TemplateSet:
     return TemplateSet(**{k: sections[k] for k in _TEMPLATE_KEYS})
 
 
-def load_templates(path: Union[str, Path]) -> TemplateSet:
-    """Read a template file, requiring one section per argument kind."""
-    return _template_set(Path(path).read_text(encoding="utf-8"), path)
-
-
 @functools.cache
 def default_templates() -> TemplateSet:
     """The shipped template set, read and parsed once per process."""
@@ -114,7 +108,6 @@ def _fill(template: str, values: Mapping[str, str]) -> str:
 def render_text(
     explanation: Explanation,
     names: Mapping[str, str],
-    templates: TemplateSet | None = None,
     ascending_pros: bool = False,
 ) -> str:
     """Render an explanation as one sentence block per argument.
@@ -125,7 +118,7 @@ def render_text(
     default descending order. Numeric placeholders, where a template uses
     them, are formatted to 2 decimals.
     """
-    templates = templates or default_templates()
+    templates = default_templates()
 
     def name(agent_id: str) -> str:
         if agent_id not in names:

@@ -97,7 +97,7 @@ def config_from_document(doc: dict, kind: str) -> dict:
     """
     terms = _weights(doc, kind, "terms", {})
     importance = {
-        ReputationType.from_string(k): w
+        ReputationType(k): w
         for k, w in _weights(
             doc, kind, "component_weights", {"interaction": 0.75, "witness": 0.25}
         ).items()

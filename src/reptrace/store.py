@@ -14,7 +14,6 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Optional
 
 from .core import AgentId, Rating, ReputationType, Term
@@ -50,16 +49,19 @@ class RatingStore:
     returns one bucket; callers filter it by source themselves.
 
     With ``history_cap`` set to H, each source agent keeps only its H
-    most recent ratings (by timestamp; insertion order breaks ties, the
-    oldest inserted record is evicted first). Each source has its own
-    budget, so witness copies never crowd out self-authored history.
+    ratings with the largest ``_content_key``: its most recent ones by
+    timestamp, with ties at a timestamp broken by the remaining fields.
+    Eviction removes one record at a time, never a whole interaction, and
+    the kept records depend on the store's content only, never on the
+    order of insertion. Each source has its own budget, so witness copies
+    never crowd out self-authored history.
     """
 
     history_cap: Optional[int] = None
     _buckets: dict[tuple[AgentId, Term, ReputationType], list[Rating]] = field(
         default_factory=dict
     )
-    # Per source, in (timestamp, insertion) order; kept only under a cap.
+    # Per source, in ``_content_key`` order; kept only under a cap.
     _by_source: dict[AgentId, list[Rating]] = field(default_factory=dict)
     _size: int = 0
 
@@ -81,15 +83,16 @@ class RatingStore:
         if self.history_cap is None:
             return
         history = self._by_source.setdefault(rating.source, [])
-        bisect.insort(history, rating, key=attrgetter("timestamp"))
+        bisect.insort(history, rating, key=_content_key)
         if len(history) > self.history_cap:
             self._evict(history.pop(0))
 
     def _evict(self, rating: Rating) -> None:
         key = (rating.target, rating.term, rating.rep_type)
         bucket = self._buckets[key]
-        # Records with an equal bucket key share the evicted one's source
-        # and timestamp and were inserted after it, so it comes first.
+        # Records with an equal bucket key are identical to the evicted
+        # one in every field an engine reads, so removing any one of them
+        # is equivalent; bisect_left removes the first.
         del bucket[bisect.bisect_left(bucket, _bucket_key(rating), key=_bucket_key)]
         if not bucket:
             del self._buckets[key]
@@ -109,8 +112,9 @@ class RatingStore:
 class RoleRule:
     """Expectation rule: agents in (role_a, role_b) relate with likelihood e.
 
-    ``expected_value`` stays in the declaring model's native range; the
-    engine normalises it when building pseudo-ratings.
+    ``expected_value`` lies in FIRE's rule range [-1, 1], from absolutely
+    negative to absolutely positive; the engine maps it onto [0, 1] when
+    building pseudo-ratings.
     """
 
     role_a: str
@@ -122,6 +126,8 @@ class RoleRule:
     def __post_init__(self):
         if not 0.0 <= self.likelihood <= 1.0:
             raise ValueError("likelihood must lie in [0, 1]")
+        if not -1.0 <= self.expected_value <= 1.0:
+            raise ValueError("expected_value must lie in [-1, 1]")
 
 
 @dataclass(frozen=True)

@@ -31,11 +31,7 @@ from .core import (
     Term,
     build_assessment,
 )
-from .errors import (
-    DegenerateMomentsError,
-    NonBinaryRatingError,
-    NumericalFailureError,
-)
+from .errors import DegenerateMomentsError, NumericalFailureError
 from .store import ObservationRecord, ObservationStore, RatingStore, bin_bounds, bin_of
 
 logger = logging.getLogger(__name__)
@@ -105,31 +101,11 @@ class WitnessOpinion:
     target: AgentId
     term: Term
     params: BetaParams
-    raw_expected: float
-
-    def __post_init__(self):
-        if abs(self.raw_expected - self.params.mean) > 1e-12:
-            raise ValueError("raw_expected must equal the params' expected value")
 
 
 def binarize_value(value: float, threshold: float = SUCCESS_THRESHOLD) -> float:
     """Collapse a [0, 1] rating to binary success / failure."""
     return 1.0 if value >= threshold else 0.0
-
-
-def beta_from_ratings(ratings: Sequence[Rating]) -> BetaParams:
-    """Count binary ratings into beta parameters over the uniform prior."""
-    pos = neg = 0
-    for r in ratings:
-        if r.value == 1.0:
-            pos += 1
-        elif r.value == 0.0:
-            neg += 1
-        else:
-            raise NonBinaryRatingError(
-                f"rating value {r.value!r} is not binary; binarize first"
-            )
-    return BetaParams(1.0 + pos, 1.0 + neg)
 
 
 def binarized_beta(ratings: Sequence[Rating]) -> BetaParams:
@@ -336,13 +312,7 @@ def gather_witness_opinions(
     for witness in sorted(by_witness):
         params = binarized_beta(by_witness[witness])
         opinions.append(
-            WitnessOpinion(
-                witness=witness,
-                target=target,
-                term=term,
-                params=params,
-                raw_expected=params.mean,
-            )
+            WitnessOpinion(witness=witness, target=target, term=term, params=params)
         )
     return opinions
 
@@ -374,7 +344,7 @@ def assess_term(
     contributions: list[WitnessContribution] = []
     if low_confidence:
         for opinion in gather_witness_opinions(rating_store, assessor, target, term):
-            opinion_bin = bin_of(opinion.raw_expected, config.bins)
+            opinion_bin = bin_of(opinion.params.mean, config.bins)
             obs = obs_store.query(
                 assessor, opinion.witness, term, opinion_bin, config.bins
             )

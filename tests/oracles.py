@@ -4,7 +4,8 @@ Everything here deliberately avoids the library's own code paths: masses
 come from adaptive quadrature over the raw density, subset and permutation
 searches are separate exhaustive enumerations, moment checks recompute
 beta moments from first principles, the stores are plain lists
-scanned on every query, and documents are checked by jsonschema.
+scanned on every query, documents are checked by jsonschema, and an
+assessment's term and overall trusts are recomputed from its parts.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import jsonschema
 from scipy.integrate import quad
 from scipy.special import betaln
 
-from reptrace.core import REPUTATION_ORDER
+from reptrace.core import REPUTATION_ORDER, combine_term_trust, overall_trust
 from reptrace.explain import TypePermutation
 from reptrace.scenario import load_schema
 
@@ -214,8 +215,8 @@ def permutation_oracle(ctx, term):
 
 class RatingStoreOracle:
     """A plain list: every query scans and sorts it, every capped insert
-    rescans it and evicts the source's oldest record by (timestamp,
-    insertion)."""
+    rescans it and evicts the source's record with the smallest content
+    key, the earliest inserted among equal keys."""
 
     def __init__(self, history_cap=None):
         self.history_cap = history_cap
@@ -230,7 +231,7 @@ class RatingStoreOracle:
             return
         mine = [i for i, r in enumerate(self.records) if r.source == rating.source]
         if len(mine) > self.history_cap:
-            del self.records[min(mine, key=lambda i: (self.records[i].timestamp, i))]
+            del self.records[min(mine, key=lambda i: (content_key(self.records[i]), i))]
 
     def query(self, target, term, rep_type) -> list:
         return [
@@ -240,18 +241,20 @@ class RatingStoreOracle:
         ]
 
     def all_records(self) -> list:
-        return sorted(
-            self.records,
-            key=lambda r: (
-                r.timestamp,
-                r.source,
-                r.target,
-                r.term,
-                r.rep_type.value,
-                r.value,
-                r.interaction_id or "",
-            ),
-        )
+        return sorted(self.records, key=content_key)
+
+
+def content_key(r):
+    """Every field of a rating that an engine reads, timestamp first."""
+    return (
+        r.timestamp,
+        r.source,
+        r.target,
+        r.term,
+        r.rep_type.value,
+        r.value,
+        r.interaction_id or "",
+    )
 
 
 class ObservationStoreOracle:
@@ -275,3 +278,38 @@ class ObservationStoreOracle:
             if (rec.assessor, rec.witness, rec.term) == (assessor, witness, term)
             and (lo <= rec.opinion_value < hi or (opinion_bin == bins and rec.opinion_value == hi))
         ]
+
+
+#: Absolute tolerance for assessment self-consistency checks.
+ASSESSMENT_TOL = 1e-9
+
+
+def validate_assessment(assessment, preferences, tol: float = ASSESSMENT_TOL) -> None:
+    """Check an assessment's internal consistency.
+
+    Recomputes every term trust from its components and the overall score
+    from the term trusts; raises ValueError when any value drifts by more
+    than ``tol``.
+    """
+    evidenced = {}
+    for term, ta in assessment.per_term.items():
+        if ta.term_trust is None:
+            continue
+        recomputed = combine_term_trust(ta.components)
+        if abs(recomputed - ta.term_trust) > tol:
+            raise ValueError(
+                f"term trust for {term!r} inconsistent: "
+                f"{ta.term_trust} stored vs {recomputed} recomputed"
+            )
+        evidenced[term] = ta.term_trust
+    if assessment.overall is None:
+        if evidenced and sum(preferences.term_weights[t] for t in evidenced) > 0:
+            raise ValueError("overall missing despite evidenced terms")
+        return
+    weights = {t: preferences.term_weights[t] for t in evidenced}
+    recomputed = overall_trust(evidenced, weights)
+    if abs(recomputed - assessment.overall) > tol:
+        raise ValueError(
+            f"overall inconsistent: {assessment.overall} stored "
+            f"vs {recomputed} recomputed"
+        )

@@ -49,7 +49,7 @@ def report(n, text):
 
 def test_criterion_1_running_example_reproduction():
     start = time.perf_counter()
-    assessments = fixture.assessments()
+    assessments = {p: fixture.assessment(p) for p in fixture.PROVIDERS}
     elapsed = time.perf_counter() - start
     for provider, per_term in fixture.EXPECTED_TERM_TRUSTS.items():
         for term, expected in per_term.items():
@@ -110,7 +110,7 @@ def test_criterion_5_travos_numerics():
         alpha = float(rng.uniform(1.0, 50.0))
         beta = float(rng.uniform(1.0, 50.0))
         p = BetaParams(alpha, beta)
-        op = WitnessOpinion("w", "b", "t", p, p.mean)
+        op = WitnessOpinion("w", "b", "t", p)
         zero = discount_opinion(op, 0.0)
         assert abs(zero.alpha - 1.0) <= 1e-9 and abs(zero.beta - 1.0) <= 1e-9
         full = discount_opinion(op, 1.0)

@@ -133,25 +133,32 @@ class TestExplain:
         out = capsys.readouterr().out
         assert f"{best} has a better reputation than {second}" in out
 
-    def test_preferred_better_on_no_shared_term_exits_four(self, tmp_path, capsys):
-        # With a cap of 7 every agent's store keeps no evidence on bargain's
-        # quality, timeliness or price, and swift is better on both terms
-        # they share, yet bargain's overall score is the higher.
-        scenario, stores = tmp_path / "scenario.json", tmp_path / "stores.json"
-        doc = json.loads(SCENARIO_PATH.read_text())
-        doc["fire"]["history_cap"] = 7
-        scenario.write_text(json.dumps(doc))
-        assert main(["simulate", str(scenario), str(stores)]) == 0
-        for agent in ("alice", "bob", "carol"):
-            assert main(
-                [
-                    "explain", str(stores), "--model", "fire", "--assessor", agent,
-                    "--preferred", "bargain", "--other", "swift",
-                ]
-            ) == 4
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert "bargain is better than swift on no weighted term" in captured.err
+    def test_preferred_better_on_no_shared_term_exits_four(self, stores_path, capsys):
+        # alice has evidence on bargain's quality only, and swift is better
+        # there, yet bargain's overall score is the higher: swift's other
+        # terms pull its mean down.
+        doc = json.loads(stores_path.read_text())
+
+        def rating(target, term, value):
+            return {
+                "source": "alice", "target": target, "term": term,
+                "rep_type": "interaction", "value": value, "raw_value": value,
+                "timestamp": 0, "interaction_id": None,
+            }
+
+        doc["ratings"]["alice"] = [rating("bargain", "quality", 0.9)] + [
+            rating("swift", term, 1.0 if term == "quality" else 0.0) for term in doc["terms"]
+        ]
+        stores_path.write_text(json.dumps(doc))
+        assert main(
+            [
+                "explain", str(stores_path), "--model", "fire", "--assessor", "alice",
+                "--preferred", "bargain", "--other", "swift",
+            ]
+        ) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "bargain is better than swift on no weighted term" in captured.err
 
     def test_reversed_pair_exits_four(self, stores_path, capsys):
         best, second = self.ranked_ids(stores_path, capsys)[:2]
@@ -244,6 +251,39 @@ class TestDocumentBoundary:
             ["assess", str(stores_path), "--model", model, "--assessor", "alice"]
         ) == 2
         assert f"observations/alice/{index}/assessor" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section, field, value",
+        [
+            ("ratings", "target", "mallory"),
+            ("ratings", "target", "bob"),
+            ("ratings", "term", "colour"),
+            ("ratings", "rep_type", "role"),
+            ("observations", "witness", "alice"),
+            ("observations", "witness", "mallory"),
+            ("observations", "target", "mallory"),
+            ("observations", "term", "colour"),
+        ],
+        ids=[
+            "rating-target-unlisted", "rating-target-an-agent", "rating-term-undeclared",
+            "rating-of-role-type", "observation-witness-the-owner",
+            "observation-witness-unlisted", "observation-target-unlisted",
+            "observation-term-undeclared",
+        ],
+    )
+    def test_record_no_engine_reads_exits_two(
+        self, stores_path, capsys, section, field, value
+    ):
+        # No engine reads any of these records, so loading one must fail.
+        doc = json.loads(stores_path.read_text())
+        records = doc[section]["alice"]
+        index = len(records) - 1
+        records[index][field] = value
+        stores_path.write_text(json.dumps(doc))
+        assert main(
+            ["assess", str(stores_path), "--model", "fire", "--assessor", "alice"]
+        ) == 2
+        assert f"invalid at {section}/alice/{index}/{field}:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("section", ["terms", "component_weights"])
     @pytest.mark.parametrize("weight", [0, 1.7e308], ids=["all-zero", "overflowing-sum"])

@@ -1,21 +1,22 @@
 """Core combination math and domain type invariants."""
 
+import json
+import math
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import validate_assessment
+from reptrace import cli
 from reptrace.core import (
-    BINARY_RANGE,
-    BIPOLAR_RANGE,
     ComponentTrust,
     Preferences,
     Rating,
     ReputationType,
     build_assessment,
     combine_term_trust,
-    denormalize_rating,
-    normalize_rating,
     overall_trust,
-    validate_assessment,
 )
 from reptrace.errors import (
     NoEvidenceError,
@@ -23,44 +24,68 @@ from reptrace.errors import (
     OutOfRangeError,
     WeightSumZeroError,
 )
+from reptrace.fire import role_pseudo_ratings
+from reptrace.store import RoleRule
+
+SCENARIO_PATH = Path(__file__).resolve().parent.parent / "demos" / "delivery_scenario.json"
 
 I = ReputationType.INTERACTION
 W = ReputationType.WITNESS
 
 
-def ct(rep_type, value, weight, reliability=1.0):
-    return ComponentTrust(rep_type=rep_type, value=value, weight=weight, reliability=reliability)
+def ct(rep_type, value, weight):
+    return ComponentTrust(rep_type=rep_type, value=value, weight=weight)
+
+
+def role_value(expected_value):
+    """The pseudo-rating value FIRE derives from one matching role rule."""
+    rule = RoleRule("buyer", "courier", "q", likelihood=1.0, expected_value=expected_value)
+    [pseudo] = role_pseudo_ratings([rule], ("buyer",), ("courier",), "q")
+    return pseudo.value
 
 
 class TestNormalize:
+    """Role-rule values on FIRE's [-1, 1] scale map affinely onto [0, 1]."""
+
     def test_bipolar_minimum_maps_to_zero(self):
-        assert normalize_rating(-1.0, BIPOLAR_RANGE) == 0.0
+        assert role_value(-1.0) == 0.0
 
     def test_bipolar_midpoint(self):
-        assert normalize_rating(0.0, BIPOLAR_RANGE) == 0.5
+        assert role_value(0.0) == 0.5
 
-    def test_binary_identity(self):
-        assert normalize_rating(1.0, BINARY_RANGE) == 1.0
-        assert normalize_rating(0.0, BINARY_RANGE) == 0.0
+    def test_bipolar_maximum_maps_to_one(self):
+        assert role_value(1.0) == 1.0
 
     def test_out_of_range(self):
-        with pytest.raises(OutOfRangeError):
-            normalize_rating(1.5, BIPOLAR_RANGE)
-        with pytest.raises(OutOfRangeError):
-            normalize_rating(0.5, BINARY_RANGE)
+        for value in (-1.5, 1.0 + 1e-9, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                RoleRule("buyer", "courier", "q", likelihood=0.5, expected_value=value)
 
-    @given(st.floats(min_value=-1.0, max_value=1.0, allow_nan=False))
-    def test_roundtrip(self, raw):
-        back = denormalize_rating(normalize_rating(raw, BIPOLAR_RANGE), BIPOLAR_RANGE)
-        assert abs(back - raw) <= 1e-12
+    def test_out_of_range_in_document_exits_2(self, tmp_path, capsys):
+        doc = json.loads(SCENARIO_PATH.read_text())
+        doc["role_rules"] = [
+            {"role_a": "buyer", "role_b": "courier", "term": "quality",
+             "likelihood": 0.5, "value": 1.5}
+        ]
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["simulate", str(path), str(tmp_path / "out.json")]) == 2
+        assert "role_rules/0/value" in capsys.readouterr().err
+
+    @given(st.floats(min_value=-1.0, max_value=1.0))
+    def test_roundtrip(self, value):
+        mapped = role_value(value)
+        # Bit-equal to the affine map from [lo, hi] = [-1, 1] onto [0, 1].
+        assert mapped == (value - (-1.0)) / (1.0 - (-1.0))
+        assert abs((2.0 * mapped - 1.0) - value) <= 1e-12
 
     @given(
         st.floats(min_value=-1.0, max_value=1.0),
         st.floats(min_value=-1.0, max_value=1.0),
     )
     def test_monotone(self, a, b):
-        na = normalize_rating(a, BIPOLAR_RANGE)
-        nb = normalize_rating(b, BIPOLAR_RANGE)
+        na = role_value(a)
+        nb = role_value(b)
         if a < b:
             assert na <= nb
             if b - a > 1e-9:

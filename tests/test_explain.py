@@ -698,7 +698,7 @@ class TestExplain:
         # level there, so no permutation argument appears.
         explanation = explain(fixture.comparison("B", "E"))
         assert [type(a) for a in explanation.arguments] == [DecisiveTradeoff]
-        assert explanation.decisive.pros == ("quality",)
+        assert explanation.arguments[0].pros == ("quality",)
 
     def test_permutation_emitted_when_timeliness_is_decisive(self):
         # Re-weighting makes timeliness the decisive pro of B over E.
@@ -716,7 +716,7 @@ class TestExplain:
         explanation = explain(ctx)
         kinds = [type(a) for a in explanation.arguments]
         assert kinds[0] is DecisiveTradeoff
-        assert explanation.decisive.pros == ("timeliness",)
+        assert explanation.arguments[0].pros == ("timeliness",)
         perms = [a for a in explanation.arguments if isinstance(a, TypePermutation)]
         assert len(perms) == 1 and perms[0].term == "timeliness"
         assert perms[0].swaps == ((I, W),)
@@ -784,6 +784,6 @@ class TestExplain:
             for a in explanation.arguments
             if isinstance(a, TravosLowConfidence)
         ]
-        decisive_pros = set(explanation.decisive.pros)
+        decisive_pros = set(explanation.arguments[0].pros)
         expected = [t for t in prefs.terms if t in decisive_pros]
         assert low_conf_terms == expected

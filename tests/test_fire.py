@@ -5,13 +5,13 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import validate_assessment
 from reptrace.core import (
     ComponentTrust,
     Preferences,
     Rating,
     ReputationType,
     combine_term_trust,
-    validate_assessment,
 )
 from reptrace.errors import NoEvidenceError
 from reptrace.fire import (
@@ -19,7 +19,6 @@ from reptrace.fire import (
     PseudoRating,
     assess_provider,
     component_trust,
-    component_trust_uniform,
     recency_weight,
     role_pseudo_ratings,
 )
@@ -121,7 +120,7 @@ class TestComponentTrust:
     def test_same_timestamp_equals_uniform(self, pairs):
         ratings = [rating(v, ts=7) for v, _ in pairs]
         a = component_trust(ratings, I, config(), now=12)
-        b = component_trust_uniform(ratings, I, config(), now=12)
+        b = component_trust(ratings, I, config(), now=12, recency=False)
         assert abs(a.value - b.value) <= 1e-12
 
     @given(
@@ -136,32 +135,32 @@ class TestComponentTrust:
     def test_bounds(self, pairs):
         ratings = [rating(v, ts=ts) for v, ts in pairs]
         values = [v for v, _ in pairs]
-        for fn in (component_trust, component_trust_uniform):
-            out = fn(ratings, I, config(), now=25)
+        for recency in (True, False):
+            out = component_trust(ratings, I, config(), now=25, recency=recency)
             assert min(values) - 1e-12 <= out.value <= max(values) + 1e-12
 
 
 class TestComponentTrustUniform:
     def test_plain_mean(self):
-        out = component_trust_uniform(
-            [rating(0.2, ts=0), rating(0.9, ts=9)], I, config(), now=9
+        out = component_trust(
+            [rating(0.2, ts=0), rating(0.9, ts=9)], I, config(), now=9, recency=False
         )
         assert out.value == pytest.approx(0.55, abs=1e-12)
 
     def test_single_value(self):
-        out = component_trust_uniform([rating(0.3, ts=0)], I, config(), now=5)
+        out = component_trust([rating(0.3, ts=0)], I, config(), now=5, recency=False)
         assert out.value == pytest.approx(0.3)
 
     def test_empty_absent(self):
-        out = component_trust_uniform([], I, config(), now=0)
+        out = component_trust([], I, config(), now=0, recency=False)
         assert out.value is None
 
 
 class TestTermTrust:
     def test_worked_example(self):
         components = [
-            ComponentTrust(I, 0.75, weight=0.75, reliability=1.0),
-            ComponentTrust(W, 0.95, weight=0.25, reliability=1.0),
+            ComponentTrust(I, 0.75, weight=0.75),
+            ComponentTrust(W, 0.95, weight=0.25),
         ]
         assert combine_term_trust(components) == pytest.approx(0.80, abs=1e-12)
 
@@ -172,9 +171,9 @@ class TestTermTrust:
         ]
         assert combine_term_trust(components) == pytest.approx(0.6)
 
-    def test_zero_reliability_equals_absent(self):
+    def test_zero_weight_equals_absent(self):
         with_zero = combine_term_trust(
-            [ComponentTrust(I, 0.6, weight=0.75), ComponentTrust(W, 0.1, weight=0.0, reliability=0.0)]
+            [ComponentTrust(I, 0.6, weight=0.75), ComponentTrust(W, 0.1, weight=0.0)]
         )
         assert with_zero == pytest.approx(0.6)
 
@@ -252,7 +251,6 @@ class TestAssessProvider:
             for rep_type, importance in ((I, 0.75), (W, 0.25)):
                 component = assessment.component("q", rep_type)
                 assert component.weight == importance
-                assert component.reliability == 1.0
 
     def test_role_rules_flow(self):
         prefs = Preferences(

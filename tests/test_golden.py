@@ -4,8 +4,8 @@ Simulates ``demos/delivery_scenario.json`` with ``history_cap`` null, 3
 and 7 through the CLI, then pins the sha256 of the stores document, of
 every agent's ``assess`` document and of every ordered provider pair's
 ``explain`` document and ``--text`` output, under both models. A command
-that fails is pinned by its exit code instead. The capped runs are the
-only end-to-end check of the witness-copy and eviction paths.
+that fails is pinned by its exit code instead. The capped runs pin the
+witness-copy and eviction paths end to end.
 
 To print the table for the current code (after checking that a change
 in it is intended):

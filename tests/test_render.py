@@ -15,13 +15,8 @@ from reptrace.explain import (
     explain,
     invert_permutation,
 )
-from reptrace.pipeline import explanation_from_document, explanation_to_document
-from reptrace.render import (
-    default_templates,
-    join_terms,
-    load_templates,
-    render_text,
-)
+from reptrace.pipeline import explanation_to_document
+from reptrace.render import _template_set, default_templates, join_terms, render_text
 
 I = ReputationType.INTERACTION
 W = ReputationType.WITNESS
@@ -141,11 +136,12 @@ class TestRenderMechanics:
         second = render_text(explanation, NAMES)
         assert first == second
 
-    def test_document_roundtrip_regenerates_text(self):
+    def test_document_carries_rendered_pros(self):
         explanation = explain(fixture.comparison("B", "C"))
-        doc = explanation_to_document(explanation)
-        restored = explanation_from_document(doc)
-        assert render_text(restored, NAMES) == render_text(explanation, NAMES)
+        [argument] = explanation_to_document(explanation)["arguments"]
+        assert argument["kind"] == "decisive_dominance"
+        text = render_text(explanation, NAMES)
+        assert text == EXAMPLE_1.replace("timeliness, and quality", join_terms(argument["pros"]))
 
     def test_multi_swap_renders_one_sentence_each(self):
         arg = TypePermutation(
@@ -162,21 +158,9 @@ class TestRenderMechanics:
         text = render_text(explanation, NAMES)
         assert text.count("Considering quality") == 2
 
-    def test_load_templates_roundtrip(self, tmp_path):
-        from importlib import resources
-
-        source = (
-            resources.files("reptrace").joinpath("templates/default.txt").read_text()
-        )
-        path = tmp_path / "templates.txt"
-        path.write_text(source, encoding="utf-8")
-        assert load_templates(path) == default_templates()
-
     def test_default_templates_read_once(self):
         assert default_templates() is default_templates()
 
-    def test_missing_section_rejected(self, tmp_path):
-        path = tmp_path / "broken.txt"
-        path.write_text("[dominance]\nonly this\n", encoding="utf-8")
-        with pytest.raises(ValueError):
-            load_templates(path)
+    def test_missing_section_rejected(self):
+        with pytest.raises(ValueError, match="missing sections"):
+            _template_set("[dominance]\nonly this\n", "broken.txt")

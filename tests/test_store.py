@@ -5,7 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import ObservationStoreOracle, RatingStoreOracle
+from oracles import ObservationStoreOracle, RatingStoreOracle, content_key
 from reptrace.core import Rating, ReputationType
 from reptrace.errors import BadBinError
 from reptrace.store import (
@@ -55,12 +55,15 @@ class TestEviction:
             store.insert(r(source=source, ts=1))
         assert len(store) == 4
 
-    def test_tie_broken_by_insertion_order(self):
-        store = RatingStore(history_cap=1)
-        store.insert(r(ts=5, value=0.1, iid="first"))
-        store.insert(r(ts=5, value=0.2, iid="second"))
-        [kept] = store.all_records()
-        assert kept.interaction_id == "second"
+    def test_tie_broken_by_content(self):
+        first = r(ts=5, value=0.1, iid="first")
+        second = r(ts=5, value=0.2, iid="second")
+        for order in ((first, second), (second, first)):
+            store = RatingStore(history_cap=1)
+            for rec in order:
+                store.insert(rec)
+            [kept] = store.all_records()
+            assert kept.interaction_id == "second"
 
     @given(
         st.lists(
@@ -81,7 +84,7 @@ class TestEviction:
             kept = {rec.interaction_id for rec in store.all_records() if rec.source == source}
             everything = sorted(
                 (rec for rec in full.all_records() if rec.source == source),
-                key=lambda rec: (rec.timestamp, int(rec.interaction_id)),
+                key=content_key,
             )
             expected = {rec.interaction_id for rec in everything[-cap:]}
             assert kept == expected

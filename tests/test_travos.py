@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import beta_mass_quadrature, beta_mean_std
 from reptrace.core import Preferences, Rating, ReputationType
-from reptrace.errors import DegenerateMomentsError, NonBinaryRatingError
+from reptrace.errors import DegenerateMomentsError
 from reptrace.store import ObservationRecord, ObservationStore, RatingStore
 from reptrace.travos import (
     BetaParams,
@@ -17,8 +17,8 @@ from reptrace.travos import (
     assess_provider,
     assess_term,
     beta_from_moments,
-    beta_from_ratings,
     binarize_value,
+    binarized_beta,
     combine_evidence,
     confidence,
     decomposition_weights,
@@ -46,7 +46,7 @@ def rating(value, source="a", target="b", term="q", rep_type=I, ts=0, iid=None):
 
 def opinion(alpha, beta):
     p = BetaParams(alpha, beta)
-    return WitnessOpinion(witness="w", target="b", term="q", params=p, raw_expected=p.mean)
+    return WitnessOpinion(witness="w", target="b", term="q", params=p)
 
 
 params_strategy = st.tuples(
@@ -57,17 +57,17 @@ params_strategy = st.tuples(
 class TestEvidenceCounting:
     def test_counts(self):
         ratings = [rating(1.0)] * 3 + [rating(0.0)]
-        assert beta_from_ratings(ratings) == BetaParams(4.0, 2.0)
+        assert binarized_beta(ratings) == BetaParams(4.0, 2.0)
 
     def test_empty_is_uniform_prior(self):
-        assert beta_from_ratings([]) == BetaParams(1.0, 1.0)
+        assert binarized_beta([]) == BetaParams(1.0, 1.0)
 
     def test_all_negative(self):
-        assert beta_from_ratings([rating(0.0)] * 2) == BetaParams(1.0, 3.0)
+        assert binarized_beta([rating(0.0)] * 2) == BetaParams(1.0, 3.0)
 
-    def test_non_binary_rejected(self):
-        with pytest.raises(NonBinaryRatingError):
-            beta_from_ratings([rating(0.7)])
+    def test_non_binary_counted_at_threshold(self):
+        ratings = [rating(0.7), rating(0.5), rating(0.49), rating(0.0)]
+        assert binarized_beta(ratings) == BetaParams(3.0, 3.0)
 
     def test_binarize(self):
         assert binarize_value(0.5) == 1.0

@@ -32,11 +32,13 @@ SCENARIO_PATH = REPO / "demos" / "delivery_scenario.json"
 SCHEMAS = ("scenario", "stores", "ranking", "explanation")
 
 #: Replacement values: every JSON kind, the edges of the numeric keywords,
-#: and strings that some enum or const of the shipped schemas accepts.
+#: strings that some enum or const of the shipped schemas accepts, and ids
+#: that the stores' record checks reject in some field: an agent, a
+#: provider that is not listed and a term that is not declared.
 REPLACEMENTS = (
     None, True, False, 0, -0.0, 3.0, 1e300, "", [], ["witness", "role"], {},
     {"extra": 1}, "fire", "travos", "interaction", "witness", "complete",
-    "round_robin", "lost", "reptrace/stores/v1",
+    "round_robin", "lost", "reptrace/stores/v1", "alice", "mallory", "colour",
 )
 
 
