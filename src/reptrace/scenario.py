@@ -102,6 +102,13 @@ def config_from_document(doc: dict, kind: str) -> dict:
             doc, kind, "component_weights", {"interaction": 0.75, "witness": 0.25}
         ).items()
     }
+    rules = doc.get("role_rules", ())
+    for index, rule in enumerate(rules):
+        if rule["term"] not in terms:
+            raise ConfigError(
+                f"{kind} document invalid at role_rules/{index}/term: "
+                f"{rule['term']!r} is not a declared term"
+            )
     fire = doc.get("fire", {})
     travos = doc.get("travos", {})
     cap = fire.get("history_cap")
@@ -134,7 +141,7 @@ def config_from_document(doc: dict, kind: str) -> dict:
                     likelihood=float(r["likelihood"]),
                     expected_value=float(r["value"]),
                 )
-                for r in doc.get("role_rules", ())
+                for r in rules
             ),
         }
     except ValueError as exc:

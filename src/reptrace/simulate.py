@@ -9,9 +9,12 @@ with a provider.
 
 Randomness comes from one PCG64 stream per agent, keyed by the scenario
 seed and a stable hash of the agent id, so extending the roster never
-perturbs existing agents' draws. Within a round, witness opinions read
-only ratings from strictly earlier rounds, which makes the result
-independent of agent processing order.
+perturbs existing agents' draws. The streams reproduce numpy's
+``Generator`` bit for bit (see ``prng``). Each round reads every witness
+opinion once, before any of the round's ratings is stored, so a witness's
+new ratings, and the evictions a history cap makes for them, reach no
+observation in their own round. Together these make the result
+independent of the order in which agents are listed.
 """
 
 from __future__ import annotations
@@ -20,16 +23,14 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .core import AgentId, Preferences, Rating, ReputationType, Term
 from .errors import ConfigError
 from .fire import FireConfig
+from .prng import Stream
 from .store import ObservationRecord, ObservationStore, RatingStore, RoleRule
 from .travos import TravosConfig, binarized_beta
-
-if TYPE_CHECKING:
-    import numpy as np
 
 TIMELINESS = "timeliness"
 QUALITY = "quality"
@@ -82,7 +83,8 @@ class PhaseParams:
     service_probs: tuple[float, ...]
 
     def __post_init__(self):
-        if self.days_sigma < 0:
+        # The sign test refuses -0.0 too, as numpy's Generator.normal does.
+        if math.copysign(1.0, self.days_sigma) < 0:
             raise ConfigError("days_sigma must be non-negative")
         if self.max_days < 1:
             raise ConfigError("max_days must be a positive integer")
@@ -151,26 +153,20 @@ def _clamp01(x: float) -> float:
     return min(1.0, max(0.0, x))
 
 
-def agent_rng(seed: int, agent_id: AgentId) -> np.random.Generator:
+def agent_rng(seed: int, agent_id: AgentId) -> Stream:
     """Per-agent PCG64 stream keyed by seed and a stable id hash."""
     digest = hashlib.sha256(agent_id.encode("utf-8")).digest()
-    agent_key = int.from_bytes(digest[:8], "big")
-    # Imported here so that loading stores and assessing never pay for numpy.
-    import numpy as np
-
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, agent_key))))
+    return Stream((seed, int.from_bytes(digest[:8], "big")))
 
 
-def simulate_interaction(
-    provider: ProviderModel, phase: int, rng: np.random.Generator
-) -> Outcome:
+def simulate_interaction(provider: ProviderModel, phase: int, rng: Stream) -> Outcome:
     """Draw one outcome from the provider's generative model."""
     if phase not in (1, 2):
         raise ValueError("phase must be 1 or 2")
     params = provider.phases[phase - 1]
-    days = max(1, round(float(rng.normal(params.days_mu, params.days_sigma))))
-    parcel = PARCEL_ORDER[int(rng.choice(4, p=params.parcel_probs))]
-    service = SERVICE_ORDER[int(rng.choice(4, p=params.service_probs))]
+    days = max(1, round(rng.normal(params.days_mu, params.days_sigma)))
+    parcel = PARCEL_ORDER[rng.choice(params.parcel_probs)]
+    service = SERVICE_ORDER[rng.choice(params.service_probs)]
     return Outcome(
         days=days,
         max_days=params.max_days,
@@ -294,10 +290,12 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> SimulationWo
     Each round every agent picks a provider, draws an outcome, rates it on
     every preferred term and records the ratings with the round index as
     timestamp. Whenever a witness already holds experience with the chosen
-    provider, the witness's current opinion is stored alongside the round's
-    outcome as an observation record for later accuracy estimation. After
-    the last round each agent receives copies of its witnesses' own
-    interaction ratings, re-tagged as witness evidence.
+    provider, the witness's opinion at the start of the round is stored
+    alongside the round's outcome as an observation record for later
+    accuracy estimation. The round's ratings are stored after every agent
+    has drawn and observed. After the last round each agent receives
+    copies of its witnesses' own interaction ratings, re-tagged as witness
+    evidence.
     """
     seed = scenario.seed if seed is None else seed
     terms = scenario.preferences.terms
@@ -313,13 +311,14 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> SimulationWo
 
     for rnd in range(scenario.rounds):
         phase = 1 if rnd < scenario.phase_switch_round else 2
+        interactions = []
         for agent in scenario.agents:
             rng = rngs[agent.id]
             if scenario.provider_selection == "round_robin":
                 offset = _provider_offset(agent.id, len(provider_ids))
                 chosen = provider_ids[(rnd + offset) % len(provider_ids)]
             else:
-                chosen = provider_ids[int(rng.integers(0, len(provider_ids)))]
+                chosen = provider_ids[rng.integers(0, len(provider_ids))]
             outcome = simulate_interaction(providers[chosen], phase, rng)
             interaction_id = f"{agent.id}-{chosen}-r{rnd}"
             ratings = rate_outcome(
@@ -333,14 +332,9 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> SimulationWo
                 for term, value in ratings.items():
                     if value is None:
                         continue
-                    # During the rounds only the witness writes its store.
-                    past = [
-                        r
-                        for r in stores[witness].query(
-                            chosen, term, ReputationType.INTERACTION
-                        )
-                        if r.timestamp < rnd
-                    ]
+                    # During the rounds only the witness writes its store,
+                    # and not yet in this round.
+                    past = stores[witness].query(chosen, term, ReputationType.INTERACTION)
                     if not past:
                         continue
                     opinion = binarized_beta(past)
@@ -355,13 +349,17 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> SimulationWo
                             outcome_rating=value,
                         )
                     )
+            interactions.append((agent.id, chosen, interaction_id, ratings))
+            if ratings.get(TIMELINESS) is not None:
+                last_timeliness[(agent.id, chosen)] = ratings[TIMELINESS]
 
+        for agent_id, chosen, interaction_id, ratings in interactions:
             for term, value in ratings.items():
                 if value is None:
                     continue
-                stores[agent.id].insert(
+                stores[agent_id].insert(
                     Rating(
-                        source=agent.id,
+                        source=agent_id,
                         target=chosen,
                         term=term,
                         rep_type=ReputationType.INTERACTION,
@@ -371,8 +369,6 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> SimulationWo
                         interaction_id=interaction_id,
                     )
                 )
-            if ratings.get(TIMELINESS) is not None:
-                last_timeliness[(agent.id, chosen)] = ratings[TIMELINESS]
 
     # Every store still holds only its owner's interaction ratings.
     own = {a.id: stores[a.id].all_records() for a in scenario.agents}

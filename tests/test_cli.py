@@ -285,6 +285,22 @@ class TestDocumentBoundary:
         ) == 2
         assert f"invalid at {section}/alice/{index}/{field}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["stores", "scenario"])
+    def test_role_rule_on_undeclared_term_exits_two(self, stores_path, tmp_path, capsys, kind):
+        # No engine reads a rule on a term the preferences do not declare.
+        rule = {"role_a": "buyer", "role_b": "courier", "likelihood": 0.5, "value": 0.5}
+        path = stores_path if kind == "stores" else tmp_path / "scenario.json"
+        doc = json.loads((stores_path if kind == "stores" else SCENARIO_PATH).read_text())
+        doc["role_rules"] = [dict(rule, term="quality"), dict(rule, term="colour")]
+        path.write_text(json.dumps(doc))
+        argv = (
+            ["assess", str(path), "--model", "fire", "--assessor", "alice"]
+            if kind == "stores"
+            else ["simulate", str(path), str(tmp_path / "out.json")]
+        )
+        assert main(argv) == 2
+        assert f"{kind} document invalid at role_rules/1/term:" in capsys.readouterr().err
+
     @pytest.mark.parametrize("section", ["terms", "component_weights"])
     @pytest.mark.parametrize("weight", [0, 1.7e308], ids=["all-zero", "overflowing-sum"])
     def test_weight_section_names_its_field(
@@ -348,7 +364,7 @@ class TestDocumentBoundary:
 
 
 def test_commands_load_no_test_only_dependency(stores_path, tmp_path):
-    # jsonschema and scipy are test-only; numpy is imported by simulate alone.
+    # jsonschema, scipy and numpy are test-only.
     script = (
         "import sys\n"
         "def loaded(*names):\n"
@@ -366,7 +382,7 @@ def test_commands_load_no_test_only_dependency(stores_path, tmp_path):
         "    assert code == 0, (argv, code)\n"
         "    assert loaded(*HEAVY) == [], loaded(*HEAVY)\n"
         "assert reptrace.cli.main(['simulate', scenario, out]) == 0\n"
-        "assert loaded('jsonschema', 'scipy') == [], loaded('jsonschema', 'scipy')\n"
+        "assert loaded('jsonschema', 'scipy', 'numpy') == [], loaded('jsonschema', 'scipy', 'numpy')\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", script, str(stores_path), str(SCENARIO_PATH),

@@ -1,5 +1,6 @@
 """The benchmark harness runs, as a subprocess: its smallest ladder rung,
-and one pass of the wide-terms workload with its output digests pinned."""
+and one pass of the wide-terms workload with its output digests pinned.
+Its name tables cover every per-layer metric that BENCHMARK.json names."""
 
 import json
 import subprocess
@@ -47,3 +48,18 @@ def test_wide_terms_digest(seed):
     assert summary["correct"] is True
     assert summary["failed"] == 0
     assert detail["detail"]["digest"] == WIDE_TERMS_DIGESTS[seed]
+
+
+def test_every_declared_layer_metric_is_emitted(monkeypatch):
+    # The static part of ``run.py --self-check``: read the harness's name
+    # tables, run no workload.
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+    import run
+    import workloads
+
+    emitted = set(run.layer_metrics({"spans": {}, "counters": {}}, 1, 1))
+    emitted |= {"cli.interpreter_ms", "pipeline.stores_bytes_per_rating", "trace.overhead_pct"}
+    emitted |= {f"cli.{key}" for key in workloads.import_times("")}
+    spec = json.loads((REPO / "BENCHMARK.json").read_text())
+    declared = [metric["name"] for metric in spec["per_layer"]]
+    assert sorted(set(declared) - emitted) == []

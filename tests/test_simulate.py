@@ -1,10 +1,14 @@
 """Outcome generation, rating profiles and full scenario runs."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from reptrace.core import Preferences, ReputationType
 from reptrace.errors import ConfigError
 from reptrace.fire import FireConfig
+from reptrace.scenario import scenario_from_document
 from reptrace.simulate import (
     AgentSpec,
     CustomerService,
@@ -19,6 +23,8 @@ from reptrace.simulate import (
     run_scenario,
     simulate_interaction,
 )
+
+SCENARIO_PATH = Path(__file__).resolve().parent.parent / "demos" / "delivery_scenario.json"
 
 I = ReputationType.INTERACTION
 W = ReputationType.WITNESS
@@ -265,6 +271,21 @@ class TestRunScenario:
         ]
         assert values(run_scenario(base)) == values(run_scenario(extended))
 
+    @pytest.mark.parametrize("cap", [3, 7])
+    def test_capped_records_independent_of_roster_order(self, cap):
+        # A witness listed early must not evict, within a round, history
+        # that a later agent's observation of it still reads.
+        doc = json.loads(SCENARIO_PATH.read_text())
+        doc["fire"]["history_cap"] = cap
+        reversed_doc = dict(doc, agents=doc["agents"][::-1])
+        worlds = [run_scenario(scenario_from_document(d)) for d in (doc, reversed_doc)]
+        for stores in ("rating_stores", "observation_stores"):
+            forward, backward = (
+                {agent: set(store.all_records()) for agent, store in getattr(w, stores).items()}
+                for w in worlds
+            )
+            assert forward == backward, stores
+
     def test_invalid_scenarios_rejected(self):
         with pytest.raises(ConfigError):
             scenario(rounds=0)
@@ -274,3 +295,8 @@ class TestRunScenario:
             scenario(terms={"sustainability": 1.0})
         with pytest.raises(ConfigError):
             scenario(provider_selection="fastest")
+
+    @pytest.mark.parametrize("sigma", [-1.0, -0.0])
+    def test_negative_days_sigma_rejected(self, sigma):
+        with pytest.raises(ConfigError, match="days_sigma"):
+            phase(days_sigma=sigma)
