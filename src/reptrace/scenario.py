@@ -223,4 +223,6 @@ def load_scenario(path: Union[str, Path]) -> Scenario:
             seed_override = int(env_seed)
         except ValueError as exc:
             raise ConfigError(f"{SEED_ENV_VAR} must be an integer") from exc
+        if seed_override < 0:
+            raise ConfigError(f"{SEED_ENV_VAR} must be a non-negative integer")
     return scenario_from_document(doc, seed_override=seed_override)

@@ -20,6 +20,7 @@ independent of the order in which agents are listed.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -30,7 +31,7 @@ from .errors import ConfigError
 from .fire import FireConfig
 from .prng import Stream
 from .store import ObservationRecord, ObservationStore, RatingStore, RoleRule
-from .travos import TravosConfig, binarized_beta
+from .travos import TravosConfig, binarize_value
 
 TIMELINESS = "timeliness"
 QUALITY = "quality"
@@ -292,10 +293,14 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> SimulationWo
     timestamp. Whenever a witness already holds experience with the chosen
     provider, the witness's opinion at the start of the round is stored
     alongside the round's outcome as an observation record for later
-    accuracy estimation. The round's ratings are stored after every agent
-    has drawn and observed. After the last round each agent receives
+    accuracy estimation. An opinion is the mean of the binarized beta over
+    the witness's stored ratings of that provider on that term; it is read
+    from a running (ratings, successes) count that each insert raises and
+    each cap eviction lowers. The round's ratings are stored after every
+    agent has drawn and observed. After the last round each agent receives
     copies of its witnesses' own interaction ratings, re-tagged as witness
-    evidence.
+    evidence; each witness's copies are built once and shared by every
+    store that lists it.
     """
     seed = scenario.seed if seed is None else seed
     terms = scenario.preferences.terms
@@ -308,6 +313,15 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> SimulationWo
     }
     observations = {a.id: ObservationStore() for a in scenario.agents}
     last_timeliness: dict[tuple[AgentId, AgentId], float] = {}
+    # [ratings, successes] per (source, provider, term) in the source's
+    # own store: the counts behind ``binarized_beta`` of that bucket.
+    counts: dict[tuple[AgentId, AgentId, Term], list[int]] = {}
+
+    def tally(rating: Rating, delta: int) -> None:
+        count = counts.setdefault((rating.source, rating.target, rating.term), [0, 0])
+        count[0] += delta
+        if binarize_value(rating.value) == 1.0:
+            count[1] += delta
 
     for rnd in range(scenario.rounds):
         phase = 1 if rnd < scenario.phase_switch_round else 2
@@ -332,12 +346,11 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> SimulationWo
                 for term, value in ratings.items():
                     if value is None:
                         continue
-                    # During the rounds only the witness writes its store,
-                    # and not yet in this round.
-                    past = stores[witness].query(chosen, term, ReputationType.INTERACTION)
-                    if not past:
+                    # No rating of this round is stored yet.
+                    n, pos = counts.get((witness, chosen, term), (0, 0))
+                    if not n:
                         continue
-                    opinion = binarized_beta(past)
+                    alpha, beta = 1.0 + pos, 1.0 + (n - pos)
                     observations[agent.id].insert(
                         ObservationRecord(
                             assessor=agent.id,
@@ -345,7 +358,7 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> SimulationWo
                             target=chosen,
                             term=term,
                             interaction_id=interaction_id,
-                            opinion_value=opinion.mean,
+                            opinion_value=alpha / (alpha + beta),
                             outcome_rating=value,
                         )
                     )
@@ -357,36 +370,43 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> SimulationWo
             for term, value in ratings.items():
                 if value is None:
                     continue
-                stores[agent_id].insert(
-                    Rating(
-                        source=agent_id,
-                        target=chosen,
-                        term=term,
-                        rep_type=ReputationType.INTERACTION,
-                        value=value,
-                        raw_value=value,
-                        timestamp=rnd,
-                        interaction_id=interaction_id,
-                    )
+                rating = Rating(
+                    source=agent_id,
+                    target=chosen,
+                    term=term,
+                    rep_type=ReputationType.INTERACTION,
+                    value=value,
+                    raw_value=value,
+                    timestamp=rnd,
+                    interaction_id=interaction_id,
                 )
+                tally(rating, 1)
+                for old in stores[agent_id].insert(rating):
+                    tally(old, -1)
 
     # Every store still holds only its owner's interaction ratings.
-    own = {a.id: stores[a.id].all_records() for a in scenario.agents}
+    copies = {
+        a.id: [
+            Rating(
+                source=r.source,
+                target=r.target,
+                term=r.term,
+                rep_type=ReputationType.WITNESS,
+                value=r.value,
+                raw_value=r.raw_value,
+                timestamp=r.timestamp,
+                interaction_id=r.interaction_id,
+            )
+            for r in stores[a.id].all_records()
+        ]
+        for a in scenario.agents
+    }
     for agent in scenario.agents:
-        for witness in scenario.witnesses.get(agent.id, ()):
-            for r in own[witness]:
-                stores[agent.id].insert(
-                    Rating(
-                        source=r.source,
-                        target=r.target,
-                        term=r.term,
-                        rep_type=ReputationType.WITNESS,
-                        value=r.value,
-                        raw_value=r.raw_value,
-                        timestamp=r.timestamp,
-                        interaction_id=r.interaction_id,
-                    )
-                )
+        stores[agent.id].extend(
+            itertools.chain.from_iterable(
+                copies[witness] for witness in scenario.witnesses.get(agent.id, ())
+            )
+        )
 
     return SimulationWorld(
         scenario=scenario,

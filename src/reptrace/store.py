@@ -5,7 +5,8 @@ bounded per-source history, a role-rule list, and an observation store
 pairing past witness opinions with the outcomes that followed them.
 
 Mutations are expected to come from a single writer; query results are
-fresh lists that callers may keep across later mutations.
+fresh lists that callers may keep across later mutations. Rating records
+are immutable, so one record may sit in several stores at once.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 from .core import AgentId, Rating, ReputationType, Term
 from .errors import BadBinError
@@ -55,6 +56,11 @@ class RatingStore:
     the kept records depend on the store's content only, never on the
     order of insertion. Each source has its own budget, so witness copies
     never crowd out self-authored history.
+
+    ``insert`` adds one record in O(log n) comparisons plus a list shift;
+    ``extend`` adds many and sorts each touched bucket and source history
+    once. Both leave the same store and return the records the cap
+    evicted, so a caller can keep running counts over the store.
     """
 
     history_cap: Optional[int] = None
@@ -72,8 +78,8 @@ class RatingStore:
     def __len__(self) -> int:
         return self._size
 
-    def insert(self, rating: Rating) -> None:
-        """Add a rating, evicting the source's oldest record over the cap."""
+    def insert(self, rating: Rating) -> list[Rating]:
+        """Add a rating; return the records the cap evicted (at most one)."""
         bucket = self._buckets.setdefault(
             (rating.target, rating.term, rating.rep_type), []
         )
@@ -81,11 +87,51 @@ class RatingStore:
         bisect.insort(bucket, rating, key=_bucket_key)
         self._size += 1
         if self.history_cap is None:
-            return
+            return []
         history = self._by_source.setdefault(rating.source, [])
         bisect.insort(history, rating, key=_content_key)
-        if len(history) > self.history_cap:
-            self._evict(history.pop(0))
+        return self._trim(history)
+
+    def extend(self, ratings: Iterable[Rating]) -> list[Rating]:
+        """Add ratings in bulk; return the records the cap evicted.
+
+        The store ends up exactly as if each rating had been inserted in
+        turn, and the evicted records are the ones those inserts evict.
+        Each touched bucket and source history is sorted once, stably, so
+        appended records follow equal keys already present.
+        """
+        ratings = list(ratings)
+        buckets = set()
+        for rating in ratings:
+            key = (rating.target, rating.term, rating.rep_type)
+            self._buckets.setdefault(key, []).append(rating)
+            buckets.add(key)
+        for key in buckets:
+            self._buckets[key].sort(key=_bucket_key)
+        self._size += len(ratings)
+        if self.history_cap is None:
+            return []
+        for rating in ratings:
+            self._by_source.setdefault(rating.source, []).append(rating)
+        evicted = []
+        for source in dict.fromkeys(rating.source for rating in ratings):
+            history = self._by_source[source]
+            history.sort(key=_content_key)
+            evicted += self._trim(history)
+        return evicted
+
+    def _trim(self, history: list[Rating]) -> list[Rating]:
+        # Keeping a source's H largest records is the same whether they
+        # arrived one at a time or together: the smallest go, and among
+        # equal keys the earliest inserted goes first.
+        over = len(history) - self.history_cap
+        if over <= 0:
+            return []
+        evicted = history[:over]
+        del history[:over]
+        for rating in evicted:
+            self._evict(rating)
+        return evicted
 
     def _evict(self, rating: Rating) -> None:
         key = (rating.target, rating.term, rating.rep_type)

@@ -64,6 +64,12 @@ class TestSimulate:
         assert a.read_bytes() != b.read_bytes()
         assert json.loads(b.read_text())["seed"] == 12345
 
+    def test_negative_seed_env_names_the_variable(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("REPTRACE_SEED", "-1")
+        assert main(["simulate", str(SCENARIO_PATH), str(tmp_path / "out.json")]) == 2
+        assert "REPTRACE_SEED must be a non-negative integer" in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()
+
 
 class TestAssess:
     def test_emits_valid_ranking(self, stores_path, capsys):

@@ -1,13 +1,17 @@
 """Outcome generation, rating profiles and full scenario runs."""
 
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import content_key
 from reptrace.core import Preferences, ReputationType
 from reptrace.errors import ConfigError
 from reptrace.fire import FireConfig
+from reptrace.pipeline import dump_document, world_from_simulation, world_to_document
 from reptrace.scenario import scenario_from_document
 from reptrace.simulate import (
     AgentSpec,
@@ -23,6 +27,7 @@ from reptrace.simulate import (
     run_scenario,
     simulate_interaction,
 )
+from reptrace.travos import binarized_beta
 
 SCENARIO_PATH = Path(__file__).resolve().parent.parent / "demos" / "delivery_scenario.json"
 
@@ -243,8 +248,6 @@ class TestRunScenario:
         assert targets[:3] == targets[3:]
 
     def test_determinism_across_runs(self):
-        from reptrace.pipeline import dump_document, world_from_simulation, world_to_document
-
         sc = scenario(
             agents=("alice", "bob"),
             witnesses={"alice": ("bob",), "bob": ("alice",)},
@@ -300,3 +303,125 @@ class TestRunScenario:
     def test_negative_days_sigma_rejected(self, sigma):
         with pytest.raises(ConfigError, match="days_sigma"):
             phase(days_sigma=sigma)
+
+
+def demo_document(cap=None, selection="uniform"):
+    doc = json.loads(SCENARIO_PATH.read_text())
+    doc["fire"]["history_cap"] = cap
+    doc["provider_selection"] = selection
+    return doc
+
+
+def own_ratings(world, agent):
+    return [
+        r
+        for r in world.rating_stores[agent].all_records()
+        if r.source == agent and r.rep_type is I
+    ]
+
+
+class TestOpinionOracle:
+    @pytest.mark.parametrize("selection", ["uniform", "round_robin"])
+    @pytest.mark.parametrize("cap", [None, 1, 3, 7])
+    def test_opinions_are_the_witness_beta_before_the_round(self, cap, selection):
+        # Draws do not depend on the cap, so an uncapped run holds every
+        # rating a capped run ever stored.
+        full = run_scenario(scenario_from_document(demo_document(None, selection)))
+        world = run_scenario(scenario_from_document(demo_document(cap, selection)))
+        sc = world.scenario
+        expected = {}
+        for agent in sc.agents:
+            for rating in own_ratings(full, agent.id):
+                for witness in sc.witnesses.get(agent.id, ()):
+                    held = [r for r in own_ratings(full, witness) if r.timestamp < rating.timestamp]
+                    if cap is not None:
+                        held = sorted(held, key=content_key)[-cap:]
+                    past = [r for r in held if (r.target, r.term) == (rating.target, rating.term)]
+                    if past:
+                        key = (agent.id, witness, rating.interaction_id, rating.term)
+                        expected[key] = (binarized_beta(past).mean, rating.value)
+        got = {
+            (rec.assessor, rec.witness, rec.interaction_id, rec.term): (
+                rec.opinion_value,
+                rec.outcome_rating,
+            )
+            for store in world.observation_stores.values()
+            for rec in store.all_records()
+        }
+        assert expected
+        assert sum(len(store) for store in world.observation_stores.values()) == len(got)
+        assert got == expected
+
+
+# sha256 of the 10x5x40 stores documents (seed 1, complete witness
+# topology, the demo's provider models cycled), pinned before the
+# simulator kept running witness counts and shared witness copies.
+@pytest.mark.parametrize(
+    "cap, digest",
+    [
+        (None, "9e66eb46f9c979740802d1a039e901c0621e01c7775c491508fac119ca8cdfd9"),
+        (4, "8a35483012f5c0752ba4a2dcc17e476f0d77f9fe8aea15e2cd13f69cc16f4c13"),
+    ],
+    ids=["uncapped", "cap4"],
+)
+def test_10x5x40_stores_document_is_pinned(cap, digest):
+    doc = demo_document(cap)
+    models = doc["providers"]
+    doc["seed"] = 1
+    doc["rounds"] = 40
+    doc["agents"] = [{"id": f"agent{i:02d}"} for i in range(10)]
+    doc["providers"] = [
+        dict(models[i % len(models)], id=f"{models[i % len(models)]['id']}{i:02d}")
+        for i in range(5)
+    ]
+    doc["witnesses"] = "complete"
+    world = world_from_simulation(run_scenario(scenario_from_document(doc)))
+    text = dump_document(world_to_document(world))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+ROSTER = ("alice", "bob", "carol", "dave")
+
+
+@st.composite
+def roster_extensions(draw):
+    """A small scenario, plus the same one with an agent no one consults."""
+    n = draw(st.integers(1, 3))
+    agents = list(ROSTER[:n])
+    newcomer = ROSTER[n]
+    witnesses = {}
+    if n > 1:
+        for agent in agents:
+            peers = st.sampled_from([a for a in agents if a != agent])
+            witnesses[agent] = tuple(draw(st.lists(peers, unique=True)))
+    extended_witnesses = dict(
+        witnesses,
+        **{newcomer: tuple(draw(st.lists(st.sampled_from(agents), unique=True)))},
+    )
+    position = draw(st.integers(0, n))
+    extended_agents = agents[:position] + [newcomer] + agents[position:]
+    kwargs = dict(
+        providers=(provider("P1"), provider("P2"), provider("P3")),
+        rounds=draw(st.integers(1, 10)),
+        seed=draw(st.integers(0, 2**32)),
+        terms={"timeliness": 0.4, "quality": 0.3, "reliability": 0.3},
+        provider_selection=draw(st.sampled_from(["uniform", "round_robin"])),
+        fire=FireConfig(history_cap=draw(st.none() | st.integers(1, 7))),
+    )
+    return (
+        scenario(agents=agents, witnesses=witnesses, **kwargs),
+        scenario(agents=extended_agents, witnesses=extended_witnesses, **kwargs),
+    )
+
+
+class TestRosterExtension:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(roster_extensions())
+    def test_agent_no_one_consults_changes_no_other_agent(self, pair):
+        base, extended = (run_scenario(sc) for sc in pair)
+        for agent, store in base.rating_stores.items():
+            assert store.all_records() == extended.rating_stores[agent].all_records(), agent
+            assert (
+                base.observation_stores[agent].all_records()
+                == extended.observation_stores[agent].all_records()
+            ), agent

@@ -1,6 +1,7 @@
 """Store behaviour: eviction, bucket queries, binning."""
 
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -212,7 +213,22 @@ def same_records(got, expected):
     return [id(rec) for rec in got] == [id(rec) for rec in expected]
 
 
+def dropped(oracle, chunk):
+    """Feed ``chunk`` to the oracle; return the ids of the records it dropped."""
+    ids = Counter(map(id, oracle.records)) + Counter(map(id, chunk))
+    for rec in chunk:
+        oracle.insert(rec)
+    ids.subtract(map(id, oracle.records))
+    return +ids
+
+
 class TestRatingStoreAgainstOracle:
+    def assert_same(self, store, oracle):
+        assert len(store) == len(oracle)
+        for bucket in BUCKETS:
+            assert same_records(store.query(*bucket), oracle.query(*bucket)), bucket
+        assert same_records(store.all_records(), oracle.all_records())
+
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(
         st.lists(ratings, max_size=25),
@@ -222,12 +238,29 @@ class TestRatingStoreAgainstOracle:
         store = RatingStore(history_cap=cap)
         oracle = RatingStoreOracle(history_cap=cap)
         for rec in inserts:
-            store.insert(rec)
-            oracle.insert(rec)
-            assert len(store) == len(oracle)
-            for bucket in BUCKETS:
-                assert same_records(store.query(*bucket), oracle.query(*bucket)), bucket
-            assert same_records(store.all_records(), oracle.all_records())
+            evicted = store.insert(rec)
+            assert Counter(map(id, evicted)) == dropped(oracle, [rec])
+            self.assert_same(store, oracle)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        st.lists(ratings, max_size=25),
+        st.none() | st.integers(1, 4),
+        st.data(),
+    )
+    def test_extend_matches_inserts_one_at_a_time(self, inserts, cap, data):
+        store = RatingStore(history_cap=cap)
+        oracle = RatingStoreOracle(history_cap=cap)
+        rest = inserts
+        while rest:
+            size = data.draw(st.integers(1, len(rest)), label="chunk size")
+            chunk, rest = rest[:size], rest[size:]
+            # Any iterable will do, not only a list.
+            evicted = store.extend(iter(chunk))
+            assert Counter(map(id, evicted)) == dropped(oracle, chunk)
+            self.assert_same(store, oracle)
+        assert store.extend([]) == []
+        self.assert_same(store, oracle)
 
 
 observations = st.builds(
