@@ -5,13 +5,14 @@ certified ratings are weighted by an exponential recency factor; role-based
 pseudo-ratings derived from rules are weighted by the rule's likelihood.
 Component trusts combine into term trust through their importance weights.
 
-Each assessment is built twice: once with the recency weights and once with
-every rating weighted equally. The uniform baseline exists solely so the
-explanation layer can detect rankings that recency alone flipped.
+On request an assessment is built a second time with every rating weighted
+equally. That uniform baseline exists solely so the explanation layer can
+detect rankings that recency alone flipped; rankings never build it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
@@ -64,6 +65,27 @@ def recency_weight(delta_tau: float, lambda_: float) -> float:
     if lambda_ <= 0:
         raise ValueError("lambda must be positive")
     return math.exp(-delta_tau / lambda_)
+
+
+class _RecencyTable(dict):
+    """``recency_weight(age, lambda_)`` by age, computed on first lookup.
+
+    A negative age raises ``ValueError`` from ``recency_weight`` and is
+    never stored.
+    """
+
+    def __init__(self, lambda_: float):
+        super().__init__()
+        self.lambda_ = lambda_
+
+    def __missing__(self, age):
+        weight = self[age] = recency_weight(age, self.lambda_)
+        return weight
+
+
+@functools.lru_cache(maxsize=16)
+def _recency_table(lambda_: float) -> _RecencyTable:
+    return _RecencyTable(lambda_)
 
 
 @dataclass(frozen=True)
@@ -124,10 +146,8 @@ def component_trust(
     if rep_type is ReputationType.ROLE_BASED:
         pairs = [(p.value, p.weight) for p in role_evidence]
     elif recency:
-        pairs = [
-            (r.value, recency_weight(now - r.timestamp, config.lambda_))
-            for r in ratings
-        ]
+        weights = _recency_table(config.lambda_)
+        pairs = [(r.value, weights[now - r.timestamp]) for r in ratings]
     else:
         pairs = [(r.value, 1.0) for r in ratings]
     value = _weighted_mean(pairs)
@@ -140,10 +160,15 @@ def component_trust(
 
 @dataclass(frozen=True)
 class FireAssessment:
-    """Recency-weighted assessment plus its uniform-weight baseline."""
+    """Recency-weighted assessment plus, on request, its uniform baseline.
+
+    ``uniform`` weighs every rating equally. It is None unless
+    ``assess_provider`` was called with ``baseline`` on, which only
+    explanation contexts do.
+    """
 
     assessment: Assessment
-    uniform: Assessment
+    uniform: Optional[Assessment]
 
 
 def _collect(
@@ -197,8 +222,10 @@ def assess_provider(
     now: int,
     role_rules: Sequence[RoleRule] = (),
     agent_roles: Optional[Mapping[AgentId, Sequence[str]]] = None,
+    baseline: bool = True,
 ) -> FireAssessment:
-    """Assess one provider on every preferred term, with uniform baseline."""
+    """Assess one provider on every preferred term; with ``baseline`` on,
+    also build the uniform-weight baseline."""
     agent_roles = agent_roles or {}
     weighted: dict[Term, list[ComponentTrust]] = {}
     uniform: dict[Term, list[ComponentTrust]] = {}
@@ -211,11 +238,14 @@ def assess_provider(
             component_trust(evidence[k][0], k, config, now, evidence[k][1])
             for k in active_types
         ]
-        uniform[term] = [
-            component_trust(evidence[k][0], k, config, now, evidence[k][1], recency=False)
-            for k in active_types
-        ]
+        if baseline:
+            uniform[term] = [
+                component_trust(evidence[k][0], k, config, now, evidence[k][1], recency=False)
+                for k in active_types
+            ]
     return FireAssessment(
         assessment=build_assessment(assessor, target, weighted, preferences),
-        uniform=build_assessment(assessor, target, uniform, preferences),
+        uniform=(
+            build_assessment(assessor, target, uniform, preferences) if baseline else None
+        ),
     )

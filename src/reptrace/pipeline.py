@@ -41,7 +41,6 @@ from .scenario import config_from_document, validate_document
 from .simulate import AgentSpec, SimulationWorld
 from .store import ObservationRecord, ObservationStore, RatingStore, RoleRule
 from .travos import (
-    TravosAssessment,
     TravosConfig,
     TravosTermDiagnostics,
     assess_provider as assess_travos,
@@ -294,43 +293,56 @@ def dump_document(doc: dict) -> str:
 
 @dataclass(frozen=True)
 class ProviderResult:
-    """One provider's assessment plus per-model diagnostics."""
+    """One provider's assessment plus, under TRAVOS, per-term diagnostics."""
 
     assessment: Assessment
-    uniform: Optional[Assessment] = None
     travos_diagnostics: Optional[Mapping[Term, TravosTermDiagnostics]] = None
+
+
+def _assess(
+    world: World, model: Model, assessor: AgentId, provider: AgentId, baseline: bool
+):
+    # Calls go through the module-level names ``assess_fire`` and
+    # ``assess_travos``, which is where the benchmark's tracer wraps them.
+    store = world.rating_stores[assessor]
+    if model is Model.FIRE:
+        return assess_fire(
+            store,
+            assessor,
+            provider,
+            world.preferences,
+            world.fire,
+            now=world.now,
+            role_rules=world.role_rules,
+            agent_roles=world.agent_roles(),
+            baseline=baseline,
+        )
+    return assess_travos(
+        store,
+        world.observation_stores[assessor],
+        assessor,
+        provider,
+        world.preferences,
+        world.travos,
+    )
 
 
 def assess_all(
     world: World, model: Model, assessor: AgentId
 ) -> dict[AgentId, ProviderResult]:
-    """Assess every provider in the world under one model."""
+    """Assess every provider in the world under one model.
+
+    FIRE's uniform baseline is not built: only explanation contexts read
+    it, and ``build_context`` builds it for the two providers it compares.
+    """
     world.require_agent(assessor)
-    store = world.rating_stores[assessor]
-    obs = world.observation_stores[assessor]
     results: dict[AgentId, ProviderResult] = {}
     for provider in world.providers:
-        if model is Model.FIRE:
-            fa = assess_fire(
-                store,
-                assessor,
-                provider.id,
-                world.preferences,
-                world.fire,
-                now=world.now,
-                role_rules=world.role_rules,
-                agent_roles=world.agent_roles(),
-            )
-            results[provider.id] = ProviderResult(
-                assessment=fa.assessment, uniform=fa.uniform
-            )
-        else:
-            ta: TravosAssessment = assess_travos(
-                store, obs, assessor, provider.id, world.preferences, world.travos
-            )
-            results[provider.id] = ProviderResult(
-                assessment=ta.assessment, travos_diagnostics=ta.diagnostics()
-            )
+        found = _assess(world, model, assessor, provider.id, baseline=False)
+        results[provider.id] = ProviderResult(
+            assessment=found.assessment,
+            travos_diagnostics=None if model is Model.FIRE else found.diagnostics(),
+        )
     return results
 
 
@@ -350,11 +362,19 @@ def rank(world: World, model: Model, assessor: AgentId) -> list[ProviderResult]:
 def build_context(
     world: World, model: Model, assessor: AgentId, preferred: AgentId, other: AgentId
 ) -> ComparisonContext:
-    """Assemble the comparison context for one provider pair."""
+    """Assemble the comparison context for one provider pair.
+
+    Only ``preferred`` and ``other`` are assessed. Under FIRE both come
+    with their uniform baselines; under TRAVOS, with their per-term
+    diagnostics.
+    """
     world.require_provider(preferred)
     world.require_provider(other)
-    results = assess_all(world, model, assessor)
-    pref, oth = results[preferred], results[other]
+    world.require_agent(assessor)
+    pref, oth = (
+        _assess(world, model, assessor, provider, baseline=True)
+        for provider in (preferred, other)
+    )
     fire_diag = None
     travos_diag = None
     if model is Model.FIRE:
@@ -364,8 +384,8 @@ def build_context(
     else:
         travos_diag = TravosDiagnostics(
             threshold=world.travos.confidence_threshold,
-            preferred=pref.travos_diagnostics,
-            other=oth.travos_diagnostics,
+            preferred=pref.diagnostics(),
+            other=oth.diagnostics(),
         )
     return ComparisonContext(
         assessor=assessor,

@@ -45,9 +45,10 @@ def _bucket_key(rating: Rating):
 class RatingStore:
     """Ordered multiset of ratings with an optional per-source history cap.
 
-    Records live in buckets keyed by (target, term, rep_type), each kept
-    in ``_content_key`` order with equal keys in insertion order. A query
-    returns one bucket; callers filter it by source themselves.
+    Records live in buckets keyed by (target, term, rep_type's value),
+    each kept in ``_content_key`` order with equal keys in insertion
+    order. A query returns one bucket; callers filter it by source
+    themselves.
 
     With ``history_cap`` set to H, each source agent keeps only its H
     ratings with the largest ``_content_key``: its most recent ones by
@@ -64,7 +65,11 @@ class RatingStore:
     """
 
     history_cap: Optional[int] = None
-    _buckets: dict[tuple[AgentId, Term, ReputationType], list[Rating]] = field(
+    # Keyed by the type's string value, whose hash is computed once in C
+    # and cached; ``Enum.__hash__`` is a Python-level call. The value is
+    # read as ``_value_``, Enum's documented attribute for it, because
+    # ``.value`` is a Python-level property too.
+    _buckets: dict[tuple[AgentId, Term, str], list[Rating]] = field(
         default_factory=dict
     )
     # Per source, in ``_content_key`` order; kept only under a cap.
@@ -81,7 +86,7 @@ class RatingStore:
     def insert(self, rating: Rating) -> list[Rating]:
         """Add a rating; return the records the cap evicted (at most one)."""
         bucket = self._buckets.setdefault(
-            (rating.target, rating.term, rating.rep_type), []
+            (rating.target, rating.term, rating.rep_type._value_), []
         )
         # insort is insort_right: equal keys stay in insertion order.
         bisect.insort(bucket, rating, key=_bucket_key)
@@ -103,7 +108,7 @@ class RatingStore:
         ratings = list(ratings)
         buckets = set()
         for rating in ratings:
-            key = (rating.target, rating.term, rating.rep_type)
+            key = (rating.target, rating.term, rating.rep_type._value_)
             self._buckets.setdefault(key, []).append(rating)
             buckets.add(key)
         for key in buckets:
@@ -134,7 +139,7 @@ class RatingStore:
         return evicted
 
     def _evict(self, rating: Rating) -> None:
-        key = (rating.target, rating.term, rating.rep_type)
+        key = (rating.target, rating.term, rating.rep_type._value_)
         bucket = self._buckets[key]
         # Records with an equal bucket key are identical to the evicted
         # one in every field an engine reads, so removing any one of them
@@ -146,7 +151,7 @@ class RatingStore:
 
     def query(self, target: AgentId, term: Term, rep_type: ReputationType) -> list[Rating]:
         """The records about ``target`` on ``term`` of one reputation type."""
-        return list(self._buckets.get((target, term, rep_type), ()))
+        return list(self._buckets.get((target, term, rep_type._value_), ()))
 
     def all_records(self) -> list[Rating]:
         """Every record in ``_content_key`` order, equal keys in insertion order."""

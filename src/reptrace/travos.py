@@ -15,6 +15,7 @@ exactly to the pooled expected value.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import sys
@@ -150,8 +151,15 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
     return math.nan
 
 
+@functools.lru_cache(maxsize=2048)
 def regularized_incomplete_beta(x: float, alpha: float, beta: float) -> float:
-    """Cumulative mass of Beta(alpha, beta) below x, clipping x into [0, 1]."""
+    """Cumulative mass of Beta(alpha, beta) below x, clipping x into [0, 1].
+
+    Memoized: binarized counts make the arguments a few hundred distinct
+    values per world. The function is pure and logs nothing, so a cache
+    hit skips no side effect, and a failure is raised again on every call
+    because exceptions are never cached.
+    """
     x = min(1.0, max(0.0, x))
     if x == 0.0 or x == 1.0:
         result = x

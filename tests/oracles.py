@@ -4,8 +4,9 @@ Everything here deliberately avoids the library's own code paths: masses
 come from adaptive quadrature over the raw density, subset and permutation
 searches are separate exhaustive enumerations, moment checks recompute
 beta moments from first principles, the stores are plain lists
-scanned on every query, documents are checked by jsonschema, and an
-assessment's term and overall trusts are recomputed from its parts.
+scanned on every query, documents are checked by jsonschema, an
+assessment's term and overall trusts are recomputed from its parts, and
+a comparison context is picked out of every provider's assessment.
 """
 
 from __future__ import annotations
@@ -18,8 +19,15 @@ import jsonschema
 from scipy.integrate import quad
 from scipy.special import betaln
 
+from reptrace import fire, travos
 from reptrace.core import REPUTATION_ORDER, combine_term_trust, overall_trust
-from reptrace.explain import TypePermutation
+from reptrace.explain import (
+    ComparisonContext,
+    FireDiagnostics,
+    Model,
+    TravosDiagnostics,
+    TypePermutation,
+)
 from reptrace.scenario import load_schema
 
 
@@ -313,3 +321,53 @@ def validate_assessment(assessment, preferences, tol: float = ASSESSMENT_TOL) ->
             f"overall inconsistent: {assessment.overall} stored "
             f"vs {recomputed} recomputed"
         )
+
+
+def context_oracle(world, model, assessor, preferred, other) -> ComparisonContext:
+    """The comparison context built the long way: assess every provider,
+    each FIRE assessment with its uniform baseline, then pick the pair."""
+    world.require_provider(preferred)
+    world.require_provider(other)
+    world.require_agent(assessor)
+    store = world.rating_stores[assessor]
+    results = {}
+    for provider in world.providers:
+        if model is Model.FIRE:
+            results[provider.id] = fire.assess_provider(
+                store,
+                assessor,
+                provider.id,
+                world.preferences,
+                world.fire,
+                now=world.now,
+                role_rules=world.role_rules,
+                agent_roles=world.agent_roles(),
+            )
+        else:
+            results[provider.id] = travos.assess_provider(
+                store,
+                world.observation_stores[assessor],
+                assessor,
+                provider.id,
+                world.preferences,
+                world.travos,
+            )
+    pref, oth = results[preferred], results[other]
+    fire_diag = travos_diag = None
+    if model is Model.FIRE:
+        fire_diag = FireDiagnostics(uniform_preferred=pref.uniform, uniform_other=oth.uniform)
+    else:
+        travos_diag = TravosDiagnostics(
+            threshold=world.travos.confidence_threshold,
+            preferred=pref.diagnostics(),
+            other=oth.diagnostics(),
+        )
+    return ComparisonContext(
+        assessor=assessor,
+        preferred=pref.assessment,
+        other=oth.assessment,
+        preferences=world.preferences,
+        model=model,
+        fire_diagnostics=fire_diag,
+        travos_diagnostics=travos_diag,
+    )

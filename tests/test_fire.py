@@ -109,6 +109,33 @@ class TestComponentTrust:
         assert out.value is None and out.weight == 0.0
 
     @given(
+        st.integers(0, 60).flatmap(
+            lambda now: st.tuples(
+                st.just(now),
+                st.lists(
+                    st.tuples(st.floats(min_value=0.0, max_value=1.0), st.integers(0, now)),
+                    min_size=1,
+                    max_size=12,
+                ),
+            )
+        ),
+        st.sampled_from([0.25, 1.0, 1.0 / math.log(2), 5.0, 37.5]),
+    )
+    def test_weights_equal_per_rating_recency_weights(self, now_and_pairs, lam):
+        # Bit for bit: the weights come from a table, the sums must not move.
+        now, pairs = now_and_pairs
+        ratings = [rating(v, ts=ts) for v, ts in pairs]
+        weights = [recency_weight(now - r.timestamp, lam) for r in ratings]
+        expected = sum(w * r.value for r, w in zip(ratings, weights)) / sum(weights)
+        assert component_trust(ratings, I, config(lambda_=lam), now=now).value == expected
+
+    def test_rating_after_now_rejected(self):
+        ratings = [rating(0.5, ts=3), rating(0.7, ts=6)]
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                component_trust(ratings, I, config(), now=5)
+
+    @given(
         st.lists(
             st.tuples(
                 st.floats(min_value=0.0, max_value=1.0), st.integers(0, 20)

@@ -8,11 +8,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import assert_schema_valid, validate_assessment
+from oracles import assert_schema_valid, context_oracle, validate_assessment
 from reptrace.core import ReputationType
 from reptrace.errors import ConfigError, NotPreferredError, UnknownAgentError
 from reptrace.explain import (
     ARGUMENT_KINDS,
+    ORDER_TOL,
     DecisiveDominance,
     DecisiveTradeoff,
     Explanation,
@@ -21,6 +22,7 @@ from reptrace.explain import (
     Model,
     TravosLowConfidence,
     TypePermutation,
+    explain,
 )
 from reptrace.pipeline import (
     assess_all,
@@ -162,7 +164,12 @@ class TestAssessment:
         assert overalls == sorted(overalls, reverse=True)
         for result in ranked:
             validate_assessment(result.assessment, world.preferences)
-            validate_assessment(result.uniform, world.preferences)
+        # Rankings build no uniform baseline; explanation contexts do.
+        ids = [r.assessment.target for r in ranked]
+        for preferred, other in zip(ids, ids[1:]):
+            diag = build_context(world, Model.FIRE, "alice", preferred, other).fire_diagnostics
+            validate_assessment(diag.uniform_preferred, world.preferences)
+            validate_assessment(diag.uniform_other, world.preferences)
 
     def test_travos_ranking(self, world):
         ranked = rank(world, Model.TRAVOS, "alice")
@@ -202,6 +209,49 @@ class TestAssessment:
         assert [p["id"] for p in doc["providers"]] == [
             r.assessment.target for r in ranked
         ]
+
+
+@st.composite
+def small_worlds(draw):
+    """The demo scenario cut to at most 3 agents, 3 providers and 10 rounds."""
+    doc = json.loads(SCENARIO_PATH.read_text())
+    doc["seed"] = draw(st.integers(0, 2**32 - 1))
+    doc["rounds"] = draw(st.integers(1, 10))
+    doc["agents"] = doc["agents"][: draw(st.integers(1, 3))]
+    doc["providers"] = doc["providers"][: draw(st.integers(2, 3))]
+    doc["fire"]["history_cap"] = draw(st.sampled_from([None, 3, 7]))
+    return world_from_simulation(run_scenario(scenario_from_document(doc)))
+
+
+def explanation_outcome(make):
+    try:
+        explanation = make()
+    except NotPreferredError as exc:
+        return type(exc).__name__
+    return dump_document(explanation_to_document(explanation))
+
+
+class TestContextEquivalence:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(small_worlds())
+    def test_pair_context_equals_every_provider_oracle(self, world):
+        # Every pair the ranking orders strictly, plus the first one reversed.
+        for model, agent in itertools.product(Model, (a.id for a in world.agents)):
+            overall = {
+                r.assessment.target: r.assessment.overall for r in rank(world, model, agent)
+            }
+            pairs = [
+                (a, b)
+                for a, b in itertools.permutations(overall, 2)
+                if None not in (overall[a], overall[b]) and overall[a] - overall[b] > ORDER_TOL
+            ]
+            pairs += [pair[::-1] for pair in pairs[:1]]
+            for preferred, other in pairs:
+                expected = context_oracle(world, model, agent, preferred, other)
+                assert build_context(world, model, agent, preferred, other) == expected
+                assert explanation_outcome(
+                    lambda: explain_pair(world, model, agent, preferred, other)
+                ) == explanation_outcome(lambda: explain(expected))
 
 
 class TestExplanationDocuments:

@@ -1,5 +1,7 @@
 """Beta-evidence numerics, discounting and the per-term pipeline."""
 
+import logging
+import math
 import random
 
 import pytest
@@ -7,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import beta_mass_quadrature, beta_mean_std
 from reptrace.core import Preferences, Rating, ReputationType
-from reptrace.errors import DegenerateMomentsError
+from reptrace import travos
+from reptrace.errors import DegenerateMomentsError, NumericalFailureError
 from reptrace.store import ObservationRecord, ObservationStore, RatingStore
 from reptrace.travos import (
     BetaParams,
@@ -139,6 +142,26 @@ class TestConfidence:
                 1 - x, b, a
             )
             assert abs(total - 1.0) <= 1e-9
+
+
+class TestIncompleteBetaCache:
+    def test_cached_equals_uncached(self):
+        grid = [
+            (x / 20, a, b)
+            for x in range(-1, 22)
+            for a in (1.0, 2.0, 3.5, 17.0, 60.0)
+            for b in (1.0, 4.0, 9.5, 41.0)
+        ]
+        for _ in range(2):  # the second pass reads the cache
+            for args in grid:
+                assert regularized_incomplete_beta(*args) == (
+                    regularized_incomplete_beta.__wrapped__(*args)
+                ), args
+
+    def test_failure_is_raised_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(NumericalFailureError):
+                regularized_incomplete_beta(0.5, math.inf, 2.0)
 
 
 class TestWitnessAccuracy:
@@ -325,6 +348,23 @@ class TestAssessTerm:
         by_witness = {c.witness: c for c in res.witnesses}
         assert by_witness["w1"].accuracy > by_witness["w2"].accuracy
         assert by_witness["w1"].discounted.mass > by_witness["w2"].discounted.mass
+
+    def test_every_assessment_logs_its_clamp(self, caplog, monkeypatch):
+        # Binarized counts always invert to feasible moments, so widen the
+        # prior's spread until discounting toward it is infeasible.
+        monkeypatch.setattr(travos, "UNIFORM_STD", 0.9)
+        store = RatingStore()
+        store.insert(rating(1.0, source="w", rep_type=W, ts=0))
+        prefs = Preferences(term_weights={"q": 1.0}, component_weights={I: 0.75, W: 0.25})
+        clamps = []
+        for _ in range(2):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="reptrace.travos"):
+                result = assess_provider(store, ObservationStore(), "a", "b", prefs, make_config())
+            (witness,) = result.term_results["q"].witnesses
+            assert witness.discounted == BetaParams(1.0, 1.0)
+            clamps.append(sum("degenerate" in rec.message for rec in caplog.records))
+        assert clamps == [1, 1]
 
     def test_assess_provider_overall(self):
         prefs = Preferences(
