@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import (
     NoEvidenceError,
@@ -47,15 +47,7 @@ REPUTATION_ORDER = (
 )
 
 
-@dataclass(frozen=True)
-class Rating:
-    """One piece of trust evidence: source rated target on a term.
-
-    ``value`` is the score in [0, 1]; ``raw_value`` is carried through
-    stores documents unchanged and read by no engine. ``timestamp`` is the
-    simulation round the rating was recorded in.
-    """
-
+class _RatingFields(NamedTuple):
     source: AgentId
     target: AgentId
     term: Term
@@ -65,13 +57,32 @@ class Rating:
     timestamp: int
     interaction_id: Optional[str] = None
 
-    def __post_init__(self):
-        if not self.source or not self.target or not self.term:
+
+class Rating(_RatingFields):
+    """One piece of trust evidence: source rated target on a term.
+
+    ``value`` is the score in [0, 1]; ``raw_value`` is carried through
+    stores documents unchanged and read by no engine. ``timestamp`` is the
+    simulation round the rating was recorded in.
+
+    A named tuple, so building one stores its fields in one step: it is
+    immutable, and equal and hashed by value. Only the constructor
+    validates; ``_make`` and ``_replace`` skip the checks.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, source, target, term, rep_type, value, raw_value, timestamp,
+                interaction_id=None):
+        if not source or not target or not term:
             raise ValueError("source, target and term must be non-empty")
-        if not 0.0 <= self.value <= 1.0:
-            raise OutOfRangeError(f"rating value {self.value!r} outside [0, 1]")
-        if self.timestamp < 0:
+        if not 0.0 <= value <= 1.0:
+            raise OutOfRangeError(f"rating value {value!r} outside [0, 1]")
+        if timestamp < 0:
             raise ValueError("timestamp must be a non-negative round index")
+        return tuple.__new__(
+            cls, (source, target, term, rep_type, value, raw_value, timestamp, interaction_id)
+        )
 
 
 def weight_problem(weights: Mapping[object, float]) -> Optional[str]:

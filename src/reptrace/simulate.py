@@ -20,7 +20,6 @@ independent of the order in which agents are listed.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -30,7 +29,7 @@ from .core import AgentId, Preferences, Rating, ReputationType, Term
 from .errors import ConfigError
 from .fire import FireConfig
 from .prng import Stream
-from .store import ObservationRecord, ObservationStore, RatingStore, RoleRule
+from .store import ObservationRecord, ObservationStore, RatingStore, RoleRule, bucket_runs
 from .travos import TravosConfig, binarize_value
 
 TIMELINESS = "timeliness"
@@ -299,8 +298,8 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> SimulationWo
     each cap eviction lowers. The round's ratings are stored after every
     agent has drawn and observed. After the last round each agent receives
     copies of its witnesses' own interaction ratings, re-tagged as witness
-    evidence; each witness's copies are built once and shared by every
-    store that lists it.
+    evidence; each copy is built and sorted into its bucket once, and
+    shared by every store that lists its witness.
     """
     seed = scenario.seed if seed is None else seed
     terms = scenario.preferences.terms
@@ -384,29 +383,26 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> SimulationWo
                 for old in stores[agent_id].insert(rating):
                     tally(old, -1)
 
-    # Every store still holds only its owner's interaction ratings.
-    copies = {
-        a.id: [
-            Rating(
-                source=r.source,
-                target=r.target,
-                term=r.term,
-                rep_type=ReputationType.WITNESS,
-                value=r.value,
-                raw_value=r.raw_value,
-                timestamp=r.timestamp,
-                interaction_id=r.interaction_id,
-            )
-            for r in stores[a.id].all_records()
-        ]
-        for a in scenario.agents
-    }
-    for agent in scenario.agents:
-        stores[agent.id].extend(
-            itertools.chain.from_iterable(
-                copies[witness] for witness in scenario.witnesses.get(agent.id, ())
-            )
+    # Every store still holds only its owner's interaction ratings. Each
+    # witness copy is built and sorted once; every store then takes its
+    # own witnesses' copies from each bucket's run, in the run's order.
+    runs = bucket_runs(
+        Rating(
+            source=r.source,
+            target=r.target,
+            term=r.term,
+            rep_type=ReputationType.WITNESS,
+            value=r.value,
+            raw_value=r.raw_value,
+            timestamp=r.timestamp,
+            interaction_id=r.interaction_id,
         )
+        for a in scenario.agents
+        for r in stores[a.id].all_records()
+    )
+    for agent in scenario.agents:
+        peers = set(scenario.witnesses.get(agent.id, ()))
+        stores[agent.id].merge([r for r in run if r.source in peers] for run in runs)
 
     return SimulationWorld(
         scenario=scenario,

@@ -15,7 +15,7 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .core import AgentId, Rating, ReputationType, Term
 from .errors import BadBinError
@@ -41,6 +41,20 @@ def _bucket_key(rating: Rating):
     return (rating.timestamp, rating.source, rating.value, rating.interaction_id or "")
 
 
+def bucket_runs(ratings: Iterable[Rating]) -> list[list[Rating]]:
+    """``ratings`` grouped by bucket, each group sorted for ``RatingStore.merge``.
+
+    Each record's sort key is computed once, however many stores later
+    take a subsequence of its run. Equal keys keep their input order.
+    """
+    runs: dict[tuple[AgentId, Term, str], list[Rating]] = {}
+    for rating in ratings:
+        runs.setdefault((rating.target, rating.term, rating.rep_type._value_), []).append(rating)
+    for run in runs.values():
+        run.sort(key=_bucket_key)
+    return list(runs.values())
+
+
 @dataclass
 class RatingStore:
     """Ordered multiset of ratings with an optional per-source history cap.
@@ -59,9 +73,10 @@ class RatingStore:
     never crowd out self-authored history.
 
     ``insert`` adds one record in O(log n) comparisons plus a list shift;
-    ``extend`` adds many and sorts each touched bucket and source history
-    once. Both leave the same store and return the records the cap
-    evicted, so a caller can keep running counts over the store.
+    ``merge`` adds runs that ``bucket_runs`` sorted, so many stores can
+    share one sort of the same records. Both leave the store that
+    one-at-a-time inserts leave and return the records the cap evicted,
+    so a caller can keep running counts over the store.
     """
 
     history_cap: Optional[int] = None
@@ -97,29 +112,40 @@ class RatingStore:
         bisect.insort(history, rating, key=_content_key)
         return self._trim(history)
 
-    def extend(self, ratings: Iterable[Rating]) -> list[Rating]:
-        """Add ratings in bulk; return the records the cap evicted.
+    def merge(self, runs: Iterable[Sequence[Rating]]) -> list[Rating]:
+        """Add runs of records; return the records the cap evicted.
 
-        The store ends up exactly as if each rating had been inserted in
-        turn, and the evicted records are the ones those inserts evict.
-        Each touched bucket and source history is sorted once, stably, so
-        appended records follow equal keys already present.
+        Each run holds records of one bucket in ``_bucket_key`` order,
+        with equal keys in the order they are to be inserted.
+        ``bucket_runs`` makes such runs, and any subsequence of one is
+        again such a run. The store ends up exactly as if each run's
+        records had been inserted in turn, run after run, and the evicted
+        records are the ones those inserts evict. A run that fills an
+        empty bucket is copied as it is; a bucket that already holds
+        records is sorted once, stably, so the run follows equal keys
+        already present. Under a cap each touched source history is
+        sorted once too.
         """
-        ratings = list(ratings)
-        buckets = set()
-        for rating in ratings:
-            key = (rating.target, rating.term, rating.rep_type._value_)
-            self._buckets.setdefault(key, []).append(rating)
-            buckets.add(key)
-        for key in buckets:
-            self._buckets[key].sort(key=_bucket_key)
-        self._size += len(ratings)
+        added = []
+        for run in runs:
+            if not run:
+                continue
+            first = run[0]
+            key = (first.target, first.term, first.rep_type._value_)
+            bucket = self._buckets.get(key)
+            if bucket is None:
+                self._buckets[key] = list(run)
+            else:
+                bucket += run
+                bucket.sort(key=_bucket_key)
+            added += run
+        self._size += len(added)
         if self.history_cap is None:
             return []
-        for rating in ratings:
+        for rating in added:
             self._by_source.setdefault(rating.source, []).append(rating)
         evicted = []
-        for source in dict.fromkeys(rating.source for rating in ratings):
+        for source in dict.fromkeys(rating.source for rating in added):
             history = self._by_source[source]
             history.sort(key=_content_key)
             evicted += self._trim(history)
@@ -181,10 +207,7 @@ class RoleRule:
             raise ValueError("expected_value must lie in [-1, 1]")
 
 
-@dataclass(frozen=True)
-class ObservationRecord:
-    """A past witness opinion paired with the outcome that followed it."""
-
+class _ObservationFields(NamedTuple):
     assessor: AgentId
     witness: AgentId
     target: AgentId
@@ -193,9 +216,25 @@ class ObservationRecord:
     opinion_value: float
     outcome_rating: float
 
-    def __post_init__(self):
-        if not 0.0 <= self.opinion_value <= 1.0:
+
+class ObservationRecord(_ObservationFields):
+    """A past witness opinion paired with the outcome that followed it.
+
+    A validated named tuple, like ``Rating``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, assessor, witness, target, term, interaction_id, opinion_value,
+                outcome_rating):
+        if not 0.0 <= opinion_value <= 1.0:
             raise ValueError("opinion_value must lie in [0, 1]")
+        if not 0.0 <= outcome_rating <= 1.0:
+            raise ValueError("outcome_rating must lie in [0, 1]")
+        return tuple.__new__(
+            cls,
+            (assessor, witness, target, term, interaction_id, opinion_value, outcome_rating),
+        )
 
 
 def bin_bounds(opinion_bin: int, bins: int) -> tuple[float, float]:

@@ -4,9 +4,11 @@
 check raises ``Violation`` at the first error it meets. It follows JSON
 Schema's meanings: a bool is not a number, an integral float such as
 ``3.0`` is an integer, and in ``const``/``enum`` ``1 == 1.0`` but
-``True != 1``. An error is reported where the keyword that failed applies,
-so ``required``, ``additionalProperties``, ``propertyNames`` and ``oneOf``
-name the object or value they judge, not a member of it.
+``True != 1``. Unlike jsonschema, it takes no non-finite float for a
+number, since JSON has none. An error is reported where the keyword that
+failed applies, so ``required``, ``additionalProperties``,
+``propertyNames`` and ``oneOf`` name the object or value they judge, not
+a member of it.
 
 Only the keywords in ``KEYWORDS`` are understood; any other keyword makes
 ``compile_schema`` raise, so a schema edit can never be skipped silently.
@@ -14,6 +16,7 @@ Only the keywords in ``KEYWORDS`` are understood; any other keyword makes
 
 from __future__ import annotations
 
+import math
 import operator
 from typing import Any, Callable
 
@@ -44,7 +47,11 @@ class Violation(Exception):
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    # JSON has no infinite or NaN numbers, but ``json.loads`` turns a
+    # literal that overflows, such as ``1e400``, into ``inf``.
+    if isinstance(v, float):
+        return math.isfinite(v)
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _is_integer(v) -> bool:

@@ -4,9 +4,10 @@ Everything here deliberately avoids the library's own code paths: masses
 come from adaptive quadrature over the raw density, subset and permutation
 searches are separate exhaustive enumerations, moment checks recompute
 beta moments from first principles, the stores are plain lists
-scanned on every query, documents are checked by jsonschema, an
-assessment's term and overall trusts are recomputed from its parts, and
-a comparison context is picked out of every provider's assessment.
+scanned on every query, witness copies are inserted one at a time,
+documents are checked by jsonschema, an assessment's term and overall
+trusts are recomputed from its parts, and a comparison context is picked
+out of every provider's assessment.
 """
 
 from __future__ import annotations
@@ -20,7 +21,13 @@ from scipy.integrate import quad
 from scipy.special import betaln
 
 from reptrace import fire, travos
-from reptrace.core import REPUTATION_ORDER, combine_term_trust, overall_trust
+from reptrace.core import (
+    REPUTATION_ORDER,
+    Rating,
+    ReputationType,
+    combine_term_trust,
+    overall_trust,
+)
 from reptrace.explain import (
     ComparisonContext,
     FireDiagnostics,
@@ -250,6 +257,37 @@ class RatingStoreOracle:
 
     def all_records(self) -> list:
         return sorted(self.records, key=content_key)
+
+
+def witness_copy_oracle(scenario, own_ratings) -> dict:
+    """Each agent's rating store after the simulator's witness copy step.
+
+    ``own_ratings`` maps each agent to the interaction ratings its store
+    keeps at the end of the rounds. Each agent's oracle store gets its own
+    ratings, then, witness by witness, a witness-tagged copy of each of
+    that witness's ratings, inserted one at a time.
+    """
+    stores = {}
+    for agent in scenario.agents:
+        store = RatingStoreOracle(scenario.fire.history_cap)
+        for rating in own_ratings[agent.id]:
+            store.insert(rating)
+        for witness in scenario.witnesses.get(agent.id, ()):
+            for r in own_ratings[witness]:
+                store.insert(
+                    Rating(
+                        source=r.source,
+                        target=r.target,
+                        term=r.term,
+                        rep_type=ReputationType.WITNESS,
+                        value=r.value,
+                        raw_value=r.raw_value,
+                        timestamp=r.timestamp,
+                        interaction_id=r.interaction_id,
+                    )
+                )
+        stores[agent.id] = store
+    return stores
 
 
 def content_key(r):

@@ -211,6 +211,51 @@ class TestNonFiniteInput:
         assert "NaN" not in captured.out and "Infinity" not in captured.out
         assert constant in captured.err
 
+    @pytest.mark.parametrize(
+        "path",
+        [
+            ("providers", 0, "phases", 0, "days_mu"),
+            ("providers", 1, "phases", 1, "price"),
+            ("rating_profile", "price_ceiling"),
+            ("fire", "lambda"),
+        ],
+        ids=["days_mu", "price", "price_ceiling", "fire-lambda"],
+    )
+    def test_overflowing_scenario_literal_names_its_path(self, tmp_path, capsys, path):
+        doc = json.loads(SCENARIO_PATH.read_text())
+        scenario, out = tmp_path / "scenario.json", tmp_path / "stores.json"
+        scenario.write_text(_with_overflowing_literal(doc, path))
+        assert main(["simulate", str(scenario), str(out)]) == 2
+        where = "/".join(map(str, path))
+        assert f"scenario document invalid at {where}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["assess", "explain"])
+    def test_overflowing_raw_value_names_its_path(self, stores_path, capsys, command):
+        doc = json.loads(stores_path.read_text())
+        path = ("ratings", "alice", 0, "raw_value")
+        stores_path.write_text(_with_overflowing_literal(doc, path))
+        argv = [command, str(stores_path), "--model", "fire", "--assessor", "alice"]
+        if command == "explain":
+            argv += ["--preferred", "steady", "--other", "bargain"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "stores document invalid at ratings/alice/0/raw_value: " in captured.err
+
+
+def _with_overflowing_literal(doc, path) -> str:
+    """``doc`` as JSON text with the literal 1e400 at ``path``.
+
+    ``json.loads`` reads 1e400 as inf; ``json.dumps`` cannot write it, so
+    a placeholder is swapped for the literal in the text.
+    """
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = "<overflow>"
+    return json.dumps(doc).replace('"<overflow>"', "1e400")
+
 
 class TestDocumentBoundary:
     def test_future_timestamp_names_the_record(self, stores_path, capsys):

@@ -1,13 +1,15 @@
 """Outcome generation, rating profiles and full scenario runs."""
 
+import dataclasses
 import hashlib
+import itertools
 import json
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import content_key
+from oracles import content_key, witness_copy_oracle
 from reptrace.core import Preferences, ReputationType
 from reptrace.errors import ConfigError
 from reptrace.fire import FireConfig
@@ -425,3 +427,46 @@ class TestRosterExtension:
                 base.observation_stores[agent].all_records()
                 == extended.observation_stores[agent].all_records()
             ), agent
+
+
+@st.composite
+def sparse_topologies(draw):
+    """A scenario of at most 3x3x10 whose agents list random witness subsets."""
+    agents = list(ROSTER[:draw(st.integers(1, 3))])
+    witnesses = {}
+    for agent in agents:
+        peers = [a for a in agents if a != agent]
+        if peers and draw(st.booleans()):
+            witnesses[agent] = tuple(draw(st.lists(st.sampled_from(peers), unique=True)))
+    return scenario(
+        agents=agents,
+        witnesses=witnesses,
+        providers=tuple(provider(f"P{i}") for i in range(1, draw(st.integers(1, 3)) + 1)),
+        rounds=draw(st.integers(1, 10)),
+        seed=draw(st.integers(0, 2**32)),
+        terms={"timeliness": 0.4, "quality": 0.3, "reliability": 0.3},
+        provider_selection=draw(st.sampled_from(["uniform", "round_robin"])),
+        fire=FireConfig(history_cap=draw(st.none() | st.integers(1, 7))),
+    )
+
+
+class TestWitnessCopyOracle:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(sparse_topologies())
+    def test_stores_equal_one_at_a_time_copies(self, sc):
+        world = run_scenario(sc)
+        # Witnesses consume no draws, so without them every store holds
+        # the same own ratings.
+        alone = run_scenario(dataclasses.replace(sc, witnesses={}))
+        expected = witness_copy_oracle(
+            sc, {a: store.all_records() for a, store in alone.rating_stores.items()}
+        )
+        buckets = list(itertools.product(
+            [p.id for p in sc.providers], sc.preferences.terms, ReputationType
+        ))
+        for agent in sc.agents:
+            store, oracle = world.rating_stores[agent.id], expected[agent.id]
+            assert len(store) == len(oracle)
+            for bucket in buckets:
+                assert store.query(*bucket) == oracle.query(*bucket), (agent.id, bucket)
+            assert store.all_records() == oracle.all_records(), agent.id

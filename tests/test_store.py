@@ -1,6 +1,9 @@
 """Store behaviour: eviction, bucket queries, binning."""
 
+import copy
 import itertools
+import math
+import pickle
 from collections import Counter
 
 import pytest
@@ -8,12 +11,13 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import ObservationStoreOracle, RatingStoreOracle, content_key
 from reptrace.core import Rating, ReputationType
-from reptrace.errors import BadBinError
+from reptrace.errors import BadBinError, OutOfRangeError
 from reptrace.store import (
     ObservationRecord,
     ObservationStore,
     RatingStore,
     bin_of,
+    bucket_runs,
 )
 
 I = ReputationType.INTERACTION
@@ -32,6 +36,114 @@ def r(source="a", target="b", term="q", rep_type=I, value=0.5, ts=0, iid=None):
         timestamp=ts,
         interaction_id=iid,
     )
+
+
+#: A valid instance of each evidence record, by keyword, and its repr.
+RECORDS = [
+    (
+        Rating,
+        dict(source="a", target="b", term="q", rep_type=I, value=0.5,
+             raw_value=0.25, timestamp=3, interaction_id="i1"),
+        "Rating(source='a', target='b', term='q', "
+        "rep_type=<ReputationType.INTERACTION: 'interaction'>, value=0.5, "
+        "raw_value=0.25, timestamp=3, interaction_id='i1')",
+    ),
+    (
+        ObservationRecord,
+        dict(assessor="a", witness="w", target="b", term="q",
+             interaction_id="i1", opinion_value=0.5, outcome_rating=1.0),
+        "ObservationRecord(assessor='a', witness='w', target='b', term='q', "
+        "interaction_id='i1', opinion_value=0.5, outcome_rating=1.0)",
+    ),
+]
+
+#: One invalid field per case, with the exact exception type and message.
+INVALID_FIELDS = [
+    (Rating, "source", "", ValueError, "source, target and term must be non-empty"),
+    (Rating, "target", "", ValueError, "source, target and term must be non-empty"),
+    (Rating, "term", "", ValueError, "source, target and term must be non-empty"),
+    (Rating, "value", 1.5, OutOfRangeError, "rating value 1.5 outside [0, 1]"),
+    (Rating, "value", -0.0625, OutOfRangeError, "rating value -0.0625 outside [0, 1]"),
+    (Rating, "value", math.nan, OutOfRangeError, "rating value nan outside [0, 1]"),
+    (Rating, "timestamp", -1, ValueError, "timestamp must be a non-negative round index"),
+    (ObservationRecord, "opinion_value", 1.5, ValueError, "opinion_value must lie in [0, 1]"),
+    (ObservationRecord, "opinion_value", -0.0625, ValueError,
+     "opinion_value must lie in [0, 1]"),
+    (ObservationRecord, "opinion_value", math.nan, ValueError,
+     "opinion_value must lie in [0, 1]"),
+]
+
+RECORD_IDS = ["rating", "observation"]
+
+
+class TestEvidenceRecords:
+    """The value semantics every store and document relies on."""
+
+    @pytest.mark.parametrize("cls, field, bad, error, message", INVALID_FIELDS)
+    def test_constructor_check(self, cls, field, bad, error, message):
+        fields = next(f for c, f, _ in RECORDS if c is cls)
+        for build in (cls, lambda **kw: cls(*kw.values())):
+            with pytest.raises(ValueError) as info:
+                build(**dict(fields, **{field: bad}))
+            assert type(info.value) is error
+            assert str(info.value) == message
+
+    @pytest.mark.parametrize("bad", [1.5, -0.0625, math.nan])
+    def test_observation_outcome_rating_in_unit_interval(self, bad):
+        with pytest.raises(ValueError) as info:
+            ObservationRecord(**dict(RECORDS[1][1], outcome_rating=bad))
+        assert type(info.value) is ValueError
+        assert str(info.value) == "outcome_rating must lie in [0, 1]"
+
+    @pytest.mark.parametrize("cls, fields, text", RECORDS, ids=RECORD_IDS)
+    def test_keyword_and_positional_construction(self, cls, fields, text):
+        by_keyword = cls(**fields)
+        by_position = cls(*fields.values())
+        assert by_keyword == by_position
+        for name, value in fields.items():
+            assert getattr(by_keyword, name) == value
+            assert getattr(by_position, name) == value
+
+    def test_rating_interaction_id_defaults_to_none(self):
+        fields = dict(RECORDS[0][1])
+        del fields["interaction_id"]
+        assert Rating(**fields).interaction_id is None
+        assert Rating(*fields.values()) == Rating(**fields, interaction_id=None)
+
+    @pytest.mark.parametrize("cls, fields, text", RECORDS, ids=RECORD_IDS)
+    def test_immutable(self, cls, fields, text):
+        record = cls(**fields)
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, fields[name])
+        with pytest.raises(AttributeError):
+            record.extra = 1
+        assert record == cls(**fields)
+
+    @pytest.mark.parametrize("cls, fields, text", RECORDS, ids=RECORD_IDS)
+    def test_equality_and_hash_by_value(self, cls, fields, text):
+        a, b = cls(**fields), cls(**dict(fields))
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        for name in ("target", "term"):
+            other = cls(**dict(fields, **{name: "z"}))
+            assert other != a and not other == a
+
+    @pytest.mark.parametrize("cls, fields, text", RECORDS, ids=RECORD_IDS)
+    def test_repr(self, cls, fields, text):
+        assert repr(cls(**fields)) == text
+
+    @pytest.mark.parametrize("cls, fields, text", RECORDS, ids=RECORD_IDS)
+    def test_deepcopy_and_pickle_round_trips(self, cls, fields, text):
+        record = cls(**fields)
+        for copied in (
+            copy.deepcopy(record),
+            *(pickle.loads(pickle.dumps(record, protocol=p))
+              for p in range(pickle.HIGHEST_PROTOCOL + 1)),
+        ):
+            assert type(copied) is cls
+            assert copied == record and hash(copied) == hash(record)
+            assert repr(copied) == text
 
 
 class TestEviction:
@@ -248,18 +360,25 @@ class TestRatingStoreAgainstOracle:
         st.none() | st.integers(1, 4),
         st.data(),
     )
-    def test_extend_matches_inserts_one_at_a_time(self, inserts, cap, data):
+    def test_merge_matches_inserts_one_at_a_time(self, inserts, cap, data):
         store = RatingStore(history_cap=cap)
         oracle = RatingStoreOracle(history_cap=cap)
         rest = inserts
         while rest:
             size = data.draw(st.integers(1, len(rest)), label="chunk size")
             chunk, rest = rest[:size], rest[size:]
-            # Any iterable will do, not only a list.
-            evicted = store.extend(iter(chunk))
-            assert Counter(map(id, evicted)) == dropped(oracle, chunk)
+            # Stores take subsequences of shared runs: the records of
+            # some sources, in the runs' order.
+            keep = data.draw(st.sets(st.sampled_from(SOURCES)), label="sources")
+            runs = bucket_runs(iter(chunk))
+            # Any iterable of runs will do, not only a list.
+            evicted = store.merge(
+                [rec for rec in run if rec.source in keep] for run in runs
+            )
+            kept = [rec for rec in chunk if rec.source in keep]
+            assert Counter(map(id, evicted)) == dropped(oracle, kept)
             self.assert_same(store, oracle)
-        assert store.extend([]) == []
+        assert store.merge([]) == [] and store.merge([[]]) == []
         self.assert_same(store, oracle)
 
 

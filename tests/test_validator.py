@@ -145,7 +145,8 @@ def test_keywords_cover_every_shipped_schema():
 @pytest.mark.parametrize(
     "schema, accepted, rejected",
     [
-        ({"type": "number"}, [0, -0.0, 1e300, 3.0], [True, False, None, "1", [1]]),
+        ({"type": "number"}, [0, -0.0, 1e300, 3.0],
+         [True, False, None, "1", [1], float("inf")]),
         ({"type": "integer"}, [3, 3.0, -0.0, 1e300], [3.5, True, "3"]),
         ({"enum": [1, "a", None]}, [1, 1.0, "a", None], [True, 0, "b", [1]]),
         ({"enum": [False]}, [False], [0, 0.0, None]),
@@ -164,7 +165,11 @@ def test_json_schema_meanings_match_jsonschema(schema, accepted, rejected):
         assert oracle.is_valid(value), value
         check(value)
     for value in rejected:
-        assert not oracle.is_valid(value), value
+        # The one intended divergence from jsonschema, which takes a
+        # non-finite float for a number: JSON has no such number, though
+        # json.loads("1e400") returns inf.
+        non_finite = isinstance(value, float) and not math.isfinite(value)
+        assert oracle.is_valid(value) is non_finite, value
         with pytest.raises(Violation):
             check(value)
 
