@@ -8,7 +8,6 @@ toward the uniform prior in proportion to the witness's historical
 accuracy.
 """
 
-from reptrace.store import ObservationRecord
 from reptrace.travos import (
     BetaParams,
     WitnessOpinion,
@@ -18,18 +17,6 @@ from reptrace.travos import (
     discount_opinion,
     witness_accuracy,
 )
-
-
-def obs(opinion_value, outcome):
-    return ObservationRecord(
-        assessor="you",
-        witness="w",
-        target="p",
-        term="quality",
-        interaction_id="i",
-        opinion_value=opinion_value,
-        outcome_rating=outcome,
-    )
 
 
 def main():
@@ -45,12 +32,12 @@ def main():
     print("Its weight depends on how its past opinions in the same range")
     print("turned out for us:")
     histories = {
-        "no history": [],
-        "6 confirmations": [obs(0.85, 1.0)] * 6,
-        "6 contradictions": [obs(0.85, 0.0)] * 6,
+        "no history": (0, 0),
+        "6 confirmations": (6, 6),
+        "6 contradictions": (6, 0),
     }
-    for label, records in histories.items():
-        rho = witness_accuracy(records, opinion_bin=5, bins=5)
+    for label, (n, successes) in histories.items():
+        rho = witness_accuracy(n, successes, opinion_bin=5, bins=5)
         discounted = discount_opinion(opinion, rho)
         print(
             f"  {label:<18} accuracy {rho:.3f} -> discounted "
@@ -61,7 +48,7 @@ def main():
 
     print("Discounted witness evidence pools with our own by summing counts.")
     own = BetaParams(2, 2)  # one success, one failure of our own
-    rho = witness_accuracy(histories["6 confirmations"], opinion_bin=5, bins=5)
+    rho = witness_accuracy(*histories["6 confirmations"], opinion_bin=5, bins=5)
     discounted = discount_opinion(opinion, rho)
     pooled = combine_evidence(own, [discounted])
     w_i, w_w = decomposition_weights(own, [discounted])

@@ -53,7 +53,6 @@ class _RatingFields(NamedTuple):
     term: Term
     rep_type: ReputationType
     value: float
-    raw_value: float
     timestamp: int
     interaction_id: Optional[str] = None
 
@@ -61,9 +60,8 @@ class _RatingFields(NamedTuple):
 class Rating(_RatingFields):
     """One piece of trust evidence: source rated target on a term.
 
-    ``value`` is the score in [0, 1]; ``raw_value`` is carried through
-    stores documents unchanged and read by no engine. ``timestamp`` is the
-    simulation round the rating was recorded in.
+    ``value`` is the score in [0, 1]; ``timestamp`` is the simulation
+    round the rating was recorded in.
 
     A named tuple, so building one stores its fields in one step: it is
     immutable, and equal and hashed by value. Only the constructor
@@ -72,8 +70,7 @@ class Rating(_RatingFields):
 
     __slots__ = ()
 
-    def __new__(cls, source, target, term, rep_type, value, raw_value, timestamp,
-                interaction_id=None):
+    def __new__(cls, source, target, term, rep_type, value, timestamp, interaction_id=None):
         if not source or not target or not term:
             raise ValueError("source, target and term must be non-empty")
         if not 0.0 <= value <= 1.0:
@@ -81,7 +78,7 @@ class Rating(_RatingFields):
         if timestamp < 0:
             raise ValueError("timestamp must be a non-negative round index")
         return tuple.__new__(
-            cls, (source, target, term, rep_type, value, raw_value, timestamp, interaction_id)
+            cls, (source, target, term, rep_type, value, timestamp, interaction_id)
         )
 
 

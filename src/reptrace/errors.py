@@ -29,10 +29,6 @@ class NumericalFailureError(ReptraceError):
     """A numeric routine produced a non-finite or out-of-bounds result."""
 
 
-class DegenerateMomentsError(ReptraceError):
-    """Moment matching produced non-positive beta parameters."""
-
-
 class NotDominantError(ReptraceError):
     """The dominance argument was requested for a non-dominating pair."""
 

@@ -39,14 +39,17 @@ from .explain import (
 from .fire import FireConfig, assess_provider as assess_fire
 from .scenario import config_from_document, validate_document
 from .simulate import AgentSpec, SimulationWorld
-from .store import ObservationRecord, ObservationStore, RatingStore, RoleRule
+from .store import ObservationStore, RatingStore, RoleRule
 from .travos import (
     TravosConfig,
     TravosTermDiagnostics,
     assess_provider as assess_travos,
+    binarize_value,
 )
 
-STORES_SCHEMA = "reptrace/stores/v1"
+STORES_SCHEMA = "reptrace/stores/v2"
+#: The previous stores format: still read, never written.
+STORES_V1_SCHEMA = "reptrace/stores/v1"
 RANKING_SCHEMA = "reptrace/ranking/v1"
 EXPLANATION_SCHEMA = "reptrace/explanation/v1"
 
@@ -113,21 +116,8 @@ def _rating_to_doc(r: Rating) -> dict:
         "term": r.term,
         "rep_type": r.rep_type.value,
         "value": r.value,
-        "raw_value": r.raw_value,
         "timestamp": r.timestamp,
         "interaction_id": r.interaction_id,
-    }
-
-
-def _observation_to_doc(o: ObservationRecord) -> dict:
-    return {
-        "assessor": o.assessor,
-        "witness": o.witness,
-        "target": o.target,
-        "term": o.term,
-        "interaction_id": o.interaction_id,
-        "opinion_value": o.opinion_value,
-        "outcome_rating": o.outcome_rating,
     }
 
 
@@ -144,8 +134,6 @@ def world_to_document(world: World) -> dict:
         "fire": {
             "lambda": world.fire.lambda_,
             "history_cap": world.fire.history_cap,
-            # FIRE reliability is the constant 1; stores/v1 keeps the key.
-            "reliability_plugin": None,
         },
         "travos": {
             "epsilon": world.travos.epsilon,
@@ -172,30 +160,40 @@ def world_to_document(world: World) -> dict:
         },
         "observations": {
             a.id: [
-                _observation_to_doc(o)
-                for o in world.observation_stores[a.id].all_records()
+                {"witness": witness, "term": term, "opinion_value": value, "n": n,
+                 "successes": successes}
+                for witness, term, value, n, successes in world.observation_stores[a.id].entries()
             ]
             for a in world.agents
         },
     }
 
 
-def _check_subject(rec: dict, where: str, providers: set, terms: Mapping) -> None:
-    """Reject a record about anything but a listed provider and a declared term."""
-    if rec["target"] not in providers:
-        raise ConfigError(f"{where}/target: {rec['target']!r} is not a listed provider")
+def _check_term(rec: dict, where: str, terms: Mapping) -> None:
     if rec["term"] not in terms:
         raise ConfigError(f"{where}/term: {rec['term']!r} is not a declared term")
 
 
+def _check_subject(rec: dict, where: str, providers: set, terms: Mapping) -> None:
+    """Reject a record about anything but a listed provider and a declared term."""
+    if rec["target"] not in providers:
+        raise ConfigError(f"{where}/target: {rec['target']!r} is not a listed provider")
+    _check_term(rec, where, terms)
+
+
 def world_from_document(doc: dict) -> World:
-    """Rebuild a world from a stores document.
+    """Rebuild a world from a stores document, v2 or v1.
 
     Beyond the schema, every record must be one an engine reads: it sits
     in a listed agent's store, is about a listed provider on a declared
-    term, and is sourced as its store and kind require.
+    term, and is sourced as its store and kind require. An observation
+    entry names another listed agent as its witness. A v2 entry has at
+    most n successes, and no other entry of its store has the same
+    witness, term and opinion value. A v1 observation record names its
+    store's owner as assessor and counts as one observation.
     """
-    validate_document(doc, "stores")
+    v1 = isinstance(doc, dict) and doc.get("schema") == STORES_V1_SCHEMA
+    validate_document(doc, "stores_v1" if v1 else "stores", kind="stores")
     config = config_from_document(doc, "stores")
     rounds = config["rounds"]
     terms = config["preferences"].term_weights
@@ -237,7 +235,6 @@ def world_from_document(doc: dict) -> World:
                     term=rec["term"],
                     rep_type=ReputationType(rep_type),
                     value=float(rec["value"]),
-                    raw_value=float(rec["raw_value"]),
                     timestamp=int(rec["timestamp"]),
                     interaction_id=rec.get("interaction_id"),
                 )
@@ -246,30 +243,36 @@ def world_from_document(doc: dict) -> World:
     observation_stores: dict[AgentId, ObservationStore] = {}
     for agent in config["agents"]:
         obs = ObservationStore()
+        seen: dict[tuple, int] = {}
         for index, rec in enumerate(doc["observations"].get(agent.id, ())):
             where = f"stores document invalid at observations/{agent.id}/{index}"
-            if rec["assessor"] != agent.id:
-                raise ConfigError(
-                    f"{where}/assessor: an observation in {agent.id}'s store must "
-                    f"have assessor {agent.id!r}, not {rec['assessor']!r}"
-                )
+            opinion_value = float(rec["opinion_value"])
+            if v1:
+                if rec["assessor"] != agent.id:
+                    raise ConfigError(
+                        f"{where}/assessor: an observation in {agent.id}'s store must "
+                        f"have assessor {agent.id!r}, not {rec['assessor']!r}"
+                    )
+                _check_subject(rec, where, provider_ids, terms)
+                n, successes = 1, int(binarize_value(rec["outcome_rating"]))
+            else:
+                _check_term(rec, where, terms)
+                n, successes = int(rec["n"]), int(rec["successes"])
+                if successes > n:
+                    raise ConfigError(f"{where}/successes: {successes} is more than n ({n})")
+                key = (rec["witness"], rec["term"], opinion_value)
+                if key in seen:
+                    raise ConfigError(
+                        f"{where}: repeats the witness, term and opinion_value of "
+                        f"observations/{agent.id}/{seen[key]}"
+                    )
+                seen[key] = index
             if rec["witness"] == agent.id or rec["witness"] not in agent_ids:
                 raise ConfigError(
                     f"{where}/witness: an observation in {agent.id}'s store must "
                     f"name another listed agent, not {rec['witness']!r}"
                 )
-            _check_subject(rec, where, provider_ids, terms)
-            obs.insert(
-                ObservationRecord(
-                    assessor=rec["assessor"],
-                    witness=rec["witness"],
-                    target=rec["target"],
-                    term=rec["term"],
-                    interaction_id=rec["interaction_id"],
-                    opinion_value=float(rec["opinion_value"]),
-                    outcome_rating=float(rec["outcome_rating"]),
-                )
-            )
+            obs.add(rec["witness"], rec["term"], opinion_value, n, successes)
         observation_stores[agent.id] = obs
     return World(
         seed=int(doc["seed"]),

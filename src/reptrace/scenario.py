@@ -17,6 +17,7 @@ from .core import Preferences, ReputationType, weight_problem
 from .errors import ConfigError
 from .fire import FireConfig
 from .simulate import (
+    PROFILE_TERMS,
     AgentSpec,
     CustomerService,
     ParcelCondition,
@@ -53,17 +54,20 @@ def _validator(schema_name: str):
     return compile_schema(load_schema(schema_name))
 
 
-def validate_document(doc: dict, schema_name: str) -> None:
+def validate_document(doc: dict, schema_name: str, kind: str | None = None) -> None:
     """Validate a document against a shipped schema; raise ConfigError.
 
     The message names the first violation found and the path of the value
-    it concerns, as ``<schema> document invalid at <path>: <message>``.
+    it concerns, as ``<kind> document invalid at <path>: <message>``;
+    ``kind`` defaults to the schema's name.
     """
     try:
         _validator(schema_name)(doc)
     except Violation as exc:
         path = "/".join(map(str, exc.path)) or "<root>"
-        raise ConfigError(f"{schema_name} document invalid at {path}: {exc.message}") from exc
+        raise ConfigError(
+            f"{kind or schema_name} document invalid at {path}: {exc.message}"
+        ) from exc
 
 
 def parse_json(text: str, source: Union[str, Path]) -> dict:
@@ -177,10 +181,46 @@ def _witnesses(doc: dict, agent_ids: list[str]) -> dict[str, tuple[str, ...]]:
     return {agent: tuple(peers) for agent, peers in raw.items()}
 
 
+def _check_beyond_schema(doc: dict) -> None:
+    """``Scenario``'s and ``PhaseParams``'s own checks, each naming its path."""
+
+    def invalid(path: str, problem: str) -> ConfigError:
+        return ConfigError(f"scenario document invalid at {path}: {problem}")
+
+    for i, provider in enumerate(doc["providers"]):
+        for j, phase in enumerate(provider["phases"]):
+            for key in ("parcel_probs", "service_probs"):
+                total = sum(map(float, phase[key]))
+                if abs(total - 1.0) > 1e-9:
+                    raise invalid(f"providers/{i}/phases/{j}/{key}", f"must sum to 1, got {total}")
+    ids: set[str] = set()
+    for section in ("agents", "providers"):
+        for i, item in enumerate(doc[section]):
+            if item["id"] in ids:
+                raise invalid(
+                    f"{section}/{i}/id", f"{item['id']!r} is already an agent or provider id"
+                )
+            ids.add(item["id"])
+    agent_ids = {a["id"] for a in doc["agents"]}
+    witnesses = doc.get("witnesses")
+    for agent, peers in witnesses.items() if isinstance(witnesses, dict) else ():
+        if agent not in agent_ids:
+            raise invalid(f"witnesses/{agent}", f"{agent!r} is not a listed agent")
+        for k, peer in enumerate(peers):
+            if peer not in agent_ids:
+                raise invalid(f"witnesses/{agent}/{k}", f"{peer!r} is not a listed agent")
+            if peer == agent:
+                raise invalid(f"witnesses/{agent}/{k}", "an agent cannot witness for itself")
+    for term in doc["terms"]:
+        if term not in PROFILE_TERMS:
+            raise invalid(f"terms/{term}", f"no rating rule for term {term!r}")
+
+
 def scenario_from_document(doc: dict, seed_override: int | None = None) -> Scenario:
     """Build a typed scenario from a validated document."""
     validate_document(doc, "scenario")
     config = config_from_document(doc, "scenario")
+    _check_beyond_schema(doc)
     providers = tuple(
         ProviderModel(
             id=p["id"],

@@ -29,7 +29,7 @@ from .core import AgentId, Preferences, Rating, ReputationType, Term
 from .errors import ConfigError
 from .fire import FireConfig
 from .prng import Stream
-from .store import ObservationRecord, ObservationStore, RatingStore, RoleRule, bucket_runs
+from .store import ObservationStore, RatingStore, RoleRule, bucket_runs
 from .travos import TravosConfig, binarize_value
 
 TIMELINESS = "timeliness"
@@ -290,9 +290,9 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> SimulationWo
     Each round every agent picks a provider, draws an outcome, rates it on
     every preferred term and records the ratings with the round index as
     timestamp. Whenever a witness already holds experience with the chosen
-    provider, the witness's opinion at the start of the round is stored
-    alongside the round's outcome as an observation record for later
-    accuracy estimation. An opinion is the mean of the binarized beta over
+    provider, the witness's opinion at the start of the round is counted
+    with the round's outcome, as one observation, for later accuracy
+    estimation. An opinion is the mean of the binarized beta over
     the witness's stored ratings of that provider on that term; it is read
     from a running (ratings, successes) count that each insert raises and
     each cap eviction lowers. The round's ratings are stored after every
@@ -350,16 +350,8 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> SimulationWo
                     if not n:
                         continue
                     alpha, beta = 1.0 + pos, 1.0 + (n - pos)
-                    observations[agent.id].insert(
-                        ObservationRecord(
-                            assessor=agent.id,
-                            witness=witness,
-                            target=chosen,
-                            term=term,
-                            interaction_id=interaction_id,
-                            opinion_value=alpha / (alpha + beta),
-                            outcome_rating=value,
-                        )
+                    observations[agent.id].add(
+                        witness, term, alpha / (alpha + beta), 1, int(binarize_value(value))
                     )
             interactions.append((agent.id, chosen, interaction_id, ratings))
             if ratings.get(TIMELINESS) is not None:
@@ -375,7 +367,6 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> SimulationWo
                     term=term,
                     rep_type=ReputationType.INTERACTION,
                     value=value,
-                    raw_value=value,
                     timestamp=rnd,
                     interaction_id=interaction_id,
                 )
@@ -393,7 +384,6 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> SimulationWo
             term=r.term,
             rep_type=ReputationType.WITNESS,
             value=r.value,
-            raw_value=r.raw_value,
             timestamp=r.timestamp,
             interaction_id=r.interaction_id,
         )

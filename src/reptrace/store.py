@@ -2,7 +2,7 @@
 
 Three stores back the reputation engines: a rating store with an optional
 bounded per-source history, a role-rule list, and an observation store
-pairing past witness opinions with the outcomes that followed them.
+counting the outcomes that followed past witness opinions.
 
 Mutations are expected to come from a single writer; query results are
 fresh lists that callers may keep across later mutations. Rating records
@@ -15,7 +15,7 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .core import AgentId, Rating, ReputationType, Term
 from .errors import BadBinError
@@ -207,36 +207,6 @@ class RoleRule:
             raise ValueError("expected_value must lie in [-1, 1]")
 
 
-class _ObservationFields(NamedTuple):
-    assessor: AgentId
-    witness: AgentId
-    target: AgentId
-    term: Term
-    interaction_id: str
-    opinion_value: float
-    outcome_rating: float
-
-
-class ObservationRecord(_ObservationFields):
-    """A past witness opinion paired with the outcome that followed it.
-
-    A validated named tuple, like ``Rating``.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, assessor, witness, target, term, interaction_id, opinion_value,
-                outcome_rating):
-        if not 0.0 <= opinion_value <= 1.0:
-            raise ValueError("opinion_value must lie in [0, 1]")
-        if not 0.0 <= outcome_rating <= 1.0:
-            raise ValueError("outcome_rating must lie in [0, 1]")
-        return tuple.__new__(
-            cls,
-            (assessor, witness, target, term, interaction_id, opinion_value, outcome_rating),
-        )
-
-
 def bin_bounds(opinion_bin: int, bins: int) -> tuple[float, float]:
     """Half-open interval [lo, hi) of a bin; the last bin is closed at 1."""
     if not 1 <= opinion_bin <= bins:
@@ -253,41 +223,46 @@ def bin_of(opinion_value: float, bins: int) -> int:
 
 @dataclass
 class ObservationStore:
-    """Append-only observation records, indexed by (assessor, witness, term).
+    """What followed a witness's past opinions, as counts.
 
-    A query reads one index entry and filters it by bin, in insertion
-    order; ``all_records`` returns every record in insertion order.
+    Per (witness, term), a map from opinion value to [n, successes]: the
+    witness gave that opinion before n outcomes, and successes of them
+    were successful. That pair is all TRAVOS reads of an observation. The
+    key is the opinion value, not its bin, so a query can use any number
+    of bins. ``len`` is the number of observations counted.
     """
 
-    _records: list[ObservationRecord] = field(default_factory=list)
-    _index: dict[tuple[AgentId, AgentId, Term], list[ObservationRecord]] = field(
+    _counts: dict[tuple[AgentId, Term], dict[float, list[int]]] = field(
         default_factory=dict
     )
+    _size: int = 0
 
     def __len__(self) -> int:
-        return len(self._records)
+        return self._size
 
-    def insert(self, record: ObservationRecord) -> None:
-        self._records.append(record)
-        key = (record.assessor, record.witness, record.term)
-        self._index.setdefault(key, []).append(record)
+    def add(self, witness: AgentId, term: Term, opinion_value: float, n: int,
+            successes: int) -> None:
+        """Count n observations of one opinion, successes of them successful."""
+        count = self._counts.setdefault((witness, term), {}).setdefault(opinion_value, [0, 0])
+        count[0] += n
+        count[1] += successes
+        self._size += n
 
-    def all_records(self) -> list[ObservationRecord]:
-        return list(self._records)
+    def entries(self) -> list[tuple[AgentId, Term, float, int, int]]:
+        """Every (witness, term, opinion_value, n, successes), sorted."""
+        return sorted(
+            (witness, term, value, n, successes)
+            for (witness, term), values in self._counts.items()
+            for value, (n, successes) in values.items()
+        )
 
-    def query(
-        self,
-        assessor: AgentId,
-        witness: AgentId,
-        term: Term,
-        opinion_bin: int,
-        bins: int,
-    ) -> list[ObservationRecord]:
-        """Records whose past opinion falls in the given bin."""
+    def query(self, witness: AgentId, term: Term, opinion_bin: int, bins: int) -> tuple[int, int]:
+        """(n, successes) summed over the opinion values in the given bin."""
         lo, hi = bin_bounds(opinion_bin, bins)  # validate even when the store is empty
         closed = opinion_bin == bins  # the last bin includes 1
-        return [
-            rec
-            for rec in self._index.get((assessor, witness, term), ())
-            if lo <= rec.opinion_value < hi or (closed and rec.opinion_value == hi)
-        ]
+        n = successes = 0
+        for value, count in self._counts.get((witness, term), {}).items():
+            if lo <= value < hi or (closed and value == hi):
+                n += count[0]
+                successes += count[1]
+        return n, successes

@@ -32,8 +32,8 @@ from .core import (
     Term,
     build_assessment,
 )
-from .errors import DegenerateMomentsError, NumericalFailureError
-from .store import ObservationRecord, ObservationStore, RatingStore, bin_bounds, bin_of
+from .errors import NumericalFailureError
+from .store import ObservationStore, RatingStore, bin_bounds, bin_of
 
 logger = logging.getLogger(__name__)
 
@@ -199,39 +199,30 @@ def confidence(p: BetaParams, epsilon: float) -> float:
     return interval_mass(p, e - epsilon, e + epsilon)
 
 
-def witness_accuracy(
-    obs: Sequence[ObservationRecord], opinion_bin: int, bins: int
-) -> float:
+def witness_accuracy(n: int, successes: int, opinion_bin: int, bins: int) -> float:
     """Accuracy of a witness whose current opinion falls in the given bin.
 
-    The outcomes that followed the witness's similar past opinions are
-    binarized and counted into a beta distribution; the accuracy is that
-    distribution's mass over the bin interval. With no history this is the
-    uniform prior's mass, 1 / bins.
+    ``n`` outcomes followed the witness's past opinions in that bin, and
+    ``successes`` of them were successful; they count into a beta
+    distribution, and the accuracy is that distribution's mass over the
+    bin interval. With no history this is the uniform prior's mass,
+    1 / bins.
     """
-    pos = sum(1 for rec in obs if binarize_value(rec.outcome_rating) == 1.0)
-    neg = len(obs) - pos
-    outcome_dist = BetaParams(1.0 + pos, 1.0 + neg)
+    outcome_dist = BetaParams(1.0 + successes, 1.0 + (n - successes))
     lo, hi = bin_bounds(opinion_bin, bins)
     return interval_mass(outcome_dist, lo, hi)
 
 
-def beta_from_moments(mean: float, std: float, clamp: bool = True) -> BetaParams:
+def beta_from_moments(mean: float, std: float) -> BetaParams:
     """Invert (mean, std) to beta parameters by moment matching.
 
-    When the moments are infeasible (non-positive parameters), either
-    clamps to the uniform prior with a diagnostic or raises
-    DegenerateMomentsError when ``clamp`` is False.
+    When the moments are infeasible (non-positive parameters), clamps to
+    the uniform prior and logs a warning.
     """
     var = std * std
     alpha = (mean * mean - mean**3) / var - mean
     beta = ((1.0 - mean) ** 2 - (1.0 - mean) ** 3) / var - (1.0 - mean)
     if alpha <= 0.0 or beta <= 0.0:
-        if not clamp:
-            raise DegenerateMomentsError(
-                f"moment matching degenerate for mean={mean}, std={std}: "
-                f"alpha={alpha}, beta={beta}"
-            )
         logger.warning(
             "degenerate moment inversion (mean=%s, std=%s); clamping to uniform prior",
             mean,
@@ -353,10 +344,8 @@ def assess_term(
     if low_confidence:
         for opinion in gather_witness_opinions(rating_store, assessor, target, term):
             opinion_bin = bin_of(opinion.params.mean, config.bins)
-            obs = obs_store.query(
-                assessor, opinion.witness, term, opinion_bin, config.bins
-            )
-            rho = witness_accuracy(obs, opinion_bin, config.bins)
+            n, successes = obs_store.query(opinion.witness, term, opinion_bin, config.bins)
+            rho = witness_accuracy(n, successes, opinion_bin, config.bins)
             contributions.append(
                 WitnessContribution(
                     witness=opinion.witness,

@@ -1,0 +1,250 @@
+"""Mutation checks: each listed fault in ``src/`` must fail its named tests.
+
+Usage, from any directory, with the test dependencies installed:
+
+    python tests/mutants.py
+
+For each entry of ``MUTANTS`` the runner copies ``src/`` to a temporary
+directory, replaces the entry's old text, which must occur exactly once in
+its file, by the new text, and runs the entry's tests against the copy
+with ``pytest -x`` and Hypothesis's shrinking off. The mutant is killed
+when a test fails. Before any mutant, the named tests run once against an
+unchanged copy and must pass, so a failure is the mutant's doing.
+
+Exit status: 0 when every mutant is killed; 1 when some survive, each one
+listed; 2 when an entry is broken (its old text does not occur exactly
+once, or its tests cannot run) or the unchanged copy fails. A survivor is
+a finding about the tests. It stays on the list until a test kills it.
+The runner itself uses only the standard library; the tests it runs need
+pytest and Hypothesis.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+REPO = Path(__file__).resolve().parent.parent
+#: Seconds one pytest run may take before it counts as broken.
+TIMEOUT_S = 600
+
+
+class Mutant(NamedTuple):
+    name: str
+    #: Path under ``src/reptrace``.
+    file: str
+    old: str
+    new: str
+    #: pytest node ids, relative to the repository root.
+    tests: tuple[str, ...]
+
+
+MUTANTS = (
+    Mutant(
+        "prng: the half-word buffer returns the high half first",
+        "prng.py",
+        "        self._half = draw >> 32\n        return draw & _MASK32\n",
+        "        self._half = draw & _MASK32\n        return draw >> 32\n",
+        ("tests/test_prng.py::test_mixed_draws_match_numpy",),
+    ),
+    Mutant(
+        "prng: the wedge test compares against exp(-x / 2)",
+        "prng.py",
+        "< math.exp(-0.5 * x * x):",
+        "< math.exp(-0.5 * x):",
+        ("tests/test_prng.py::test_standard_normals_match_numpy_on_every_ziggurat_branch",),
+    ),
+    Mutant(
+        "prng: the tail draw takes the opposite sign",
+        "prng.py",
+        "return -(_NOR_R + xx) if (rabs >> 8) & 1 else _NOR_R + xx",
+        "return _NOR_R + xx if (rabs >> 8) & 1 else -(_NOR_R + xx)",
+        ("tests/test_prng.py::test_standard_normals_match_numpy_on_every_ziggurat_branch",),
+    ),
+    Mutant(
+        "fire: interaction evidence from every source",
+        "fire.py",
+        "            for r in rating_store.query(target, term, ReputationType.INTERACTION)\n"
+        "            if r.source == assessor\n",
+        "            for r in rating_store.query(target, term, ReputationType.INTERACTION)\n",
+        ("tests/test_fire.py::TestAssessProvider::test_components_and_uniform_baseline",),
+    ),
+    Mutant(
+        "fire: witness evidence authored by the assessor",
+        "fire.py",
+        "            if r.source != assessor\n",
+        "",
+        ("tests/test_fire.py::TestAssessProvider::test_components_and_uniform_baseline",),
+    ),
+    Mutant(
+        "travos: interaction evidence from every source",
+        "travos.py",
+        "        for r in rating_store.query(target, term, ReputationType.INTERACTION)\n"
+        "        if r.source == assessor\n",
+        "        for r in rating_store.query(target, term, ReputationType.INTERACTION)\n",
+        ("tests/test_travos.py::TestAssessTerm::test_interaction_evidence_is_the_assessors_own",),
+    ),
+    Mutant(
+        "travos: witness opinions authored by the assessor",
+        "travos.py",
+        "        if r.source == assessor:\n            continue\n",
+        "",
+        ("tests/test_travos.py::TestAssessTerm"
+         "::test_assessors_own_witness_records_are_no_opinion",),
+    ),
+    Mutant(
+        "store: a capped history sorted in reverse insertion order among equal keys",
+        "store.py",
+        "            history.sort(key=_content_key)\n",
+        "            history.sort(key=_content_key, reverse=True)\n            history.reverse()\n",
+        ("tests/test_store.py::TestRatingStoreAgainstOracle"
+         "::test_merge_matches_inserts_one_at_a_time",),
+    ),
+    Mutant(
+        "store: merge leaves a held bucket unsorted",
+        "store.py",
+        "                bucket.sort(key=_bucket_key)\n",
+        "",
+        ("tests/test_store.py::TestRatingStoreAgainstOracle"
+         "::test_merge_matches_inserts_one_at_a_time",),
+    ),
+    Mutant(
+        "store: the last opinion bin is open at 1",
+        "store.py",
+        "closed = opinion_bin == bins",
+        "closed = False",
+        ("tests/test_store.py::TestObservationBins::test_last_bin_closed",
+         "tests/test_store.py::TestObservationStoreAgainstOracle"),
+    ),
+    Mutant(
+        "simulate: an eviction leaves the witness counts unchanged",
+        "simulate.py",
+        "tally(old, -1)",
+        "tally(old, 0)",
+        ("tests/test_simulate.py::TestOpinionOracle",),
+    ),
+    Mutant(
+        "simulate: streams seeded by roster index",
+        "simulate.py",
+        "rngs = {a.id: agent_rng(seed, a.id) for a in scenario.agents}",
+        "rngs = {a.id: agent_rng(seed, str(i)) for i, a in enumerate(scenario.agents)}",
+        ("tests/test_simulate.py::TestRosterExtension",),
+    ),
+    Mutant(
+        "travos: the incomplete-beta cache remembers a failure",
+        "travos.py",
+        "@functools.lru_cache(maxsize=2048)\ndef regularized_incomplete_beta(",
+        "def _remember_failures(fn):\n"
+        "    memo = {}\n"
+        "\n"
+        "    @functools.wraps(fn)\n"
+        "    def cached(*args):\n"
+        "        if args not in memo:\n"
+        "            try:\n"
+        "                memo[args] = fn(*args)\n"
+        "            except NumericalFailureError:\n"
+        "                memo[args] = math.nan\n"
+        "                raise\n"
+        "        return memo[args]\n"
+        "\n"
+        "    return cached\n"
+        "\n"
+        "\n"
+        "@_remember_failures\n"
+        "def regularized_incomplete_beta(",
+        ("tests/test_travos.py::TestIncompleteBetaCache::test_failure_is_raised_on_every_call",),
+    ),
+    Mutant(
+        "travos: a rating of exactly the threshold counts as a failure",
+        "travos.py",
+        "return 1.0 if value >= threshold else 0.0",
+        "return 1.0 if value > threshold else 0.0",
+        ("tests/test_travos.py::TestEvidenceCounting::test_binarize",
+         "tests/test_simulate.py::TestOpinionOracle"),
+    ),
+    Mutant(
+        "pipeline: a stores/v2 entry may count more successes than observations",
+        "pipeline.py",
+        "                if successes > n:\n",
+        "                if False:\n",
+        ("tests/test_cli.py::TestObservationCounts",),
+    ),
+)
+
+
+def _copy_src(tmp: Path) -> Path:
+    src = tmp / "src"
+    shutil.copytree(REPO / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    return src
+
+
+#: pytest with Hypothesis's shrinking turned off: a mutant needs one
+#: failing example, not the smallest, and shrinking one can take minutes.
+_PYTEST = """
+import sys, pytest
+from hypothesis import Phase, settings
+settings.register_profile("mutants", phases=[Phase.explicit, Phase.reuse, Phase.generate])
+sys.exit(pytest.main(["-p", "no:cacheprovider", "--hypothesis-profile=mutants", *sys.argv[1:]]))
+"""
+
+
+def _pytest(src: Path, tests) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run(
+        [sys.executable, "-c", _PYTEST, "-x", "-q", *tests],
+        cwd=REPO, env=env, capture_output=True, text=True, timeout=TIMEOUT_S,
+    )
+
+
+def _broken(message: str, output: str = "") -> int:
+    print(f"mutants: {message}", file=sys.stderr)
+    if output:
+        print(output[-3000:], file=sys.stderr)
+    return 2
+
+
+def main() -> int:
+    for mutant in MUTANTS:
+        found = (REPO / "src" / "reptrace" / mutant.file).read_text().count(mutant.old)
+        if found != 1:
+            return _broken(f"{mutant.name}: old text occurs {found} times in {mutant.file}")
+    every_test = list(dict.fromkeys(t for m in MUTANTS for t in m.tests))
+    with tempfile.TemporaryDirectory(prefix="reptrace-mutants-") as tmp:
+        src = _copy_src(Path(tmp))
+        probe = subprocess.run(
+            [sys.executable, "-c", "import reptrace; print(reptrace.__file__)"],
+            cwd=REPO, env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+        )
+        if not probe.stdout.startswith(str(src)):
+            return _broken(f"the copy is not what imports: {probe.stdout}{probe.stderr}")
+        clean = _pytest(src, every_test)
+        if clean.returncode != 0:
+            return _broken("the named tests fail on the unchanged source", clean.stdout)
+    survivors = []
+    for mutant in MUTANTS:
+        with tempfile.TemporaryDirectory(prefix="reptrace-mutant-") as tmp:
+            src = _copy_src(Path(tmp))
+            path = src / "reptrace" / mutant.file
+            path.write_text(path.read_text().replace(mutant.old, mutant.new))
+            run = _pytest(src, mutant.tests)
+        # pytest exits 1 when a test failed; any other failure is the entry's.
+        if run.returncode == 1:
+            print(f"killed    {mutant.name}")
+        elif run.returncode == 0:
+            print(f"SURVIVED  {mutant.name}")
+            survivors.append(mutant.name)
+        else:
+            return _broken(
+                f"{mutant.name}: pytest exited {run.returncode}", run.stdout + run.stderr
+            )
+    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

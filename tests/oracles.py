@@ -281,7 +281,6 @@ def witness_copy_oracle(scenario, own_ratings) -> dict:
                         term=r.term,
                         rep_type=ReputationType.WITNESS,
                         value=r.value,
-                        raw_value=r.raw_value,
                         timestamp=r.timestamp,
                         interaction_id=r.interaction_id,
                     )
@@ -304,26 +303,37 @@ def content_key(r):
 
 
 class ObservationStoreOracle:
-    """A plain list filtered linearly; bin b of n is [(b-1)/n, b/n), the
-    last bin closed at 1."""
+    """One (witness, term, opinion value, success) entry per observation,
+    filtered linearly and counted; bin b of n is [(b-1)/n, b/n), the last
+    bin closed at 1."""
 
     def __init__(self):
-        self.records = []
+        self.observations = []
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.observations)
 
-    def insert(self, record) -> None:
-        self.records.append(record)
+    def add(self, witness, term, opinion_value, n, successes) -> None:
+        for index in range(n):
+            self.observations.append((witness, term, opinion_value, index < successes))
 
-    def query(self, assessor, witness, term, opinion_bin, bins) -> list:
+    def query(self, witness, term, opinion_bin, bins) -> tuple:
         lo, hi = (opinion_bin - 1) / bins, opinion_bin / bins
-        return [
-            rec
-            for rec in self.records
-            if (rec.assessor, rec.witness, rec.term) == (assessor, witness, term)
-            and (lo <= rec.opinion_value < hi or (opinion_bin == bins and rec.opinion_value == hi))
+        outcomes = [
+            success
+            for w, t, value, success in self.observations
+            if (w, t) == (witness, term)
+            and (lo <= value < hi or (opinion_bin == bins and value == hi))
         ]
+        return len(outcomes), sum(outcomes)
+
+    def entries(self) -> list:
+        counts = {}
+        for witness, term, value, success in self.observations:
+            count = counts.setdefault((witness, term, value), [0, 0])
+            count[0] += 1
+            count[1] += success
+        return sorted((*key, n, successes) for key, (n, successes) in counts.items())
 
 
 #: Absolute tolerance for assessment self-consistency checks.

@@ -257,7 +257,7 @@ def test_criterion_8_fire_recency_argument():
         store = RatingStore()
         for target, value, ts in history:
             store.insert(
-                Rating("a", target, "q", I, value=value, raw_value=value, timestamp=ts)
+                Rating("a", target, "q", I, value=value, timestamp=ts)
             )
         return store
 

@@ -15,12 +15,21 @@ from reptrace.scenario import validate_document
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIO_PATH = REPO / "demos" / "delivery_scenario.json"
+V1_STORES_PATH = REPO / "tests" / "data" / "demo_stores_v1.json"
 
 
 @pytest.fixture()
 def stores_path(tmp_path):
     out = tmp_path / "stores.json"
     assert main(["simulate", str(SCENARIO_PATH), str(out)]) == 0
+    return out
+
+
+@pytest.fixture()
+def v1_stores_path(tmp_path):
+    """A copy of the demo's stores document in the stores/v1 format."""
+    out = tmp_path / "stores-v1.json"
+    out.write_text(V1_STORES_PATH.read_text())
     return out
 
 
@@ -148,8 +157,8 @@ class TestExplain:
         def rating(target, term, value):
             return {
                 "source": "alice", "target": target, "term": term,
-                "rep_type": "interaction", "value": value, "raw_value": value,
-                "timestamp": 0, "interaction_id": None,
+                "rep_type": "interaction", "value": value, "timestamp": 0,
+                "interaction_id": None,
             }
 
         doc["ratings"]["alice"] = [rating("bargain", "quality", 0.9)] + [
@@ -197,8 +206,11 @@ class TestNonFiniteInput:
         ids=["nan-term-weight", "infinite-term-weight", "nan-raw-value"],
     )
     def test_rejected_with_exit_two(
-        self, stores_path, capsys, command, set_value, value, constant
+        self, stores_path, v1_stores_path, capsys, command, set_value, value, constant
     ):
+        # Only stores/v1 ratings carry a raw_value.
+        if set_value is _set_first_raw_value:
+            stores_path = v1_stores_path
         doc = json.loads(stores_path.read_text())
         set_value(doc, value)
         stores_path.write_text(json.dumps(doc))
@@ -231,11 +243,11 @@ class TestNonFiniteInput:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["assess", "explain"])
-    def test_overflowing_raw_value_names_its_path(self, stores_path, capsys, command):
-        doc = json.loads(stores_path.read_text())
+    def test_overflowing_raw_value_names_its_path(self, v1_stores_path, capsys, command):
+        doc = json.loads(v1_stores_path.read_text())
         path = ("ratings", "alice", 0, "raw_value")
-        stores_path.write_text(_with_overflowing_literal(doc, path))
-        argv = [command, str(stores_path), "--model", "fire", "--assessor", "alice"]
+        v1_stores_path.write_text(_with_overflowing_literal(doc, path))
+        argv = [command, str(v1_stores_path), "--model", "fire", "--assessor", "alice"]
         if command == "explain":
             argv += ["--preferred", "steady", "--other", "bargain"]
         assert main(argv) == 2
@@ -292,14 +304,15 @@ class TestDocumentBoundary:
         assert f"ratings/alice/{index}/source" in capsys.readouterr().err
 
     @pytest.mark.parametrize("model", ["fire", "travos"])
-    def test_observation_assessor_must_be_the_owner(self, stores_path, capsys, model):
-        doc = json.loads(stores_path.read_text())
+    def test_observation_assessor_must_be_the_owner(self, v1_stores_path, capsys, model):
+        # Only a stores/v1 observation names its assessor.
+        doc = json.loads(v1_stores_path.read_text())
         observations = doc["observations"]["alice"]
         index = len(observations) - 1
         observations[index]["assessor"] = "carol"
-        stores_path.write_text(json.dumps(doc))
+        v1_stores_path.write_text(json.dumps(doc))
         assert main(
-            ["assess", str(stores_path), "--model", model, "--assessor", "alice"]
+            ["assess", str(v1_stores_path), "--model", model, "--assessor", "alice"]
         ) == 2
         assert f"observations/alice/{index}/assessor" in capsys.readouterr().err
 
@@ -323,9 +336,12 @@ class TestDocumentBoundary:
         ],
     )
     def test_record_no_engine_reads_exits_two(
-        self, stores_path, capsys, section, field, value
+        self, stores_path, v1_stores_path, capsys, section, field, value
     ):
         # No engine reads any of these records, so loading one must fail.
+        # The observation cases are stores/v1 records, which name a target.
+        if section == "observations":
+            stores_path = v1_stores_path
         doc = json.loads(stores_path.read_text())
         records = doc[section]["alice"]
         index = len(records) - 1
@@ -412,6 +428,111 @@ class TestDocumentBoundary:
             messages.append(str(info.value))
         assert messages[0] == messages[1]
         assert "scenario document invalid at rounds" in messages[0]
+
+
+def _last_observation(doc) -> int:
+    return len(doc["observations"]["alice"]) - 1
+
+
+def _set_observation_field(name, value):
+    def mutate(doc) -> int:
+        index = _last_observation(doc)
+        entry = doc["observations"]["alice"][index]
+        entry[name] = value(entry) if callable(value) else value
+        return index
+
+    return mutate
+
+
+def _repeat_first_observation(doc) -> int:
+    observations = doc["observations"]["alice"]
+    observations.append(dict(observations[0]))
+    return _last_observation(doc)
+
+
+class TestObservationCounts:
+    """Each stores/v2 observation entry that no engine can read exits 2
+    and names its path."""
+
+    @pytest.mark.parametrize(
+        "mutate, field",
+        [
+            (_set_observation_field("n", 0), "n"),
+            (_set_observation_field("n", 2**53 + 1), "n"),
+            (_set_observation_field("successes", -1), "successes"),
+            (_set_observation_field("successes", lambda entry: entry["n"] + 1), "successes"),
+            (_set_observation_field("witness", "alice"), "witness"),
+            (_set_observation_field("witness", "mallory"), "witness"),
+            (_set_observation_field("term", "colour"), "term"),
+            (_set_observation_field("opinion_value", 1.5), "opinion_value"),
+            (_repeat_first_observation, None),
+        ],
+        ids=[
+            "n-zero", "n-past-exact-floats", "negative-successes",
+            "more-successes-than-n", "witness-the-owner", "witness-unlisted",
+            "term-undeclared", "opinion-value-above-one", "duplicate-entry",
+        ],
+    )
+    def test_exits_two_naming_the_path(self, stores_path, capsys, mutate, field):
+        doc = json.loads(stores_path.read_text())
+        where = f"observations/alice/{mutate(doc)}"
+        stores_path.write_text(json.dumps(doc))
+        assert main(
+            ["assess", str(stores_path), "--model", "travos", "--assessor", "alice"]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        suffix = f"/{field}:" if field else ":"
+        assert f"stores document invalid at {where}{suffix}" in captured.err
+
+
+def _set_first_parcel_probs(doc):
+    doc["providers"][0]["phases"][0]["parcel_probs"] = [0.5, 0.2, 0.1, 0.1]
+
+
+def _set_last_service_probs(doc):
+    doc["providers"][-1]["phases"][1]["service_probs"] = [0.5, 0.5, 0.5, 0.0]
+
+
+def _add_agent(agent_id):
+    return lambda doc: doc["agents"].append({"id": agent_id})
+
+
+def _set_witnesses(topology):
+    return lambda doc: doc.update(witnesses=topology)
+
+
+def _add_term(doc):
+    doc["terms"]["colour"] = 0.1
+
+
+class TestScenarioBoundary:
+    @pytest.mark.parametrize(
+        "mutate, path",
+        [
+            (_set_first_parcel_probs, "providers/0/phases/0/parcel_probs"),
+            (_set_last_service_probs, "providers/2/phases/1/service_probs"),
+            (_add_agent("alice"), "agents/3/id"),
+            (_add_agent("swift"), "providers/0/id"),
+            (_set_witnesses({"alice": ["bob", "zed"]}), "witnesses/alice/1"),
+            (_set_witnesses({"alice": ["alice"]}), "witnesses/alice/0"),
+            (_set_witnesses({"zed": ["alice"]}), "witnesses/zed"),
+            (_add_term, "terms/colour"),
+        ],
+        ids=[
+            "parcel-probs-sum", "service-probs-sum", "duplicate-agent-id",
+            "agent-id-of-a-provider", "unknown-witness", "self-witness",
+            "unknown-witnessing-agent", "term-without-rating-rule",
+        ],
+    )
+    def test_semantic_error_names_its_path(self, tmp_path, capsys, mutate, path):
+        doc = json.loads(SCENARIO_PATH.read_text())
+        mutate(doc)
+        scenario, out = tmp_path / "scenario.json", tmp_path / "stores.json"
+        scenario.write_text(json.dumps(doc))
+        assert main(["simulate", str(scenario), str(out)]) == 2
+        assert f"scenario document invalid at {path}: " in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_commands_load_no_test_only_dependency(stores_path, tmp_path):

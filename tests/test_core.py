@@ -208,11 +208,11 @@ class TestTypes:
 
     def test_rating_validation(self):
         with pytest.raises(OutOfRangeError):
-            Rating("a", "b", "t", I, value=1.5, raw_value=1.5, timestamp=0)
+            Rating("a", "b", "t", I, value=1.5, timestamp=0)
         with pytest.raises(ValueError):
-            Rating("", "b", "t", I, value=0.5, raw_value=0.5, timestamp=0)
+            Rating("", "b", "t", I, value=0.5, timestamp=0)
         with pytest.raises(ValueError):
-            Rating("a", "b", "t", I, value=0.5, raw_value=0.5, timestamp=-1)
+            Rating("a", "b", "t", I, value=0.5, timestamp=-1)
 
     def test_preferences_validation(self):
         with pytest.raises(ValueError):

@@ -550,11 +550,11 @@ def recency_context(b_ratings, b2_ratings, lambda_=1.0, now=5):
     store = RatingStore()
     for value, ts in b_ratings:
         store.insert(
-            Rating("a", "b", "q", I, value=value, raw_value=value, timestamp=ts)
+            Rating("a", "b", "q", I, value=value, timestamp=ts)
         )
     for value, ts in b2_ratings:
         store.insert(
-            Rating("a", "b2", "q", I, value=value, raw_value=value, timestamp=ts)
+            Rating("a", "b2", "q", I, value=value, timestamp=ts)
         )
     fa_b = assess_fire(store, "a", "b", prefs, config, now=now)
     fa_b2 = assess_fire(store, "a", "b2", prefs, config, now=now)

@@ -36,7 +36,6 @@ def rating(value, ts, source="a", target="b", term="q", rep_type=I):
         term=term,
         rep_type=rep_type,
         value=value,
-        raw_value=value,
         timestamp=ts,
     )
 

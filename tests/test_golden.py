@@ -5,7 +5,9 @@ and 7 through the CLI, then pins the sha256 of the stores document, of
 every agent's ``assess`` document and of every ordered provider pair's
 ``explain`` document and ``--text`` output, under both models. A command
 that fails is pinned by its exit code instead. The capped runs pin the
-witness-copy and eviction paths end to end.
+witness-copy and eviction paths end to end. The uncapped commands must
+give the same outputs on ``data/demo_stores_v1.json``, the same stores
+in the stores/v1 format.
 
 To print the table for the current code (after checking that a change
 in it is intended):
@@ -26,10 +28,15 @@ import tempfile
 from pathlib import Path
 
 from reptrace import cli
+from reptrace.pipeline import dump_document, world_from_document, world_to_document
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIO_PATH = REPO / "demos" / "delivery_scenario.json"
 GOLDEN_PATH = Path(__file__).resolve().parent / "demo_golden.json"
+#: The uncapped demo's stores/v1 document, as ``simulate`` wrote it before
+#: stores/v2, and its sha256: the golden ``null/stores`` of that time.
+V1_STORES_PATH = Path(__file__).resolve().parent / "data" / "demo_stores_v1.json"
+V1_STORES_SHA256 = "be7d444fb64732d8318ec10c0bce558d2b69aee78e58e2464ecea0e7d7ae0fa3"
 CAPS = (None, 3, 7)
 MODELS = ("fire", "travos")
 
@@ -46,6 +53,20 @@ def _run(argv: list[str]) -> str | int:
     return _sha256(out.getvalue().encode()) if code == 0 else code
 
 
+def capture_commands(stores: Path, name: str, agents, providers) -> dict[str, str | int]:
+    """Every pinned command on one stores document, keyed ``name/model/agent/command``."""
+    table: dict[str, str | int] = {}
+    for model, agent in itertools.product(MODELS, agents):
+        base = [str(stores), "--model", model, "--assessor", agent]
+        table[f"{name}/{model}/{agent}/assess"] = _run(["assess", *base])
+        for preferred, other in itertools.permutations(providers, 2):
+            pair = ["--preferred", preferred, "--other", other]
+            key = f"{name}/{model}/{agent}/explain {preferred}>{other}"
+            table[key] = _run(["explain", *base, *pair])
+            table[f"{key} --text"] = _run(["explain", *base, *pair, "--text"])
+    return table
+
+
 def capture(workdir: Path) -> dict[str, str | int]:
     """Every pinned output, keyed ``cap/model/agent/command``."""
     scenario = json.loads(SCENARIO_PATH.read_text())
@@ -60,14 +81,7 @@ def capture(workdir: Path) -> dict[str, str | int]:
         assert cli.main(["simulate", str(scenario_path), str(stores)]) == 0
         name = json.dumps(cap)
         table[f"{name}/stores"] = _sha256(stores.read_bytes())
-        for model, agent in itertools.product(MODELS, agents):
-            base = [str(stores), "--model", model, "--assessor", agent]
-            table[f"{name}/{model}/{agent}/assess"] = _run(["assess", *base])
-            for preferred, other in itertools.permutations(providers, 2):
-                pair = ["--preferred", preferred, "--other", other]
-                key = f"{name}/{model}/{agent}/explain {preferred}>{other}"
-                table[key] = _run(["explain", *base, *pair])
-                table[f"{key} --text"] = _run(["explain", *base, *pair, "--text"])
+        table.update(capture_commands(stores, name, agents, providers))
     return table
 
 
@@ -93,6 +107,32 @@ def test_demo_outputs_match_golden(tmp_path, monkeypatch):
     assert list(got) == list(expected)
     changed = [key for key in got if got[key] != expected[key]]
     assert not changed, {key: (expected[key], got[key]) for key in changed}
+
+
+def test_v1_demo_stores_match_golden(monkeypatch):
+    # A stores/v1 document still loads: it gives every uncapped golden
+    # output, and written again it is the uncapped golden stores/v2.
+    _memoised_loading(monkeypatch)
+    assert _sha256(V1_STORES_PATH.read_bytes()) == V1_STORES_SHA256
+    golden = json.loads(GOLDEN_PATH.read_text())
+    expected = {
+        key: value
+        for key, value in golden.items()
+        if key.startswith("null/") and key != "null/stores"
+    }
+    scenario = json.loads(SCENARIO_PATH.read_text())
+    got = capture_commands(
+        V1_STORES_PATH,
+        "null",
+        [a["id"] for a in scenario["agents"]],
+        [p["id"] for p in scenario["providers"]],
+    )
+    assert list(got) == list(expected)
+    changed = [key for key in got if got[key] != expected[key]]
+    assert not changed, {key: (expected[key], got[key]) for key in changed}
+    world = world_from_document(json.loads(V1_STORES_PATH.read_text()))
+    written = dump_document(world_to_document(world)).encode()
+    assert _sha256(written) == golden["null/stores"]
 
 
 if __name__ == "__main__":

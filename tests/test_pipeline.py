@@ -111,8 +111,8 @@ class TestStoresDocument:
                 == world.rating_stores[agent].all_records()
             )
             assert (
-                restored.observation_stores[agent].all_records()
-                == world.observation_stores[agent].all_records()
+                restored.observation_stores[agent].entries()
+                == world.observation_stores[agent].entries()
             )
 
 

@@ -13,7 +13,6 @@ from oracles import ObservationStoreOracle, RatingStoreOracle, content_key
 from reptrace.core import Rating, ReputationType
 from reptrace.errors import BadBinError, OutOfRangeError
 from reptrace.store import (
-    ObservationRecord,
     ObservationStore,
     RatingStore,
     bin_of,
@@ -32,7 +31,6 @@ def r(source="a", target="b", term="q", rep_type=I, value=0.5, ts=0, iid=None):
         term=term,
         rep_type=rep_type,
         value=value,
-        raw_value=value,
         timestamp=ts,
         interaction_id=iid,
     )
@@ -43,17 +41,10 @@ RECORDS = [
     (
         Rating,
         dict(source="a", target="b", term="q", rep_type=I, value=0.5,
-             raw_value=0.25, timestamp=3, interaction_id="i1"),
+             timestamp=3, interaction_id="i1"),
         "Rating(source='a', target='b', term='q', "
         "rep_type=<ReputationType.INTERACTION: 'interaction'>, value=0.5, "
-        "raw_value=0.25, timestamp=3, interaction_id='i1')",
-    ),
-    (
-        ObservationRecord,
-        dict(assessor="a", witness="w", target="b", term="q",
-             interaction_id="i1", opinion_value=0.5, outcome_rating=1.0),
-        "ObservationRecord(assessor='a', witness='w', target='b', term='q', "
-        "interaction_id='i1', opinion_value=0.5, outcome_rating=1.0)",
+        "timestamp=3, interaction_id='i1')",
     ),
 ]
 
@@ -66,14 +57,9 @@ INVALID_FIELDS = [
     (Rating, "value", -0.0625, OutOfRangeError, "rating value -0.0625 outside [0, 1]"),
     (Rating, "value", math.nan, OutOfRangeError, "rating value nan outside [0, 1]"),
     (Rating, "timestamp", -1, ValueError, "timestamp must be a non-negative round index"),
-    (ObservationRecord, "opinion_value", 1.5, ValueError, "opinion_value must lie in [0, 1]"),
-    (ObservationRecord, "opinion_value", -0.0625, ValueError,
-     "opinion_value must lie in [0, 1]"),
-    (ObservationRecord, "opinion_value", math.nan, ValueError,
-     "opinion_value must lie in [0, 1]"),
 ]
 
-RECORD_IDS = ["rating", "observation"]
+RECORD_IDS = ["rating"]
 
 
 class TestEvidenceRecords:
@@ -87,13 +73,6 @@ class TestEvidenceRecords:
                 build(**dict(fields, **{field: bad}))
             assert type(info.value) is error
             assert str(info.value) == message
-
-    @pytest.mark.parametrize("bad", [1.5, -0.0625, math.nan])
-    def test_observation_outcome_rating_in_unit_interval(self, bad):
-        with pytest.raises(ValueError) as info:
-            ObservationRecord(**dict(RECORDS[1][1], outcome_rating=bad))
-        assert type(info.value) is ValueError
-        assert str(info.value) == "outcome_rating must lie in [0, 1]"
 
     @pytest.mark.parametrize("cls, fields, text", RECORDS, ids=RECORD_IDS)
     def test_keyword_and_positional_construction(self, cls, fields, text):
@@ -261,40 +240,29 @@ class TestObservationBins:
         assert bin_of(1.0, 5) == 5
         assert bin_of(0.0, 5) == 1
 
-    def obs(self, opinion, iid="i"):
-        return ObservationRecord(
-            assessor="a",
-            witness="w",
-            target="b",
-            term="q",
-            interaction_id=iid,
-            opinion_value=opinion,
-            outcome_rating=1.0,
-        )
-
     def test_bin_filtering(self):
         store = ObservationStore()
-        store.insert(self.obs(0.60, "in-lo"))
-        store.insert(self.obs(0.79, "in-hi"))
-        store.insert(self.obs(0.80, "above"))
-        store.insert(self.obs(0.59, "below"))
-        out = store.query("a", "w", "q", opinion_bin=4, bins=5)
-        assert {rec.interaction_id for rec in out} == {"in-lo", "in-hi"}
+        store.add("w", "q", 0.60, 1, 1)
+        store.add("w", "q", 0.79, 2, 1)
+        store.add("w", "q", 0.80, 4, 4)  # the next bin
+        store.add("w", "q", 0.59, 8, 0)  # the bin before
+        store.add("v", "q", 0.70, 16, 16)  # another witness
+        store.add("w", "t", 0.70, 32, 32)  # another term
+        assert store.query("w", "q", opinion_bin=4, bins=5) == (3, 2)
 
     def test_last_bin_closed(self):
         store = ObservationStore()
-        store.insert(self.obs(1.0))
-        assert len(store.query("a", "w", "q", 5, 5)) == 1
+        store.add("w", "q", 1.0, 1, 1)
+        assert store.query("w", "q", 5, 5) == (1, 1)
 
     def test_empty_store(self):
-        assert ObservationStore().query("a", "w", "q", 1, 5) == []
+        assert ObservationStore().query("w", "q", 1, 5) == (0, 0)
 
     def test_bad_bin(self):
         with pytest.raises(BadBinError):
-            ObservationStore().query("a", "w", "q", 0, 5)
+            ObservationStore().query("w", "q", 0, 5)
         with pytest.raises(BadBinError):
-            ObservationStore().query("a", "w", "q", 6, 5)
-
+            ObservationStore().query("w", "q", 6, 5)
 
 
 SOURCES = ("a", "b", "c")
@@ -308,10 +276,9 @@ ratings = st.builds(
     target=st.sampled_from(TARGETS),
     term=st.sampled_from(TERMS),
     rep_type=st.sampled_from(list(ReputationType)),
+    # Equal records are distinct objects, and records with equal keys
+    # must come back in insertion order.
     value=st.sampled_from([0.0, 0.5, 1.0]),
-    # Records may differ only in raw_value, which no sort key reads, so
-    # equal keys must come back in insertion order.
-    raw_value=st.sampled_from([0.0, 1.0]),
     timestamp=st.integers(0, 3),
     interaction_id=st.sampled_from(IIDS),
 )
@@ -382,34 +349,34 @@ class TestRatingStoreAgainstOracle:
         self.assert_same(store, oracle)
 
 
-observations = st.builds(
-    ObservationRecord,
-    assessor=st.sampled_from(("a", "b")),
-    witness=st.sampled_from(("v", "w")),
-    target=st.just("x"),
-    term=st.sampled_from(TERMS),
-    interaction_id=st.sampled_from(("i1", "i2")),
-    # Bin edges of 2 to 5 bins, and values between them.
-    opinion_value=st.sampled_from([0.0, 0.2, 0.25, 0.4, 0.5, 0.6, 0.75, 0.8, 1.0])
-    | st.floats(0.0, 1.0),
-    outcome_rating=st.sampled_from([0.0, 1.0]),
-)
+@st.composite
+def observation_counts(draw):
+    n = draw(st.integers(1, 3))
+    return (
+        draw(st.sampled_from(("v", "w"))),
+        draw(st.sampled_from(TERMS)),
+        # Bin edges of 2 to 5 bins, and values between them.
+        draw(
+            st.sampled_from([0.0, 0.2, 0.25, 0.4, 0.5, 0.6, 0.75, 0.8, 1.0])
+            | st.floats(0.0, 1.0)
+        ),
+        n,
+        draw(st.integers(0, n)),
+    )
 
 
 class TestObservationStoreAgainstOracle:
     @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(st.lists(observations, max_size=15))
-    def test_queries_match_a_linear_filter(self, inserts):
+    @given(st.lists(observation_counts(), max_size=15))
+    def test_queries_match_a_linear_filter(self, adds):
         store = ObservationStore()
         oracle = ObservationStoreOracle()
-        for rec in inserts:
-            store.insert(rec)
-            oracle.insert(rec)
+        for count in adds:
+            store.add(*count)
+            oracle.add(*count)
             assert len(store) == len(oracle)
-            assert same_records(store.all_records(), oracle.records)
-            for assessor, witness, term, bins in itertools.product(
-                ("a", "b"), ("v", "w"), TERMS, range(1, 6)
-            ):
+            assert store.entries() == oracle.entries()
+            for witness, term, bins in itertools.product(("v", "w"), TERMS, range(1, 6)):
                 for opinion_bin in range(1, bins + 1):
-                    key = (assessor, witness, term, opinion_bin, bins)
-                    assert same_records(store.query(*key), oracle.query(*key)), key
+                    key = (witness, term, opinion_bin, bins)
+                    assert store.query(*key) == oracle.query(*key), key

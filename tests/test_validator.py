@@ -29,16 +29,18 @@ from reptrace.validator import KEYWORDS, Violation, compile_schema
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIO_PATH = REPO / "demos" / "delivery_scenario.json"
-SCHEMAS = ("scenario", "stores", "ranking", "explanation")
+V1_STORES_PATH = REPO / "tests" / "data" / "demo_stores_v1.json"
+SCHEMAS = ("scenario", "stores", "stores_v1", "ranking", "explanation")
 
 #: Replacement values: every JSON kind, the edges of the numeric keywords,
 #: strings that some enum or const of the shipped schemas accepts, and ids
 #: that the stores' record checks reject in some field: an agent, a
 #: provider that is not listed and a term that is not declared.
 REPLACEMENTS = (
-    None, True, False, 0, -0.0, 3.0, 1e300, "", [], ["witness", "role"], {},
+    None, True, False, 0, -0.0, 3.0, 1e300, 2**53 + 1, "", [], ["witness", "role"], {},
     {"extra": 1}, "fire", "travos", "interaction", "witness", "complete",
-    "round_robin", "lost", "reptrace/stores/v1", "alice", "mallory", "colour",
+    "round_robin", "lost", "reptrace/stores/v1", "reptrace/stores/v2", "alice", "mallory",
+    "colour",
 )
 
 
@@ -56,6 +58,7 @@ def documents():
     return {
         "scenario": scenario,
         "stores": _json_copy(world_to_document(world)),
+        "stores_v1": json.loads(V1_STORES_PATH.read_text()),
         "ranking": _json_copy(ranking_to_document(Model.FIRE, "alice", ranked)),
         "explanation": _json_copy(explanation_to_document(explanation)),
     }
@@ -188,7 +191,8 @@ def _agrees_with_jsonschema(name, doc):
 
 @pytest.mark.parametrize(
     "name, examples",
-    [("scenario", 150), ("stores", 25), ("ranking", 150), ("explanation", 150)],
+    [("scenario", 150), ("stores", 25), ("stores_v1", 25), ("ranking", 150),
+     ("explanation", 150)],
 )
 def test_validator_agrees_with_jsonschema_on_mutations(documents, name, examples):
     @settings(max_examples=examples, derandomize=True, deadline=None, database=None,
