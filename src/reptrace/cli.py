@@ -24,7 +24,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import fixture
 from .errors import (
     ConfigError,
     NotPreferredError,
@@ -119,6 +118,8 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
 def _demo_failures() -> tuple[list[str], list[str]]:
     """Render the built-in example and collect golden mismatches."""
+    # Only ``demo`` reads the fixture, so no other command imports it.
+    from . import fixture
     from .explain import explain as explain_ctx
 
     lines: list[str] = []

@@ -14,7 +14,6 @@ where role rules become pseudo-ratings.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, NamedTuple, Optional, Sequence
 
@@ -98,8 +97,12 @@ def weight_problem(weights: Mapping[object, float]) -> Optional[str]:
     return None
 
 
-@dataclass(frozen=True)
-class Preferences:
+class _PreferencesFields(NamedTuple):
+    term_weights: Mapping[Term, float]
+    component_weights: Mapping[ReputationType, float]
+
+
+class Preferences(_PreferencesFields):
     """Assessor preferences: term weights and component importance.
 
     Weights are finite and non-negative, each section has a positive
@@ -107,19 +110,19 @@ class Preferences:
     combination divides by the applicable weight sum. Term declaration
     order (the insertion order of ``term_weights``) is meaningful:
     explanation arguments are emitted per term in this order.
+
+    Only the constructor validates; ``_make`` and ``_replace`` skip the
+    checks.
     """
 
-    term_weights: Mapping[Term, float]
-    component_weights: Mapping[ReputationType, float]
+    __slots__ = ()
 
-    def __post_init__(self):
-        for section, weights in (
-            ("term", self.term_weights),
-            ("component", self.component_weights),
-        ):
+    def __new__(cls, term_weights, component_weights):
+        for section, weights in (("term", term_weights), ("component", component_weights)):
             problem = weight_problem(weights)
             if problem:
                 raise ValueError(f"{section} weights invalid: {problem}")
+        return tuple.__new__(cls, (term_weights, component_weights))
 
     @property
     def terms(self) -> tuple[Term, ...]:
@@ -127,39 +130,45 @@ class Preferences:
         return tuple(self.term_weights.keys())
 
 
-@dataclass(frozen=True)
-class ComponentTrust:
+class _ComponentTrustFields(NamedTuple):
+    rep_type: ReputationType
+    value: Optional[float]
+    weight: float
+
+
+class ComponentTrust(_ComponentTrustFields):
     """Aggregated trust for one reputation type on one term.
 
     ``value`` is None when the component has no evidence; an absent value
     forces a zero weight so it never enters a mean. ``weight`` is the
     effective combination weight (importance for FIRE, evidence-mass share
     for TRAVOS).
+
+    Only the constructor validates; ``_make`` and ``_replace`` skip the
+    checks.
     """
 
-    rep_type: ReputationType
-    value: Optional[float]
-    weight: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.value is None and self.weight != 0.0:
-            raise ValueError("absent component value requires zero weight")
-        if self.value is not None and not 0.0 <= self.value <= 1.0:
-            raise OutOfRangeError(f"component trust {self.value!r} outside [0, 1]")
-        if self.weight < 0:
+    def __new__(cls, rep_type, value, weight):
+        if value is None:
+            if weight != 0.0:
+                raise ValueError("absent component value requires zero weight")
+        elif not 0.0 <= value <= 1.0:
+            raise OutOfRangeError(f"component trust {value!r} outside [0, 1]")
+        if weight < 0:
             raise ValueError("component weight must be non-negative")
+        return tuple.__new__(cls, (rep_type, value, weight))
 
 
-@dataclass(frozen=True)
-class TermAssessment:
+class TermAssessment(NamedTuple):
     """Component breakdown and combined trust for a single term."""
 
     components: tuple[ComponentTrust, ...]
     term_trust: Optional[float]
 
 
-@dataclass(frozen=True)
-class Assessment:
+class Assessment(NamedTuple):
     """Full per-provider breakdown: components, term trusts, overall score."""
 
     assessor: AgentId

@@ -20,9 +20,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import ClassVar, Mapping, Optional, Sequence, Union
+from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 from .core import (
     AgentId,
@@ -62,16 +61,14 @@ class Model(Enum):
     TRAVOS = "travos"
 
 
-@dataclass(frozen=True)
-class FireDiagnostics:
+class FireDiagnostics(NamedTuple):
     """Uniform-weight baseline assessments for both providers."""
 
     uniform_preferred: Assessment
     uniform_other: Assessment
 
 
-@dataclass(frozen=True)
-class TravosDiagnostics:
+class TravosDiagnostics(NamedTuple):
     """Interaction confidences and witness trusts per provider and term."""
 
     threshold: float
@@ -79,8 +76,7 @@ class TravosDiagnostics:
     other: Mapping[Term, TravosTermDiagnostics]
 
 
-@dataclass(frozen=True)
-class ComparisonContext:
+class ComparisonContext(NamedTuple):
     """Inputs of one explanation: the two assessments plus model extras."""
 
     assessor: AgentId
@@ -92,31 +88,28 @@ class ComparisonContext:
     travos_diagnostics: Optional[TravosDiagnostics] = None
 
 
-@dataclass(frozen=True)
-class DecisiveDominance:
+class DecisiveDominance(NamedTuple):
     """Domination case: pros that matter most, never any cons."""
 
-    kind: ClassVar[str] = "decisive_dominance"
+    kind = "decisive_dominance"
     pros: tuple[Term, ...]
     weighted_differences: Mapping[Term, float]
     reference: float
 
 
-@dataclass(frozen=True)
-class DecisiveTradeoff:
+class DecisiveTradeoff(NamedTuple):
     """Trade-off case: minimal pros covering the unmentioned cons."""
 
-    kind: ClassVar[str] = "decisive_tradeoff"
+    kind = "decisive_tradeoff"
     pros: tuple[Term, ...]
     cons: tuple[Term, ...]
     weighted_differences: Mapping[Term, float]
 
 
-@dataclass(frozen=True)
-class TypePermutation:
+class TypePermutation(NamedTuple):
     """Weight swaps among reputation types that would flip a term trust."""
 
-    kind: ClassVar[str] = "type_permutation"
+    kind = "type_permutation"
     term: Term
     swaps: tuple[tuple[ReputationType, ReputationType], ...]
     preferred_original: float
@@ -125,22 +118,20 @@ class TypePermutation:
     other_swapped: float
 
 
-@dataclass(frozen=True)
-class FireRecencyGlobal:
+class FireRecencyGlobal(NamedTuple):
     """Overall ranking that uniform rating weights would reverse."""
 
-    kind: ClassVar[str] = "recency_overall"
+    kind = "recency_overall"
     preferred_overall: float
     other_overall: float
     uniform_preferred_overall: float
     uniform_other_overall: float
 
 
-@dataclass(frozen=True)
-class FireRecencyLocal:
+class FireRecencyLocal(NamedTuple):
     """Component trust ordering that uniform rating weights would reverse."""
 
-    kind: ClassVar[str] = "recency_component"
+    kind = "recency_component"
     term: Term
     rep_type: ReputationType
     preferred_value: float
@@ -149,11 +140,10 @@ class FireRecencyLocal:
     uniform_other_value: float
 
 
-@dataclass(frozen=True)
-class TravosLowConfidence:
+class TravosLowConfidence(NamedTuple):
     """Witness evidence decided this term under scarce own experience."""
 
-    kind: ClassVar[str] = "low_confidence"
+    kind = "low_confidence"
     term: Term
     preferred_confidence: float
     other_confidence: float
@@ -163,7 +153,8 @@ class TravosLowConfidence:
 
 
 #: Every argument kind, in document schema order. Each class's ``kind`` is
-#: its tag in explanation documents; its fields, in order, are the keys.
+#: its tag in explanation documents; its ``_fields``, in order, are the keys.
+#: ``kind`` is a plain class attribute: an annotated one would be a field.
 ARGUMENT_KINDS = (
     DecisiveDominance,
     DecisiveTradeoff,
@@ -176,8 +167,7 @@ ARGUMENT_KINDS = (
 Argument = Union[ARGUMENT_KINDS]
 
 
-@dataclass(frozen=True)
-class Explanation:
+class Explanation(NamedTuple):
     """Ordered argument list justifying one pairwise ranking."""
 
     assessor: AgentId

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .core import (
     AgentId,
@@ -38,24 +37,30 @@ RECENCY_TYPES = (
 )
 
 
-@dataclass(frozen=True)
-class FireConfig:
-    """Recency scale, component importance and per-source history cap."""
+class _FireConfigFields(NamedTuple):
+    lambda_: float
+    importance: Mapping[ReputationType, float]
+    history_cap: Optional[int]
 
-    lambda_: float = 5.0
-    importance: Mapping[ReputationType, float] = field(
-        default_factory=lambda: {
-            ReputationType.INTERACTION: 0.75,
-            ReputationType.WITNESS: 0.25,
-        }
-    )
-    history_cap: Optional[int] = None
 
-    def __post_init__(self):
-        if self.lambda_ <= 0:
+class FireConfig(_FireConfigFields):
+    """Recency scale, component importance and per-source history cap.
+
+    ``importance`` defaults to interaction 0.75 and witness 0.25, in a
+    new dict for each config. Only the constructor validates; ``_make``
+    and ``_replace`` skip the checks.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, lambda_=5.0, importance=None, history_cap=None):
+        if importance is None:
+            importance = {ReputationType.INTERACTION: 0.75, ReputationType.WITNESS: 0.25}
+        if lambda_ <= 0:
             raise ValueError("lambda must be positive")
-        if not self.importance or not any(w > 0 for w in self.importance.values()):
+        if not importance or not any(w > 0 for w in importance.values()):
             raise ValueError("at least one positive importance weight required")
+        return tuple.__new__(cls, (lambda_, importance, history_cap))
 
 
 def recency_weight(delta_tau: float, lambda_: float) -> float:
@@ -88,8 +93,7 @@ def _recency_table(lambda_: float) -> _RecencyTable:
     return _RecencyTable(lambda_)
 
 
-@dataclass(frozen=True)
-class PseudoRating:
+class PseudoRating(NamedTuple):
     """Rule-derived evidence: a normalized value carrying its own weight."""
 
     value: float
@@ -158,8 +162,7 @@ def component_trust(
     )
 
 
-@dataclass(frozen=True)
-class FireAssessment:
+class FireAssessment(NamedTuple):
     """Recency-weighted assessment plus, on request, its uniform baseline.
 
     ``uniform`` weighs every rating equally. It is None unless

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import json
 from collections.abc import Mapping
-from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import (
     AgentId,
@@ -27,7 +26,6 @@ from .core import (
 )
 from .errors import ConfigError, UnknownAgentError
 from .explain import (
-    ARGUMENT_KINDS,
     Argument,
     ComparisonContext,
     Explanation,
@@ -54,26 +52,37 @@ RANKING_SCHEMA = "reptrace/ranking/v1"
 EXPLANATION_SCHEMA = "reptrace/explanation/v1"
 
 
-@dataclass(frozen=True)
-class ProviderRef:
+class ProviderRef(NamedTuple):
     id: AgentId
     roles: tuple[str, ...] = ()
 
 
-@dataclass
 class World:
     """Everything an assessment needs, detached from the generative model."""
 
-    seed: int
-    rounds: int
-    preferences: Preferences
-    fire: FireConfig
-    travos: TravosConfig
-    agents: tuple[AgentSpec, ...]
-    providers: tuple[ProviderRef, ...]
-    role_rules: tuple[RoleRule, ...]
-    rating_stores: dict[AgentId, RatingStore]
-    observation_stores: dict[AgentId, ObservationStore]
+    def __init__(
+        self,
+        seed: int,
+        rounds: int,
+        preferences: Preferences,
+        fire: FireConfig,
+        travos: TravosConfig,
+        agents: tuple[AgentSpec, ...],
+        providers: tuple[ProviderRef, ...],
+        role_rules: tuple[RoleRule, ...],
+        rating_stores: dict[AgentId, RatingStore],
+        observation_stores: dict[AgentId, ObservationStore],
+    ):
+        self.seed = seed
+        self.rounds = rounds
+        self.preferences = preferences
+        self.fire = fire
+        self.travos = travos
+        self.agents = agents
+        self.providers = providers
+        self.role_rules = role_rules
+        self.rating_stores = rating_stores
+        self.observation_stores = observation_stores
 
     @property
     def now(self) -> int:
@@ -294,8 +303,7 @@ def dump_document(doc: dict) -> str:
     )
 
 
-@dataclass(frozen=True)
-class ProviderResult:
+class ProviderResult(NamedTuple):
     """One provider's assessment plus, under TRAVOS, per-term diagnostics."""
 
     assessment: Assessment
@@ -441,9 +449,10 @@ def ranking_to_document(
     }
 
 
-# The explanation document's argument objects are derived from the
-# dataclasses in ARGUMENT_KINDS: {"kind": cls.kind, <field>: <value>, ...}
-# in field order.
+# The explanation document's argument objects are derived from the named
+# tuples in ``explain.ARGUMENT_KINDS``: {"kind": cls.kind, <field>: <value>,
+# ...} in ``cls._fields`` order. No argument field holds a record, which
+# ``_field_to_doc`` would write as an array, since a record is a tuple.
 
 
 def _field_to_doc(value):
@@ -456,15 +465,10 @@ def _field_to_doc(value):
     return value
 
 
-_ARGUMENT_FIELDS = {
-    cls: tuple(f.name for f in fields(cls)) for cls in ARGUMENT_KINDS
-}
-
-
 def _argument_to_doc(argument: Argument) -> dict:
     doc = {"kind": argument.kind}
-    for name in _ARGUMENT_FIELDS[type(argument)]:
-        doc[name] = _field_to_doc(getattr(argument, name))
+    for name, value in zip(argument._fields, argument):
+        doc[name] = _field_to_doc(value)
     return doc
 
 

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, fields
 from importlib import resources
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .core import ReputationType
 from .errors import UnknownAgentError
@@ -37,8 +36,7 @@ REP_TYPE_DISPLAY = {
 _PLACEHOLDER = re.compile(r"\{\{(\w+)\}\}")
 
 
-@dataclass(frozen=True)
-class TemplateSet:
+class TemplateSet(NamedTuple):
     """One sentence template per argument kind plus the cons sub-clause."""
 
     dominance: str
@@ -48,9 +46,6 @@ class TemplateSet:
     type_permutation: str
     low_confidence: str
     recency_component: str
-
-
-_TEMPLATE_KEYS = tuple(f.name for f in fields(TemplateSet))
 
 
 def _parse_sections(text: str) -> dict[str, str]:
@@ -72,10 +67,10 @@ def _parse_sections(text: str) -> dict[str, str]:
 def _template_set(text: str, origin: object) -> TemplateSet:
     """Parse a template file's text, requiring one section per field."""
     sections = _parse_sections(text)
-    missing = [k for k in _TEMPLATE_KEYS if k not in sections]
+    missing = [k for k in TemplateSet._fields if k not in sections]
     if missing:
         raise ValueError(f"template file {origin}: missing sections {missing}")
-    return TemplateSet(**{k: sections[k] for k in _TEMPLATE_KEYS})
+    return TemplateSet(**{k: sections[k] for k in TemplateSet._fields})
 
 
 @functools.cache

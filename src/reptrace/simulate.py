@@ -19,11 +19,9 @@ independent of the order in which agents are listed.
 
 from __future__ import annotations
 
-import hashlib
 import math
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .core import AgentId, Preferences, Rating, ReputationType, Term
 from .errors import ConfigError
@@ -71,10 +69,7 @@ def _check_probs(probs: Sequence[float], what: str) -> tuple[float, ...]:
     return probs
 
 
-@dataclass(frozen=True)
-class PhaseParams:
-    """Generative parameters of one behaviour phase."""
-
+class _PhaseParamsFields(NamedTuple):
     days_mu: float
     days_sigma: float
     max_days: int
@@ -82,71 +77,109 @@ class PhaseParams:
     parcel_probs: tuple[float, ...]
     service_probs: tuple[float, ...]
 
-    def __post_init__(self):
+
+class PhaseParams(_PhaseParamsFields):
+    """Generative parameters of one behaviour phase.
+
+    The constructor validates and stores both probability lists as tuples
+    of floats; ``_make`` and ``_replace`` skip both.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, days_mu, days_sigma, max_days, price, parcel_probs, service_probs):
         # The sign test refuses -0.0 too, as numpy's Generator.normal does.
-        if math.copysign(1.0, self.days_sigma) < 0:
+        if math.copysign(1.0, days_sigma) < 0:
             raise ConfigError("days_sigma must be non-negative")
-        if self.max_days < 1:
+        if max_days < 1:
             raise ConfigError("max_days must be a positive integer")
-        if self.price <= 0:
+        if price <= 0:
             raise ConfigError("price must be positive")
-        object.__setattr__(self, "parcel_probs", _check_probs(self.parcel_probs, "parcel_probs"))
-        object.__setattr__(self, "service_probs", _check_probs(self.service_probs, "service_probs"))
+        return tuple.__new__(cls, (
+            days_mu, days_sigma, max_days, price,
+            _check_probs(parcel_probs, "parcel_probs"),
+            _check_probs(service_probs, "service_probs"),
+        ))
 
 
-@dataclass(frozen=True)
-class ProviderModel:
-    """A provider's identity and its two behaviour phases."""
-
+class _ProviderModelFields(NamedTuple):
     id: AgentId
     phases: tuple[PhaseParams, PhaseParams]
-    roles: tuple[str, ...] = ()
+    roles: tuple[str, ...]
 
-    def __post_init__(self):
-        if len(self.phases) != 2:
+
+class ProviderModel(_ProviderModelFields):
+    """A provider's identity and its two behaviour phases.
+
+    Only the constructor validates; ``_make`` and ``_replace`` skip the
+    check.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, id, phases, roles=()):
+        if len(phases) != 2:
             raise ConfigError("providers need exactly 2 phases")
+        return tuple.__new__(cls, (id, phases, roles))
 
 
-@dataclass(frozen=True)
-class Outcome:
-    """One simulated delivery."""
-
+class _OutcomeFields(NamedTuple):
     days: int
     max_days: int
     price: float
     parcel: ParcelCondition
     service: CustomerService
 
-    def __post_init__(self):
-        if self.days < 1:
+
+class Outcome(_OutcomeFields):
+    """One simulated delivery.
+
+    Only the constructor validates; ``_make`` and ``_replace`` skip the
+    check.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, days, max_days, price, parcel, service):
+        if days < 1:
             raise ValueError("days must be at least 1")
+        return tuple.__new__(cls, (days, max_days, price, parcel, service))
 
 
-@dataclass(frozen=True)
-class RaterProfile:
-    """Data tables mapping outcomes onto per-term ratings in [0, 1]."""
+class _RaterProfileFields(NamedTuple):
+    parcel_quality: Mapping[ParcelCondition, float]
+    service_support: Mapping[CustomerService, float]
+    price_ceiling: float
 
-    parcel_quality: Mapping[ParcelCondition, float] = field(
-        default_factory=lambda: {
-            ParcelCondition.PERFECT: 1.0,
-            ParcelCondition.DAMAGED_PACKAGE: 0.6,
-            ParcelCondition.DAMAGED_PRODUCT: 0.3,
-            ParcelCondition.LOST: 0.0,
-        }
-    )
-    service_support: Mapping[CustomerService, float] = field(
-        default_factory=lambda: {
-            CustomerService.EASY_SOLVED: 1.0,
-            CustomerService.EASY_UNSOLVED: 0.5,
-            CustomerService.DIFFICULT_SOLVED: 0.5,
-            CustomerService.DIFFICULT_UNSOLVED: 0.0,
-        }
-    )
-    price_ceiling: float = 100.0
 
-    def __post_init__(self):
-        if self.price_ceiling <= 0:
+class RaterProfile(_RaterProfileFields):
+    """Data tables mapping outcomes onto per-term ratings in [0, 1].
+
+    A table left out, or given as None, is the built-in one, in a new
+    dict for each profile. Only the constructor validates; ``_make`` and
+    ``_replace`` skip the check.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, parcel_quality=None, service_support=None, price_ceiling=100.0):
+        if parcel_quality is None:
+            parcel_quality = {
+                ParcelCondition.PERFECT: 1.0,
+                ParcelCondition.DAMAGED_PACKAGE: 0.6,
+                ParcelCondition.DAMAGED_PRODUCT: 0.3,
+                ParcelCondition.LOST: 0.0,
+            }
+        if service_support is None:
+            service_support = {
+                CustomerService.EASY_SOLVED: 1.0,
+                CustomerService.EASY_UNSOLVED: 0.5,
+                CustomerService.DIFFICULT_SOLVED: 0.5,
+                CustomerService.DIFFICULT_UNSOLVED: 0.0,
+            }
+        if price_ceiling <= 0:
             raise ConfigError("price_ceiling must be positive")
+        return tuple.__new__(cls, (parcel_quality, service_support, price_ceiling))
 
 
 def _clamp01(x: float) -> float:
@@ -155,6 +188,8 @@ def _clamp01(x: float) -> float:
 
 def agent_rng(seed: int, agent_id: AgentId) -> Stream:
     """Per-agent PCG64 stream keyed by seed and a stable id hash."""
+    import hashlib  # only the two id hashes use it
+
     digest = hashlib.sha256(agent_id.encode("utf-8")).digest()
     return Stream((seed, int.from_bytes(digest[:8], "big")))
 
@@ -210,40 +245,59 @@ def rate_outcome(
     return ratings
 
 
-@dataclass(frozen=True)
-class AgentSpec:
+class AgentSpec(NamedTuple):
     id: AgentId
     roles: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """Declarative description of one simulation run."""
-
+class _ScenarioFields(NamedTuple):
     seed: int
     rounds: int
     preferences: Preferences
     agents: tuple[AgentSpec, ...]
     providers: tuple[ProviderModel, ...]
     witnesses: Mapping[AgentId, tuple[AgentId, ...]]
-    fire: FireConfig = FireConfig()
-    travos: TravosConfig = TravosConfig()
-    provider_selection: str = "uniform"
-    profile: RaterProfile = RaterProfile()
-    role_rules: tuple[RoleRule, ...] = ()
+    fire: FireConfig
+    travos: TravosConfig
+    provider_selection: str
+    profile: RaterProfile
+    role_rules: tuple[RoleRule, ...]
 
-    def __post_init__(self):
-        if self.rounds < 1:
+
+class Scenario(_ScenarioFields):
+    """Declarative description of one simulation run.
+
+    Only the constructor validates; ``_make`` and ``_replace`` skip the
+    checks.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        seed,
+        rounds,
+        preferences,
+        agents,
+        providers,
+        witnesses,
+        fire=FireConfig(),
+        travos=TravosConfig(),
+        provider_selection="uniform",
+        profile=RaterProfile(),
+        role_rules=(),
+    ):
+        if rounds < 1:
             raise ConfigError("rounds must be positive")
-        if not self.agents:
+        if not agents:
             raise ConfigError("at least one agent required")
-        if not self.providers:
+        if not providers:
             raise ConfigError("at least one provider required")
-        ids = [a.id for a in self.agents] + [p.id for p in self.providers]
+        ids = [a.id for a in agents] + [p.id for p in providers]
         if len(set(ids)) != len(ids):
             raise ConfigError("agent and provider ids must be unique")
-        agent_ids = {a.id for a in self.agents}
-        for agent, peers in self.witnesses.items():
+        agent_ids = {a.id for a in agents}
+        for agent, peers in witnesses.items():
             if agent not in agent_ids:
                 raise ConfigError(f"witness topology names unknown agent {agent!r}")
             for peer in peers:
@@ -251,13 +305,15 @@ class Scenario:
                     raise ConfigError(f"witness topology names unknown agent {peer!r}")
                 if peer == agent:
                     raise ConfigError("an agent cannot witness for itself")
-        if self.provider_selection not in ("uniform", "round_robin"):
-            raise ConfigError(
-                f"unknown provider_selection {self.provider_selection!r}"
-            )
-        for term in self.preferences.terms:
+        if provider_selection not in ("uniform", "round_robin"):
+            raise ConfigError(f"unknown provider_selection {provider_selection!r}")
+        for term in preferences.terms:
             if term not in PROFILE_TERMS:
                 raise ConfigError(f"no rating rule for term {term!r}")
+        return tuple.__new__(cls, (
+            seed, rounds, preferences, agents, providers, witnesses, fire, travos,
+            provider_selection, profile, role_rules,
+        ))
 
     @property
     def phase_switch_round(self) -> int:
@@ -270,16 +326,23 @@ class Scenario:
         return self.rounds - 1
 
 
-@dataclass
 class SimulationWorld:
     """Populated per-agent stores produced by one scenario run."""
 
-    scenario: Scenario
-    rating_stores: dict[AgentId, RatingStore]
-    observation_stores: dict[AgentId, ObservationStore]
+    def __init__(
+        self,
+        scenario: Scenario,
+        rating_stores: dict[AgentId, RatingStore],
+        observation_stores: dict[AgentId, ObservationStore],
+    ):
+        self.scenario = scenario
+        self.rating_stores = rating_stores
+        self.observation_stores = observation_stores
 
 
 def _provider_offset(agent_id: AgentId, n: int) -> int:
+    import hashlib
+
     digest = hashlib.sha256(agent_id.encode("utf-8")).digest()
     return int.from_bytes(digest[8:16], "big") % n
 
@@ -292,14 +355,16 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> SimulationWo
     timestamp. Whenever a witness already holds experience with the chosen
     provider, the witness's opinion at the start of the round is counted
     with the round's outcome, as one observation, for later accuracy
-    estimation. An opinion is the mean of the binarized beta over
-    the witness's stored ratings of that provider on that term; it is read
-    from a running (ratings, successes) count that each insert raises and
-    each cap eviction lowers. The round's ratings are stored after every
-    agent has drawn and observed. After the last round each agent receives
-    copies of its witnesses' own interaction ratings, re-tagged as witness
-    evidence; each copy is built and sorted into its bucket once, and
-    shared by every store that lists its witness.
+    estimation. An opinion is the mean of the binarized beta over the
+    witness's stored ratings of that provider on that term; it is kept
+    next to a running (ratings, successes) count that each insert raises
+    and each cap eviction lowers. Observations of one witness, term and
+    opinion value are counted together and reach the assessor's store in
+    one ``add`` after the last round. The round's ratings are stored after
+    every agent has drawn and observed. After the last round each agent
+    receives copies of its witnesses' own interaction ratings, re-tagged
+    as witness evidence; each copy is built and sorted into its bucket
+    once, and shared by every store that lists its witness.
     """
     seed = scenario.seed if seed is None else seed
     terms = scenario.preferences.terms
@@ -310,17 +375,23 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> SimulationWo
         a.id: RatingStore(history_cap=scenario.fire.history_cap)
         for a in scenario.agents
     }
-    observations = {a.id: ObservationStore() for a in scenario.agents}
     last_timeliness: dict[tuple[AgentId, AgentId], float] = {}
-    # [ratings, successes] per (source, provider, term) in the source's
-    # own store: the counts behind ``binarized_beta`` of that bucket.
-    counts: dict[tuple[AgentId, AgentId, Term], list[int]] = {}
+    # [ratings, successes, opinion] per (source, provider, term) in the
+    # source's own store: the counts behind ``binarized_beta`` of that
+    # bucket, and that beta's mean, which is the source's opinion.
+    counts: dict[tuple[AgentId, AgentId, Term], list] = {}
+    # Per assessor, [n, successes] per (witness, term, opinion value);
+    # each becomes one ``ObservationStore.add`` after the last round.
+    observed: dict[AgentId, dict[tuple[AgentId, Term, float], list[int]]] = {
+        a.id: {} for a in scenario.agents
+    }
 
     def tally(rating: Rating, delta: int) -> None:
-        count = counts.setdefault((rating.source, rating.target, rating.term), [0, 0])
+        count = counts.setdefault((rating.source, rating.target, rating.term), [0, 0, 0.5])
         count[0] += delta
         if binarize_value(rating.value) == 1.0:
             count[1] += delta
+        count[2] = (1 + count[1]) / (2 + count[0])
 
     for rnd in range(scenario.rounds):
         phase = 1 if rnd < scenario.phase_switch_round else 2
@@ -341,18 +412,24 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> SimulationWo
                 prev_timeliness=last_timeliness.get((agent.id, chosen)),
             )
 
-            for witness in scenario.witnesses.get(agent.id, ()):
-                for term, value in ratings.items():
-                    if value is None:
-                        continue
+            witnesses = scenario.witnesses.get(agent.id, ())
+            seen = observed[agent.id]
+            for term, value in ratings.items():
+                if value is None:
+                    continue
+                success = int(binarize_value(value))
+                for witness in witnesses:
                     # No rating of this round is stored yet.
-                    n, pos = counts.get((witness, chosen, term), (0, 0))
-                    if not n:
+                    count = counts.get((witness, chosen, term))
+                    if count is None or not count[0]:
                         continue
-                    alpha, beta = 1.0 + pos, 1.0 + (n - pos)
-                    observations[agent.id].add(
-                        witness, term, alpha / (alpha + beta), 1, int(binarize_value(value))
-                    )
+                    key = (witness, term, count[2])
+                    tallied = seen.get(key)
+                    if tallied is None:
+                        seen[key] = [1, success]
+                    else:
+                        tallied[0] += 1
+                        tallied[1] += success
             interactions.append((agent.id, chosen, interaction_id, ratings))
             if ratings.get(TIMELINESS) is not None:
                 last_timeliness[(agent.id, chosen)] = ratings[TIMELINESS]
@@ -373,6 +450,13 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> SimulationWo
                 tally(rating, 1)
                 for old in stores[agent_id].insert(rating):
                     tally(old, -1)
+
+    observations = {}
+    for agent in scenario.agents:
+        store = observations[agent.id] = ObservationStore()
+        # Popped, so the counts are not held twice while the copies are made.
+        for (witness, term, opinion), (n, successes) in observed.pop(agent.id).items():
+            store.add(witness, term, opinion, n, successes)
 
     # Every store still holds only its owner's interaction ratings. Each
     # witness copy is built and sorted once; every store then takes its

@@ -14,8 +14,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .core import AgentId, Rating, ReputationType, Term
 from .errors import BadBinError
@@ -55,7 +54,6 @@ def bucket_runs(ratings: Iterable[Rating]) -> list[list[Rating]]:
     return list(runs.values())
 
 
-@dataclass
 class RatingStore:
     """Ordered multiset of ratings with an optional per-source history cap.
 
@@ -79,21 +77,18 @@ class RatingStore:
     so a caller can keep running counts over the store.
     """
 
-    history_cap: Optional[int] = None
-    # Keyed by the type's string value, whose hash is computed once in C
-    # and cached; ``Enum.__hash__`` is a Python-level call. The value is
-    # read as ``_value_``, Enum's documented attribute for it, because
-    # ``.value`` is a Python-level property too.
-    _buckets: dict[tuple[AgentId, Term, str], list[Rating]] = field(
-        default_factory=dict
-    )
-    # Per source, in ``_content_key`` order; kept only under a cap.
-    _by_source: dict[AgentId, list[Rating]] = field(default_factory=dict)
-    _size: int = 0
-
-    def __post_init__(self):
-        if self.history_cap is not None and self.history_cap <= 0:
+    def __init__(self, history_cap: Optional[int] = None):
+        if history_cap is not None and history_cap <= 0:
             raise ValueError("history_cap must be positive when set")
+        self.history_cap = history_cap
+        # Keyed by the type's string value, whose hash is computed once in
+        # C and cached; ``Enum.__hash__`` is a Python-level call. The value
+        # is read as ``_value_``, Enum's documented attribute for it,
+        # because ``.value`` is a Python-level property too.
+        self._buckets: dict[tuple[AgentId, Term, str], list[Rating]] = {}
+        # Per source, in ``_content_key`` order; kept only under a cap.
+        self._by_source: dict[AgentId, list[Rating]] = {}
+        self._size = 0
 
     def __len__(self) -> int:
         return self._size
@@ -185,26 +180,31 @@ class RatingStore:
         return sorted(itertools.chain.from_iterable(self._buckets.values()), key=_content_key)
 
 
-@dataclass(frozen=True)
-class RoleRule:
-    """Expectation rule: agents in (role_a, role_b) relate with likelihood e.
-
-    ``expected_value`` lies in FIRE's rule range [-1, 1], from absolutely
-    negative to absolutely positive; the engine maps it onto [0, 1] when
-    building pseudo-ratings.
-    """
-
+class _RoleRuleFields(NamedTuple):
     role_a: str
     role_b: str
     term: Term
     likelihood: float
     expected_value: float
 
-    def __post_init__(self):
-        if not 0.0 <= self.likelihood <= 1.0:
+
+class RoleRule(_RoleRuleFields):
+    """Expectation rule: agents in (role_a, role_b) relate with likelihood e.
+
+    ``expected_value`` lies in FIRE's rule range [-1, 1], from absolutely
+    negative to absolutely positive; the engine maps it onto [0, 1] when
+    building pseudo-ratings. Only the constructor validates; ``_make``
+    and ``_replace`` skip the checks.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, role_a, role_b, term, likelihood, expected_value):
+        if not 0.0 <= likelihood <= 1.0:
             raise ValueError("likelihood must lie in [0, 1]")
-        if not -1.0 <= self.expected_value <= 1.0:
+        if not -1.0 <= expected_value <= 1.0:
             raise ValueError("expected_value must lie in [-1, 1]")
+        return tuple.__new__(cls, (role_a, role_b, term, likelihood, expected_value))
 
 
 def bin_bounds(opinion_bin: int, bins: int) -> tuple[float, float]:
@@ -221,7 +221,6 @@ def bin_of(opinion_value: float, bins: int) -> int:
     return min(bins, int(math.floor(opinion_value * bins)) + 1)
 
 
-@dataclass
 class ObservationStore:
     """What followed a witness's past opinions, as counts.
 
@@ -232,10 +231,9 @@ class ObservationStore:
     of bins. ``len`` is the number of observations counted.
     """
 
-    _counts: dict[tuple[AgentId, Term], dict[float, list[int]]] = field(
-        default_factory=dict
-    )
-    _size: int = 0
+    def __init__(self):
+        self._counts: dict[tuple[AgentId, Term], dict[float, list[int]]] = {}
+        self._size = 0
 
     def __len__(self) -> int:
         return self._size

@@ -16,11 +16,9 @@ exactly to the pooled expected value.
 from __future__ import annotations
 
 import functools
-import logging
 import math
 import sys
-from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .core import (
     AgentId,
@@ -35,8 +33,6 @@ from .core import (
 from .errors import NumericalFailureError
 from .store import ObservationStore, RatingStore, bin_bounds, bin_of
 
-logger = logging.getLogger(__name__)
-
 #: Standard deviation of the uniform prior Beta(1, 1).
 UNIFORM_STD = math.sqrt(1.0 / 12.0)
 
@@ -44,16 +40,24 @@ UNIFORM_STD = math.sqrt(1.0 / 12.0)
 SUCCESS_THRESHOLD = 0.5
 
 
-@dataclass(frozen=True)
-class BetaParams:
-    """Parameters of a beta evidence distribution."""
-
+class _BetaParamsFields(NamedTuple):
     alpha: float
     beta: float
 
-    def __post_init__(self):
-        if not (self.alpha > 0 and self.beta > 0):
-            raise ValueError(f"beta parameters must be positive, got {self}")
+
+class BetaParams(_BetaParamsFields):
+    """Parameters of a beta evidence distribution.
+
+    Only the constructor validates; ``_make`` and ``_replace`` skip the
+    checks.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, alpha, beta):
+        if not (alpha > 0 and beta > 0):
+            raise ValueError(f"beta parameters must be positive, got {alpha!r} and {beta!r}")
+        return tuple.__new__(cls, (alpha, beta))
 
     @property
     def mass(self) -> float:
@@ -77,25 +81,32 @@ class BetaParams:
 UNIFORM_PRIOR = BetaParams(1.0, 1.0)
 
 
-@dataclass(frozen=True)
-class TravosConfig:
-    """Tunables: confidence half-width, witness threshold, opinion bins."""
+class _TravosConfigFields(NamedTuple):
+    epsilon: float
+    confidence_threshold: float
+    bins: int
 
-    epsilon: float = 0.2
-    confidence_threshold: float = 0.2
-    bins: int = 5
 
-    def __post_init__(self):
-        if not 0.0 < self.epsilon < 0.5:
+class TravosConfig(_TravosConfigFields):
+    """Tunables: confidence half-width, witness threshold, opinion bins.
+
+    Only the constructor validates; ``_make`` and ``_replace`` skip the
+    checks.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, epsilon=0.2, confidence_threshold=0.2, bins=5):
+        if not 0.0 < epsilon < 0.5:
             raise ValueError("epsilon must lie in (0, 0.5)")
-        if not 0.0 < self.confidence_threshold < 1.0:
+        if not 0.0 < confidence_threshold < 1.0:
             raise ValueError("confidence_threshold must lie in (0, 1)")
-        if self.bins < 1:
+        if bins < 1:
             raise ValueError("bins must be positive")
+        return tuple.__new__(cls, (epsilon, confidence_threshold, bins))
 
 
-@dataclass(frozen=True)
-class WitnessOpinion:
+class WitnessOpinion(NamedTuple):
     """A witness's evidence counts about a target on one term."""
 
     witness: AgentId
@@ -223,7 +234,9 @@ def beta_from_moments(mean: float, std: float) -> BetaParams:
     alpha = (mean * mean - mean**3) / var - mean
     beta = ((1.0 - mean) ** 2 - (1.0 - mean) ** 3) / var - (1.0 - mean)
     if alpha <= 0.0 or beta <= 0.0:
-        logger.warning(
+        import logging  # only this warning logs; most runs never import it
+
+        logging.getLogger(__name__).warning(
             "degenerate moment inversion (mean=%s, std=%s); clamping to uniform prior",
             mean,
             std,
@@ -266,8 +279,7 @@ def decomposition_weights(
     return w_i, 1.0 - w_i
 
 
-@dataclass(frozen=True)
-class WitnessContribution:
+class WitnessContribution(NamedTuple):
     """Per-witness trace of the discounting pipeline."""
 
     witness: AgentId
@@ -277,8 +289,7 @@ class WitnessContribution:
     discounted: BetaParams
 
 
-@dataclass(frozen=True)
-class TravosTermResult:
+class TravosTermResult(NamedTuple):
     """Everything the backend derives for one (target, term) pair."""
 
     interaction: BetaParams
@@ -389,8 +400,7 @@ def assess_term(
     )
 
 
-@dataclass(frozen=True)
-class TravosTermDiagnostics:
+class TravosTermDiagnostics(NamedTuple):
     """Per-term extras the explanation layer needs."""
 
     interaction_confidence: float
@@ -398,8 +408,7 @@ class TravosTermDiagnostics:
     witness_trust: Optional[float]
 
 
-@dataclass(frozen=True)
-class TravosAssessment:
+class TravosAssessment(NamedTuple):
     """Assessment plus the diagnostics of every term's pipeline run."""
 
     assessment: Assessment

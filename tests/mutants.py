@@ -168,6 +168,28 @@ MUTANTS = (
          "tests/test_simulate.py::TestOpinionOracle"),
     ),
     Mutant(
+        "core: dataclasses imported again",
+        "core.py",
+        "import math\n",
+        "import dataclasses\nimport math\n",
+        ("tests/test_cli.py::test_cli_import_loads_only_what_every_command_needs",),
+    ),
+    Mutant(
+        "core: a component weight may be negative",
+        "core.py",
+        "        if weight < 0:\n"
+        "            raise ValueError(\"component weight must be non-negative\")\n",
+        "",
+        ("tests/test_core.py::TestTypes::test_component_weight_non_negative",),
+    ),
+    Mutant(
+        "travos: beta parameters may be non-positive",
+        "travos.py",
+        "        if not (alpha > 0 and beta > 0):\n",
+        "        if False:\n",
+        ("tests/test_travos.py::TestExpectedValue::test_parameters_must_be_positive",),
+    ),
+    Mutant(
         "pipeline: a stores/v2 entry may count more successes than observations",
         "pipeline.py",
         "                if successes > n:\n",

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import reptrace
 from oracles import assert_schema_valid
 from reptrace.cli import main
 from reptrace.errors import ConfigError
@@ -564,6 +565,38 @@ def test_commands_load_no_test_only_dependency(stores_path, tmp_path):
         env={**os.environ, "PYTHONPATH": str(REPO / "src")},
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_cli_import_loads_only_what_every_command_needs():
+    # ``import reptrace.cli`` is the start-up of every command. Each module
+    # below serves one path at most, so none may load with it. Both checks
+    # read the package that the tests import, wherever it lies.
+    package = Path(reptrace.__file__).resolve().parent
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import reptrace.cli\n"
+        "unwanted = ('dataclasses', 'inspect', 'logging', 'hashlib', 'reptrace.fixture')\n"
+        "print(sorted(m for m in unwanted if m in sys.modules and m not in before))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(package.parent)},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+    # Records are named tuples: a dataclass class costs several times as
+    # much to build at import.
+    mentions = [
+        f"{path.relative_to(package)}:{number}"
+        for path in sorted(package.rglob("*"))
+        if path.is_file() and "__pycache__" not in path.parts
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if "dataclass" in line
+    ]
+    assert mentions == []
 
 
 class TestDemo:

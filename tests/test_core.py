@@ -206,6 +206,11 @@ class TestTypes:
         with pytest.raises(OutOfRangeError):
             ComponentTrust(rep_type=I, value=1.5, weight=1.0)
 
+    def test_component_weight_non_negative(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            ComponentTrust(rep_type=I, value=0.5, weight=-0.1)
+        assert ComponentTrust(rep_type=I, value=0.5, weight=0.0).weight == 0.0
+
     def test_rating_validation(self):
         with pytest.raises(OutOfRangeError):
             Rating("a", "b", "t", I, value=1.5, timestamp=0)
@@ -277,11 +282,9 @@ class TestBuildAssessment:
         validate_assessment(assessment, self.prefs())
 
     def test_validation_catches_tampering(self):
-        from dataclasses import replace
-
         assessment = build_assessment(
             "a", "b", {"q": [ct(I, 0.8, 1.0)], "t": [ct(I, 0.5, 1.0)]}, self.prefs()
         )
-        tampered = replace(assessment, overall=0.9)
+        tampered = assessment._replace(overall=0.9)
         with pytest.raises(ValueError):
             validate_assessment(tampered, self.prefs())

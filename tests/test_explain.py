@@ -443,8 +443,11 @@ class TestPermutationSearchOracle:
     @given(permutation_tables())
     def test_matches_exhaustive_search(self, tables):
         ctx = term_context(*tables)
-        # Dataclass equality: swaps, and every float bit for bit.
-        assert invert_permutation(ctx, "q") == permutation_oracle(ctx, "q")
+        found, expected = invert_permutation(ctx, "q"), permutation_oracle(ctx, "q")
+        # Named-tuple equality: swaps, and every float bit for bit. Tuple
+        # equality ignores the class, so the type is checked on its own.
+        assert type(found) is type(expected)
+        assert found == expected
 
     def test_bound_settles_without_enumerating(self, monkeypatch):
         # Lowest preferred mean (0.9*1 + 0.6*2)/3 = 0.7 exceeds the
@@ -469,6 +472,7 @@ class TestPermutationSearchOracle:
         )
         arg = invert_permutation(ctx, "q")
         assert arg is not None and arg.swaps == ((I, W),)
+        assert type(arg) is TypePermutation
         assert arg == permutation_oracle(ctx, "q")
 
 

@@ -1,6 +1,5 @@
 """Document encoding, schema validation and assessment orchestration."""
 
-import dataclasses
 import itertools
 import json
 from pathlib import Path
@@ -263,7 +262,7 @@ class TestExplanationDocuments:
     def check_encoding(self, world, model):
         # The document holds only JSON values, so it survives a JSON round
         # trip unchanged, and each argument lists its kind, then its fields
-        # in dataclass order.
+        # in ``_fields`` order.
         preferred, other = self.pair(world, model)
         explanation = explain_pair(world, model, "alice", preferred, other)
         doc = explanation_to_document(explanation)
@@ -274,7 +273,7 @@ class TestExplanationDocuments:
         )
         assert len(doc["arguments"]) == len(explanation.arguments)
         for argument, arg_doc in zip(explanation.arguments, doc["arguments"]):
-            names = [f.name for f in dataclasses.fields(argument)]
+            names = list(argument._fields)
             assert list(arg_doc) == ["kind", *names]
             assert arg_doc["kind"] == argument.kind
         assert doc["arguments"][0]["pros"] == list(explanation.arguments[0].pros)
@@ -438,11 +437,11 @@ class TestArgumentCodec:
         assert dump_document(doc) == EVERY_KIND_DOCUMENT
         assert_schema_valid(doc, "explanation")
 
-    def test_schema_matches_dataclass_fields(self):
+    def test_schema_matches_argument_fields(self):
         schema = load_schema("explanation")
         defs = schema["$defs"]
         refs = [one["$ref"] for one in schema["properties"]["arguments"]["items"]["oneOf"]]
         assert refs == [f"#/$defs/{cls.kind}" for cls in ARGUMENT_KINDS]
         for cls in ARGUMENT_KINDS:
-            names = [f.name for f in dataclasses.fields(cls)]
+            names = list(cls._fields)
             assert defs[cls.kind]["required"] == ["kind", *names], cls.__name__

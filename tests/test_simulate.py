@@ -1,6 +1,5 @@
 """Outcome generation, rating profiles and full scenario runs."""
 
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -464,7 +463,7 @@ class TestWitnessCopyOracle:
         world = run_scenario(sc)
         # Witnesses consume no draws, so without them every store holds
         # the same own ratings.
-        alone = run_scenario(dataclasses.replace(sc, witnesses={}))
+        alone = run_scenario(sc._replace(witnesses={}))
         expected = witness_copy_oracle(
             sc, {a: store.all_records() for a, store in alone.rating_stores.items()}
         )

@@ -59,6 +59,7 @@ params_strategy = st.tuples(
 class TestEvidenceCounting:
     def test_counts(self):
         ratings = [rating(1.0)] * 3 + [rating(0.0)]
+        assert type(binarized_beta(ratings)) is BetaParams
         assert binarized_beta(ratings) == BetaParams(4.0, 2.0)
 
     def test_empty_is_uniform_prior(self):
@@ -86,6 +87,11 @@ class TestExpectedValue:
     @given(st.floats(min_value=0.5, max_value=50.0))
     def test_symmetric(self, a):
         assert BetaParams(a, a).mean == 0.5
+
+    @pytest.mark.parametrize("alpha, beta", [(0.0, 1.0), (1.0, 0.0), (-1.0, 2.0), (math.nan, 1.0)])
+    def test_parameters_must_be_positive(self, alpha, beta):
+        with pytest.raises(ValueError, match="must be positive"):
+            BetaParams(alpha, beta)
 
 
 class TestConfidence:
@@ -208,13 +214,16 @@ class TestDiscounting:
 
         with caplog.at_level(logging.WARNING, logger="reptrace.travos"):
             p = beta_from_moments(0.5, 0.5)
+        assert type(p) is BetaParams
         assert p == BetaParams(1.0, 1.0)
         assert any("degenerate" in rec.message for rec in caplog.records)
 
 
 class TestCombination:
     def test_literal_sum(self):
-        assert combine_evidence(BetaParams(3, 2), [BetaParams(2, 1)]) == BetaParams(5, 3)
+        combined = combine_evidence(BetaParams(3, 2), [BetaParams(2, 1)])
+        assert type(combined) is BetaParams
+        assert combined == BetaParams(5, 3)
 
     def test_no_witnesses(self):
         assert combine_evidence(BetaParams(1, 1), []) == BetaParams(1, 1)
