@@ -41,7 +41,7 @@ from .pipeline import (
     world_to_document,
 )
 from .render import REP_TYPE_DISPLAY, render_text
-from .scenario import load_scenario, parse_json
+from .scenario import load_scenario, read_json
 from .simulate import run_scenario
 
 EXIT_OK = 0
@@ -56,10 +56,9 @@ GOLDEN_TOL = 0.005 + 1e-12
 
 def _load_json(path: str) -> dict:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return read_json(path)
     except OSError as exc:
         raise _IOFailure(f"cannot read {path}: {exc}") from exc
-    return parse_json(text, path)
 
 
 class _IOFailure(Exception):

@@ -61,4 +61,17 @@ class UnknownAgentError(ReptraceError, KeyError):
 
 
 class ConfigError(ReptraceError):
-    """A scenario or stores document is malformed."""
+    """A scenario or stores document, or a record built in code, is malformed.
+
+    ``path``, when the check knows it, names the offending field relative
+    to the record that raised the error; ``problem`` is the message.
+    """
+
+    def __init__(self, problem: str, path: str = ""):
+        super().__init__(f"{path}: {problem}" if path else problem)
+        self.problem = problem
+        self.path = path
+
+    def in_document(self, kind: str, prefix: str = "") -> "ConfigError":
+        """This error as one of a ``kind`` document, under ``prefix`` in it."""
+        return ConfigError(f"{kind} document invalid at {prefix}{self.path}: {self.problem}")

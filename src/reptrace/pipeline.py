@@ -36,8 +36,8 @@ from .explain import (
 )
 from .fire import FireConfig, assess_provider as assess_fire
 from .scenario import config_from_document, validate_document
-from .simulate import AgentSpec, SimulationWorld
-from .store import ObservationStore, RatingStore, RoleRule
+from .simulate import AgentSpec, SimulationWorld, check_witnesses
+from .store import ObservationStore, RatingStore, RoleRule, share_witness_evidence
 from .travos import (
     TravosConfig,
     TravosTermDiagnostics,
@@ -58,7 +58,8 @@ class ProviderRef(NamedTuple):
 
 
 class World:
-    """Everything an assessment needs, detached from the generative model."""
+    """Everything an assessment needs, detached from the generative model;
+    ``witnesses`` maps agents to the witnesses their stores read."""
 
     def __init__(
         self,
@@ -72,6 +73,7 @@ class World:
         role_rules: tuple[RoleRule, ...],
         rating_stores: dict[AgentId, RatingStore],
         observation_stores: dict[AgentId, ObservationStore],
+        witnesses: Optional[Mapping[AgentId, tuple[AgentId, ...]]] = None,
     ):
         self.seed = seed
         self.rounds = rounds
@@ -83,6 +85,7 @@ class World:
         self.role_rules = role_rules
         self.rating_stores = rating_stores
         self.observation_stores = observation_stores
+        self.witnesses = witnesses or {}
 
     @property
     def now(self) -> int:
@@ -115,6 +118,7 @@ def world_from_simulation(sim: SimulationWorld) -> World:
         role_rules=sc.role_rules,
         rating_stores=sim.rating_stores,
         observation_stores=sim.observation_stores,
+        witnesses=sc.witnesses,
     )
 
 
@@ -131,8 +135,12 @@ def _rating_to_doc(r: Rating) -> dict:
 
 
 def world_to_document(world: World) -> dict:
-    """Serialize a world as a stores document."""
-    return {
+    """Serialize a world as a stores document.
+
+    The ``witnesses`` section is written only when some agent has a
+    witness, so a world without one is written as before the section.
+    """
+    doc = {
         "schema": STORES_SCHEMA,
         "seed": world.seed,
         "rounds": world.rounds,
@@ -161,21 +169,22 @@ def world_to_document(world: World) -> dict:
             }
             for r in world.role_rules
         ],
-        "ratings": {
-            a.id: [
-                _rating_to_doc(r) for r in world.rating_stores[a.id].all_records()
-            ]
-            for a in world.agents
-        },
-        "observations": {
-            a.id: [
-                {"witness": witness, "term": term, "opinion_value": value, "n": n,
-                 "successes": successes}
-                for witness, term, value, n, successes in world.observation_stores[a.id].entries()
-            ]
-            for a in world.agents
-        },
     }
+    if any(world.witnesses.get(a.id) for a in world.agents):
+        doc["witnesses"] = {a.id: list(world.witnesses.get(a.id, ())) for a in world.agents}
+    doc["ratings"] = {
+        a.id: [_rating_to_doc(r) for r in world.rating_stores[a.id].all_records()]
+        for a in world.agents
+    }
+    doc["observations"] = {
+        a.id: [
+            {"witness": witness, "term": term, "opinion_value": value, "n": n,
+             "successes": successes}
+            for witness, term, value, n, successes in world.observation_stores[a.id].entries()
+        ]
+        for a in world.agents
+    }
+    return doc
 
 
 def _check_term(rec: dict, where: str, terms: Mapping) -> None:
@@ -200,6 +209,10 @@ def world_from_document(doc: dict) -> World:
     most n successes, and no other entry of its store has the same
     witness, term and opinion value. A v1 observation record names its
     store's owner as assessor and counts as one observation.
+
+    A v2 ``witnesses`` section is checked as a scenario's topology is. An
+    explicit witness rating from one of its owner's witnesses would
+    count that witness twice, so it is rejected.
     """
     v1 = isinstance(doc, dict) and doc.get("schema") == STORES_V1_SCHEMA
     validate_document(doc, "stores_v1" if v1 else "stores", kind="stores")
@@ -215,9 +228,15 @@ def world_from_document(doc: dict) -> World:
                     f"stores document invalid at {section}/{key}: "
                     f"{key!r} is not a listed agent"
                 )
+    witnesses = {agent: tuple(peers) for agent, peers in doc.get("witnesses", {}).items()}
+    try:
+        check_witnesses(witnesses, agent_ids)
+    except ConfigError as exc:
+        raise exc.in_document("stores") from exc
     rating_stores: dict[AgentId, RatingStore] = {}
     for agent in config["agents"]:
         store = RatingStore(history_cap=config["fire"].history_cap)
+        not_witness_sources = {agent.id, *witnesses.get(agent.id, ())}
         for index, rec in enumerate(doc["ratings"].get(agent.id, ())):
             where = f"stores document invalid at ratings/{agent.id}/{index}"
             if rec["timestamp"] > rounds - 1:
@@ -231,10 +250,10 @@ def world_from_document(doc: dict) -> World:
                     f"{where}/source: an interaction rating in {agent.id}'s store "
                     f"must have source {agent.id!r}, not {rec['source']!r}"
                 )
-            if rep_type == "witness" and rec["source"] == agent.id:
+            if rep_type == "witness" and rec["source"] in not_witness_sources:
                 raise ConfigError(
-                    f"{where}/source: a witness rating in {agent.id}'s store "
-                    f"must not have source {agent.id!r}"
+                    f"{where}/source: a witness rating in {agent.id}'s store must not "
+                    f"have source {rec['source']!r}, whose own ratings the store reads"
                 )
             _check_subject(rec, where, provider_ids, terms)
             store.insert(
@@ -249,6 +268,7 @@ def world_from_document(doc: dict) -> World:
                 )
             )
         rating_stores[agent.id] = store
+    share_witness_evidence(rating_stores, witnesses)
     observation_stores: dict[AgentId, ObservationStore] = {}
     for agent in config["agents"]:
         obs = ObservationStore()
@@ -291,6 +311,7 @@ def world_from_document(doc: dict) -> World:
         ),
         rating_stores=rating_stores,
         observation_stores=observation_stores,
+        witnesses=witnesses,
         **config,
     )
 

@@ -17,7 +17,6 @@ from .core import Preferences, ReputationType, weight_problem
 from .errors import ConfigError
 from .fire import FireConfig
 from .simulate import (
-    PROFILE_TERMS,
     AgentSpec,
     CustomerService,
     ParcelCondition,
@@ -70,16 +69,22 @@ def validate_document(doc: dict, schema_name: str, kind: str | None = None) -> N
         ) from exc
 
 
-def parse_json(text: str, source: Union[str, Path]) -> dict:
-    """Parse a JSON document, rejecting NaN and Infinity; raise ConfigError."""
+def read_json(path: Union[str, Path]) -> dict:
+    """Read a JSON document file, rejecting NaN and Infinity.
+
+    Raise ConfigError naming the file if it is not UTF-8 or not JSON,
+    and OSError if it cannot be read.
+    """
 
     def reject(constant: str):
-        raise ConfigError(f"{source}: non-finite number {constant} is not allowed")
+        raise ConfigError(f"{path}: non-finite number {constant} is not allowed")
 
     try:
-        return json.loads(text, parse_constant=reject)
+        return json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=reject)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not valid UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"{source}: not valid JSON: {exc}") from exc
+        raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
 
 
 def _weights(doc: dict, kind: str, section: str, default: dict) -> dict:
@@ -181,81 +186,56 @@ def _witnesses(doc: dict, agent_ids: list[str]) -> dict[str, tuple[str, ...]]:
     return {agent: tuple(peers) for agent, peers in raw.items()}
 
 
-def _check_beyond_schema(doc: dict) -> None:
-    """``Scenario``'s and ``PhaseParams``'s own checks, each naming its path."""
-
-    def invalid(path: str, problem: str) -> ConfigError:
-        return ConfigError(f"scenario document invalid at {path}: {problem}")
-
-    for i, provider in enumerate(doc["providers"]):
-        for j, phase in enumerate(provider["phases"]):
-            for key in ("parcel_probs", "service_probs"):
-                total = sum(map(float, phase[key]))
-                if abs(total - 1.0) > 1e-9:
-                    raise invalid(f"providers/{i}/phases/{j}/{key}", f"must sum to 1, got {total}")
-    ids: set[str] = set()
-    for section in ("agents", "providers"):
-        for i, item in enumerate(doc[section]):
-            if item["id"] in ids:
-                raise invalid(
-                    f"{section}/{i}/id", f"{item['id']!r} is already an agent or provider id"
-                )
-            ids.add(item["id"])
-    agent_ids = {a["id"] for a in doc["agents"]}
-    witnesses = doc.get("witnesses")
-    for agent, peers in witnesses.items() if isinstance(witnesses, dict) else ():
-        if agent not in agent_ids:
-            raise invalid(f"witnesses/{agent}", f"{agent!r} is not a listed agent")
-        for k, peer in enumerate(peers):
-            if peer not in agent_ids:
-                raise invalid(f"witnesses/{agent}/{k}", f"{peer!r} is not a listed agent")
-            if peer == agent:
-                raise invalid(f"witnesses/{agent}/{k}", "an agent cannot witness for itself")
-    for term in doc["terms"]:
-        if term not in PROFILE_TERMS:
-            raise invalid(f"terms/{term}", f"no rating rule for term {term!r}")
+def _phase(raw: dict, where: str) -> PhaseParams:
+    try:
+        return PhaseParams(
+            days_mu=float(raw["days_mu"]),
+            days_sigma=float(raw["days_sigma"]),
+            max_days=int(raw["max_days"]),
+            price=float(raw["price"]),
+            parcel_probs=tuple(raw["parcel_probs"]),
+            service_probs=tuple(raw["service_probs"]),
+        )
+    except ConfigError as exc:
+        raise exc.in_document("scenario", where) from exc
 
 
 def scenario_from_document(doc: dict, seed_override: int | None = None) -> Scenario:
-    """Build a typed scenario from a validated document."""
+    """Build a typed scenario from a validated document.
+
+    Beyond the schema, ``PhaseParams`` and ``Scenario`` run their own
+    checks; an error they raise names its path in the document.
+    """
     validate_document(doc, "scenario")
     config = config_from_document(doc, "scenario")
-    _check_beyond_schema(doc)
     providers = tuple(
         ProviderModel(
             id=p["id"],
             roles=tuple(p.get("roles", ())),
             phases=tuple(
-                PhaseParams(
-                    days_mu=float(ph["days_mu"]),
-                    days_sigma=float(ph["days_sigma"]),
-                    max_days=int(ph["max_days"]),
-                    price=float(ph["price"]),
-                    parcel_probs=tuple(ph["parcel_probs"]),
-                    service_probs=tuple(ph["service_probs"]),
-                )
-                for ph in p["phases"]
+                _phase(ph, f"providers/{i}/phases/{j}/") for j, ph in enumerate(p["phases"])
             ),
         )
-        for p in doc["providers"]
+        for i, p in enumerate(doc["providers"])
     )
     seed = int(doc["seed"]) if seed_override is None else seed_override
+    profile = _profile(doc)
     try:
         return Scenario(
             seed=seed,
             providers=providers,
             witnesses=_witnesses(doc, [a.id for a in config["agents"]]),
             provider_selection=doc.get("provider_selection", "uniform"),
-            profile=_profile(doc),
+            profile=profile,
             **config,
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    except ConfigError as exc:
+        raise exc.in_document("scenario") from exc
 
 
 def load_scenario(path: Union[str, Path]) -> Scenario:
     """Read and validate a scenario file, honouring REPTRACE_SEED."""
-    doc = parse_json(Path(path).read_text(encoding="utf-8"), path)
+    doc = read_json(path)
     seed_override = None
     env_seed = os.environ.get(SEED_ENV_VAR)
     if env_seed is not None:

@@ -15,6 +15,8 @@ opinion once, before any of the round's ratings is stored, so a witness's
 new ratings, and the evictions a history cap makes for them, reach no
 observation in their own round. Together these make the result
 independent of the order in which agents are listed.
+Each agent's store keeps only its own ratings; its witnesses' ratings
+are read where they are, never copied.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .core import AgentId, Preferences, Rating, ReputationType, Term
 from .errors import ConfigError
 from .fire import FireConfig
 from .prng import Stream
-from .store import ObservationStore, RatingStore, RoleRule, bucket_runs
+from .store import ObservationStore, RatingStore, RoleRule, share_witness_evidence
 from .travos import TravosConfig, binarize_value
 
 TIMELINESS = "timeliness"
@@ -61,11 +63,11 @@ SERVICE_ORDER = tuple(CustomerService)
 def _check_probs(probs: Sequence[float], what: str) -> tuple[float, ...]:
     probs = tuple(float(p) for p in probs)
     if len(probs) != 4:
-        raise ConfigError(f"{what} needs exactly 4 probabilities")
+        raise ConfigError("needs exactly 4 probabilities", what)
     if any(p < 0 for p in probs):
-        raise ConfigError(f"{what} has a negative probability")
+        raise ConfigError("has a negative probability", what)
     if abs(sum(probs) - 1.0) > 1e-9:
-        raise ConfigError(f"{what} must sum to 1, got {sum(probs)}")
+        raise ConfigError(f"must sum to 1, got {sum(probs)}", what)
     return probs
 
 
@@ -82,7 +84,8 @@ class PhaseParams(_PhaseParamsFields):
     """Generative parameters of one behaviour phase.
 
     The constructor validates and stores both probability lists as tuples
-    of floats; ``_make`` and ``_replace`` skip both.
+    of floats; ``_make`` and ``_replace`` skip both. Each error's path is
+    the field's name.
     """
 
     __slots__ = ()
@@ -90,11 +93,11 @@ class PhaseParams(_PhaseParamsFields):
     def __new__(cls, days_mu, days_sigma, max_days, price, parcel_probs, service_probs):
         # The sign test refuses -0.0 too, as numpy's Generator.normal does.
         if math.copysign(1.0, days_sigma) < 0:
-            raise ConfigError("days_sigma must be non-negative")
+            raise ConfigError("must be non-negative", "days_sigma")
         if max_days < 1:
-            raise ConfigError("max_days must be a positive integer")
+            raise ConfigError("must be a positive integer", "max_days")
         if price <= 0:
-            raise ConfigError("price must be positive")
+            raise ConfigError("must be positive", "price")
         return tuple.__new__(cls, (
             days_mu, days_sigma, max_days, price,
             _check_probs(parcel_probs, "parcel_probs"),
@@ -264,11 +267,30 @@ class _ScenarioFields(NamedTuple):
     role_rules: tuple[RoleRule, ...]
 
 
+def check_witnesses(witnesses: Mapping[AgentId, Sequence[AgentId]], agent_ids) -> None:
+    """Reject a topology naming an unlisted agent or a self-witness, or
+    listing a witness twice, which would count its evidence twice. The
+    error's path is ``witnesses/<agent>`` or ``witnesses/<agent>/<index>``.
+    """
+    for agent, peers in witnesses.items():
+        if agent not in agent_ids:
+            raise ConfigError(f"{agent!r} is not a listed agent", f"witnesses/{agent}")
+        for k, peer in enumerate(peers):
+            where = f"witnesses/{agent}/{k}"
+            if peer not in agent_ids:
+                raise ConfigError(f"{peer!r} is not a listed agent", where)
+            if peer == agent:
+                raise ConfigError("an agent cannot witness for itself", where)
+            if peer in peers[:k]:
+                raise ConfigError(f"{peer!r} is already a witness of {agent!r}", where)
+
+
 class Scenario(_ScenarioFields):
     """Declarative description of one simulation run.
 
     Only the constructor validates; ``_make`` and ``_replace`` skip the
-    checks.
+    checks. Each error's path is the one a scenario document gives the
+    offending value, such as ``agents/3/id`` or ``terms/colour``.
     """
 
     __slots__ = ()
@@ -288,28 +310,25 @@ class Scenario(_ScenarioFields):
         role_rules=(),
     ):
         if rounds < 1:
-            raise ConfigError("rounds must be positive")
+            raise ConfigError("must be positive", "rounds")
         if not agents:
-            raise ConfigError("at least one agent required")
+            raise ConfigError("at least one agent required", "agents")
         if not providers:
-            raise ConfigError("at least one provider required")
-        ids = [a.id for a in agents] + [p.id for p in providers]
-        if len(set(ids)) != len(ids):
-            raise ConfigError("agent and provider ids must be unique")
-        agent_ids = {a.id for a in agents}
-        for agent, peers in witnesses.items():
-            if agent not in agent_ids:
-                raise ConfigError(f"witness topology names unknown agent {agent!r}")
-            for peer in peers:
-                if peer not in agent_ids:
-                    raise ConfigError(f"witness topology names unknown agent {peer!r}")
-                if peer == agent:
-                    raise ConfigError("an agent cannot witness for itself")
+            raise ConfigError("at least one provider required", "providers")
+        ids: set[AgentId] = set()
+        for section, items in (("agents", agents), ("providers", providers)):
+            for i, item in enumerate(items):
+                if item.id in ids:
+                    raise ConfigError(
+                        f"{item.id!r} is already an agent or provider id", f"{section}/{i}/id"
+                    )
+                ids.add(item.id)
+        check_witnesses(witnesses, {a.id for a in agents})
         if provider_selection not in ("uniform", "round_robin"):
-            raise ConfigError(f"unknown provider_selection {provider_selection!r}")
+            raise ConfigError(f"unknown value {provider_selection!r}", "provider_selection")
         for term in preferences.terms:
             if term not in PROFILE_TERMS:
-                raise ConfigError(f"no rating rule for term {term!r}")
+                raise ConfigError(f"no rating rule for term {term!r}", f"terms/{term}")
         return tuple.__new__(cls, (
             seed, rounds, preferences, agents, providers, witnesses, fire, travos,
             provider_selection, profile, role_rules,
@@ -327,7 +346,8 @@ class Scenario(_ScenarioFields):
 
 
 class SimulationWorld:
-    """Populated per-agent stores produced by one scenario run."""
+    """Populated per-agent stores produced by one scenario run, whose
+    witness topology is the scenario's."""
 
     def __init__(
         self,
@@ -361,10 +381,8 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> SimulationWo
     and each cap eviction lowers. Observations of one witness, term and
     opinion value are counted together and reach the assessor's store in
     one ``add`` after the last round. The round's ratings are stored after
-    every agent has drawn and observed. After the last round each agent
-    receives copies of its witnesses' own interaction ratings, re-tagged
-    as witness evidence; each copy is built and sorted into its bucket
-    once, and shared by every store that lists its witness.
+    every agent has drawn and observed. After the last round each store
+    reads its owner's witnesses' ratings through ``share_witness_evidence``.
     """
     seed = scenario.seed if seed is None else seed
     terms = scenario.preferences.terms
@@ -454,29 +472,11 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> SimulationWo
     observations = {}
     for agent in scenario.agents:
         store = observations[agent.id] = ObservationStore()
-        # Popped, so the counts are not held twice while the copies are made.
+        # Popped, so the counts are not held twice while the index is made.
         for (witness, term, opinion), (n, successes) in observed.pop(agent.id).items():
             store.add(witness, term, opinion, n, successes)
 
-    # Every store still holds only its owner's interaction ratings. Each
-    # witness copy is built and sorted once; every store then takes its
-    # own witnesses' copies from each bucket's run, in the run's order.
-    runs = bucket_runs(
-        Rating(
-            source=r.source,
-            target=r.target,
-            term=r.term,
-            rep_type=ReputationType.WITNESS,
-            value=r.value,
-            timestamp=r.timestamp,
-            interaction_id=r.interaction_id,
-        )
-        for a in scenario.agents
-        for r in stores[a.id].all_records()
-    )
-    for agent in scenario.agents:
-        peers = set(scenario.witnesses.get(agent.id, ()))
-        stores[agent.id].merge([r for r in run if r.source in peers] for run in runs)
+    share_witness_evidence(stores, scenario.witnesses)
 
     return SimulationWorld(
         scenario=scenario,

@@ -98,20 +98,47 @@ MUTANTS = (
          "::test_assessors_own_witness_records_are_no_opinion",),
     ),
     Mutant(
-        "store: a capped history sorted in reverse insertion order among equal keys",
+        "store: a capped history kept in reverse insertion order among equal keys",
         "store.py",
-        "            history.sort(key=_content_key)\n",
-        "            history.sort(key=_content_key, reverse=True)\n            history.reverse()\n",
-        ("tests/test_store.py::TestRatingStoreAgainstOracle"
-         "::test_merge_matches_inserts_one_at_a_time",),
+        "bisect.insort(history, rating, key=_content_key)",
+        "bisect.insort_left(history, rating, key=_content_key)",
+        ("tests/test_store.py::TestRatingStoreAgainstOracle::test_queries_match_a_full_scan",),
     ),
     Mutant(
-        "store: merge leaves a held bucket unsorted",
+        "store: a witness query reads every source of the index, not only the peers",
         "store.py",
-        "                bucket.sort(key=_bucket_key)\n",
-        "",
-        ("tests/test_store.py::TestRatingStoreAgainstOracle"
-         "::test_merge_matches_inserts_one_at_a_time",),
+        " if r.source in peers\n",
+        "\n",
+        ("tests/test_simulate.py::TestWitnessCopyOracle",),
+    ),
+    Mutant(
+        "store: a witness query puts the peers' records before the explicit ones",
+        "store.py",
+        "            found += view\n",
+        "            found[:0] = view\n",
+        ("tests/test_pipeline.py::TestWitnessEvidence",),
+    ),
+    Mutant(
+        "pipeline: an explicit witness rating may come from one of its owner's peers",
+        "pipeline.py",
+        "not_witness_sources = {agent.id, *witnesses.get(agent.id, ())}",
+        "not_witness_sources = {agent.id}",
+        ("tests/test_cli.py::TestWitnessesSection",),
+    ),
+    Mutant(
+        "simulate: a witness may be listed twice",
+        "simulate.py",
+        "            if peer in peers[:k]:\n",
+        "            if False:\n",
+        ("tests/test_simulate.py::TestRunScenario::test_repeated_witness_rejected",
+         "tests/test_cli.py::TestWitnessesSection"),
+    ),
+    Mutant(
+        "pipeline: the writer drops the witnesses section",
+        "pipeline.py",
+        "        doc[\"witnesses\"] = {",
+        "        _ = {",
+        ("tests/test_simulate.py::TestWitnessCopyOracle",),
     ),
     Mutant(
         "store: the last opinion bin is open at 1",

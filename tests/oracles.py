@@ -260,12 +260,13 @@ class RatingStoreOracle:
 
 
 def witness_copy_oracle(scenario, own_ratings) -> dict:
-    """Each agent's rating store after the simulator's witness copy step.
+    """Each agent's rating store as if it held its witnesses' ratings.
 
     ``own_ratings`` maps each agent to the interaction ratings its store
     keeps at the end of the rounds. Each agent's oracle store gets its own
     ratings, then, witness by witness, a witness-tagged copy of each of
-    that witness's ratings, inserted one at a time.
+    that witness's ratings, inserted one at a time. Its witness queries
+    are what the simulated store must read without holding the copies.
     """
     stores = {}
     for agent in scenario.agents:

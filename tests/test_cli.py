@@ -165,6 +165,7 @@ class TestExplain:
         doc["ratings"]["alice"] = [rating("bargain", "quality", 0.9)] + [
             rating("swift", term, 1.0 if term == "quality" else 0.0) for term in doc["terms"]
         ]
+        del doc["witnesses"]  # alice reads no witness either
         stores_path.write_text(json.dumps(doc))
         assert main(
             [
@@ -293,14 +294,15 @@ class TestDocumentBoundary:
         assert f"ratings/alice/{index}/source" in capsys.readouterr().err
 
     @pytest.mark.parametrize("model", ["fire", "travos"])
-    def test_witness_source_must_not_be_the_owner(self, stores_path, capsys, model):
-        doc = json.loads(stores_path.read_text())
+    def test_witness_source_must_not_be_the_owner(self, v1_stores_path, capsys, model):
+        # ``simulate`` writes no witness rating; a stores/v1 document holds copies.
+        doc = json.loads(v1_stores_path.read_text())
         ratings = doc["ratings"]["alice"]
         index = next(i for i, r in enumerate(ratings) if r["rep_type"] == "witness")
         ratings[index]["source"] = "alice"
-        stores_path.write_text(json.dumps(doc))
+        v1_stores_path.write_text(json.dumps(doc))
         assert main(
-            ["assess", str(stores_path), "--model", model, "--assessor", "alice"]
+            ["assess", str(v1_stores_path), "--model", model, "--assessor", "alice"]
         ) == 2
         assert f"ratings/alice/{index}/source" in capsys.readouterr().err
 
@@ -519,11 +521,13 @@ class TestScenarioBoundary:
             (_set_witnesses({"alice": ["alice"]}), "witnesses/alice/0"),
             (_set_witnesses({"zed": ["alice"]}), "witnesses/zed"),
             (_add_term, "terms/colour"),
+            # A repeated witness would have its observations counted twice.
+            (_set_witnesses({"alice": ["bob", "bob"]}), "witnesses/alice/1"),
         ],
         ids=[
             "parcel-probs-sum", "service-probs-sum", "duplicate-agent-id",
             "agent-id-of-a-provider", "unknown-witness", "self-witness",
-            "unknown-witnessing-agent", "term-without-rating-rule",
+            "unknown-witnessing-agent", "term-without-rating-rule", "repeated-witness",
         ],
     )
     def test_semantic_error_names_its_path(self, tmp_path, capsys, mutate, path):
@@ -534,6 +538,64 @@ class TestScenarioBoundary:
         assert main(["simulate", str(scenario), str(out)]) == 2
         assert f"scenario document invalid at {path}: " in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestWitnessesSection:
+    """A stores document's witness topology is checked as a scenario's is,
+    and no witness's ratings count twice."""
+
+    @pytest.mark.parametrize(
+        "topology, path",
+        [
+            ({"alice": ["bob", "bob"]}, "witnesses/alice/1"),
+            ({"alice": ["carol", "alice"]}, "witnesses/alice/1"),
+            ({"alice": ["mallory"]}, "witnesses/alice/0"),
+            ({"mallory": ["alice"]}, "witnesses/mallory"),
+        ],
+        ids=["repeated-peer", "the-owner", "unlisted-peer", "unlisted-agent"],
+    )
+    def test_invalid_topology_names_its_path(self, stores_path, capsys, topology, path):
+        doc = json.loads(stores_path.read_text())
+        doc["witnesses"] = topology
+        stores_path.write_text(json.dumps(doc))
+        assert main(
+            ["assess", str(stores_path), "--model", "travos", "--assessor", "alice"]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"stores document invalid at {path}: " in captured.err
+
+    @pytest.mark.parametrize("model", ["fire", "travos"])
+    def test_explicit_witness_rating_from_a_peer_exits_two(self, stores_path, capsys, model):
+        doc = json.loads(stores_path.read_text())
+        ratings = doc["ratings"]["alice"]
+        ratings.append(dict(doc["ratings"]["bob"][0], rep_type="witness"))
+        argv = ["assess", str(stores_path), "--model", model, "--assessor", "alice"]
+        stores_path.write_text(json.dumps(doc))
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (
+            f"stores document invalid at ratings/alice/{len(ratings) - 1}/source: "
+            in captured.err
+        )
+        # The same record loads once bob is no longer alice's peer.
+        doc["witnesses"]["alice"] = ["carol"]
+        stores_path.write_text(json.dumps(doc))
+        assert main(argv) == 0
+
+
+@pytest.mark.parametrize("command", ["assess", "simulate"])
+def test_non_utf8_input_names_its_file(tmp_path, capsys, command):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    argv = (
+        ["assess", str(bad), "--model", "fire", "--assessor", "alice"]
+        if command == "assess"
+        else ["simulate", str(bad), str(tmp_path / "out.json")]
+    )
+    assert main(argv) == 2
+    assert f"error: {bad}: not valid UTF-8: " in capsys.readouterr().err
 
 
 def test_commands_load_no_test_only_dependency(stores_path, tmp_path):

@@ -5,9 +5,12 @@ and 7 through the CLI, then pins the sha256 of the stores document, of
 every agent's ``assess`` document and of every ordered provider pair's
 ``explain`` document and ``--text`` output, under both models. A command
 that fails is pinned by its exit code instead. The capped runs pin the
-witness-copy and eviction paths end to end. The uncapped commands must
-give the same outputs on ``data/demo_stores_v1.json``, the same stores
-in the stores/v1 format.
+eviction path end to end, and every run pins the witness evidence each
+store reads through the witness index of its document's ``witnesses``
+section. The uncapped commands must give the same outputs on
+``data/demo_stores_v1.json``, the same stores in the stores/v1 format,
+whose witness evidence is explicit witness copies and which has no
+``witnesses`` section.
 
 To print the table for the current code (after checking that a change
 in it is intended):
@@ -37,6 +40,11 @@ GOLDEN_PATH = Path(__file__).resolve().parent / "demo_golden.json"
 #: stores/v2, and its sha256: the golden ``null/stores`` of that time.
 V1_STORES_PATH = Path(__file__).resolve().parent / "data" / "demo_stores_v1.json"
 V1_STORES_SHA256 = "be7d444fb64732d8318ec10c0bce558d2b69aee78e58e2464ecea0e7d7ae0fa3"
+#: The sha256 of that document loaded and written again as stores/v2: its
+#: witness copies stay explicit records, and it gains no ``witnesses``
+#: section. It was the golden ``null/stores`` while ``simulate`` wrote
+#: witness copies.
+V1_REWRITTEN_SHA256 = "9ee2479a7b15595539c323f003713678ab9847ca3106ffcae070ac40575e6fca"
 CAPS = (None, 3, 7)
 MODELS = ("fire", "travos")
 
@@ -111,7 +119,7 @@ def test_demo_outputs_match_golden(tmp_path, monkeypatch):
 
 def test_v1_demo_stores_match_golden(monkeypatch):
     # A stores/v1 document still loads: it gives every uncapped golden
-    # output, and written again it is the uncapped golden stores/v2.
+    # output, and written again it keeps its witness copies.
     _memoised_loading(monkeypatch)
     assert _sha256(V1_STORES_PATH.read_bytes()) == V1_STORES_SHA256
     golden = json.loads(GOLDEN_PATH.read_text())
@@ -132,7 +140,7 @@ def test_v1_demo_stores_match_golden(monkeypatch):
     assert not changed, {key: (expected[key], got[key]) for key in changed}
     world = world_from_document(json.loads(V1_STORES_PATH.read_text()))
     written = dump_document(world_to_document(world)).encode()
-    assert _sha256(written) == golden["null/stores"]
+    assert _sha256(written) == V1_REWRITTEN_SHA256
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import assert_schema_valid, context_oracle, validate_assessment
+from reptrace import fire, travos
 from reptrace.core import ReputationType
 from reptrace.errors import ConfigError, NotPreferredError, UnknownAgentError
 from reptrace.explain import (
@@ -113,6 +114,65 @@ class TestStoresDocument:
                 restored.observation_stores[agent].entries()
                 == world.observation_stores[agent].entries()
             )
+
+
+class TableStore:
+    """A rating store that answers each query from a fixed table."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def query(self, target, term, rep_type):
+        return list(self.table.get((target, term, rep_type), ()))
+
+
+class TestWitnessEvidence:
+    @pytest.mark.parametrize("model", list(Model))
+    def test_explicit_records_come_before_the_peers(self, world, model):
+        # carol's store holds an explicit witness copy of each of bob's
+        # ratings, and her topology names alice alone: both witnesses
+        # count, each once, bob's explicit records first.
+        doc = world_to_document(world)
+        doc["witnesses"] = {"carol": ["alice"]}
+        doc["ratings"]["carol"] += [dict(r, rep_type="witness") for r in doc["ratings"]["bob"]]
+        loaded = world_from_document(doc)
+        store = loaded.rating_stores["carol"]
+        copies = {
+            agent: [r._replace(rep_type=W) for r in world.rating_stores[agent].all_records()]
+            for agent in ("bob", "alice")
+        }
+        table = {}
+        for provider, term in itertools.product(
+            (p.id for p in world.providers), world.preferences.terms
+        ):
+            table[(provider, term, I)] = world.rating_stores["carol"].query(provider, term, I)
+            table[(provider, term, W)] = [
+                r
+                for agent in ("bob", "alice")
+                for r in copies[agent]
+                if (r.target, r.term) == (provider, term)
+            ]
+            assert store.query(provider, term, W) == table[(provider, term, W)]
+            assert {r.source for r in table[(provider, term, W)]} == {"bob", "alice"}
+        for provider in world.providers:
+            if model is Model.FIRE:
+                got, expected = (
+                    fire.assess_provider(
+                        evidence, "carol", provider.id, world.preferences, world.fire,
+                        now=world.now, role_rules=world.role_rules,
+                        agent_roles=world.agent_roles(),
+                    )
+                    for evidence in (store, TableStore(table))
+                )
+            else:
+                got, expected = (
+                    travos.assess_provider(
+                        evidence, loaded.observation_stores["carol"], "carol", provider.id,
+                        world.preferences, world.travos,
+                    )
+                    for evidence in (store, TableStore(table))
+                )
+            assert got == expected, provider.id
 
 
 def pipeline_outputs(doc: dict) -> list:

@@ -12,7 +12,12 @@ from oracles import content_key, witness_copy_oracle
 from reptrace.core import Preferences, ReputationType
 from reptrace.errors import ConfigError
 from reptrace.fire import FireConfig
-from reptrace.pipeline import dump_document, world_from_simulation, world_to_document
+from reptrace.pipeline import (
+    dump_document,
+    world_from_document,
+    world_from_simulation,
+    world_to_document,
+)
 from reptrace.scenario import scenario_from_document
 from reptrace.simulate import (
     AgentSpec,
@@ -184,13 +189,14 @@ class TestRunScenario:
             rounds=3,
         )
         world = run_scenario(sc)
+        store = world.rating_stores["alice"]
         witness_records = [
-            r
-            for r in world.rating_stores["alice"].all_records()
-            if r.target == "P1" and r.rep_type is W
+            r for term in sc.preferences.terms for r in store.query("P1", term, W)
         ]
         assert witness_records
         assert {r.source for r in witness_records} == {"bob"}
+        # Read through the witness index, never held.
+        assert all(r.source == "alice" for r in store.all_records())
 
     def test_observations_pair_opinions_with_outcomes(self):
         sc = scenario(
@@ -304,6 +310,11 @@ class TestRunScenario:
         with pytest.raises(ConfigError):
             scenario(provider_selection="fastest")
 
+    def test_repeated_witness_rejected(self):
+        # Listed twice, bob's observations would be counted twice.
+        with pytest.raises(ConfigError, match="^witnesses/alice/1: 'bob' is already a witness"):
+            scenario(agents=("alice", "bob"), witnesses={"alice": ("bob", "bob")})
+
     @pytest.mark.parametrize("sigma", [-1.0, -0.0])
     def test_negative_days_sigma_rejected(self, sigma):
         with pytest.raises(ConfigError, match="days_sigma"):
@@ -360,15 +371,16 @@ class TestOpinionOracle:
 
 
 # sha256 of the 10x5x40 stores/v2 documents (seed 1, complete witness
-# topology, the demo's provider models cycled). Each equals the stores/v1
-# document pinned before the simulator kept running witness counts and
-# shared witness copies (9e66eb46... and 8a354830...), loaded and written
-# again.
+# topology, the demo's provider models cycled), as written since the
+# stores hold no witness copies and the document carries the topology in
+# its ``witnesses`` section. The documents written before, with a witness
+# copy of every rating, were 4d3fde93... and 8f914d45...; loaded, they
+# give the same rankings and explanations as these.
 @pytest.mark.parametrize(
     "cap, digest",
     [
-        (None, "4d3fde93e209a1e7f7f166dae56d3f86b26bffb71b1e78322158555a0644adde"),
-        (4, "8f914d45c049980942f8cd5c7dd7e29481f89e4859c2fc09ac267302bd4441bb"),
+        (None, "79118fb96acc0e87431b333c546633ad51ccd47d8c51c76408cc2bd51ceec34a"),
+        (4, "7e29528ee9cfe1c24e442b67ebf1325290db77b7ac465a8c7093558b93d8ceb8"),
     ],
     ids=["uncapped", "cap4"],
 )
@@ -436,13 +448,17 @@ class TestRosterExtension:
 
 
 @st.composite
-def sparse_topologies(draw):
-    """A scenario of at most 3x3x10 whose agents list random witness subsets."""
+def witness_scenarios(draw):
+    """A scenario of at most 3x3x10 with a complete, an empty or a random
+    witness topology, and a history cap of None or 1 to 4."""
     agents = list(ROSTER[:draw(st.integers(1, 3))])
+    topology = draw(st.sampled_from(["complete", "none", "mapping"]))
     witnesses = {}
     for agent in agents:
         peers = [a for a in agents if a != agent]
-        if peers and draw(st.booleans()):
+        if topology == "complete":
+            witnesses[agent] = tuple(peers)
+        elif topology == "mapping" and peers and draw(st.booleans()):
             witnesses[agent] = tuple(draw(st.lists(st.sampled_from(peers), unique=True)))
     return scenario(
         agents=agents,
@@ -452,27 +468,34 @@ def sparse_topologies(draw):
         seed=draw(st.integers(0, 2**32)),
         terms={"timeliness": 0.4, "quality": 0.3, "reliability": 0.3},
         provider_selection=draw(st.sampled_from(["uniform", "round_robin"])),
-        fire=FireConfig(history_cap=draw(st.none() | st.integers(1, 7))),
+        fire=FireConfig(history_cap=draw(st.none() | st.integers(1, 4))),
     )
 
 
 class TestWitnessCopyOracle:
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-    @given(sparse_topologies())
+    @given(witness_scenarios())
     def test_stores_equal_one_at_a_time_copies(self, sc):
-        world = run_scenario(sc)
+        # Every store reads, as witness evidence, exactly the copies that
+        # inserting its witnesses' ratings one at a time would hold, in the
+        # same order, and holds none of them; so does the same world
+        # written as a stores document and loaded again.
+        sim = run_scenario(sc)
         # Witnesses consume no draws, so without them every store holds
         # the same own ratings.
         alone = run_scenario(sc._replace(witnesses={}))
-        expected = witness_copy_oracle(
-            sc, {a: store.all_records() for a, store in alone.rating_stores.items()}
+        own = {a: store.all_records() for a, store in alone.rating_stores.items()}
+        expected = witness_copy_oracle(sc, own)
+        loaded = world_from_document(
+            json.loads(dump_document(world_to_document(world_from_simulation(sim))))
         )
         buckets = list(itertools.product(
             [p.id for p in sc.providers], sc.preferences.terms, ReputationType
         ))
-        for agent in sc.agents:
-            store, oracle = world.rating_stores[agent.id], expected[agent.id]
-            assert len(store) == len(oracle)
-            for bucket in buckets:
-                assert store.query(*bucket) == oracle.query(*bucket), (agent.id, bucket)
-            assert store.all_records() == oracle.all_records(), agent.id
+        for world in (sim, loaded):
+            for agent in sc.agents:
+                store, oracle = world.rating_stores[agent.id], expected[agent.id]
+                assert store.all_records() == own[agent.id], agent.id
+                assert len(store) == len(own[agent.id])
+                for bucket in buckets:
+                    assert store.query(*bucket) == oracle.query(*bucket), (agent.id, bucket)

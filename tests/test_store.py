@@ -12,12 +12,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import ObservationStoreOracle, RatingStoreOracle, content_key
 from reptrace.core import Rating, ReputationType
 from reptrace.errors import BadBinError, OutOfRangeError
-from reptrace.store import (
-    ObservationStore,
-    RatingStore,
-    bin_of,
-    bucket_runs,
-)
+from reptrace.store import ObservationStore, RatingStore, bin_of
 
 I = ReputationType.INTERACTION
 W = ReputationType.WITNESS
@@ -320,33 +315,6 @@ class TestRatingStoreAgainstOracle:
             evicted = store.insert(rec)
             assert Counter(map(id, evicted)) == dropped(oracle, [rec])
             self.assert_same(store, oracle)
-
-    @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(
-        st.lists(ratings, max_size=25),
-        st.none() | st.integers(1, 4),
-        st.data(),
-    )
-    def test_merge_matches_inserts_one_at_a_time(self, inserts, cap, data):
-        store = RatingStore(history_cap=cap)
-        oracle = RatingStoreOracle(history_cap=cap)
-        rest = inserts
-        while rest:
-            size = data.draw(st.integers(1, len(rest)), label="chunk size")
-            chunk, rest = rest[:size], rest[size:]
-            # Stores take subsequences of shared runs: the records of
-            # some sources, in the runs' order.
-            keep = data.draw(st.sets(st.sampled_from(SOURCES)), label="sources")
-            runs = bucket_runs(iter(chunk))
-            # Any iterable of runs will do, not only a list.
-            evicted = store.merge(
-                [rec for rec in run if rec.source in keep] for run in runs
-            )
-            kept = [rec for rec in chunk if rec.source in keep]
-            assert Counter(map(id, evicted)) == dropped(oracle, kept)
-            self.assert_same(store, oracle)
-        assert store.merge([]) == [] and store.merge([[]]) == []
-        self.assert_same(store, oracle)
 
 
 @st.composite
