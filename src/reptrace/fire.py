@@ -39,28 +39,23 @@ RECENCY_TYPES = (
 
 class _FireConfigFields(NamedTuple):
     lambda_: float
-    importance: Mapping[ReputationType, float]
     history_cap: Optional[int]
 
 
 class FireConfig(_FireConfigFields):
-    """Recency scale, component importance and per-source history cap.
+    """Recency scale and per-source history cap.
 
-    ``importance`` defaults to interaction 0.75 and witness 0.25, in a
-    new dict for each config. Only the constructor validates; ``_make``
-    and ``_replace`` skip the checks.
+    Component importance is the assessor's
+    ``Preferences.component_weights``. Only the constructor validates;
+    ``_make`` and ``_replace`` skip the checks.
     """
 
     __slots__ = ()
 
-    def __new__(cls, lambda_=5.0, importance=None, history_cap=None):
-        if importance is None:
-            importance = {ReputationType.INTERACTION: 0.75, ReputationType.WITNESS: 0.25}
+    def __new__(cls, lambda_=5.0, history_cap=None):
         if lambda_ <= 0:
             raise ValueError("lambda must be positive")
-        if not importance or not any(w > 0 for w in importance.values()):
-            raise ValueError("at least one positive importance weight required")
-        return tuple.__new__(cls, (lambda_, importance, history_cap))
+        return tuple.__new__(cls, (lambda_, history_cap))
 
 
 def recency_weight(delta_tau: float, lambda_: float) -> float:
@@ -134,6 +129,7 @@ def _weighted_mean(pairs: Sequence[tuple[float, float]]) -> Optional[float]:
 def component_trust(
     ratings: Sequence[Rating],
     rep_type: ReputationType,
+    importance: float,
     config: FireConfig,
     now: int,
     role_evidence: Sequence[PseudoRating] = (),
@@ -157,9 +153,7 @@ def component_trust(
     value = _weighted_mean(pairs)
     if value is None:
         return ComponentTrust(rep_type=rep_type, value=None, weight=0.0)
-    return ComponentTrust(
-        rep_type=rep_type, value=value, weight=config.importance.get(rep_type, 0.0)
-    )
+    return ComponentTrust(rep_type=rep_type, value=value, weight=importance)
 
 
 class FireAssessment(NamedTuple):
@@ -232,18 +226,21 @@ def assess_provider(
     agent_roles = agent_roles or {}
     weighted: dict[Term, list[ComponentTrust]] = {}
     uniform: dict[Term, list[ComponentTrust]] = {}
-    active_types = [k for k in REPUTATION_ORDER if config.importance.get(k, 0.0) > 0.0]
+    importance = preferences.component_weights
+    active_types = [k for k in REPUTATION_ORDER if importance.get(k, 0.0) > 0.0]
     for term in preferences.terms:
         evidence = _collect(
             rating_store, role_rules, agent_roles, assessor, target, term
         )
         weighted[term] = [
-            component_trust(evidence[k][0], k, config, now, evidence[k][1])
+            component_trust(evidence[k][0], k, importance[k], config, now, evidence[k][1])
             for k in active_types
         ]
         if baseline:
             uniform[term] = [
-                component_trust(evidence[k][0], k, config, now, evidence[k][1], recency=False)
+                component_trust(
+                    evidence[k][0], k, importance[k], config, now, evidence[k][1], recency=False
+                )
                 for k in active_types
             ]
     return FireAssessment(

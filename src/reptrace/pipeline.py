@@ -15,15 +15,7 @@ from collections.abc import Mapping
 from enum import Enum
 from typing import NamedTuple, Optional
 
-from .core import (
-    AgentId,
-    Assessment,
-    ComponentTrust,
-    Preferences,
-    Rating,
-    ReputationType,
-    Term,
-)
+from .core import AgentId, ComponentTrust, Preferences, Rating, ReputationType
 from .errors import ConfigError, UnknownAgentError
 from .explain import (
     Argument,
@@ -34,13 +26,13 @@ from .explain import (
     TravosDiagnostics,
     explain,
 )
-from .fire import FireConfig, assess_provider as assess_fire
+from .fire import FireAssessment, FireConfig, assess_provider as assess_fire
 from .scenario import config_from_document, validate_document
 from .simulate import AgentSpec, SimulationWorld, check_witnesses
 from .store import ObservationStore, RatingStore, RoleRule, share_witness_evidence
 from .travos import (
+    TravosAssessment,
     TravosConfig,
-    TravosTermDiagnostics,
     assess_provider as assess_travos,
     binarize_value,
 )
@@ -324,13 +316,6 @@ def dump_document(doc: dict) -> str:
     )
 
 
-class ProviderResult(NamedTuple):
-    """One provider's assessment plus, under TRAVOS, per-term diagnostics."""
-
-    assessment: Assessment
-    travos_diagnostics: Optional[Mapping[Term, TravosTermDiagnostics]] = None
-
-
 def _assess(
     world: World, model: Model, assessor: AgentId, provider: AgentId, baseline: bool
 ):
@@ -361,24 +346,23 @@ def _assess(
 
 def assess_all(
     world: World, model: Model, assessor: AgentId
-) -> dict[AgentId, ProviderResult]:
-    """Assess every provider in the world under one model.
+) -> dict[AgentId, FireAssessment | TravosAssessment]:
+    """Assess every provider in the world under one model; each value is
+    the engine's own record, whose ``assessment`` rankings read.
 
     FIRE's uniform baseline is not built: only explanation contexts read
     it, and ``build_context`` builds it for the two providers it compares.
     """
     world.require_agent(assessor)
-    results: dict[AgentId, ProviderResult] = {}
-    for provider in world.providers:
-        found = _assess(world, model, assessor, provider.id, baseline=False)
-        results[provider.id] = ProviderResult(
-            assessment=found.assessment,
-            travos_diagnostics=None if model is Model.FIRE else found.diagnostics(),
-        )
-    return results
+    return {
+        provider.id: _assess(world, model, assessor, provider.id, baseline=False)
+        for provider in world.providers
+    }
 
 
-def rank(world: World, model: Model, assessor: AgentId) -> list[ProviderResult]:
+def rank(
+    world: World, model: Model, assessor: AgentId
+) -> list[FireAssessment | TravosAssessment]:
     """Providers sorted by overall score descending; ties and missing
     scores order by provider id."""
     results = assess_all(world, model, assessor)
@@ -447,7 +431,7 @@ def _component_to_doc(c: ComponentTrust) -> dict:
 
 
 def ranking_to_document(
-    model: Model, assessor: AgentId, ranked: list[ProviderResult]
+    model: Model, assessor: AgentId, ranked: list[FireAssessment | TravosAssessment]
 ) -> dict:
     return {
         "schema": RANKING_SCHEMA,

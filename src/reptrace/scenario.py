@@ -130,7 +130,6 @@ def config_from_document(doc: dict, kind: str) -> dict:
             ),
             "fire": FireConfig(
                 lambda_=float(fire.get("lambda", 5.0)),
-                importance=importance,
                 history_cap=None if cap is None else int(cap),
             ),
             "travos": TravosConfig(

@@ -223,6 +223,36 @@ MUTANTS = (
         "                if False:\n",
         ("tests/test_cli.py::TestObservationCounts",),
     ),
+    Mutant(
+        "render: the preferred provider's id is shown instead of its display name",
+        "render.py",
+        '"preferred": name(explanation.preferred)',
+        '"preferred": explanation.preferred',
+        ("tests/test_render.py::TestEveryKind",),
+    ),
+    Mutant(
+        "render: a trade-off's pros keep their order under ascending_pros",
+        "render.py",
+        'if field == "pros" and ascending_pros:',
+        'if field == "pros" and ascending_pros and argument.kind != "decisive_tradeoff":',
+        ("tests/test_render.py::TestEveryKind",),
+    ),
+    Mutant(
+        "render: a permutation swaps the more and the less important type",
+        "render.py",
+        "more_important=REP_TYPE_DISPLAY[more_important],\n"
+        "                    less_important=REP_TYPE_DISPLAY[less_important],\n",
+        "more_important=REP_TYPE_DISPLAY[less_important],\n"
+        "                    less_important=REP_TYPE_DISPLAY[more_important],\n",
+        ("tests/test_render.py::TestEveryKind",),
+    ),
+    Mutant(
+        "render: a trade-off's cons clause is dropped",
+        "render.py",
+        'CONS_CLAUSE.format(**slots) if argument.cons else ""',
+        '""',
+        ("tests/test_render.py::TestEveryKind",),
+    ),
 )
 
 

@@ -251,7 +251,7 @@ def test_criterion_8_fire_recency_argument():
     from reptrace.store import RatingStore
 
     prefs = Preferences(term_weights={"q": 1.0}, component_weights={I: 1.0})
-    config = FireConfig(lambda_=1.0, importance={I: 1.0})
+    config = FireConfig(lambda_=1.0)
 
     def build(history):
         store = RatingStore()

@@ -550,7 +550,7 @@ class TestWeightScale:
 def recency_context(b_ratings, b2_ratings, lambda_=1.0, now=5):
     """Run the full FIRE path over two hand-built rating histories."""
     prefs = Preferences(term_weights={"q": 1.0}, component_weights={I: 1.0})
-    config = FireConfig(lambda_=lambda_, importance={I: 1.0})
+    config = FireConfig(lambda_=lambda_)
     store = RatingStore()
     for value, ts in b_ratings:
         store.insert(

@@ -40,8 +40,8 @@ def rating(value, ts, source="a", target="b", term="q", rep_type=I):
     )
 
 
-def config(lambda_=5.0, importance=None):
-    return FireConfig(lambda_=lambda_, importance=importance or {I: 0.75, W: 0.25})
+def config(lambda_=5.0):
+    return FireConfig(lambda_=lambda_)
 
 
 class TestRecencyWeight:
@@ -87,12 +87,12 @@ class TestRecencyWeight:
 class TestComponentTrust:
     def test_equal_timestamps_mean(self):
         ratings = [rating(0.4, ts=3), rating(0.6, ts=3)]
-        out = component_trust(ratings, I, config(), now=3)
+        out = component_trust(ratings, I, 0.75, config(), now=3)
         assert out.value == pytest.approx(0.5, abs=1e-12)
 
     def test_role_rules_weighted_by_likelihood(self):
         pseudo = [PseudoRating(0.9, 0.8), PseudoRating(0.4, 0.2)]
-        out = component_trust([], R, config(importance={I: 0.75, R: 0.25}), now=0, role_evidence=pseudo)
+        out = component_trust([], R, 0.25, config(), now=0, role_evidence=pseudo)
         assert out.value == pytest.approx(0.8, abs=1e-12)
 
     def test_recency_weighted_mix(self):
@@ -100,11 +100,11 @@ class TestComponentTrust:
         # so the mix of 1.0 (fresh) and 0.0 (one round old) is 1/1.5.
         lam = 1.0 / math.log(2)
         ratings = [rating(1.0, ts=5), rating(0.0, ts=4)]
-        out = component_trust(ratings, I, config(lambda_=lam), now=5)
+        out = component_trust(ratings, I, 0.75, config(lambda_=lam), now=5)
         assert out.value == pytest.approx(2 / 3, abs=1e-9)
 
     def test_empty_is_absent(self):
-        out = component_trust([], I, config(), now=0)
+        out = component_trust([], I, 0.75, config(), now=0)
         assert out.value is None and out.weight == 0.0
 
     @given(
@@ -126,13 +126,13 @@ class TestComponentTrust:
         ratings = [rating(v, ts=ts) for v, ts in pairs]
         weights = [recency_weight(now - r.timestamp, lam) for r in ratings]
         expected = sum(w * r.value for r, w in zip(ratings, weights)) / sum(weights)
-        assert component_trust(ratings, I, config(lambda_=lam), now=now).value == expected
+        assert component_trust(ratings, I, 0.75, config(lambda_=lam), now=now).value == expected
 
     def test_rating_after_now_rejected(self):
         ratings = [rating(0.5, ts=3), rating(0.7, ts=6)]
         for _ in range(2):
             with pytest.raises(ValueError):
-                component_trust(ratings, I, config(), now=5)
+                component_trust(ratings, I, 0.75, config(), now=5)
 
     @given(
         st.lists(
@@ -145,8 +145,8 @@ class TestComponentTrust:
     )
     def test_same_timestamp_equals_uniform(self, pairs):
         ratings = [rating(v, ts=7) for v, _ in pairs]
-        a = component_trust(ratings, I, config(), now=12)
-        b = component_trust(ratings, I, config(), now=12, recency=False)
+        a = component_trust(ratings, I, 0.75, config(), now=12)
+        b = component_trust(ratings, I, 0.75, config(), now=12, recency=False)
         assert abs(a.value - b.value) <= 1e-12
 
     @given(
@@ -162,23 +162,23 @@ class TestComponentTrust:
         ratings = [rating(v, ts=ts) for v, ts in pairs]
         values = [v for v, _ in pairs]
         for recency in (True, False):
-            out = component_trust(ratings, I, config(), now=25, recency=recency)
+            out = component_trust(ratings, I, 0.75, config(), now=25, recency=recency)
             assert min(values) - 1e-12 <= out.value <= max(values) + 1e-12
 
 
 class TestComponentTrustUniform:
     def test_plain_mean(self):
         out = component_trust(
-            [rating(0.2, ts=0), rating(0.9, ts=9)], I, config(), now=9, recency=False
+            [rating(0.2, ts=0), rating(0.9, ts=9)], I, 0.75, config(), now=9, recency=False
         )
         assert out.value == pytest.approx(0.55, abs=1e-12)
 
     def test_single_value(self):
-        out = component_trust([rating(0.3, ts=0)], I, config(), now=5, recency=False)
+        out = component_trust([rating(0.3, ts=0)], I, 0.75, config(), now=5, recency=False)
         assert out.value == pytest.approx(0.3)
 
     def test_empty_absent(self):
-        out = component_trust([], I, config(), now=0, recency=False)
+        out = component_trust([], I, 0.75, config(), now=0, recency=False)
         assert out.value is None
 
 
@@ -291,7 +291,7 @@ class TestAssessProvider:
             "a",
             "b",
             prefs,
-            FireConfig(lambda_=5.0, importance={I: 0.5, R: 0.5}),
+            FireConfig(lambda_=5.0),
             now=0,
             role_rules=rules,
             agent_roles={"a": ("buyer",), "b": ("courier",)},

@@ -1,4 +1,7 @@
-"""Text rendering: golden sentences, list joining, template handling."""
+"""Text rendering: golden sentences, list joining, the sentence table."""
+
+import string
+import typing
 
 import pytest
 
@@ -6,6 +9,7 @@ from reptrace import fixture
 from reptrace.core import ReputationType
 from reptrace.errors import UnknownAgentError
 from reptrace.explain import (
+    ARGUMENT_KINDS,
     DecisiveTradeoff,
     Explanation,
     FireRecencyGlobal,
@@ -16,7 +20,8 @@ from reptrace.explain import (
     invert_permutation,
 )
 from reptrace.pipeline import explanation_to_document
-from reptrace.render import _template_set, default_templates, join_terms, render_text
+from reptrace.render import CONS_CLAUSE, SENTENCES, join_terms, render_text
+from test_pipeline import EVERY_KIND
 
 I = ReputationType.INTERACTION
 W = ReputationType.WITNESS
@@ -158,9 +163,89 @@ class TestRenderMechanics:
         text = render_text(explanation, NAMES)
         assert text.count("Considering quality") == 2
 
-    def test_default_templates_read_once(self):
-        assert default_templates() is default_templates()
 
-    def test_missing_section_rejected(self):
-        with pytest.raises(ValueError, match="missing sections"):
-            _template_set("[dominance]\nonly this\n", "broken.txt")
+#: Every argument kind, plus a trade-off with two pros and two cons, shown
+#: under display names that differ from the agent ids.
+EVERY_KIND_AND_WIDE_TRADEOFF = EVERY_KIND._replace(
+    arguments=EVERY_KIND.arguments
+    + (
+        DecisiveTradeoff(
+            pros=("quality", "timeliness"),
+            cons=("cost", "safety"),
+            weighted_differences={
+                "quality": 0.5, "timeliness": 0.25, "cost": 0.125, "safety": 0.0625
+            },
+        ),
+    )
+)
+DISPLAY_NAMES = {"swift": "Swift Couriers", "steady": "Steady Freight"}
+
+
+def every_kind_lines(pros):
+    """The rendered lines, with ``pros`` as both decisive arguments list them."""
+    return (
+        "Swift Couriers has a better reputation than Steady Freight, because it "
+        "is better in all aspects that you consider in your preferences, mainly "
+        f"with respect to {pros}.",
+        "Swift Couriers has a better reputation than Steady Freight, mainly due "
+        "to quality, even though Steady Freight provides better cost.",
+        "Considering quality, even though Steady Freight has a higher trust value "
+        "considering witness reputation, which is less important, Swift Couriers "
+        "has a higher trust value considering own interaction, which is more "
+        "important.",
+        "Considering quality, even though Steady Freight has a higher trust value "
+        "considering certified reputation, which is less important, Swift "
+        "Couriers has a higher trust value considering role-based reputation, "
+        "which is more important.",
+        "In addition, Steady Freight has, on average, higher ratings than Swift "
+        "Couriers, but Swift Couriers has been recently receiving higher ratings "
+        "than Steady Freight, which are more valuable.",
+        "Moreover, Steady Freight has, on average, higher ratings for timeliness "
+        "than Swift Couriers, considering witness reputation, but Swift Couriers "
+        "has been recently receiving higher ratings than Steady Freight, which "
+        "are more valuable.",
+        "Moreover, although you have had limited previous interactions with "
+        "either Swift Couriers or Steady Freight with respect to cost, the "
+        "former is considered better than the latter by witnesses.",
+        "Swift Couriers has a better reputation than Steady Freight, mainly due "
+        f"to {pros}, even though Steady Freight provides better cost, "
+        "and safety.",
+    )
+
+
+class TestEveryKind:
+    def test_descending_pros(self):
+        text = render_text(EVERY_KIND_AND_WIDE_TRADEOFF, DISPLAY_NAMES)
+        assert text.split("\n") == list(every_kind_lines("quality, and timeliness"))
+
+    def test_ascending_pros_reverses_pros_only(self):
+        text = render_text(EVERY_KIND_AND_WIDE_TRADEOFF, DISPLAY_NAMES, ascending_pros=True)
+        assert text.split("\n") == list(every_kind_lines("timeliness, and quality"))
+
+
+#: Slots that ``render_text`` binds by rule rather than from a field.
+RULE_SLOTS = {
+    "decisive_tradeoff": {"cons_clause"},
+    "type_permutation": {"more_important", "less_important"},
+}
+
+
+def slots_of(sentence):
+    return {field for _, field, _, _ in string.Formatter().parse(sentence) if field}
+
+
+class TestSentenceTable:
+    def test_one_sentence_per_argument_kind(self):
+        assert sorted(SENTENCES) == sorted(cls.kind for cls in ARGUMENT_KINDS)
+
+    @pytest.mark.parametrize("cls", ARGUMENT_KINDS, ids=lambda cls: cls.kind)
+    def test_slots_name_bindable_fields(self, cls):
+        bindable = (str, tuple[str, ...], ReputationType)
+        hints = typing.get_type_hints(cls)
+        fields = {f for f in cls._fields if hints[f] in bindable}
+        allowed = {"preferred", "other"} | fields | RULE_SLOTS.get(cls.kind, set())
+        sentences = [SENTENCES[cls.kind]]
+        if cls is DecisiveTradeoff:
+            sentences.append(CONS_CLAUSE)
+        for sentence in sentences:
+            assert slots_of(sentence) <= allowed
