@@ -8,18 +8,9 @@ four-provider example step by step.
 """
 
 from reptrace import fixture
-from reptrace.core import (
-    ComponentTrust,
-    ReputationType,
-    combine_term_trust,
-    overall_trust,
-)
+from reptrace.core import weighted_mean
 from reptrace.fire import role_pseudo_ratings
 from reptrace.store import RoleRule
-
-I = ReputationType.INTERACTION
-W = ReputationType.WITNESS
-
 
 def main():
     print("Role-rule values on the bipolar scale [-1, 1] are mapped to [0, 1].")
@@ -31,9 +22,7 @@ def main():
 
     print("Component trusts combine into a term trust by weighted mean.")
     print("Provider B, quality: interaction 0.75 (weight 0.75), witness 0.95 (weight 0.25)")
-    value = combine_term_trust(
-        [ComponentTrust(I, 0.75, weight=0.75), ComponentTrust(W, 0.95, weight=0.25)]
-    )
+    value = weighted_mean([(0.75, 0.75), (0.95, 0.25)])
     print(f"  term trust = 0.75*0.75 + 0.25*0.95 = {value:.2f}")
     print()
 
@@ -53,8 +42,8 @@ def main():
     print()
 
     b = fixture.assessment("B")
-    trusts = {t: b.term_trust(t) for t in fixture.TERMS}
-    print(f"Check: overall for B recomputed directly = {overall_trust(trusts, weights):.6f}")
+    overall = weighted_mean((b.term_trust(t), weights[t]) for t in fixture.TERMS)
+    print(f"Check: overall for B recomputed directly = {overall:.6f}")
     print("B ranks first; the explanation demos show why, argument by argument.")
 
 

@@ -9,7 +9,7 @@ Subcommands:
 * ``explain stores.json --model fire --assessor alice --preferred P1
   --other P2 [--text]`` prints the explanation document or its rendered
   text.
-* ``demo [--table4]`` replays the built-in four-provider example and
+* ``demo`` replays the built-in four-provider example and
   self-checks its golden values.
 
 Exit codes: 0 success, 2 invalid input or schema violation, 3 I/O error,
@@ -242,11 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_explain)
 
     p = sub.add_parser("demo", help="replay the built-in example with self-checks")
-    p.add_argument(
-        "--table4",
-        action="store_true",
-        help="select the built-in four-provider fixture (the default)",
-    )
     p.set_defaults(func=cmd_demo)
     return parser
 

@@ -15,14 +15,9 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .errors import (
-    NoEvidenceError,
-    NoTermsError,
-    OutOfRangeError,
-    WeightSumZeroError,
-)
+from .errors import OutOfRangeError
 
 AgentId = str
 Term = str
@@ -194,41 +189,29 @@ class Assessment(NamedTuple):
         return None
 
 
-def combine_term_trust(components: Sequence[ComponentTrust]) -> float:
-    """Weighted mean of component trust values for one term.
+def total(values: Iterable[float]) -> float:
+    """Sum of ``values``, added left to right in the order given.
 
-    Components with absent values are skipped. Raises NoEvidenceError when
-    nothing remains or all remaining weights are zero.
+    Every float sum in the package goes through here or through
+    ``weighted_mean``, so the rounding is the same on every Python
+    version: the built-in ``sum`` compensates rounding from 3.12 on.
     """
+    s = 0.0
+    for v in values:
+        s += v
+    return s
+
+
+def weighted_mean(pairs: Iterable[tuple[float, float]]) -> Optional[float]:
+    """Mean of the ``(value, weight)`` pairs weighted by their weights,
+    summed left to right; None when the weights sum to zero or less."""
     num = 0.0
     den = 0.0
-    for c in components:
-        if c.value is None:
-            continue
-        num += c.weight * c.value
-        den += c.weight
+    for v, w in pairs:
+        num += w * v
+        den += w
     if den <= 0.0:
-        raise NoEvidenceError("no component with a present value and positive weight")
-    return num / den
-
-
-def overall_trust(
-    term_trusts: Mapping[Term, float], term_weights: Mapping[Term, float]
-) -> float:
-    """Preference-weighted mean of term trusts.
-
-    Both maps must cover exactly the same terms.
-    """
-    if not term_trusts:
-        raise NoTermsError("empty term set")
-    if set(term_trusts) != set(term_weights):
-        raise NoTermsError(
-            f"term sets differ: {sorted(term_trusts)} vs {sorted(term_weights)}"
-        )
-    den = sum(term_weights.values())
-    if den <= 0.0:
-        raise WeightSumZeroError("term weights sum to zero")
-    num = sum(term_weights[t] * v for t, v in term_trusts.items())
+        return None
     return num / den
 
 
@@ -242,22 +225,16 @@ def build_assessment(
 
     Terms without any usable evidence get a None term trust and are left
     out of the overall mean, which renormalises over the remaining terms.
-    The overall score is None only when no term has evidence.
+    The overall score is None only when no evidenced term carries weight.
     """
     per_term: dict[Term, TermAssessment] = {}
-    evidenced: dict[Term, float] = {}
     for term in preferences.terms:
         comps = tuple(components_by_term.get(term, ()))
-        try:
-            tt = combine_term_trust(comps)
-        except NoEvidenceError:
-            tt = None
+        tt = weighted_mean((c.value, c.weight) for c in comps if c.value is not None)
         per_term[term] = TermAssessment(components=comps, term_trust=tt)
-        if tt is not None:
-            evidenced[term] = tt
-    overall: Optional[float] = None
-    if evidenced:
-        weights = {t: preferences.term_weights[t] for t in evidenced}
-        if sum(weights.values()) > 0:
-            overall = overall_trust(evidenced, weights)
+    overall = weighted_mean(
+        (ta.term_trust, preferences.term_weights[t])
+        for t, ta in per_term.items()
+        if ta.term_trust is not None
+    )
     return Assessment(assessor=assessor, target=target, per_term=per_term, overall=overall)

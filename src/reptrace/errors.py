@@ -9,18 +9,6 @@ class OutOfRangeError(ReptraceError, ValueError):
     """A trust value lies outside its range."""
 
 
-class NoEvidenceError(ReptraceError):
-    """A combination was requested but no component carries usable evidence."""
-
-
-class NoTermsError(ReptraceError):
-    """An overall trust score was requested over an empty term set."""
-
-
-class WeightSumZeroError(ReptraceError):
-    """All term weights are zero, so the weighted mean is undefined."""
-
-
 class BadBinError(ReptraceError, ValueError):
     """An opinion bin index is outside 1..bins."""
 
@@ -40,11 +28,6 @@ class MissingDiagnosticsError(ReptraceError):
 class NotPreferredError(ReptraceError):
     """The allegedly preferred provider does not strictly outrank the other,
     or the evidence both share gives no reason why it does."""
-
-    def __init__(self, message: str, preferred_overall=None, other_overall=None):
-        super().__init__(message)
-        self.preferred_overall = preferred_overall
-        self.other_overall = other_overall
 
 
 class AmbiguousOrderError(NotPreferredError):

@@ -30,6 +30,8 @@ from .core import (
     ReputationType,
     REPUTATION_ORDER,
     Term,
+    total,
+    weighted_mean,
 )
 from .errors import (
     AmbiguousOrderError,
@@ -188,10 +190,10 @@ def _compared_terms(ctx: ComparisonContext) -> list[Term]:
 
 
 def _normalized_weights(ctx: ComparisonContext, terms: Sequence[Term]) -> dict[Term, float]:
-    total = sum(ctx.preferences.term_weights[t] for t in terms)
-    if total <= 0:
+    den = total(ctx.preferences.term_weights[t] for t in terms)
+    if den <= 0:
         raise NotPreferredError("all compared terms carry zero weight")
-    return {t: ctx.preferences.term_weights[t] / total for t in terms}
+    return {t: ctx.preferences.term_weights[t] / den for t in terms}
 
 
 def _weighted_differences(
@@ -229,7 +231,7 @@ def decisive_terms_dominance(ctx: ComparisonContext) -> DecisiveDominance:
         )
     terms = _compared_terms(ctx)
     deltas, weighted = _weighted_differences(ctx, terms)
-    reference = (1.0 / len(terms)) * (sum(deltas.values()) / len(terms))
+    reference = (1.0 / len(terms)) * (total(deltas.values()) / len(terms))
     decl_index = {t: i for i, t in enumerate(terms)}
     pros = [t for t in terms if weighted[t] > reference]
     if not pros:
@@ -314,10 +316,9 @@ def _recombine(
     perm: Mapping[ReputationType, ReputationType],
 ) -> float:
     """Weighted mean of the table's values after each type takes the weight
-    of its image under ``perm``; types ``perm`` does not name keep theirs."""
-    num = sum(table[perm.get(k, k)][1] * v for k, (v, _) in table.items())
-    den = sum(table[perm.get(k, k)][1] for k in table)
-    return num / den
+    of its image under ``perm``; types ``perm`` does not name keep theirs.
+    The table is a compared term's, so its weights have a positive sum."""
+    return weighted_mean((v, table[perm.get(k, k)][1]) for k, (v, _) in table.items())
 
 
 def _cycle_swaps(
@@ -380,10 +381,10 @@ def _settled_by_bound(
         values = sorted(table[k][0] for k in shared)
         weights = sorted((table[k][1] for k in shared), reverse=descending)
         fixed = [(v, w) for k, (v, w) in table.items() if k not in shared]
-        den = sum(w for _, w in table.values())
+        den = total(w for _, w in table.values())
         if not 1e-300 <= den <= 1e300:
             return math.nan  # rounding is unbounded here: never settle
-        return sum(w * v for v, w in [*zip(values, weights), *fixed]) / den
+        return total(w * v for v, w in [*zip(values, weights), *fixed]) / den
 
     lowest = extreme_mean(pref_table, descending=True)
     highest = extreme_mean(other_table, descending=False)
@@ -423,7 +424,7 @@ def invert_permutation(
         return None
 
     def gap(candidate):
-        return sum(abs(pref_table[a][1] - pref_table[b][1]) for a, b in candidate[1])
+        return total(abs(pref_table[a][1] - pref_table[b][1]) for a, b in candidate[1])
 
     for group in _permutations_by_swaps(shared):
         # Largest gap first; sorted() is stable, so canonical order breaks ties.
@@ -531,24 +532,16 @@ def travos_low_confidence(
 def _check_order(ctx: ComparisonContext) -> None:
     po, oo = ctx.preferred.overall, ctx.other.overall
     if po is None or oo is None:
-        raise NotPreferredError(
-            "cannot explain a comparison with missing overall scores",
-            preferred_overall=po,
-            other_overall=oo,
-        )
+        raise NotPreferredError("cannot explain a comparison with missing overall scores")
     if abs(po - oo) <= ORDER_TOL:
         raise AmbiguousOrderError(
             f"{ctx.preferred.target} and {ctx.other.target} are tied "
-            f"({po:.6f} vs {oo:.6f})",
-            preferred_overall=po,
-            other_overall=oo,
+            f"({po:.6f} vs {oo:.6f})"
         )
     if po < oo:
         raise NotPreferredError(
             f"{ctx.other.target} ({oo:.6f}) actually outranks "
-            f"{ctx.preferred.target} ({po:.6f})",
-            preferred_overall=po,
-            other_overall=oo,
+            f"{ctx.preferred.target} ({po:.6f})"
         )
 
 

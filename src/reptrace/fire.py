@@ -26,6 +26,7 @@ from .core import (
     REPUTATION_ORDER,
     Term,
     build_assessment,
+    weighted_mean,
 )
 from .store import RatingStore, RoleRule
 
@@ -119,13 +120,6 @@ def role_pseudo_ratings(
     return out
 
 
-def _weighted_mean(pairs: Sequence[tuple[float, float]]) -> Optional[float]:
-    den = sum(w for _, w in pairs)
-    if den <= 0.0:
-        return None
-    return sum(w * v for v, w in pairs) / den
-
-
 def component_trust(
     ratings: Sequence[Rating],
     rep_type: ReputationType,
@@ -150,7 +144,7 @@ def component_trust(
         pairs = [(r.value, weights[now - r.timestamp]) for r in ratings]
     else:
         pairs = [(r.value, 1.0) for r in ratings]
-    value = _weighted_mean(pairs)
+    value = weighted_mean(pairs)
     if value is None:
         return ComponentTrust(rep_type=rep_type, value=None, weight=0.0)
     return ComponentTrust(rep_type=rep_type, value=value, weight=importance)

@@ -25,7 +25,7 @@ import math
 from enum import Enum
 from typing import Mapping, NamedTuple, Optional, Sequence
 
-from .core import AgentId, Preferences, Rating, ReputationType, Term
+from .core import AgentId, Preferences, Rating, ReputationType, Term, total
 from .errors import ConfigError
 from .fire import FireConfig
 from .prng import Stream
@@ -66,8 +66,8 @@ def _check_probs(probs: Sequence[float], what: str) -> tuple[float, ...]:
         raise ConfigError("needs exactly 4 probabilities", what)
     if any(p < 0 for p in probs):
         raise ConfigError("has a negative probability", what)
-    if abs(sum(probs) - 1.0) > 1e-9:
-        raise ConfigError(f"must sum to 1, got {sum(probs)}", what)
+    if abs(total(probs) - 1.0) > 1e-9:
+        raise ConfigError(f"must sum to 1, got {total(probs)}", what)
     return probs
 
 
@@ -367,7 +367,7 @@ def _provider_offset(agent_id: AgentId, n: int) -> int:
     return int.from_bytes(digest[8:16], "big") % n
 
 
-def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> SimulationWorld:
+def run_scenario(scenario: Scenario) -> SimulationWorld:
     """Simulate every round and return the populated stores.
 
     Each round every agent picks a provider, draws an outcome, rates it on
@@ -384,11 +384,10 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> SimulationWo
     every agent has drawn and observed. After the last round each store
     reads its owner's witnesses' ratings through ``share_witness_evidence``.
     """
-    seed = scenario.seed if seed is None else seed
     terms = scenario.preferences.terms
     providers = {p.id: p for p in scenario.providers}
     provider_ids = [p.id for p in scenario.providers]
-    rngs = {a.id: agent_rng(seed, a.id) for a in scenario.agents}
+    rngs = {a.id: agent_rng(scenario.seed, a.id) for a in scenario.agents}
     stores = {
         a.id: RatingStore(history_cap=scenario.fire.history_cap)
         for a in scenario.agents

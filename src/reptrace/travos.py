@@ -29,6 +29,7 @@ from .core import (
     ReputationType,
     Term,
     build_assessment,
+    total,
 )
 from .errors import NumericalFailureError
 from .store import ObservationStore, RatingStore, bin_bounds, bin_of
@@ -115,9 +116,9 @@ class WitnessOpinion(NamedTuple):
     params: BetaParams
 
 
-def binarize_value(value: float, threshold: float = SUCCESS_THRESHOLD) -> float:
+def binarize_value(value: float) -> float:
     """Collapse a [0, 1] rating to binary success / failure."""
-    return 1.0 if value >= threshold else 0.0
+    return 1.0 if value >= SUCCESS_THRESHOLD else 0.0
 
 
 def binarized_beta(ratings: Sequence[Rating]) -> BetaParams:
@@ -265,8 +266,8 @@ def combine_evidence(
 ) -> BetaParams:
     """Pool interaction evidence with discounted witness evidence by summing."""
     return BetaParams(
-        interaction.alpha + sum(d.alpha for d in discounted),
-        interaction.beta + sum(d.beta for d in discounted),
+        interaction.alpha + total(d.alpha for d in discounted),
+        interaction.beta + total(d.beta for d in discounted),
     )
 
 
@@ -274,7 +275,7 @@ def decomposition_weights(
     interaction: BetaParams, discounted: Sequence[BetaParams]
 ) -> tuple[float, float]:
     """Evidence-mass shares (interaction, witness) of the pooled distribution."""
-    witness_mass = sum(d.mass for d in discounted)
+    witness_mass = total(d.mass for d in discounted)
     w_i = interaction.mass / (interaction.mass + witness_mass)
     return w_i, 1.0 - w_i
 
@@ -296,8 +297,6 @@ class TravosTermResult(NamedTuple):
     interaction_confidence: float
     low_confidence: bool
     witnesses: tuple[WitnessContribution, ...]
-    combined: BetaParams
-    term_trust: float
     components: tuple[ComponentTrust, ...]
 
     @property
@@ -368,12 +367,11 @@ def assess_term(
             )
 
     discounted = [c.discounted for c in contributions]
-    combined = combine_evidence(interaction, discounted)
     w_i, w_w = decomposition_weights(interaction, discounted)
 
     if discounted:
         pooled = BetaParams(
-            sum(d.alpha for d in discounted), sum(d.beta for d in discounted)
+            total(d.alpha for d in discounted), total(d.beta for d in discounted)
         )
         witness_component = ComponentTrust(
             rep_type=ReputationType.WITNESS, value=pooled.mean, weight=w_w
@@ -394,8 +392,6 @@ def assess_term(
         interaction_confidence=conf,
         low_confidence=low_confidence,
         witnesses=tuple(contributions),
-        combined=combined,
-        term_trust=combined.mean,
         components=components,
     )
 

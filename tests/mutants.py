@@ -158,8 +158,8 @@ MUTANTS = (
     Mutant(
         "simulate: streams seeded by roster index",
         "simulate.py",
-        "rngs = {a.id: agent_rng(seed, a.id) for a in scenario.agents}",
-        "rngs = {a.id: agent_rng(seed, str(i)) for i, a in enumerate(scenario.agents)}",
+        "rngs = {a.id: agent_rng(scenario.seed, a.id) for a in scenario.agents}",
+        "rngs = {a.id: agent_rng(scenario.seed, str(i)) for i, a in enumerate(scenario.agents)}",
         ("tests/test_simulate.py::TestRosterExtension",),
     ),
     Mutant(
@@ -189,8 +189,8 @@ MUTANTS = (
     Mutant(
         "travos: a rating of exactly the threshold counts as a failure",
         "travos.py",
-        "return 1.0 if value >= threshold else 0.0",
-        "return 1.0 if value > threshold else 0.0",
+        "return 1.0 if value >= SUCCESS_THRESHOLD else 0.0",
+        "return 1.0 if value > SUCCESS_THRESHOLD else 0.0",
         ("tests/test_travos.py::TestEvidenceCounting::test_binarize",
          "tests/test_simulate.py::TestOpinionOracle"),
     ),
@@ -208,6 +208,29 @@ MUTANTS = (
         "            raise ValueError(\"component weight must be non-negative\")\n",
         "",
         ("tests/test_core.py::TestTypes::test_component_weight_non_negative",),
+    ),
+    Mutant(
+        "core: total adds with compensation, through math.fsum",
+        "core.py",
+        "    s = 0.0\n    for v in values:\n        s += v\n    return s\n",
+        "    return math.fsum(values)\n",
+        ("tests/test_core.py::TestSummationOrder::test_total_adds_left_to_right",),
+    ),
+    Mutant(
+        "core: total adds through the built-in sum, which compensates from 3.12 on",
+        "core.py",
+        "    s = 0.0\n    for v in values:\n        s += v\n    return s\n",
+        "    return sum(values)\n",
+        ("tests/test_golden.py::test_demo_outputs_match_golden_under_a_compensated_sum",),
+    ),
+    Mutant(
+        "core: weighted_mean divides when the weights sum to zero",
+        "core.py",
+        "    if den <= 0.0:\n        return None\n",
+        "    if den < 0.0:\n        return None\n",
+        ("tests/test_core.py::TestCombineTermTrust::test_no_evidence",
+         "tests/test_core.py::TestOverallTrust::test_undefined_mean_is_none",
+         "tests/test_fire.py::TestTermTrust::test_no_evidence_propagates"),
     ),
     Mutant(
         "travos: beta parameters may be non-positive",

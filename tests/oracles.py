@@ -6,8 +6,8 @@ searches are separate exhaustive enumerations, moment checks recompute
 beta moments from first principles, the stores are plain lists
 scanned on every query, witness copies are inserted one at a time,
 documents are checked by jsonschema, an assessment's term and overall
-trusts are recomputed from its parts, and a comparison context is picked
-out of every provider's assessment.
+trusts are recomputed from its parts with ``math.fsum``, and a comparison
+context is picked out of every provider's assessment.
 """
 
 from __future__ import annotations
@@ -21,13 +21,7 @@ from scipy.integrate import quad
 from scipy.special import betaln
 
 from reptrace import fire, travos
-from reptrace.core import (
-    REPUTATION_ORDER,
-    Rating,
-    ReputationType,
-    combine_term_trust,
-    overall_trust,
-)
+from reptrace.core import REPUTATION_ORDER, Rating, ReputationType
 from reptrace.explain import (
     ComparisonContext,
     FireDiagnostics,
@@ -341,35 +335,36 @@ class ObservationStoreOracle:
 ASSESSMENT_TOL = 1e-9
 
 
+def _fsum_mean(pairs):
+    """Correctly rounded sums over the (value, weight) pairs: the weighted
+    mean, or None when no weight is positive."""
+    den = math.fsum(w for _, w in pairs)
+    return math.fsum(w * v for v, w in pairs) / den if den > 0 else None
+
+
 def validate_assessment(assessment, preferences, tol: float = ASSESSMENT_TOL) -> None:
     """Check an assessment's internal consistency.
 
     Recomputes every term trust from its components and the overall score
-    from the term trusts; raises ValueError when any value drifts by more
+    from the term trusts, with ``math.fsum`` rather than the library's
+    left-to-right sums; raises ValueError when a value is missing where
+    the recomputation has one, or the other way round, or drifts by more
     than ``tol``.
     """
-    evidenced = {}
+
+    def check(what, stored, recomputed):
+        if (stored is None) != (recomputed is None) or (
+            stored is not None and abs(recomputed - stored) > tol
+        ):
+            raise ValueError(f"{what} inconsistent: {stored} stored vs {recomputed} recomputed")
+
+    evidenced = []
     for term, ta in assessment.per_term.items():
-        if ta.term_trust is None:
-            continue
-        recomputed = combine_term_trust(ta.components)
-        if abs(recomputed - ta.term_trust) > tol:
-            raise ValueError(
-                f"term trust for {term!r} inconsistent: "
-                f"{ta.term_trust} stored vs {recomputed} recomputed"
-            )
-        evidenced[term] = ta.term_trust
-    if assessment.overall is None:
-        if evidenced and sum(preferences.term_weights[t] for t in evidenced) > 0:
-            raise ValueError("overall missing despite evidenced terms")
-        return
-    weights = {t: preferences.term_weights[t] for t in evidenced}
-    recomputed = overall_trust(evidenced, weights)
-    if abs(recomputed - assessment.overall) > tol:
-        raise ValueError(
-            f"overall inconsistent: {assessment.overall} stored "
-            f"vs {recomputed} recomputed"
-        )
+        pairs = [(c.value, c.weight) for c in ta.components if c.value is not None]
+        check(f"term trust for {term!r}", ta.term_trust, _fsum_mean(pairs))
+        if ta.term_trust is not None:
+            evidenced.append((ta.term_trust, preferences.term_weights[term]))
+    check("overall", assessment.overall, _fsum_mean(evidenced))
 
 
 def context_oracle(world, model, assessor, preferred, other) -> ComparisonContext:

@@ -663,7 +663,7 @@ def test_cli_import_loads_only_what_every_command_needs():
 
 class TestDemo:
     def test_demo_passes_self_checks(self, capsys):
-        assert main(["demo", "--table4"]) == 0
+        assert main(["demo"]) == 0
         out = capsys.readouterr().out
         assert "0.64" in out and "0.17" in out and "0.58" in out and "0.38" in out
         assert "mainly due to quality." in out

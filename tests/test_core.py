@@ -15,15 +15,10 @@ from reptrace.core import (
     Rating,
     ReputationType,
     build_assessment,
-    combine_term_trust,
-    overall_trust,
+    total,
+    weighted_mean,
 )
-from reptrace.errors import (
-    NoEvidenceError,
-    NoTermsError,
-    OutOfRangeError,
-    WeightSumZeroError,
-)
+from reptrace.errors import OutOfRangeError
 from reptrace.fire import role_pseudo_ratings
 from reptrace.store import RoleRule
 
@@ -94,31 +89,40 @@ class TestNormalize:
             assert na == nb
 
 
+#: One term, for assessments whose overall score the test ignores.
+ONE_TERM = Preferences(term_weights={"q": 1.0}, component_weights={I: 0.75, W: 0.25})
+
+
 class TestCombineTermTrust:
+    """A term's trust is the weighted mean of its present components."""
+
     def test_worked_example(self):
         # 0.75 * 0.75 + 0.25 * 0.95 = 0.80
-        value = combine_term_trust([ct(I, 0.75, 0.75), ct(W, 0.95, 0.25)])
+        value = weighted_mean([(0.75, 0.75), (0.95, 0.25)])
         assert abs(value - 0.80) <= 1e-12
 
     def test_second_worked_example(self):
-        value = combine_term_trust([ct(I, 0.55, 0.75), ct(W, 0.70, 0.25)])
+        value = weighted_mean([(0.55, 0.75), (0.70, 0.25)])
         assert abs(value - 0.5875) <= 1e-12
 
     @given(st.floats(min_value=0.0, max_value=1.0))
     def test_single_component_passthrough(self, x):
-        assert combine_term_trust([ct(I, x, 1.0)]) == x
+        assert weighted_mean([(x, 1.0)]) == x
 
     def test_no_evidence(self):
-        with pytest.raises(NoEvidenceError):
-            combine_term_trust([ct(I, None, 0.0), ct(W, None, 0.0)])
-        with pytest.raises(NoEvidenceError):
-            combine_term_trust([ct(I, 0.5, 0.0)])
-        with pytest.raises(NoEvidenceError):
-            combine_term_trust([])
+        assert weighted_mean([(0.5, 0.0)]) is None
+        assert weighted_mean([(0.5, 0.0), (0.9, 0.0)]) is None
+        assert weighted_mean([]) is None
+        assessment = build_assessment(
+            "a", "b", {"q": [ct(I, None, 0.0), ct(W, None, 0.0)]}, ONE_TERM
+        )
+        assert assessment.per_term["q"].term_trust is None
 
     def test_absent_component_drops_out(self):
-        value = combine_term_trust([ct(I, 0.4, 0.75), ct(W, None, 0.0)])
-        assert abs(value - 0.4) <= 1e-12
+        assessment = build_assessment(
+            "a", "b", {"q": [ct(I, 0.4, 0.75), ct(W, None, 0.0)]}, ONE_TERM
+        )
+        assert abs(assessment.per_term["q"].term_trust - 0.4) <= 1e-12
 
     values_weights = st.lists(
         st.tuples(
@@ -131,15 +135,14 @@ class TestCombineTermTrust:
 
     @given(values_weights)
     def test_weighted_mean_bounds(self, pairs):
-        comps = [ct(I, v, w) for v, w in pairs]
-        value = combine_term_trust(comps)
+        value = weighted_mean(pairs)
         values = [v for v, _ in pairs]
         assert min(values) - 1e-12 <= value <= max(values) + 1e-12
 
     @given(values_weights, st.floats(min_value=0.01, max_value=1000.0))
     def test_weight_scaling_invariance(self, pairs, scale):
-        base = combine_term_trust([ct(I, v, w) for v, w in pairs])
-        scaled = combine_term_trust([ct(I, v, w * scale) for v, w in pairs])
+        base = weighted_mean(pairs)
+        scaled = weighted_mean([(v, w * scale) for v, w in pairs])
         assert abs(base - scaled) <= 1e-12
 
 
@@ -152,34 +155,36 @@ TABLE_TERM_TRUSTS = {
 TERM_WEIGHTS = {"quality": 0.45, "timeliness": 0.35, "cost": 0.20}
 
 
+def overall(term_trusts, term_weights):
+    """The preference-weighted mean of term trusts, paired by term."""
+    return weighted_mean((v, term_weights[t]) for t, v in term_trusts.items())
+
+
 class TestOverallTrust:
+    """The overall score is the preference-weighted mean of term trusts."""
+
     def test_running_example_scores(self):
-        value = overall_trust(TABLE_TERM_TRUSTS["B"], TERM_WEIGHTS)
+        value = overall(TABLE_TERM_TRUSTS["B"], TERM_WEIGHTS)
         assert abs(value - 0.640625) <= 1e-12
 
     def test_rounded_inputs(self):
-        value = overall_trust(
-            {"quality": 0.18, "timeliness": 0.19, "cost": 0.15}, TERM_WEIGHTS
-        )
+        value = overall({"quality": 0.18, "timeliness": 0.19, "cost": 0.15}, TERM_WEIGHTS)
         assert abs(value - 0.1775) <= 1e-12
 
     @given(st.floats(min_value=0.0, max_value=1.0))
     def test_constant_inputs(self, x):
-        value = overall_trust({"a": x, "b": x, "c": x}, {"a": 1.0, "b": 2.0, "c": 0.5})
+        value = overall({"a": x, "b": x, "c": x}, {"a": 1.0, "b": 2.0, "c": 0.5})
         assert abs(value - x) <= 1e-12
 
-    def test_errors(self):
-        with pytest.raises(NoTermsError):
-            overall_trust({}, {})
-        with pytest.raises(WeightSumZeroError):
-            overall_trust({"a": 0.5}, {"a": 0.0})
-        with pytest.raises(NoTermsError):
-            overall_trust({"a": 0.5}, {"b": 1.0})
+    def test_undefined_mean_is_none(self):
+        assert overall({}, {}) is None
+        assert overall({"a": 0.5}, {"a": 0.0}) is None
+        assert overall({"a": 0.5, "b": 0.7}, {"a": 0.0, "b": 0.0}) is None
 
     def test_full_table_reproduction(self):
         expected = {"B": 0.64, "C": 0.17, "D": 0.58, "E": 0.38}
         for provider, terms in TABLE_TERM_TRUSTS.items():
-            score = overall_trust(terms, TERM_WEIGHTS)
+            score = overall(terms, TERM_WEIGHTS)
             assert round(score, 2) == expected[provider]
 
     @given(
@@ -192,9 +197,21 @@ class TestOverallTrust:
     )
     def test_weight_scale_invariance(self, trusts, scale):
         weights = {t: 1.0 + i for i, t in enumerate(trusts)}
-        a = overall_trust(trusts, weights)
-        b = overall_trust(trusts, {t: w * scale for t, w in weights.items()})
+        a = overall(trusts, weights)
+        b = overall(trusts, {t: w * scale for t, w in weights.items()})
         assert abs(a - b) <= 1e-12
+
+
+class TestSummationOrder:
+    """Figures are summed left to right, so no Python version rounds them
+    differently: the built-in ``sum`` compensates rounding from 3.12 on."""
+
+    def test_total_adds_left_to_right(self):
+        # A left fold loses the 1.0; math.fsum and 3.12's sum keep it.
+        assert total([1e16, 1.0, -1e16]) == 0.0
+        assert total([1e16, -1e16, 1.0]) == 1.0
+        # So does the numerator of a weighted mean.
+        assert weighted_mean([(1.0, 1e16), (1.0, 1.0), (-1.0, 1e16)]) == 0.0
 
 
 class TestTypes:

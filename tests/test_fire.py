@@ -11,9 +11,9 @@ from reptrace.core import (
     Preferences,
     Rating,
     ReputationType,
-    combine_term_trust,
+    build_assessment,
+    weighted_mean,
 )
-from reptrace.errors import NoEvidenceError
 from reptrace.fire import (
     FireConfig,
     PseudoRating,
@@ -125,7 +125,7 @@ class TestComponentTrust:
         now, pairs = now_and_pairs
         ratings = [rating(v, ts=ts) for v, ts in pairs]
         weights = [recency_weight(now - r.timestamp, lam) for r in ratings]
-        expected = sum(w * r.value for r, w in zip(ratings, weights)) / sum(weights)
+        expected = weighted_mean([(r.value, w) for r, w in zip(ratings, weights)])
         assert component_trust(ratings, I, 0.75, config(lambda_=lam), now=now).value == expected
 
     def test_rating_after_now_rejected(self):
@@ -182,30 +182,36 @@ class TestComponentTrustUniform:
         assert out.value is None
 
 
+def term_trust(components):
+    """The term trust ``build_assessment`` combines from ``components``."""
+    prefs = Preferences(term_weights={"q": 1.0}, component_weights={I: 0.75, W: 0.25})
+    return build_assessment("a", "b", {"q": components}, prefs).per_term["q"].term_trust
+
+
 class TestTermTrust:
     def test_worked_example(self):
         components = [
             ComponentTrust(I, 0.75, weight=0.75),
             ComponentTrust(W, 0.95, weight=0.25),
         ]
-        assert combine_term_trust(components) == pytest.approx(0.80, abs=1e-12)
+        assert term_trust(components) == pytest.approx(0.80, abs=1e-12)
 
     def test_absent_component_renormalizes(self):
         components = [
             ComponentTrust(I, 0.6, weight=0.75),
             ComponentTrust(W, None, weight=0.0),
         ]
-        assert combine_term_trust(components) == pytest.approx(0.6)
+        assert term_trust(components) == pytest.approx(0.6)
 
     def test_zero_weight_equals_absent(self):
-        with_zero = combine_term_trust(
+        with_zero = term_trust(
             [ComponentTrust(I, 0.6, weight=0.75), ComponentTrust(W, 0.1, weight=0.0)]
         )
         assert with_zero == pytest.approx(0.6)
 
     def test_no_evidence_propagates(self):
-        with pytest.raises(NoEvidenceError):
-            combine_term_trust([ComponentTrust(I, None, weight=0.0)])
+        assert term_trust([ComponentTrust(I, None, weight=0.0)]) is None
+        assert term_trust([ComponentTrust(I, 0.6, weight=0.0)]) is None
 
 
 TABLE = {
@@ -225,12 +231,7 @@ TABLE_ROUNDED = {
 def test_running_example_term_trusts():
     for provider, terms in TABLE.items():
         for term, (vi, vw) in terms.items():
-            value = combine_term_trust(
-                [
-                    ComponentTrust(I, vi, weight=0.75),
-                    ComponentTrust(W, vw, weight=0.25),
-                ]
-            )
+            value = weighted_mean([(vi, 0.75), (vw, 0.25)])
             assert abs(value - TABLE_ROUNDED[provider][term]) <= 0.005 + 1e-12
 
 

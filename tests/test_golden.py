@@ -20,12 +20,14 @@ in it is intended):
 
 from __future__ import annotations
 
+import builtins
 import contextlib
 import functools
 import hashlib
 import io
 import itertools
 import json
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -108,6 +110,18 @@ def _memoised_loading(monkeypatch) -> None:
     monkeypatch.setattr(cli, "world_from_document", world_from_document)
 
 
+_BUILTIN_SUM = builtins.sum
+
+
+def _compensated_sum(iterable, /, start=0):
+    """The built-in ``sum`` as Python 3.12 and later round floats: with
+    compensation, here through ``math.fsum`` when any item is a float."""
+    items = [start, *iterable]
+    if any(isinstance(x, float) for x in items):
+        return math.fsum(items)
+    return _BUILTIN_SUM(items[1:], start)
+
+
 def test_demo_outputs_match_golden(tmp_path, monkeypatch):
     _memoised_loading(monkeypatch)
     expected = json.loads(GOLDEN_PATH.read_text())
@@ -115,6 +129,13 @@ def test_demo_outputs_match_golden(tmp_path, monkeypatch):
     assert list(got) == list(expected)
     changed = [key for key in got if got[key] != expected[key]]
     assert not changed, {key: (expected[key], got[key]) for key in changed}
+
+
+def test_demo_outputs_match_golden_under_a_compensated_sum(tmp_path, monkeypatch):
+    # Every figure is summed left to right by the package itself, so the
+    # outputs must not depend on how the interpreter's ``sum`` rounds.
+    monkeypatch.setattr(builtins, "sum", _compensated_sum)
+    test_demo_outputs_match_golden(tmp_path, monkeypatch)
 
 
 def test_v1_demo_stores_match_golden(monkeypatch):

@@ -309,7 +309,8 @@ class TestAssessTerm:
         res = assess_term(
             RatingStore(), ObservationStore(), "a", "b", "q", make_config()
         )
-        assert res.term_trust == 0.5
+        # The prior alone: the term trust is the interaction mean, 0.5.
+        assert [(c.value, c.weight) for c in res.components] == [(0.5, 1.0), (None, 0.0)]
         assert res.low_confidence
         assert res.interaction_confidence == pytest.approx(0.1, abs=1e-9)
 
@@ -331,7 +332,8 @@ class TestAssessTerm:
         recombined = (
             w_i * res.components[0].value + w_w * res.components[1].value
         )
-        assert abs(recombined - res.term_trust) <= 1e-9
+        pooled = combine_evidence(res.interaction, [c.discounted for c in res.witnesses])
+        assert abs(recombined - pooled.mean) <= 1e-9
         assert abs(w_i + w_w - 1.0) <= 1e-12
         # The accurate witness is discounted less than the unknown one.
         by_witness = {c.witness: c for c in res.witnesses}
