@@ -173,19 +173,11 @@ def _collect(
     """Gather the evidence backing every component of one term."""
     evidence: dict[ReputationType, tuple[list[Rating], list[PseudoRating]]] = {}
     evidence[ReputationType.INTERACTION] = (
-        [
-            r
-            for r in rating_store.query(target, term, ReputationType.INTERACTION)
-            if r.source == assessor
-        ],
+        rating_store.query(target, term, ReputationType.INTERACTION),
         [],
     )
     evidence[ReputationType.WITNESS] = (
-        [
-            r
-            for r in rating_store.query(target, term, ReputationType.WITNESS)
-            if r.source != assessor
-        ],
+        rating_store.query(target, term, ReputationType.WITNESS),
         [],
     )
     evidence[ReputationType.CERTIFIED] = (

@@ -11,6 +11,7 @@ the same schemas instead.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Mapping
 from enum import Enum
 from typing import NamedTuple, Optional
@@ -227,7 +228,7 @@ def world_from_document(doc: dict) -> World:
         raise exc.in_document("stores") from exc
     rating_stores: dict[AgentId, RatingStore] = {}
     for agent in config["agents"]:
-        store = RatingStore(history_cap=config["fire"].history_cap)
+        store = RatingStore(agent.id, history_cap=config["fire"].history_cap)
         not_witness_sources = {agent.id, *witnesses.get(agent.id, ())}
         for index, rec in enumerate(doc["ratings"].get(agent.id, ())):
             where = f"stores document invalid at ratings/{agent.id}/{index}"
@@ -309,11 +310,63 @@ def world_from_document(doc: dict) -> World:
 
 
 def dump_document(doc: dict) -> str:
-    """Deterministic JSON serialization (insertion-ordered keys)."""
-    return (
-        json.dumps(doc, indent=2, sort_keys=False, ensure_ascii=False, allow_nan=False)
-        + "\n"
-    )
+    """Deterministic JSON serialization (insertion-ordered keys).
+
+    The text is ``json.dumps(doc, indent=2, ensure_ascii=False,
+    allow_nan=False)`` plus a newline, byte for byte, but written by
+    ``_json`` in one recursive pass: any ``indent`` puts ``json.dumps`` on
+    its pure-Python encoder, about twice as slow. A non-finite float
+    raises the same ``ValueError``. A key that is not a string raises
+    ``TypeError``, where ``json.dumps`` would coerce an int, float, bool
+    or None key; no document has one.
+    """
+    return _json(doc, "\n") + "\n"
+
+
+def _json(o, indent: str) -> str:
+    """``o`` as indented JSON whose lines start with ``indent``'s spaces.
+
+    Exact types take the fast paths. A subclass of dict, list or tuple is
+    written as its base type, like ``json.dumps`` does, and any other
+    value goes to ``json.dumps`` itself.
+    """
+    kind = type(o)
+    if kind is str:
+        return _json_str(o)
+    if kind is float:
+        if not _isfinite(o):
+            raise ValueError("Out of range float values are not JSON compliant: " + repr(o))
+        return _float_repr(o)
+    if kind is dict:
+        if not o:
+            return "{}"
+        inner = indent + "  "
+        items = [_json_str(k) + ": " + _json(v, inner) for k, v in o.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if kind is list or kind is tuple:
+        if not o:
+            return "[]"
+        inner = indent + "  "
+        return "[" + inner + ("," + inner).join([_json(v, inner) for v in o]) + indent + "]"
+    if kind is int:
+        return _int_repr(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, dict):
+        return _json(dict(o.items()), indent)
+    if isinstance(o, (list, tuple)):
+        return _json(list(o), indent)
+    return json.dumps(o, ensure_ascii=False, allow_nan=False)
+
+
+_json_str = json.encoder.encode_basestring
+_float_repr = float.__repr__
+_int_repr = int.__repr__
+_isfinite = math.isfinite
 
 
 def _assess(

@@ -389,7 +389,7 @@ def run_scenario(scenario: Scenario) -> SimulationWorld:
     provider_ids = [p.id for p in scenario.providers]
     rngs = {a.id: agent_rng(scenario.seed, a.id) for a in scenario.agents}
     stores = {
-        a.id: RatingStore(history_cap=scenario.fire.history_cap)
+        a.id: RatingStore(a.id, history_cap=scenario.fire.history_cap)
         for a in scenario.agents
     }
     last_timeliness: dict[tuple[AgentId, AgentId], float] = {}

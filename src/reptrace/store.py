@@ -48,7 +48,8 @@ def share_witness_evidence(
     One witness-tagged copy of every interaction rating the stores hold
     is made, and grouped into one run per (target, term) in
     ``_bucket_key`` order. Every store reads the runs, never copies them,
-    so no store may take further inserts.
+    so every store is sealed: its ``insert`` raises ``ValueError`` from
+    then on, since the runs would not see the new record.
     """
     runs: dict[tuple[AgentId, Term], list[Rating]] = {}
     for store in stores.values():
@@ -61,6 +62,7 @@ def share_witness_evidence(
     for run in runs.values():
         run.sort(key=_bucket_key)
     for agent, store in stores.items():
+        store._sealed = True
         store._witness_runs = runs
         store._peers = frozenset(witnesses.get(agent, ()))
         store._witness_views = {}
@@ -71,8 +73,7 @@ class RatingStore:
 
     Records live in buckets keyed by (target, term, rep_type's value),
     each kept in ``_content_key`` order with equal keys in insertion
-    order. A query returns one bucket; callers filter it by source
-    themselves.
+    order. A query returns one bucket.
 
     With ``history_cap`` set to H, each source agent keeps only its H
     ratings with the largest ``_content_key``: its most recent ones by
@@ -84,15 +85,20 @@ class RatingStore:
     records the cap evicted, so a caller can keep running counts over
     the store.
 
-    A store holds only its owner's interaction ratings and any explicit
-    witness or certified records; ``len`` and ``all_records`` count only
-    these. What the owner's witnesses rated themselves is read through
-    ``share_witness_evidence``, never held.
+    A store belongs to one agent, its ``owner``, and holds only the
+    owner's interaction ratings and any explicit witness or certified
+    records; ``len`` and ``all_records`` count only these. ``insert``
+    rejects an interaction rating from any other source and a witness
+    rating from the owner, so an engine reads every interaction record as
+    the assessor's own and every witness record as someone else's. What
+    the owner's witnesses rated themselves is read through
+    ``share_witness_evidence``, never held; after it the store is sealed.
     """
 
-    def __init__(self, history_cap: Optional[int] = None):
+    def __init__(self, owner: AgentId, history_cap: Optional[int] = None):
         if history_cap is not None and history_cap <= 0:
             raise ValueError("history_cap must be positive when set")
+        self.owner = owner
         self.history_cap = history_cap
         # Keyed by the type's string value, whose hash is computed once in
         # C and cached; ``Enum.__hash__`` is a Python-level call. The value
@@ -103,6 +109,7 @@ class RatingStore:
         self._by_source: dict[AgentId, list[Rating]] = {}
         self._size = 0
         # Set by ``share_witness_evidence``.
+        self._sealed = False
         self._witness_runs: Mapping[tuple[AgentId, Term], list[Rating]] = {}
         self._peers: frozenset[AgentId] = frozenset()
         self._witness_views: dict[tuple[AgentId, Term], list[Rating]] = {}
@@ -111,7 +118,23 @@ class RatingStore:
         return self._size
 
     def insert(self, rating: Rating) -> list[Rating]:
-        """Add a rating; return the records the cap evicted (at most one)."""
+        """Add a rating; return the records the cap evicted (at most one).
+
+        Raises ``ValueError``, leaving the store unchanged, for a record
+        the store may not hold, or once the store is sealed.
+        """
+        if self._sealed:
+            raise ValueError(f"{self.owner}'s store is sealed: its witness evidence is shared")
+        if rating.rep_type is ReputationType.INTERACTION:
+            if rating.source != self.owner:
+                raise ValueError(
+                    f"an interaction rating in {self.owner}'s store must have source "
+                    f"{self.owner!r}, not {rating.source!r}"
+                )
+        elif rating.rep_type is ReputationType.WITNESS and rating.source == self.owner:
+            raise ValueError(
+                f"a witness rating in {self.owner}'s store must not have its owner as source"
+            )
         bucket = self._buckets.setdefault(
             (rating.target, rating.term, rating.rep_type._value_), []
         )

@@ -308,14 +308,11 @@ class TravosTermResult(NamedTuple):
 
 
 def gather_witness_opinions(
-    rating_store: RatingStore, assessor: AgentId, target: AgentId, term: Term
+    rating_store: RatingStore, target: AgentId, term: Term
 ) -> list[WitnessOpinion]:
     """Build per-witness opinions from witness-type records about a target."""
-    records = rating_store.query(target, term, ReputationType.WITNESS)
     by_witness: dict[AgentId, list[Rating]] = {}
-    for r in records:
-        if r.source == assessor:
-            continue
+    for r in rating_store.query(target, term, ReputationType.WITNESS):
         by_witness.setdefault(r.source, []).append(r)
     opinions = []
     for witness in sorted(by_witness):
@@ -341,18 +338,13 @@ def assess_term(
     each consulted opinion is discounted by the witness's historical
     accuracy in the opinion's bin before pooling.
     """
-    own = [
-        r
-        for r in rating_store.query(target, term, ReputationType.INTERACTION)
-        if r.source == assessor
-    ]
-    interaction = binarized_beta(own)
+    interaction = binarized_beta(rating_store.query(target, term, ReputationType.INTERACTION))
     conf = confidence(interaction, config.epsilon)
     low_confidence = conf < config.confidence_threshold
 
     contributions: list[WitnessContribution] = []
     if low_confidence:
-        for opinion in gather_witness_opinions(rating_store, assessor, target, term):
+        for opinion in gather_witness_opinions(rating_store, target, term):
             opinion_bin = bin_of(opinion.params.mean, config.bins)
             n, successes = obs_store.query(opinion.witness, term, opinion_bin, config.bins)
             rho = witness_accuracy(n, successes, opinion_bin, config.bins)

@@ -67,35 +67,36 @@ MUTANTS = (
         ("tests/test_prng.py::test_standard_normals_match_numpy_on_every_ziggurat_branch",),
     ),
     Mutant(
-        "fire: interaction evidence from every source",
-        "fire.py",
-        "            for r in rating_store.query(target, term, ReputationType.INTERACTION)\n"
-        "            if r.source == assessor\n",
-        "            for r in rating_store.query(target, term, ReputationType.INTERACTION)\n",
-        ("tests/test_fire.py::TestAssessProvider::test_components_and_uniform_baseline",),
+        "store: an interaction rating from any source is taken",
+        "store.py",
+        "            if rating.source != self.owner:\n",
+        "            if False:\n",
+        ("tests/test_fire.py::TestAssessProvider::test_components_and_uniform_baseline",
+         "tests/test_travos.py::TestAssessTerm::test_interaction_evidence_is_the_assessors_own"),
     ),
     Mutant(
-        "fire: witness evidence authored by the assessor",
-        "fire.py",
-        "            if r.source != assessor\n",
-        "",
-        ("tests/test_fire.py::TestAssessProvider::test_components_and_uniform_baseline",),
+        "store: a witness rating from the owner is taken",
+        "store.py",
+        "        elif rating.rep_type is ReputationType.WITNESS and rating.source == self.owner:\n",
+        "        elif False:\n",
+        ("tests/test_fire.py::TestAssessProvider::test_components_and_uniform_baseline",
+         "tests/test_travos.py::TestAssessTerm"
+         "::test_assessors_own_witness_records_are_no_opinion"),
     ),
     Mutant(
-        "travos: interaction evidence from every source",
-        "travos.py",
-        "        for r in rating_store.query(target, term, ReputationType.INTERACTION)\n"
-        "        if r.source == assessor\n",
-        "        for r in rating_store.query(target, term, ReputationType.INTERACTION)\n",
-        ("tests/test_travos.py::TestAssessTerm::test_interaction_evidence_is_the_assessors_own",),
+        "store: a certified rating from the owner is refused as a witness rating is",
+        "store.py",
+        "        elif rating.rep_type is ReputationType.WITNESS and rating.source == self.owner:\n",
+        "        elif rating.rep_type is not ReputationType.INTERACTION"
+        " and rating.source == self.owner:\n",
+        ("tests/test_store.py::TestRatingStoreAgainstOracle::test_queries_match_a_full_scan",),
     ),
     Mutant(
-        "travos: witness opinions authored by the assessor",
-        "travos.py",
-        "        if r.source == assessor:\n            continue\n",
-        "",
-        ("tests/test_travos.py::TestAssessTerm"
-         "::test_assessors_own_witness_records_are_no_opinion",),
+        "store: a sealed store takes inserts",
+        "store.py",
+        "        if self._sealed:\n",
+        "        if False:\n",
+        ("tests/test_store.py::TestOwnership::test_no_insert_once_shared",),
     ),
     Mutant(
         "store: a capped history kept in reverse insertion order among equal keys",
@@ -245,6 +246,20 @@ MUTANTS = (
         "                if successes > n:\n",
         "                if False:\n",
         ("tests/test_cli.py::TestObservationCounts",),
+    ),
+    Mutant(
+        "pipeline: the writer prints non-finite floats",
+        "pipeline.py",
+        "        if not _isfinite(o):\n",
+        "        if False:\n",
+        ("tests/test_pipeline.py::TestDumpDocument::test_non_finite_raises_the_json_error",),
+    ),
+    Mutant(
+        "pipeline: the writer separates object members with \", \"",
+        "pipeline.py",
+        '("," + inner).join(items)',
+        '(", " + inner).join(items)',
+        ("tests/test_pipeline.py::TestDumpDocument::test_matches_indented_json_dumps",),
     ),
     Mutant(
         "render: the preferred provider's id is shown instead of its display name",

@@ -254,7 +254,7 @@ def test_criterion_8_fire_recency_argument():
     config = FireConfig(lambda_=1.0)
 
     def build(history):
-        store = RatingStore()
+        store = RatingStore("a")
         for target, value, ts in history:
             store.insert(
                 Rating("a", target, "q", I, value=value, timestamp=ts)

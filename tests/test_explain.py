@@ -551,7 +551,7 @@ def recency_context(b_ratings, b2_ratings, lambda_=1.0, now=5):
     """Run the full FIRE path over two hand-built rating histories."""
     prefs = Preferences(term_weights={"q": 1.0}, component_weights={I: 1.0})
     config = FireConfig(lambda_=lambda_)
-    store = RatingStore()
+    store = RatingStore("a")
     for value, ts in b_ratings:
         store.insert(
             Rating("a", "b", "q", I, value=value, timestamp=ts)

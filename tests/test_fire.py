@@ -242,19 +242,22 @@ class TestAssessProvider:
         )
 
     def build_store(self):
-        store = RatingStore()
+        store = RatingStore("a")
         store.insert(rating(0.2, ts=0))
         store.insert(rating(0.9, ts=5))
         store.insert(rating(0.8, ts=5, source="w", rep_type=W))
-        # A witness record authored by the assessor must not count.
-        store.insert(rating(0.1, ts=5, source="a", rep_type=W))
-        # Nor may another agent's interaction record.
-        store.insert(rating(0.0, ts=5, source="w"))
         return store
 
     def test_components_and_uniform_baseline(self):
+        store = self.build_store()
+        # A witness record authored by the assessor never counts, nor does
+        # another agent's interaction record: the store refuses both.
+        for foreign in (rating(0.1, ts=5, source="a", rep_type=W), rating(0.0, ts=5, source="w")):
+            with pytest.raises(ValueError):
+                store.insert(foreign)
+        assert store.all_records() == self.build_store().all_records()
         fa = assess_provider(
-            self.build_store(),
+            store,
             "a",
             "b",
             self.prefs(),
@@ -288,7 +291,7 @@ class TestAssessProvider:
             RoleRule("buyer", "courier", "q", likelihood=0.2, expected_value=-0.2),
         ]
         fa = assess_provider(
-            RatingStore(),
+            RatingStore("a"),
             "a",
             "b",
             prefs,

@@ -2,7 +2,9 @@
 
 import itertools
 import json
+import math
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -114,6 +116,82 @@ class TestStoresDocument:
                 restored.observation_stores[agent].entries()
                 == world.observation_stores[agent].entries()
             )
+
+
+class _Float(float):
+    def __repr__(self):
+        return "not json"
+
+
+class _Int(int):
+    def __repr__(self):
+        return "not json"
+
+
+class _Str(str):
+    def __str__(self):
+        return "not json"
+
+
+class _Dict(dict):
+    def items(self):
+        return reversed(super().items())
+
+
+class _Record(NamedTuple):
+    a: object
+    b: object
+
+
+#: Keys and strings with every kind of character json escapes or keeps.
+json_text = st.text() | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "é", "\u2028", "😀", ""])
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(2**200), 2**200)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 1e-05, 5e-324, 1e300, 0.1, 1e16])
+    | json_text
+    | st.floats(allow_nan=False, allow_infinity=False).map(_Float)
+    | st.integers().map(_Int)
+    | json_text.map(_Str)
+)
+json_trees = st.recursive(
+    json_scalars,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(json_text, children, max_size=4)
+        | st.dictionaries(json_text.map(_Str), children, max_size=2).map(_Dict)
+        | st.builds(_Record, children, children)
+    ),
+    max_leaves=25,
+)
+
+
+class TestDumpDocument:
+    """``dump_document`` writes what the indented ``json.dumps`` would."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(json_trees)
+    def test_matches_indented_json_dumps(self, doc):
+        expected = json.dumps(doc, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
+        assert dump_document(doc) == expected
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_raises_the_json_error(self, bad):
+        doc = {"providers": [{"overall": 0.5}, {"overall": bad}]}
+        with pytest.raises(ValueError) as info:
+            dump_document(doc)
+        with pytest.raises(ValueError) as expected:
+            json.dumps(doc, indent=2, allow_nan=False)
+        assert str(info.value) == str(expected.value)
+
+    @pytest.mark.parametrize("key", [1, 1.5, True, None])
+    def test_non_string_key_raises(self, key):
+        with pytest.raises(TypeError):
+            dump_document({"terms": {key: 1.0}})
 
 
 class TableStore:
@@ -248,7 +326,7 @@ class TestAssessment:
             agents=world.agents,
             providers=world.providers,
             role_rules=(),
-            rating_stores={a.id: RatingStore() for a in world.agents},
+            rating_stores={a.id: RatingStore(a.id) for a in world.agents},
             observation_stores={a.id: ObservationStore() for a in world.agents},
         )
         ranked = rank(empty, Model.TRAVOS, "alice")

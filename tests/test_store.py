@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import ObservationStoreOracle, RatingStoreOracle, content_key
 from reptrace.core import Rating, ReputationType
 from reptrace.errors import BadBinError, OutOfRangeError
-from reptrace.store import ObservationStore, RatingStore, bin_of
+from reptrace.store import ObservationStore, RatingStore, bin_of, share_witness_evidence
 
 I = ReputationType.INTERACTION
 W = ReputationType.WITNESS
@@ -122,7 +122,7 @@ class TestEvidenceRecords:
 
 class TestEviction:
     def test_oldest_evicted_at_cap(self):
-        store = RatingStore(history_cap=2)
+        store = RatingStore("a", history_cap=2)
         store.insert(r(ts=0, value=0.1))
         store.insert(r(ts=1, value=0.2))
         store.insert(r(ts=2, value=0.3))
@@ -130,23 +130,23 @@ class TestEviction:
         assert sorted(timestamps) == [1, 2]
 
     def test_unbounded_by_default(self):
-        store = RatingStore()
+        store = RatingStore("a")
         for ts in range(10):
             store.insert(r(ts=ts))
         assert len(store) == 10
 
     def test_cap_is_per_source(self):
-        store = RatingStore(history_cap=2)
-        for source in ("a", "w"):
-            store.insert(r(source=source, ts=0))
-            store.insert(r(source=source, ts=1))
+        store = RatingStore("a", history_cap=2)
+        for source, rep_type in (("a", I), ("w", W)):
+            store.insert(r(source=source, rep_type=rep_type, ts=0))
+            store.insert(r(source=source, rep_type=rep_type, ts=1))
         assert len(store) == 4
 
     def test_tie_broken_by_content(self):
         first = r(ts=5, value=0.1, iid="first")
         second = r(ts=5, value=0.2, iid="second")
         for order in ((first, second), (second, first)):
-            store = RatingStore(history_cap=1)
+            store = RatingStore("a", history_cap=1)
             for rec in order:
                 store.insert(rec)
             [kept] = store.all_records()
@@ -161,10 +161,10 @@ class TestEviction:
         st.integers(1, 4),
     )
     def test_retained_are_most_recent_per_source(self, inserts, cap):
-        store = RatingStore(history_cap=cap)
-        full = RatingStore()
+        store = RatingStore("a", history_cap=cap)
+        full = RatingStore("a")
         for idx, (source, ts) in enumerate(inserts):
-            rec = r(source=source, ts=ts, iid=str(idx))
+            rec = r(source=source, rep_type=I if source == "a" else W, ts=ts, iid=str(idx))
             store.insert(rec)
             full.insert(rec)
         for source in ("a", "b"):
@@ -179,7 +179,7 @@ class TestEviction:
 
 class TestQuery:
     def build(self):
-        store = RatingStore()
+        store = RatingStore("a")
         store.insert(r(source="a", target="b", term="q", rep_type=I, ts=2))
         store.insert(r(source="a", target="b", term="t", rep_type=I, ts=0))
         store.insert(r(source="w", target="b", term="q", rep_type=W, ts=1))
@@ -202,7 +202,7 @@ class TestQuery:
         assert [rec.timestamp for rec in store.all_records()] == [0, 1, 2, 3]
 
     def test_timestamp_order(self):
-        store = RatingStore()
+        store = RatingStore("a")
         timestamps = [3, 0, 2, 0, 1]
         for ts in timestamps:
             store.insert(r(ts=ts))
@@ -218,15 +218,47 @@ class TestQuery:
     def test_result_independent_of_insertion_order(self):
         records = [
             r(source="a", ts=1, value=0.1, iid="x"),
-            r(source="b", ts=1, value=0.2, iid="y"),
+            r(source="b", rep_type=W, ts=1, value=0.2, iid="y"),
             r(source="a", ts=0, value=0.3, iid="z"),
         ]
-        s1, s2 = RatingStore(), RatingStore()
+        s1, s2 = RatingStore("a"), RatingStore("a")
         for rec in records:
             s1.insert(rec)
         for rec in reversed(records):
             s2.insert(rec)
         assert s1.all_records() == s2.all_records()
+
+
+class TestOwnership:
+    @pytest.mark.parametrize(
+        "rec",
+        [r(source="w", rep_type=I), r(source="a", rep_type=W)],
+        ids=["foreign-interaction", "own-witness"],
+    )
+    def test_foreign_records_are_refused(self, rec):
+        store = RatingStore("a", history_cap=1)
+        store.insert(r(ts=1))
+        with pytest.raises(ValueError):
+            store.insert(rec)
+        assert store.all_records() == [r(ts=1)]
+
+    def test_certified_records_from_anyone(self):
+        store = RatingStore("a")
+        for source in ("a", "w"):
+            store.insert(r(source=source, rep_type=C))
+        assert len(store.query("b", "q", C)) == 2
+
+    def test_no_insert_once_shared(self):
+        # z reads a's interaction ratings as witness evidence; an insert
+        # into a after sharing would never reach z's view.
+        a, z = RatingStore("a"), RatingStore("z")
+        a.insert(r(source="a", ts=0))
+        share_witness_evidence({"a": a, "z": z}, {"z": ("a",)})
+        for store, rec in ((a, r(source="a", ts=1)), (z, r(source="z", ts=1))):
+            with pytest.raises(ValueError, match="sealed"):
+                store.insert(rec)
+        assert len(a) == 1 and len(z) == 0
+        assert z.query("b", "q", W) == [r(source="a", rep_type=W, ts=0)]
 
 
 class TestObservationBins:
@@ -261,6 +293,15 @@ class TestObservationBins:
 
 
 SOURCES = ("a", "b", "c")
+OWNER = "a"
+
+
+def owner_may_hold(rec):
+    """Whether ``OWNER``'s store takes the record: its own interaction
+    ratings, witness ratings by others, certified records by anyone."""
+    if rec.rep_type is I:
+        return rec.source == OWNER
+    return rec.rep_type is not W or rec.source != OWNER
 TARGETS = ("x", "y")
 TERMS = ("q", "t")
 IIDS = (None, "i1", "i2")
@@ -309,11 +350,15 @@ class TestRatingStoreAgainstOracle:
         st.none() | st.integers(1, 4),
     )
     def test_queries_match_a_full_scan(self, inserts, cap):
-        store = RatingStore(history_cap=cap)
+        store = RatingStore(OWNER, history_cap=cap)
         oracle = RatingStoreOracle(history_cap=cap)
         for rec in inserts:
-            evicted = store.insert(rec)
-            assert Counter(map(id, evicted)) == dropped(oracle, [rec])
+            if owner_may_hold(rec):
+                evicted = store.insert(rec)
+                assert Counter(map(id, evicted)) == dropped(oracle, [rec])
+            else:
+                with pytest.raises(ValueError):
+                    store.insert(rec)
             self.assert_same(store, oracle)
 
 

@@ -268,7 +268,7 @@ def make_config(**kwargs):
 
 class TestAssessTerm:
     def test_high_confidence_skips_witnesses(self):
-        store = RatingStore()
+        store = RatingStore("a")
         for ts in range(30):
             store.insert(rating(1.0 if ts % 2 else 0.0, ts=ts))
         store.insert(rating(0.9, source="w", rep_type=W, ts=0))
@@ -280,12 +280,14 @@ class TestAssessTerm:
         assert res.witness_trust is None
 
     def test_interaction_evidence_is_the_assessors_own(self):
-        own, mixed = RatingStore(), RatingStore()
+        own, mixed = RatingStore("a"), RatingStore("a")
         for value in (1.0, 0.0):
             own.insert(rating(value))
             mixed.insert(rating(value))
+        # Another agent's interaction record never counts: the store refuses it.
         for ts in range(5):
-            mixed.insert(rating(1.0, source="w", ts=ts))
+            with pytest.raises(ValueError):
+                mixed.insert(rating(1.0, source="w", ts=ts))
         results = [
             assess_term(store, ObservationStore(), "a", "b", "q", make_config())
             for store in (own, mixed)
@@ -293,8 +295,9 @@ class TestAssessTerm:
         assert results[0] == results[1]
 
     def test_assessors_own_witness_records_are_no_opinion(self):
-        store = RatingStore()
-        store.insert(rating(1.0, source="a", rep_type=W, ts=0))
+        store = RatingStore("a")
+        with pytest.raises(ValueError):
+            store.insert(rating(1.0, source="a", rep_type=W, ts=0))
         store.insert(rating(0.0, source="w", rep_type=W, ts=0))
         res = assess_term(store, ObservationStore(), "a", "b", "q", make_config())
         assert [c.witness for c in res.witnesses] == ["w"]
@@ -307,7 +310,7 @@ class TestAssessTerm:
 
     def test_no_evidence_flags_low_confidence(self):
         res = assess_term(
-            RatingStore(), ObservationStore(), "a", "b", "q", make_config()
+            RatingStore("a"), ObservationStore(), "a", "b", "q", make_config()
         )
         # The prior alone: the term trust is the interaction mean, 0.5.
         assert [(c.value, c.weight) for c in res.components] == [(0.5, 1.0), (None, 0.0)]
@@ -315,7 +318,7 @@ class TestAssessTerm:
         assert res.interaction_confidence == pytest.approx(0.1, abs=1e-9)
 
     def test_witness_pipeline_and_recombination(self):
-        store = RatingStore()
+        store = RatingStore("a")
         store.insert(rating(1.0, ts=0))  # one own success: low confidence
         for ts in range(8):
             store.insert(rating(1.0, source="w1", rep_type=W, ts=ts, iid=f"w1-{ts}"))
@@ -344,7 +347,7 @@ class TestAssessTerm:
         # Binarized counts always invert to feasible moments, so widen the
         # prior's spread until discounting toward it is infeasible.
         monkeypatch.setattr(travos, "UNIFORM_STD", 0.9)
-        store = RatingStore()
+        store = RatingStore("a")
         store.insert(rating(1.0, source="w", rep_type=W, ts=0))
         prefs = Preferences(term_weights={"q": 1.0}, component_weights={I: 0.75, W: 0.25})
         clamps = []
@@ -363,7 +366,7 @@ class TestAssessTerm:
             component_weights={I: 0.75, W: 0.25},
         )
         result = assess_provider(
-            RatingStore(), ObservationStore(), "a", "b", prefs, make_config()
+            RatingStore("a"), ObservationStore(), "a", "b", prefs, make_config()
         )
         assert result.assessment.overall == pytest.approx(0.5)
         diagnostics = result.diagnostics()
