@@ -192,9 +192,11 @@ class Assessment(NamedTuple):
 def total(values: Iterable[float]) -> float:
     """Sum of ``values``, added left to right in the order given.
 
-    Every float sum in the package goes through here or through
-    ``weighted_mean``, so the rounding is the same on every Python
-    version: the built-in ``sum`` compensates rounding from 3.12 on.
+    Every float sum in the package goes through here, through
+    ``weighted_mean`` or through FIRE's recency-weighted and uniform
+    means in ``fire.component_trust``, which add in the same order, so
+    the rounding is the same on every Python version: the built-in
+    ``sum`` compensates rounding from 3.12 on.
     """
     s = 0.0
     for v in values:

@@ -68,25 +68,11 @@ def recency_weight(delta_tau: float, lambda_: float) -> float:
     return math.exp(-delta_tau / lambda_)
 
 
-class _RecencyTable(dict):
-    """``recency_weight(age, lambda_)`` by age, computed on first lookup.
-
-    A negative age raises ``ValueError`` from ``recency_weight`` and is
-    never stored.
-    """
-
-    def __init__(self, lambda_: float):
-        super().__init__()
-        self.lambda_ = lambda_
-
-    def __missing__(self, age):
-        weight = self[age] = recency_weight(age, self.lambda_)
-        return weight
-
-
 @functools.lru_cache(maxsize=16)
-def _recency_table(lambda_: float) -> _RecencyTable:
-    return _RecencyTable(lambda_)
+def _recency_weights(lambda_: float, now: int) -> dict[int, float]:
+    """``recency_weight(now - t, lambda_)`` by timestamp t, for the
+    timestamps read so far; ``_recency_mean`` fills it."""
+    return {}
 
 
 class PseudoRating(NamedTuple):
@@ -138,16 +124,48 @@ def component_trust(
     is the component's importance.
     """
     if rep_type is ReputationType.ROLE_BASED:
-        pairs = [(p.value, p.weight) for p in role_evidence]
+        value = weighted_mean([(p.value, p.weight) for p in role_evidence])
     elif recency:
-        weights = _recency_table(config.lambda_)
-        pairs = [(r.value, weights[now - r.timestamp]) for r in ratings]
+        value = _recency_mean(ratings, config.lambda_, now)
+    elif ratings:
+        # Bit for bit ``weighted_mean`` over unit weights: ``v * 1.0`` is v,
+        # and the weights add up to the count exactly.
+        s = 0.0
+        for r in ratings:
+            s += r.value
+        value = s / len(ratings)
     else:
-        pairs = [(r.value, 1.0) for r in ratings]
-    value = weighted_mean(pairs)
+        value = None
     if value is None:
         return ComponentTrust(rep_type=rep_type, value=None, weight=0.0)
     return ComponentTrust(rep_type=rep_type, value=value, weight=importance)
+
+
+def _recency_mean(ratings: Sequence[Rating], lambda_: float, now: int) -> Optional[float]:
+    """``weighted_mean`` of the ratings' values by their recency weights,
+    in one pass over the ratings unless a timestamp has no weight yet.
+
+    A miss fills the weight of every missing timestamp of ``ratings``,
+    then sums once more. A rating dated after ``now`` raises
+    ``ValueError`` from ``recency_weight``; its weight is never stored.
+    """
+    weights = _recency_weights(lambda_, now)
+    num = 0.0
+    den = 0.0
+    try:
+        for r in ratings:
+            w = weights[r.timestamp]
+            num += w * r.value
+            den += w
+    except KeyError:
+        for r in ratings:
+            t = r.timestamp
+            if t not in weights:
+                weights[t] = recency_weight(now - t, lambda_)
+        return _recency_mean(ratings, lambda_, now)
+    if den <= 0.0:
+        return None
+    return num / den
 
 
 class FireAssessment(NamedTuple):
@@ -162,40 +180,6 @@ class FireAssessment(NamedTuple):
     uniform: Optional[Assessment]
 
 
-def _collect(
-    rating_store: RatingStore,
-    role_rules: Sequence[RoleRule],
-    agent_roles: Mapping[AgentId, Sequence[str]],
-    assessor: AgentId,
-    target: AgentId,
-    term: Term,
-) -> dict[ReputationType, tuple[list[Rating], list[PseudoRating]]]:
-    """Gather the evidence backing every component of one term."""
-    evidence: dict[ReputationType, tuple[list[Rating], list[PseudoRating]]] = {}
-    evidence[ReputationType.INTERACTION] = (
-        rating_store.query(target, term, ReputationType.INTERACTION),
-        [],
-    )
-    evidence[ReputationType.WITNESS] = (
-        rating_store.query(target, term, ReputationType.WITNESS),
-        [],
-    )
-    evidence[ReputationType.CERTIFIED] = (
-        rating_store.query(target, term, ReputationType.CERTIFIED),
-        [],
-    )
-    evidence[ReputationType.ROLE_BASED] = (
-        [],
-        role_pseudo_ratings(
-            role_rules,
-            agent_roles.get(assessor, ()),
-            agent_roles.get(target, ()),
-            term,
-        ),
-    )
-    return evidence
-
-
 def assess_provider(
     rating_store: RatingStore,
     assessor: AgentId,
@@ -208,27 +192,37 @@ def assess_provider(
     baseline: bool = True,
 ) -> FireAssessment:
     """Assess one provider on every preferred term; with ``baseline`` on,
-    also build the uniform-weight baseline."""
+    also build the uniform-weight baseline.
+
+    Only components of positive importance are read: a term queries the
+    store for those rating types alone, and instantiates role rules only
+    when the role-based component counts.
+    """
     agent_roles = agent_roles or {}
+    assessor_roles = agent_roles.get(assessor, ())
+    target_roles = agent_roles.get(target, ())
+    importance = preferences.component_weights
+    active = [
+        (k, importance[k]) for k in REPUTATION_ORDER if importance.get(k, 0.0) > 0.0
+    ]
     weighted: dict[Term, list[ComponentTrust]] = {}
     uniform: dict[Term, list[ComponentTrust]] = {}
-    importance = preferences.component_weights
-    active_types = [k for k in REPUTATION_ORDER if importance.get(k, 0.0) > 0.0]
     for term in preferences.terms:
-        evidence = _collect(
-            rating_store, role_rules, agent_roles, assessor, target, term
-        )
-        weighted[term] = [
-            component_trust(evidence[k][0], k, importance[k], config, now, evidence[k][1])
-            for k in active_types
-        ]
+        weighted[term] = components = []
         if baseline:
-            uniform[term] = [
-                component_trust(
-                    evidence[k][0], k, importance[k], config, now, evidence[k][1], recency=False
+            uniform[term] = uniform_components = []
+        for k, weight in active:
+            if k is ReputationType.ROLE_BASED:
+                ratings = ()
+                pseudo = role_pseudo_ratings(role_rules, assessor_roles, target_roles, term)
+            else:
+                ratings = rating_store.query(target, term, k)
+                pseudo = ()
+            components.append(component_trust(ratings, k, weight, config, now, pseudo))
+            if baseline:
+                uniform_components.append(
+                    component_trust(ratings, k, weight, config, now, pseudo, recency=False)
                 )
-                for k in active_types
-            ]
     return FireAssessment(
         assessment=build_assessment(assessor, target, weighted, preferences),
         uniform=(

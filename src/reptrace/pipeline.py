@@ -238,28 +238,26 @@ def world_from_document(doc: dict) -> World:
                     f"{rec['timestamp']} is after the last round {rounds - 1}"
                 )
             rep_type = rec["rep_type"]
-            if rep_type == "interaction" and rec["source"] != agent.id:
-                raise ConfigError(
-                    f"{where}/source: an interaction rating in {agent.id}'s store "
-                    f"must have source {agent.id!r}, not {rec['source']!r}"
-                )
             if rep_type == "witness" and rec["source"] in not_witness_sources:
                 raise ConfigError(
                     f"{where}/source: a witness rating in {agent.id}'s store must not "
                     f"have source {rec['source']!r}, whose own ratings the store reads"
                 )
             _check_subject(rec, where, provider_ids, terms)
-            store.insert(
-                Rating(
-                    source=rec["source"],
-                    target=rec["target"],
-                    term=rec["term"],
-                    rep_type=ReputationType(rep_type),
-                    value=float(rec["value"]),
-                    timestamp=int(rec["timestamp"]),
-                    interaction_id=rec.get("interaction_id"),
-                )
+            rating = Rating(
+                source=rec["source"],
+                target=rec["target"],
+                term=rec["term"],
+                rep_type=ReputationType(rep_type),
+                value=float(rec["value"]),
+                timestamp=int(rec["timestamp"]),
+                interaction_id=rec.get("interaction_id"),
             )
+            try:
+                store.insert(rating)
+            except ValueError as exc:
+                # The store's ownership rule: an interaction rating is its owner's.
+                raise ConfigError(f"{where}/source: {exc}") from exc
         rating_stores[agent.id] = store
     share_witness_evidence(rating_stores, witnesses)
     observation_stores: dict[AgentId, ObservationStore] = {}

@@ -123,7 +123,10 @@ def binarize_value(value: float) -> float:
 
 def binarized_beta(ratings: Sequence[Rating]) -> BetaParams:
     """Beta parameters of ratings binarized at the success threshold."""
-    pos = sum(1 for r in ratings if binarize_value(r.value) == 1.0)
+    pos = 0
+    for r in ratings:
+        if r.value >= SUCCESS_THRESHOLD:
+            pos += 1
     return BetaParams(1.0 + pos, 1.0 + (len(ratings) - pos))
 
 
@@ -310,13 +313,23 @@ class TravosTermResult(NamedTuple):
 def gather_witness_opinions(
     rating_store: RatingStore, target: AgentId, term: Term
 ) -> list[WitnessOpinion]:
-    """Build per-witness opinions from witness-type records about a target."""
-    by_witness: dict[AgentId, list[Rating]] = {}
+    """Build per-witness opinions from witness-type records about a target.
+
+    Each witness's records are binarized as ``binarized_beta`` does, counted
+    in the one pass that groups them.
+    """
+    counts: dict[AgentId, list[int]] = {}  # witness -> [n, successes]
     for r in rating_store.query(target, term, ReputationType.WITNESS):
-        by_witness.setdefault(r.source, []).append(r)
+        count = counts.get(r.source)
+        if count is None:
+            count = counts[r.source] = [0, 0]
+        count[0] += 1
+        if r.value >= SUCCESS_THRESHOLD:
+            count[1] += 1
     opinions = []
-    for witness in sorted(by_witness):
-        params = binarized_beta(by_witness[witness])
+    for witness in sorted(counts):
+        n, successes = counts[witness]
+        params = BetaParams(1.0 + successes, 1.0 + (n - successes))
         opinions.append(
             WitnessOpinion(witness=witness, target=target, term=term, params=params)
         )

@@ -72,7 +72,8 @@ MUTANTS = (
         "            if rating.source != self.owner:\n",
         "            if False:\n",
         ("tests/test_fire.py::TestAssessProvider::test_components_and_uniform_baseline",
-         "tests/test_travos.py::TestAssessTerm::test_interaction_evidence_is_the_assessors_own"),
+         "tests/test_travos.py::TestAssessTerm::test_interaction_evidence_is_the_assessors_own",
+         "tests/test_cli.py::TestDocumentBoundary::test_interaction_source_must_be_the_owner"),
     ),
     Mutant(
         "store: a witness rating from the owner is taken",
@@ -194,6 +195,64 @@ MUTANTS = (
         "return 1.0 if value > SUCCESS_THRESHOLD else 0.0",
         ("tests/test_travos.py::TestEvidenceCounting::test_binarize",
          "tests/test_simulate.py::TestOpinionOracle"),
+    ),
+    Mutant(
+        "travos: binarized_beta counts a rating of exactly the threshold as a failure",
+        "travos.py",
+        "        if r.value >= SUCCESS_THRESHOLD:\n            pos += 1\n",
+        "        if r.value > SUCCESS_THRESHOLD:\n            pos += 1\n",
+        ("tests/test_travos.py::TestEvidenceCounting::test_non_binary_counted_at_threshold",),
+    ),
+    Mutant(
+        "travos: a witness opinion counts a rating of exactly the threshold as a failure",
+        "travos.py",
+        "        if r.value >= SUCCESS_THRESHOLD:\n            count[1] += 1\n",
+        "        if r.value > SUCCESS_THRESHOLD:\n            count[1] += 1\n",
+        ("tests/test_travos.py::TestGatherWitnessOpinions",),
+    ),
+    Mutant(
+        "travos: a witness opinion drops one of its witness's successes",
+        "travos.py",
+        "        n, successes = counts[witness]\n",
+        "        n, successes = counts[witness][0], max(0, counts[witness][1] - 1)\n",
+        ("tests/test_travos.py::TestGatherWitnessOpinions",),
+    ),
+    Mutant(
+        "fire: the recency weight table is keyed by age, not by timestamp",
+        "fire.py",
+        "            w = weights[r.timestamp]\n"
+        "            num += w * r.value\n"
+        "            den += w\n"
+        "    except KeyError:\n"
+        "        for r in ratings:\n"
+        "            t = r.timestamp\n"
+        "            if t not in weights:\n"
+        "                weights[t] = recency_weight(now - t, lambda_)\n",
+        "            w = weights[now - r.timestamp]\n"
+        "            num += w * r.value\n"
+        "            den += w\n"
+        "    except KeyError:\n"
+        "        for r in ratings:\n"
+        "            t = now - r.timestamp\n"
+        "            if t not in weights:\n"
+        "                weights[t] = recency_weight(t, lambda_)\n",
+        ("tests/test_fire.py::TestComponentTrust"
+         "::test_weight_table_holds_only_the_timestamps_read",),
+    ),
+    Mutant(
+        "fire: a weight filled on a miss skips the non-negative age check",
+        "fire.py",
+        "weights[t] = recency_weight(now - t, lambda_)",
+        "weights[t] = math.exp((t - now) / lambda_)",
+        ("tests/test_fire.py::TestComponentTrust::test_rating_after_now_rejected",),
+    ),
+    Mutant(
+        "fire: the uniform baseline divides by one more than the count",
+        "fire.py",
+        "value = s / len(ratings)",
+        "value = s / (len(ratings) + 1)",
+        ("tests/test_fire.py::TestComponentTrustUniform"
+         "::test_equals_weighted_mean_of_unit_weights",),
     ),
     Mutant(
         "core: dataclasses imported again",

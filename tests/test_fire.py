@@ -14,6 +14,7 @@ from reptrace.core import (
     build_assessment,
     weighted_mean,
 )
+from reptrace import fire
 from reptrace.fire import (
     FireConfig,
     PseudoRating,
@@ -27,6 +28,7 @@ from reptrace.store import RatingStore, RoleRule
 I = ReputationType.INTERACTION
 W = ReputationType.WITNESS
 R = ReputationType.ROLE_BASED
+C = ReputationType.CERTIFIED
 
 
 def rating(value, ts, source="a", target="b", term="q", rep_type=I):
@@ -134,6 +136,16 @@ class TestComponentTrust:
             with pytest.raises(ValueError):
                 component_trust(ratings, I, 0.75, config(), now=5)
 
+    def test_weight_table_holds_only_the_timestamps_read(self):
+        # A table sized by ``now`` would never finish here.
+        now, lam = 10**9, 4.25
+        fire._recency_weights.cache_clear()
+        ratings = [rating(0.5, ts=0), rating(0.7, ts=now - 3), rating(0.1, ts=now - 3)]
+        out = component_trust(ratings, I, 0.75, config(lambda_=lam), now=now)
+        w = recency_weight(3, lam)
+        assert out.value == weighted_mean([(0.5, 0.0), (0.7, w), (0.1, w)])
+        assert fire._recency_weights(lam, now) == {0: 0.0, now - 3: w}
+
     @given(
         st.lists(
             st.tuples(
@@ -180,6 +192,20 @@ class TestComponentTrustUniform:
     def test_empty_absent(self):
         out = component_trust([], I, 0.75, config(), now=0, recency=False)
         assert out.value is None
+
+    @given(
+        st.lists(
+            st.tuples(st.floats(min_value=0.0, max_value=1.0), st.integers(0, 30)),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_equals_weighted_mean_of_unit_weights(self, pairs):
+        # Bit for bit: the uniform path sums and divides by the count.
+        ratings = [rating(v, ts=ts) for v, ts in pairs]
+        expected = weighted_mean([(r.value, 1.0) for r in ratings])
+        out = component_trust(ratings, I, 0.75, config(), now=30, recency=False)
+        assert out.value == expected
 
 
 def term_trust(components):
@@ -304,6 +330,49 @@ class TestAssessProvider:
         expected = (0.8 * 0.9 + 0.2 * 0.4) / 1.0
         assert fa.assessment.component_value("q", R) == pytest.approx(expected, abs=1e-12)
         assert fa.assessment.term_trust("q") == pytest.approx(expected, abs=1e-12)
+
+    def test_components_of_zero_importance_are_never_read(self, monkeypatch):
+        class CountingStore(RatingStore):
+            def query(self, target, term, rep_type):
+                queried.append((term, rep_type))
+                return super().query(target, term, rep_type)
+
+        def counting_role_pseudo_ratings(*args):
+            instantiated.append(args)
+            return role_pseudo_ratings(*args)
+
+        queried, instantiated = [], []
+        monkeypatch.setattr(fire, "role_pseudo_ratings", counting_role_pseudo_ratings)
+        store = CountingStore("a")
+        store.insert(rating(0.9, ts=1))
+        store.insert(rating(0.2, ts=1, source="w", rep_type=W))
+        store.insert(rating(0.4, ts=1, source="c", rep_type=C))
+        rules = [RoleRule("buyer", "courier", "q", likelihood=0.8, expected_value=0.8)]
+        prefs = Preferences(
+            term_weights={"q": 1.0, "t": 2.0},
+            component_weights={I: 0.5, W: 0.0, R: 0.0, C: 0.0},
+        )
+        fa = assess_provider(
+            store, "a", "b", prefs, config(), now=1, role_rules=rules,
+            agent_roles={"a": ("buyer",), "b": ("courier",)},
+        )
+        assert queried == [("q", I), ("t", I)]
+        assert instantiated == []
+        assert fa.assessment.overall == 0.9
+
+        # The same world with role-based importance instantiates the rules
+        # once per term, shared by the weighted and the uniform assessment.
+        queried.clear()
+        prefs = Preferences(
+            term_weights={"q": 1.0, "t": 2.0}, component_weights={I: 0.5, R: 0.5}
+        )
+        fa = assess_provider(
+            store, "a", "b", prefs, config(), now=1, role_rules=rules,
+            agent_roles={"a": ("buyer",), "b": ("courier",)},
+        )
+        assert queried == [("q", I), ("t", I)]
+        assert [args[3] for args in instantiated] == ["q", "t"]
+        assert fa.assessment.component_value("q", R) == pytest.approx(0.9)
 
     def test_no_matching_role_rules(self):
         out = role_pseudo_ratings(

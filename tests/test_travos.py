@@ -13,6 +13,7 @@ from reptrace import travos
 from reptrace.errors import NumericalFailureError
 from reptrace.store import ObservationStore, RatingStore
 from reptrace.travos import (
+    SUCCESS_THRESHOLD,
     BetaParams,
     TravosConfig,
     UNIFORM_STD,
@@ -26,6 +27,7 @@ from reptrace.travos import (
     confidence,
     decomposition_weights,
     discount_opinion,
+    gather_witness_opinions,
     regularized_incomplete_beta,
     witness_accuracy,
 )
@@ -75,6 +77,41 @@ class TestEvidenceCounting:
     def test_binarize(self):
         assert binarize_value(0.5) == 1.0
         assert binarize_value(0.49) == 0.0
+
+
+witness_record = st.tuples(
+    st.sampled_from(["w1", "w2", "w3"]),
+    st.sampled_from(["b", "c"]),
+    st.sampled_from(["q", "r"]),
+    st.one_of(
+        st.sampled_from([0.0, SUCCESS_THRESHOLD, math.nextafter(SUCCESS_THRESHOLD, 0.0), 1.0]),
+        st.floats(min_value=0.0, max_value=1.0),
+    ),
+    st.integers(0, 9),
+)
+
+
+class TestGatherWitnessOpinions:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(witness_record, max_size=30))
+    def test_matches_grouping_oracle(self, records):
+        store = RatingStore("a")
+        for source, target, term, value, ts in records:
+            store.insert(rating(value, source=source, target=target, term=term, rep_type=W, ts=ts))
+        for target in ("b", "c"):
+            for term in ("q", "r"):
+                by_witness = {}
+                for source, t, tm, value, _ in records:
+                    if (t, tm) == (target, term):
+                        by_witness.setdefault(source, []).append(binarize_value(value))
+                expected = [
+                    WitnessOpinion(
+                        w, target, term,
+                        BetaParams(1.0 + sum(b), 1.0 + (len(b) - sum(b))),
+                    )
+                    for w, b in sorted(by_witness.items())
+                ]
+                assert gather_witness_opinions(store, target, term) == expected
 
 
 class TestExpectedValue:
