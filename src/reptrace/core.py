@@ -24,12 +24,19 @@ Term = str
 
 
 class ReputationType(Enum):
-    """Evidence channel a rating belongs to."""
+    """Evidence channel a rating belongs to.
+
+    Members hash by identity, in C: each is a singleton and compares by
+    identity, so the hash agrees with ``==``. ``Enum.__hash__`` is a
+    Python-level call on every dict or set lookup.
+    """
 
     INTERACTION = "interaction"
     WITNESS = "witness"
     ROLE_BASED = "role"
     CERTIFIED = "certified"
+
+    __hash__ = object.__hash__
 
 
 #: Canonical component ordering used for iteration and display.

@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from enum import Enum
 from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
@@ -54,9 +55,6 @@ EXHAUSTIVE_TERM_LIMIT = 12
 #: permutation must lie above the other's highest before
 #: ``invert_permutation`` skips its search. Far above float rounding.
 PERMUTATION_BOUND_MARGIN = 1e-12
-
-_TYPE_INDEX = {k: i for i, k in enumerate(REPUTATION_ORDER)}
-
 
 class Model(Enum):
     FIRE = "fire"
@@ -312,60 +310,55 @@ def _component_table(
 
 
 def _recombine(
-    table: Mapping[ReputationType, tuple[float, float]],
-    perm: Mapping[ReputationType, ReputationType],
+    rows: Sequence[tuple[float, float, int]],
+    weights: Sequence[float],
+    image: Sequence[int],
 ) -> float:
-    """Weighted mean of the table's values after each type takes the weight
-    of its image under ``perm``; types ``perm`` does not name keep theirs.
-    The table is a compared term's, so its weights have a positive sum."""
-    return weighted_mean((v, table[perm.get(k, k)][1]) for k, (v, _) in table.items())
-
-
-def _cycle_swaps(
-    perm: Mapping[ReputationType, ReputationType]
-) -> list[tuple[ReputationType, ReputationType]]:
-    """Decompose a permutation into sequential pairwise swaps."""
-    seen: set[ReputationType] = set()
-    swaps: list[tuple[ReputationType, ReputationType]] = []
-    for start in sorted(perm, key=lambda k: _TYPE_INDEX[k]):
-        if start in seen or perm[start] is start:
-            seen.add(start)
-            continue
-        cycle = [start]
-        seen.add(start)
-        nxt = perm[start]
-        while nxt is not start:
-            cycle.append(nxt)
-            seen.add(nxt)
-            nxt = perm[nxt]
-        for a, b in zip(cycle, cycle[1:]):
-            swaps.append((a, b))
-    return swaps
+    """Weighted mean of the rows' values, in component order, after each
+    shared type ``j`` takes the weight ``weights[image[j]]``; rows of
+    unshared types (``j`` is -1) keep theirs. The rows are a compared
+    term's, so their weights have a positive sum."""
+    return weighted_mean([(v, w if j < 0 else weights[image[j]]) for v, w, j in rows])
 
 
 @functools.cache
-def _permutations_by_swaps(shared: tuple[ReputationType, ...]) -> tuple[tuple, ...]:
-    """Non-identity permutations of ``shared`` as (perm, swaps), grouped by
-    swap count, fewest first; each group is in canonical swap order."""
-    groups: list[list] = [[] for _ in shared[1:]]
-    for image in itertools.permutations(shared):
-        perm = dict(zip(shared, image))
-        swaps = tuple(_cycle_swaps(perm))
+def _candidates(n: int) -> tuple[tuple, ...]:
+    """Non-identity permutations of ``range(n)`` as (image, swaps), grouped
+    by swap count, fewest first; each group is in canonical swap order.
+
+    Each cycle, from its smallest index ``s``, becomes the sequential
+    swaps (s, image[s]), (image[s], image[image[s]]), ... .
+    """
+    groups: list[list] = [[] for _ in range(n - 1)]
+    for image in itertools.permutations(range(n)):
+        seen = [False] * n
+        swaps = []
+        for start in range(n):
+            a = start
+            while not seen[a]:
+                seen[a] = True
+                if image[a] != start:
+                    swaps.append((a, image[a]))
+                a = image[a]
         if swaps:
-            groups[len(swaps) - 1].append((perm, swaps))
-    return tuple(
-        tuple(sorted(g, key=lambda c: [(_TYPE_INDEX[a], _TYPE_INDEX[b]) for a, b in c[1]]))
-        for g in groups
-    )
+            groups[len(swaps) - 1].append((image, tuple(swaps)))
+    return tuple(tuple(sorted(g, key=lambda c: c[1])) for g in groups)
 
 
-def _settled_by_bound(
-    pref_table: Mapping[ReputationType, tuple[float, float]],
-    other_table: Mapping[ReputationType, tuple[float, float]],
-    shared: Sequence[ReputationType],
-) -> bool:
+def _index_table(
+    table: Mapping[ReputationType, tuple[float, float]], index: Mapping[ReputationType, int]
+) -> tuple[list[tuple[float, float, int]], list[float], list[float]]:
+    """One provider's side of a permutation search: a ``(value, weight, j)``
+    row per present component, in component order, ``j`` being the type's
+    index among the shared types (``index``, in canonical order) or -1;
+    then the shared types' values and weights, in canonical order."""
+    rows = [(v, w, index.get(k, -1)) for k, (v, w) in table.items()]
+    return rows, [table[k][0] for k in index], [table[k][1] for k in index]
+
+
+def _settled_by_bound(pref: tuple, other: tuple) -> bool:
     """True when no permutation of the shared types' weights can bring the
-    preferred mean below the other's.
+    preferred mean below the other's; each side is an ``_index_table``.
 
     By the rearrangement inequality the preferred mean is lowest with its
     shared values ascending against its shared weights descending, and the
@@ -377,17 +370,17 @@ def _settled_by_bound(
     settles the search for the computed means as well.
     """
 
-    def extreme_mean(table, descending):
-        values = sorted(table[k][0] for k in shared)
-        weights = sorted((table[k][1] for k in shared), reverse=descending)
-        fixed = [(v, w) for k, (v, w) in table.items() if k not in shared]
-        den = total(w for _, w in table.values())
+    def extreme_mean(side, descending):
+        rows, values, weights = side
+        den = total([w for _, w, _ in rows])
         if not 1e-300 <= den <= 1e300:
             return math.nan  # rounding is unbounded here: never settle
-        return total(w * v for v, w in [*zip(values, weights), *fixed]) / den
+        products = [w * v for v, w in zip(sorted(values), sorted(weights, reverse=descending))]
+        products += [w * v for v, w, j in rows if j < 0]
+        return total(products) / den
 
-    lowest = extreme_mean(pref_table, descending=True)
-    highest = extreme_mean(other_table, descending=False)
+    lowest = extreme_mean(pref, descending=True)
+    highest = extreme_mean(other, descending=False)
     return lowest - highest > PERMUTATION_BOUND_MARGIN
 
 
@@ -409,37 +402,50 @@ def invert_permutation(
     returns None without enumerating when no permutation can invert. It
     then tries one swap, then two, then three, and stops at the first
     swap count with an inverting permutation.
+
+    The search runs on small integer-indexed tables: one per provider
+    (see ``_index_table``) and one cached candidate table per number n of
+    shared types, whose permutations of ``range(n)`` carry their swaps as
+    index pairs (see ``_candidates``). Only the answer's swaps are mapped
+    back to reputation types.
     """
     pref_table = _component_table(ctx.preferred, term)
     other_table = _component_table(ctx.other, term)
     shared = tuple(k for k in REPUTATION_ORDER if k in pref_table and k in other_table)
-    if len(shared) < 2:
+    n = len(shared)
+    if n < 2:
         return None
 
-    any_better = any(pref_table[k][0] > other_table[k][0] for k in shared)
-    any_worse = any(pref_table[k][0] < other_table[k][0] for k in shared)
+    index = {k: j for j, k in enumerate(shared)}
+    pref = pref_rows, pref_values, pref_weights = _index_table(pref_table, index)
+    other = other_rows, other_values, other_weights = _index_table(other_table, index)
+    any_better = any(map(operator.gt, pref_values, other_values))
+    any_worse = any(map(operator.lt, pref_values, other_values))
     if any_better and not any_worse:
         return None  # component-level domination: decisive term is enough
-    if _settled_by_bound(pref_table, other_table, shared):
+    if _settled_by_bound(pref, other):
         return None
 
     def gap(candidate):
-        return total(abs(pref_table[a][1] - pref_table[b][1]) for a, b in candidate[1])
+        return total(abs(pref_weights[a] - pref_weights[b]) for a, b in candidate[1])
 
-    for group in _permutations_by_swaps(shared):
+    for group in _candidates(n):
         # Largest gap first; sorted() is stable, so canonical order breaks ties.
-        for perm, swaps in sorted(group, key=gap, reverse=True):
-            pref_swapped = _recombine(pref_table, perm)
-            other_swapped = _recombine(other_table, perm)
+        for image, swaps in sorted(group, key=gap, reverse=True):
+            pref_swapped = _recombine(pref_rows, pref_weights, image)
+            other_swapped = _recombine(other_rows, other_weights, image)
             if pref_swapped < other_swapped:
+                identity = range(n)
                 return TypePermutation(
                     term=term,
                     swaps=tuple(
-                        (a, b) if pref_table[a][1] >= pref_table[b][1] else (b, a)
+                        (shared[a], shared[b])
+                        if pref_weights[a] >= pref_weights[b]
+                        else (shared[b], shared[a])
                         for a, b in swaps
                     ),
-                    preferred_original=_recombine(pref_table, {}),
-                    other_original=_recombine(other_table, {}),
+                    preferred_original=_recombine(pref_rows, pref_weights, identity),
+                    other_original=_recombine(other_rows, other_weights, identity),
                     preferred_swapped=pref_swapped,
                     other_swapped=other_swapped,
                 )

@@ -79,15 +79,18 @@ class World:
         self.rating_stores = rating_stores
         self.observation_stores = observation_stores
         self.witnesses = witnesses or {}
+        # Agents and providers never change, so every assessment reads one map.
+        self._roles = {a.id: a.roles for a in agents}
+        self._roles.update({p.id: p.roles for p in providers})
 
     @property
     def now(self) -> int:
         return self.rounds - 1
 
     def agent_roles(self) -> dict[AgentId, tuple[str, ...]]:
-        roles = {a.id: a.roles for a in self.agents}
-        roles.update({p.id: p.roles for p in self.providers})
-        return roles
+        """Roles of every agent and provider: one map, built once, that
+        callers read and never change."""
+        return self._roles
 
     def require_agent(self, agent_id: AgentId) -> None:
         if agent_id not in {a.id for a in self.agents}:

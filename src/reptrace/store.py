@@ -54,7 +54,7 @@ def share_witness_evidence(
     runs: dict[tuple[AgentId, Term], list[Rating]] = {}
     for store in stores.values():
         for (target, term, kind), bucket in store._buckets.items():
-            if kind == ReputationType.INTERACTION._value_:
+            if kind is ReputationType.INTERACTION:
                 # The originals were validated; ``_replace`` skips the checks.
                 runs.setdefault((target, term), []).extend(
                     r._replace(rep_type=ReputationType.WITNESS) for r in bucket
@@ -71,7 +71,7 @@ def share_witness_evidence(
 class RatingStore:
     """Ordered multiset of ratings with an optional per-source history cap.
 
-    Records live in buckets keyed by (target, term, rep_type's value),
+    Records live in buckets keyed by (target, term, rep_type),
     each kept in ``_content_key`` order with equal keys in insertion
     order. A query returns one bucket.
 
@@ -100,11 +100,7 @@ class RatingStore:
             raise ValueError("history_cap must be positive when set")
         self.owner = owner
         self.history_cap = history_cap
-        # Keyed by the type's string value, whose hash is computed once in
-        # C and cached; ``Enum.__hash__`` is a Python-level call. The value
-        # is read as ``_value_``, Enum's documented attribute for it,
-        # because ``.value`` is a Python-level property too.
-        self._buckets: dict[tuple[AgentId, Term, str], list[Rating]] = {}
+        self._buckets: dict[tuple[AgentId, Term, ReputationType], list[Rating]] = {}
         # Per source, in ``_content_key`` order; kept only under a cap.
         self._by_source: dict[AgentId, list[Rating]] = {}
         self._size = 0
@@ -135,9 +131,7 @@ class RatingStore:
             raise ValueError(
                 f"a witness rating in {self.owner}'s store must not have its owner as source"
             )
-        bucket = self._buckets.setdefault(
-            (rating.target, rating.term, rating.rep_type._value_), []
-        )
+        bucket = self._buckets.setdefault((rating.target, rating.term, rating.rep_type), [])
         # insort is insort_right: equal keys stay in insertion order.
         bisect.insort(bucket, rating, key=_bucket_key)
         self._size += 1
@@ -150,7 +144,7 @@ class RatingStore:
         # The source's smallest record goes; among equal keys, the earliest
         # inserted.
         old = history.pop(0)
-        key = (old.target, old.term, old.rep_type._value_)
+        key = (old.target, old.term, old.rep_type)
         bucket = self._buckets[key]
         # Records with an equal bucket key are identical to the evicted
         # one in every field an engine reads, so removing any one of them
@@ -167,7 +161,7 @@ class RatingStore:
         For the witness type: the explicit records, then those of the
         owner's witnesses, each part in ``_bucket_key`` order.
         """
-        found = list(self._buckets.get((target, term, rep_type._value_), ()))
+        found = list(self._buckets.get((target, term, rep_type), ()))
         if rep_type is ReputationType.WITNESS and self._peers:
             view = self._witness_views.get((target, term))
             if view is None:

@@ -350,6 +350,34 @@ MUTANTS = (
         '""',
         ("tests/test_render.py::TestEveryKind",),
     ),
+    Mutant(
+        "explain: a tie after the swaps counts as an inversion",
+        "explain.py",
+        "            if pref_swapped < other_swapped:\n",
+        "            if pref_swapped <= other_swapped:\n",
+        ("tests/test_explain.py::TestPermutationSearchOracle::test_matches_exhaustive_search",),
+    ),
+    Mutant(
+        "explain: a swap of equal weights names its second type first",
+        "explain.py",
+        "if pref_weights[a] >= pref_weights[b]",
+        "if pref_weights[a] > pref_weights[b]",
+        ("tests/test_explain.py::TestPermutationSearchOracle::test_matches_exhaustive_search",),
+    ),
+    Mutant(
+        "explain: candidates are tried smallest weight gap first",
+        "explain.py",
+        "sorted(group, key=gap, reverse=True)",
+        "sorted(group, key=gap)",
+        ("tests/test_explain.py::TestPermutationSearchOracle::test_matches_exhaustive_search",),
+    ),
+    Mutant(
+        "explain: the permutation bound settles with no margin",
+        "explain.py",
+        "PERMUTATION_BOUND_MARGIN = 1e-12",
+        "PERMUTATION_BOUND_MARGIN = 0.0",
+        ("tests/test_explain.py::TestPermutationSearchOracle::test_bound_within_margin_enumerates",),
+    ),
 )
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import pickle
 from pathlib import Path
 
 import pytest
@@ -215,6 +216,21 @@ class TestSummationOrder:
 
 
 class TestTypes:
+    def test_type_by_value_finds_its_dict_key(self):
+        assert {W: "found"}[ReputationType("witness")] == "found"
+        assert ReputationType("witness") in {W}
+
+    def test_dict_of_every_type_survives_a_pickle_round_trip(self):
+        table = {k: k.value for k in ReputationType}
+        copy = pickle.loads(pickle.dumps(table))
+        # Unpickled members are the singletons, so each finds its key.
+        assert all(c is k for c, k in zip(copy, table))
+        assert all(copy[k] == k.value for k in ReputationType)
+
+    def test_members_hash_by_identity(self):
+        for k in ReputationType:
+            assert hash(k) == object.__hash__(k)
+
     def test_component_absent_value_requires_zero_weight(self):
         with pytest.raises(ValueError):
             ComponentTrust(rep_type=I, value=None, weight=0.5)

@@ -1,5 +1,6 @@
 """Argument selection: decisive terms, weight swaps, model arguments."""
 
+import itertools
 import types
 from fractions import Fraction
 
@@ -436,6 +437,42 @@ def permutation_tables(draw):
 
 def term_context(pref_table, other_table):
     return context_from_values({"q": pref_table}, {"q": other_table}, {"q": 1.0})
+
+
+class TestCandidateTable:
+    @pytest.mark.parametrize(
+        "n, sizes, firsts",
+        [
+            (2, (1,), [((1, 0), ((0, 1),))]),
+            (3, (3, 2), [((1, 0, 2), ((0, 1),)), ((1, 2, 0), ((0, 1), (1, 2)))]),
+            (
+                4,
+                (6, 11, 6),
+                [
+                    ((1, 0, 2, 3), ((0, 1),)),
+                    ((1, 2, 0, 3), ((0, 1), (1, 2))),
+                    ((1, 2, 3, 0), ((0, 1), (1, 2), (2, 3))),
+                ],
+            ),
+        ],
+    )
+    def test_groups_by_swap_count_in_canonical_order(self, n, sizes, firsts):
+        groups = explain_module._candidates(n)
+        assert tuple(len(g) for g in groups) == sizes
+        assert [g[0] for g in groups] == firsts
+        for count, group in enumerate(groups, start=1):
+            assert all(len(swaps) == count for _, swaps in group)
+            assert [swaps for _, swaps in group] == sorted(swaps for _, swaps in group)
+
+    def test_swaps_rebuild_each_image(self):
+        # Applying the swaps in turn to the identity's weight slots must
+        # give each index j the weight of index image[j].
+        for n in (2, 3, 4):
+            for image, swaps in itertools.chain.from_iterable(explain_module._candidates(n)):
+                slots = list(range(n))
+                for a, b in swaps:
+                    slots[a], slots[b] = slots[b], slots[a]
+                assert tuple(slots) == image
 
 
 class TestPermutationSearchOracle:
