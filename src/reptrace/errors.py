@@ -17,10 +17,6 @@ class NumericalFailureError(ReptraceError):
     """A numeric routine produced a non-finite or out-of-bounds result."""
 
 
-class NotDominantError(ReptraceError):
-    """The dominance argument was requested for a non-dominating pair."""
-
-
 class MissingDiagnosticsError(ReptraceError):
     """A model-specific argument needs diagnostics absent from the context."""
 
@@ -34,13 +30,10 @@ class AmbiguousOrderError(NotPreferredError):
     """The two overall scores are equal within tolerance."""
 
 
-class InfeasibleTradeoffError(NotPreferredError):
-    """No pro has a positive weighted difference to cover the cons: the
-    preferred provider is better on no weighted term both have evidence on."""
-
-
 class UnknownAgentError(ReptraceError, KeyError):
-    """Rendering referenced an agent id with no display name."""
+    """An agent id names no known agent: rendering found no display name
+    for it, or a world has no such assessor (``World.require_agent``) or
+    provider (``World.require_provider``)."""
 
 
 class ConfigError(ReptraceError):

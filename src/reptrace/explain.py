@@ -3,9 +3,11 @@
 Given two assessments where one provider strictly outranks another, this
 module selects the minimal set of arguments that justifies the ranking:
 
-* a decisive-terms argument, either domination (better everywhere, with
-  the terms that matter most) or a trade-off (a minimal pro set whose
-  weighted advantage covers the unmentioned cons);
+* a decisive-terms argument, chosen by ``decisive_terms`` from one pass
+  over the terms both providers have a trust on: domination (better on
+  some of them and worse on none, with the terms that matter most) or
+  a trade-off (a minimal pro set whose weighted advantage covers the
+  unmentioned cons);
 * per decisive term, an optional weight-permutation argument showing that
   the component importance ordering was itself decisive;
 * model-specific arguments: ranking flips caused by recency weighting,
@@ -34,13 +36,7 @@ from .core import (
     total,
     weighted_mean,
 )
-from .errors import (
-    AmbiguousOrderError,
-    InfeasibleTradeoffError,
-    MissingDiagnosticsError,
-    NotDominantError,
-    NotPreferredError,
-)
+from .errors import AmbiguousOrderError, MissingDiagnosticsError, NotPreferredError
 from .fire import RECENCY_TYPES
 from .travos import TravosTermDiagnostics
 
@@ -177,95 +173,23 @@ class Explanation(NamedTuple):
     model: Optional[Model] = None
 
 
-def _compared_terms(ctx: ComparisonContext) -> list[Term]:
-    """Terms, in declaration order, with a trust value for both providers."""
-    return [
-        t
-        for t in ctx.preferences.terms
-        if ctx.preferred.term_trust(t) is not None
-        and ctx.other.term_trust(t) is not None
-    ]
-
-
-def _normalized_weights(ctx: ComparisonContext, terms: Sequence[Term]) -> dict[Term, float]:
-    den = total(ctx.preferences.term_weights[t] for t in terms)
-    if den <= 0:
-        raise NotPreferredError("all compared terms carry zero weight")
-    return {t: ctx.preferences.term_weights[t] / den for t in terms}
-
-
-def _weighted_differences(
-    ctx: ComparisonContext, terms: Sequence[Term]
-) -> tuple[dict[Term, float], dict[Term, float]]:
-    """Per-term absolute trust differences and their weighted versions."""
-    weights = _normalized_weights(ctx, terms)
-    deltas = {
-        t: abs(ctx.preferred.term_trust(t) - ctx.other.term_trust(t)) for t in terms
-    }
-    return deltas, {t: weights[t] * deltas[t] for t in terms}
-
-
-def dominates(ctx: ComparisonContext) -> bool:
-    """True iff the preferred provider is at least as good on every term
-    and strictly better on at least one."""
-    terms = _compared_terms(ctx)
-    any_better = False
-    for t in terms:
-        pv = ctx.preferred.term_trust(t)
-        ov = ctx.other.term_trust(t)
-        if pv < ov:
-            return False
-        if pv > ov:
-            any_better = True
-    return any_better
-
-
-def decisive_terms_dominance(ctx: ComparisonContext) -> DecisiveDominance:
-    """Domination argument: pros whose weighted difference beats the
-    equal-importance reference; falls back to the single largest."""
-    if not dominates(ctx):
-        raise NotDominantError(
-            f"{ctx.preferred.target} does not dominate {ctx.other.target}"
-        )
-    terms = _compared_terms(ctx)
-    deltas, weighted = _weighted_differences(ctx, terms)
-    reference = (1.0 / len(terms)) * (total(deltas.values()) / len(terms))
-    decl_index = {t: i for i, t in enumerate(terms)}
-    pros = [t for t in terms if weighted[t] > reference]
-    if not pros:
-        pros = [max(terms, key=lambda t: (weighted[t], -decl_index[t]))]
-    pros.sort(key=lambda t: (-weighted[t], decl_index[t]))
-    return DecisiveDominance(
-        pros=tuple(pros), weighted_differences=weighted, reference=reference
-    )
-
-
-def decisive_terms_tradeoff(ctx: ComparisonContext) -> DecisiveTradeoff:
+def decisive_terms_tradeoff(
+    pros: Sequence[Term], cons: Sequence[Term], weighted: Mapping[Term, float]
+) -> Optional[DecisiveTradeoff]:
     """Trade-off argument selection by one sort-and-prefix rule.
 
-    Pros and cons are each ordered by weighted difference, largest first,
-    ties to the earlier-declared term. If some prefix of the pros outweighs
-    every con, the shortest such prefix is the answer and no con is
-    mentioned. Otherwise the answer is the top pro plus the fewest largest
-    cons that leave less than it unmentioned. This is the pair an exhaustive
-    search over all (pro subset, con subset) pairs picks: no mentioned cons
-    first, then fewest pros, fewest cons, largest selected total and
-    declaration order. Each cover test is exact: the sign of one correctly
-    rounded ``math.fsum``, so ties never depend on float summation order.
+    ``pros`` and ``cons`` come from ``decisive_terms``, each ordered by
+    weighted difference, largest first, ties to the earlier-declared term.
+    If some prefix of the pros outweighs every con, the shortest such
+    prefix is the answer and no con is mentioned. Otherwise the answer is
+    the top pro plus the fewest largest cons that leave less than it
+    unmentioned, or None when even all the cons leave it nothing to cover.
+    This is the pair an exhaustive search over all (pro subset, con
+    subset) pairs picks: no mentioned cons first, then fewest pros, fewest
+    cons, largest selected total and declaration order. Each cover test is
+    exact: the sign of one correctly rounded ``math.fsum``, so ties never
+    depend on float summation order.
     """
-    terms = _compared_terms(ctx)
-    _, weighted = _weighted_differences(ctx, terms)
-
-    def largest_first(pool):
-        # Terms come in declaration order and sorted() is stable.
-        return sorted(pool, key=lambda t: -weighted[t])
-
-    pros = largest_first(
-        t for t in terms if ctx.preferred.term_trust(t) > ctx.other.term_trust(t)
-    )
-    cons = largest_first(
-        t for t in terms if ctx.preferred.term_trust(t) < ctx.other.term_trust(t)
-    )
 
     def covers(n_pros: int, n_cons: int) -> bool:
         """Do the top n_pros pros outweigh all but the top n_cons cons?"""
@@ -283,16 +207,64 @@ def decisive_terms_tradeoff(ctx: ComparisonContext) -> DecisiveTradeoff:
             return DecisiveTradeoff(
                 pros=tuple(pros[:1]), cons=tuple(cons[:m]), weighted_differences=weighted
             )
-    raise InfeasibleTradeoffError(
-        f"{ctx.preferred.target} is better than {ctx.other.target} on no "
-        "weighted term both have evidence on"
-    )
+    return None
 
 
 def decisive_terms(ctx: ComparisonContext) -> DecisiveDominance | DecisiveTradeoff:
-    if dominates(ctx):
-        return decisive_terms_dominance(ctx)
-    return decisive_terms_tradeoff(ctx)
+    """The decisive-terms argument, from one comparison of the providers.
+
+    The compared terms are the declared terms on which both providers
+    have a term trust, in declaration order; each provider's term trust
+    is read once per term. A compared term's weighted difference is the
+    absolute difference of the two trusts times the term's weight over
+    the compared terms' weight sum. The pros are the terms on which the
+    preferred provider is better, the cons those on which it is worse,
+    each ordered by weighted difference, largest first, ties to the
+    earlier-declared term.
+
+    Pros and no cons is domination: the argument names the pros whose
+    weighted difference exceeds the equal-importance reference, 1/|T|
+    times the mean absolute difference over the |T| compared terms, or
+    failing that the compared term with the largest weighted difference,
+    the earliest declared among equals. Otherwise ``decisive_terms_tradeoff``
+    picks the trade-off. Raises NotPreferredError when the compared terms
+    carry no weight, or when no pro outweighs what it leaves unmentioned.
+    """
+    weights = ctx.preferences.term_weights
+    trusts = [
+        (t, ctx.preferred.term_trust(t), ctx.other.term_trust(t))
+        for t in ctx.preferences.terms
+    ]
+    trusts = [(t, pv, ov) for t, pv, ov in trusts if pv is not None and ov is not None]
+    den = total([weights[t] for t, _, _ in trusts])
+    if den <= 0:
+        raise NotPreferredError("all compared terms carry zero weight")
+    deltas = [abs(pv - ov) for _, pv, ov in trusts]
+    weighted = {t: weights[t] / den * d for (t, _, _), d in zip(trusts, deltas)}
+
+    def largest_first(pool):
+        # Terms come in declaration order and sorted() is stable.
+        return sorted(pool, key=lambda t: -weighted[t])
+
+    pros = largest_first(t for t, pv, ov in trusts if pv > ov)
+    cons = largest_first(t for t, pv, ov in trusts if pv < ov)
+    if pros and not cons:
+        n = len(trusts)
+        reference = (1.0 / n) * (total(deltas) / n)
+        decisive = [t for t in pros if weighted[t] > reference]
+        # max() keeps the first of equal maxima, in declaration order.
+        return DecisiveDominance(
+            pros=tuple(decisive or [max(weighted, key=weighted.__getitem__)]),
+            weighted_differences=weighted,
+            reference=reference,
+        )
+    tradeoff = decisive_terms_tradeoff(pros, cons, weighted)
+    if tradeoff is None:
+        raise NotPreferredError(
+            f"{ctx.preferred.target} is better than {ctx.other.target} on no "
+            "weighted term both have evidence on"
+        )
+    return tradeoff
 
 
 def _component_table(

@@ -378,6 +378,41 @@ MUTANTS = (
         "PERMUTATION_BOUND_MARGIN = 0.0",
         ("tests/test_explain.py::TestPermutationSearchOracle::test_bound_within_margin_enumerates",),
     ),
+    Mutant(
+        "explain: a weighted difference equal to the reference is decisive",
+        "explain.py",
+        "weighted[t] > reference",
+        "weighted[t] >= reference",
+        ("tests/test_explain.py::TestDominance::test_fallback_when_everything_is_average",),
+    ),
+    Mutant(
+        "explain: pros that only tie the unmentioned cons cover them",
+        "explain.py",
+        "        ) > 0\n",
+        "        ) >= 0\n",
+        ("tests/test_explain.py::TestTradeoff::test_cover_test_is_exact",),
+    ),
+    Mutant(
+        "explain: pros with cons count as domination",
+        "explain.py",
+        "if pros and not cons:",
+        "if pros:",
+        ("tests/test_explain.py::TestDominates",),
+    ),
+    Mutant(
+        "travos: an interaction confidence equal to the threshold is low",
+        "travos.py",
+        "low_confidence = conf < config.confidence_threshold",
+        "low_confidence = conf <= config.confidence_threshold",
+        ("tests/test_travos.py::TestAssessTerm::test_confidence_at_the_threshold_is_not_low",),
+    ),
+    Mutant(
+        "explain: overall scores exactly the tolerance apart are ordered",
+        "explain.py",
+        "abs(po - oo) <= ORDER_TOL",
+        "abs(po - oo) < ORDER_TOL",
+        ("tests/test_explain.py::TestExplain::test_scores_the_tolerance_apart_are_tied",),
+    ),
 )
 
 

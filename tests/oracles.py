@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the library's own code paths: masses
 come from adaptive quadrature over the raw density, subset and permutation
-searches are separate exhaustive enumerations, moment checks recompute
+searches are separate exhaustive enumerations, the decisive-terms argument
+is rebuilt from the two providers' term trusts, moment checks recompute
 beta moments from first principles, the stores are plain lists
 scanned on every query, witness copies are inserted one at a time,
 documents are checked by jsonschema, an assessment's term and overall
@@ -15,6 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from fractions import Fraction
 
 import jsonschema
 from scipy.integrate import quad
@@ -24,6 +26,8 @@ from reptrace import fire, travos
 from reptrace.core import REPUTATION_ORDER, Rating, ReputationType
 from reptrace.explain import (
     ComparisonContext,
+    DecisiveDominance,
+    DecisiveTradeoff,
     FireDiagnostics,
     Model,
     TravosDiagnostics,
@@ -112,6 +116,53 @@ def tradeoff_oracle(
     p_sel, c_sel = best
     order = lambda ts: tuple(sorted(ts, key=lambda t: (-weighted[t], decl[t])))
     return order(p_sel), order(c_sel)
+
+
+def decisive_terms_oracle(ctx: ComparisonContext):
+    """The decisive-terms argument by the README's rules, or None.
+
+    The compared terms are the declared terms both providers have a term
+    trust on; a term's weighted difference is its absolute trust
+    difference times its weight over the compared weights' sum, added
+    left to right. Better on some compared term and worse on none is
+    domination: it names the pros whose weighted difference exceeds the
+    reference, 1/|T| times the mean absolute difference, otherwise the
+    single largest pro, the earliest declared among equals. Anything else
+    is a trade-off, picked by ``tradeoff_oracle`` over the exact values of
+    the weighted differences; None when there is none to pick or no
+    compared term carries weight.
+    """
+    pref = {t: ctx.preferred.term_trust(t) for t in ctx.preferences.terms}
+    other = {t: ctx.other.term_trust(t) for t in ctx.preferences.terms}
+    terms = [t for t in ctx.preferences.terms if pref[t] is not None and other[t] is not None]
+    den = 0.0
+    for t in terms:
+        den += ctx.preferences.term_weights[t]
+    if not den > 0:
+        return None
+    weighted = {
+        t: ctx.preferences.term_weights[t] / den * abs(pref[t] - other[t]) for t in terms
+    }
+    pros = [t for t in terms if pref[t] > other[t]]
+    cons = [t for t in terms if pref[t] < other[t]]
+    decl = {t: i for i, t in enumerate(terms)}
+    if pros and not cons:
+        delta_sum = 0.0
+        for t in terms:
+            delta_sum += abs(pref[t] - other[t])
+        reference = (1.0 / len(terms)) * (delta_sum / len(terms))
+        named = [t for t in pros if weighted[t] > reference]
+        if not named:
+            named = [max(pros, key=lambda t: (weighted[t], -decl[t]))]
+        named.sort(key=lambda t: (-weighted[t], decl[t]))
+        return DecisiveDominance(
+            pros=tuple(named), weighted_differences=weighted, reference=reference
+        )
+    exact = {t: Fraction(w) for t, w in weighted.items()}
+    picked = tradeoff_oracle(pros, cons, exact, terms)
+    if picked is None:
+        return None
+    return DecisiveTradeoff(pros=picked[0], cons=picked[1], weighted_differences=weighted)
 
 
 def any_inverting_permutation(

@@ -18,9 +18,8 @@ from reptrace.core import ComponentTrust, Preferences, ReputationType, build_ass
 from reptrace.explain import (
     ComparisonContext,
     DecisiveDominance,
-    decisive_terms_dominance,
-    decisive_terms_tradeoff,
-    dominates,
+    DecisiveTradeoff,
+    decisive_terms,
     explain,
     fire_recency_global,
     invert_permutation,
@@ -65,8 +64,7 @@ def test_criterion_1_running_example_reproduction():
 
 def test_criterion_2_domination_example():
     ctx = fixture.comparison("B", "C")
-    assert dominates(ctx)
-    arg = decisive_terms_dominance(ctx)
+    arg = decisive_terms(ctx)
     assert isinstance(arg, DecisiveDominance)
     assert abs(arg.reference - 0.139) <= 0.001
     assert set(arg.pros) == {"quality", "timeliness"}
@@ -77,8 +75,8 @@ def test_criterion_2_domination_example():
 
 def test_criterion_3_tradeoff_example():
     ctx = fixture.comparison("B", "D")
-    assert not dominates(ctx)
-    arg = decisive_terms_tradeoff(ctx)
+    arg = decisive_terms(ctx)
+    assert isinstance(arg, DecisiveTradeoff)
     assert arg.pros == ("quality",)
     assert arg.cons == ()
     oracle = tradeoff_oracle(
@@ -167,9 +165,11 @@ def test_criterion_6_tradeoff_minimality_suite():
                 preferences=ctx.preferences,
             )
             po, oo = oo, po
-        if abs(po - oo) <= 1e-9 or dominates(ctx):
+        if abs(po - oo) <= 1e-9:
             continue
-        arg = decisive_terms_tradeoff(ctx)
+        arg = decisive_terms(ctx)
+        if isinstance(arg, DecisiveDominance):
+            continue
         pros_pool = [
             t for t in terms if ctx.preferred.term_trust(t) > ctx.other.term_trust(t)
         ]

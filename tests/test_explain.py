@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import any_inverting_permutation, permutation_oracle, tradeoff_oracle
+from oracles import (
+    any_inverting_permutation,
+    decisive_terms_oracle,
+    permutation_oracle,
+    tradeoff_oracle,
+)
 import reptrace
 import reptrace.explain as explain_module
 from reptrace import fixture
@@ -23,7 +28,6 @@ from reptrace.core import (
 from reptrace.errors import (
     AmbiguousOrderError,
     MissingDiagnosticsError,
-    NotDominantError,
     NotPreferredError,
 )
 from reptrace.explain import (
@@ -37,9 +41,8 @@ from reptrace.explain import (
     TravosDiagnostics,
     TravosLowConfidence,
     TypePermutation,
-    decisive_terms_dominance,
+    decisive_terms,
     decisive_terms_tradeoff,
-    dominates,
     explain,
     fire_recency_global,
     fire_recency_local,
@@ -87,38 +90,47 @@ def context_from_values(
     )
 
 
+def decisive(ctx, kind):
+    """``decisive_terms(ctx)``, which must be a ``kind`` argument."""
+    arg = decisive_terms(ctx)
+    assert isinstance(arg, kind), arg
+    return arg
+
+
 class TestDominates:
     def test_running_example_pairs(self):
-        assert dominates(fixture.comparison("B", "C"))
-        assert not dominates(fixture.comparison("B", "D"))
+        decisive(fixture.comparison("B", "C"), DecisiveDominance)
+        decisive(fixture.comparison("B", "D"), DecisiveTradeoff)
 
     def test_identical_term_trusts(self):
+        # No pro and no con: neither domination nor a trade-off.
         ctx = context_from_values({"q": 0.5}, {"q": 0.5}, {"q": 1.0})
-        assert not dominates(ctx)
+        with pytest.raises(NotPreferredError, match="better than b2 on no weighted term"):
+            decisive_terms(ctx)
 
     def test_ties_allowed(self):
         ctx = context_from_values(
             {"q": 0.5, "t": 0.7}, {"q": 0.5, "t": 0.6}, {"q": 0.5, "t": 0.5}
         )
-        assert dominates(ctx)
+        decisive(ctx, DecisiveDominance)
 
 
 class TestDominance:
     def test_running_example(self):
-        arg = decisive_terms_dominance(fixture.comparison("B", "C"))
+        arg = decisive(fixture.comparison("B", "C"), DecisiveDominance)
         assert arg.pros == ("quality", "timeliness")
         assert arg.reference == pytest.approx(0.139, abs=0.001)
         assert arg.weighted_differences["quality"] == pytest.approx(0.28125, abs=1e-9)
         assert arg.weighted_differences["timeliness"] == pytest.approx(0.14, abs=1e-9)
         assert arg.weighted_differences["cost"] == pytest.approx(0.045, abs=1e-9)
 
-    def test_not_dominant_rejected(self):
-        with pytest.raises(NotDominantError):
-            decisive_terms_dominance(fixture.comparison("B", "D"))
+    def test_non_dominating_pair_gets_tradeoff(self):
+        arg = decisive(fixture.comparison("B", "D"), DecisiveTradeoff)
+        assert arg.pros == ("quality",)
 
     def test_single_term(self):
         ctx = context_from_values({"q": 0.9}, {"q": 0.1}, {"q": 1.0})
-        arg = decisive_terms_dominance(ctx)
+        arg = decisive(ctx, DecisiveDominance)
         assert arg.pros == ("q",)
 
     def test_fallback_when_everything_is_average(self):
@@ -127,7 +139,7 @@ class TestDominance:
         ctx = context_from_values(
             {"q": 0.6, "t": 0.6}, {"q": 0.4, "t": 0.4}, {"q": 0.5, "t": 0.5}
         )
-        arg = decisive_terms_dominance(ctx)
+        arg = decisive(ctx, DecisiveDominance)
         assert arg.pros == ("q",)
 
     @pytest.mark.parametrize(
@@ -140,7 +152,7 @@ class TestDominance:
             {"q": 0.75, "t": 0.75, "c": 0.5}, {"q": 0.25, "t": 0.25, "c": 0.5},
             {term: 1.0 for term in declared},
         )
-        assert decisive_terms_dominance(above).pros == tuple(
+        assert decisive(above, DecisiveDominance).pros == tuple(
             t for t in declared if t != "c"
         )
         # All three tie at the reference, so the single-largest fallback
@@ -149,7 +161,7 @@ class TestDominance:
             {"q": 0.75, "t": 0.75, "c": 0.75}, {"q": 0.25, "t": 0.25, "c": 0.25},
             {term: 1.0 for term in declared},
         )
-        assert decisive_terms_dominance(fallback).pros == declared[:1]
+        assert decisive(fallback, DecisiveDominance).pros == declared[:1]
 
     def test_delta_scale_invariance(self):
         # Scaling every difference by a constant keeps the selection.
@@ -161,12 +173,15 @@ class TestDominance:
             {"q": 0.6, "t": 0.525, "c": 0.51}, {"q": 0.4, "t": 0.5, "c": 0.5},
             {"q": 0.2, "t": 0.5, "c": 0.3},
         )
-        assert decisive_terms_dominance(base).pros == decisive_terms_dominance(shrunk).pros
+        assert (
+            decisive(base, DecisiveDominance).pros
+            == decisive(shrunk, DecisiveDominance).pros
+        )
 
 
 class TestTradeoff:
     def test_running_example(self):
-        arg = decisive_terms_tradeoff(fixture.comparison("B", "D"))
+        arg = decisive(fixture.comparison("B", "D"), DecisiveTradeoff)
         assert arg.pros == ("quality",)
         assert arg.cons == ()
 
@@ -179,7 +194,7 @@ class TestTradeoff:
             {"p1": 0.50, "p2": 0.50, "c1": 0.50},
             {"p1": 1.0, "p2": 1.0, "c1": 1.0},
         )
-        arg = decisive_terms_tradeoff(ctx)
+        arg = decisive(ctx, DecisiveTradeoff)
         oracle = tradeoff_oracle(
             ["p1", "p2"],
             ["c1"],
@@ -191,8 +206,8 @@ class TestTradeoff:
         assert arg.cons == ()
 
     def test_sum_condition_holds(self):
-        arg = decisive_terms_tradeoff(fixture.comparison("B", "E"))
         ctx = fixture.comparison("B", "E")
+        arg = decisive(ctx, DecisiveTradeoff)
         unmentioned = [
             t
             for t in fixture.TERMS
@@ -213,9 +228,11 @@ class TestTradeoff:
             other = {t: float(rng.uniform(0, 1)) for t in terms}
             ctx = context_from_values(pref, other, weights)
             po, oo = ctx.preferred.overall, ctx.other.overall
-            if po is None or oo is None or po <= oo or dominates(ctx):
+            if po is None or oo is None or po <= oo:
                 continue
-            arg = decisive_terms_tradeoff(ctx)
+            arg = decisive_terms(ctx)
+            if isinstance(arg, DecisiveDominance):
+                continue
             pros_pool = [t for t in terms if pref[t] > other[t]]
             cons_pool = [t for t in terms if pref[t] < other[t]]
             oracle = tradeoff_oracle(
@@ -238,14 +255,16 @@ class TestTradeoff:
                 del (other if rng.uniform() < 0.5 else pref)[t]
             ctx = context_from_values(pref, other, weights)
             po, oo = ctx.preferred.overall, ctx.other.overall
-            if po is None or oo is None or po <= oo or dominates(ctx):
+            if po is None or oo is None or po <= oo:
                 continue
             compared = [t for t in terms if t in pref and t in other]
             pros_pool = [t for t in compared if pref[t] > other[t]]
             cons_pool = [t for t in compared if pref[t] < other[t]]
             if not pros_pool:
                 continue
-            arg = decisive_terms_tradeoff(ctx)
+            arg = decisive_terms(ctx)
+            if isinstance(arg, DecisiveDominance):
+                continue
             oracle = tradeoff_oracle(
                 pros_pool, cons_pool, arg.weighted_differences, compared
             )
@@ -265,8 +284,7 @@ class TestTradeoff:
         other = {t: 0.5 for t in pref if t != "solo"}
         ctx = context_from_values(pref, other, {t: 1.0 for t in pref})
         assert ctx.preferred.overall > ctx.other.overall
-        assert not dominates(ctx)
-        arg = decisive_terms_tradeoff(ctx)
+        arg = decisive(ctx, DecisiveTradeoff)
         oracle = tradeoff_oracle(
             ["p0", "p1", "p2"],
             [f"c{i}" for i in range(len(cons_deltas))],
@@ -284,20 +302,20 @@ class TestTradeoff:
             {"x": 0.5, "y": 0.25, "c": 0.625},
             {"x": 1.0, "y": 1.0, "c": 1.0},
         )
-        assert decisive_terms_tradeoff(ctx).pros == ("x",)
+        assert decisive(ctx, DecisiveTradeoff).pros == ("x",)
         ctx = context_from_values(
             {"x": 0.75, "y": 0.5, "c": 0.5},
             {"x": 0.5, "y": 0.25, "c": 0.625},
             {"y": 1.0, "x": 1.0, "c": 1.0},
         )
-        assert decisive_terms_tradeoff(ctx).pros == ("y",)
+        assert decisive(ctx, DecisiveTradeoff).pros == ("y",)
         # Equal cons: the earlier-declared one is mentioned.
         ctx = context_from_values(
             {"solo": 1.0, "p": 0.875, "c1": 0.25, "c2": 0.25},
             {"p": 0.5, "c1": 0.5, "c2": 0.5},
             {"solo": 1.0, "p": 1.0, "c1": 1.0, "c2": 1.0},
         )
-        arg = decisive_terms_tradeoff(ctx)
+        arg = decisive(ctx, DecisiveTradeoff)
         assert (arg.pros, arg.cons) == (("p",), ("c1",))
 
     def test_cover_test_is_exact(self):
@@ -310,7 +328,7 @@ class TestTradeoff:
             {"p": 0.0, "c_big": 0.5, "c_small": 2.0**-56},
             {"solo": 1.0, "p": 1.0, "c_big": 1.0, "c_small": 2.0},
         )
-        arg = decisive_terms_tradeoff(ctx)
+        arg = decisive(ctx, DecisiveTradeoff)
         exact = {t: Fraction(w) for t, w in arg.weighted_differences.items()}
         oracle = tradeoff_oracle(["p"], ["c_big", "c_small"], exact, list(ctx.other.per_term))
         assert (arg.pros, arg.cons) == oracle == (("p",), ("c_big", "c_small"))
@@ -321,10 +339,71 @@ class TestTradeoff:
             {"p1": 0.5, "p2": 0.0, "c": 0.5},
             {"solo": 1.0, "p1": 1.0, "p2": 1.0, "c": 2.0},
         )
-        arg = decisive_terms_tradeoff(ctx)
+        arg = decisive(ctx, DecisiveTradeoff)
         exact = {t: Fraction(w) for t, w in arg.weighted_differences.items()}
         oracle = tradeoff_oracle(["p1", "p2"], ["c"], exact, ["p1", "p2", "c"])
         assert (arg.pros, arg.cons) == oracle == (("p1", "p2"), ())
+
+
+    def test_no_cover_gives_none(self):
+        assert decisive_terms_tradeoff([], ["c"], {"c": 0.5}) is None
+        # A pro of zero weight outweighs nothing, whatever is mentioned.
+        assert decisive_terms_tradeoff(["p"], ["c"], {"p": 0.0, "c": 0.5}) is None
+
+    def test_called_through_the_module_global(self, monkeypatch):
+        # Tracers wrap the module attribute: every non-dominating pair
+        # must reach it, and a dominating one never does.
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return decisive_terms_tradeoff(*args)
+
+        monkeypatch.setattr(explain_module, "decisive_terms_tradeoff", counting)
+        decisive(fixture.comparison("B", "C"), DecisiveDominance)
+        assert calls == []
+        decisive(fixture.comparison("B", "D"), DecisiveTradeoff)
+        assert len(calls) == 1
+
+
+#: Multiples of 1/64 make equal trusts and equal differences common;
+#: values rounded to six places keep every nonzero difference far from
+#: underflow.
+DECISIVE_VALUES = st.one_of(
+    st.integers(0, 64).map(lambda k: k / 64),
+    st.floats(0.0, 1.0).map(lambda x: round(x, 6)),
+)
+
+
+@st.composite
+def decisive_contexts(draw):
+    """2-14 terms of positive weight, up to three of them with evidence on
+    one side only; about half the draws put the preferred provider ahead
+    or level on every term."""
+    terms = [f"t{i}" for i in range(draw(st.integers(2, 14)))]
+    weights = {t: draw(st.integers(1, 32)) / 8 for t in terms}
+    pref = {t: draw(DECISIVE_VALUES) for t in terms}
+    other = {t: draw(DECISIVE_VALUES) for t in terms}
+    if draw(st.booleans()):
+        for t in terms:
+            pref[t], other[t] = max(pref[t], other[t]), min(pref[t], other[t])
+    for t in draw(st.lists(st.sampled_from(terms), max_size=3, unique=True)):
+        del draw(st.sampled_from((pref, other)))[t]
+    return context_from_values(pref, other, weights)
+
+
+class TestDecisiveTermsOracle:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(decisive_contexts())
+    def test_matches_the_readme_rules(self, ctx):
+        expected = decisive_terms_oracle(ctx)
+        if expected is None:
+            with pytest.raises(NotPreferredError):
+                decisive_terms(ctx)
+            return
+        arg = decisive_terms(ctx)
+        assert type(arg) is type(expected)
+        assert arg == expected
 
 
 class TestInvertPermutation:
@@ -781,6 +860,14 @@ class TestExplain:
         ctx = context_from_values({"q": 0.5}, {"q": 0.5}, {"q": 1.0})
         with pytest.raises(AmbiguousOrderError):
             explain(ctx)
+
+    def test_scores_the_tolerance_apart_are_tied(self):
+        ctx = context_from_values({"q": 1e-9}, {"q": 0.0}, {"q": 1.0})
+        assert ctx.preferred.overall - ctx.other.overall == explain_module.ORDER_TOL
+        with pytest.raises(AmbiguousOrderError):
+            explain(ctx)
+        ctx = context_from_values({"q": 2e-9}, {"q": 0.0}, {"q": 1.0})
+        assert isinstance(explain(ctx).arguments[0], DecisiveDominance)
 
     def test_deterministic(self):
         a = explain(fixture.comparison("B", "C"))

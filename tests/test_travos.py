@@ -354,6 +354,20 @@ class TestAssessTerm:
         assert res.low_confidence
         assert res.interaction_confidence == pytest.approx(0.1, abs=1e-9)
 
+    def test_confidence_at_the_threshold_is_not_low(self):
+        # Two successes and a failure give Beta(3, 2), whose mass within
+        # 0.2 of its mean is 0.6400000000000002: a threshold of exactly
+        # that value is met, and one a float step above it is not.
+        store = RatingStore("a")
+        for ts, value in enumerate((0.9, 0.2, 0.8)):
+            store.insert(rating(value, ts=ts))
+        at = 0.6400000000000002
+        for threshold, low in ((at, False), (math.nextafter(at, 1.0), True)):
+            config = make_config(epsilon=0.2, confidence_threshold=threshold)
+            res = assess_term(store, ObservationStore(), "a", "b", "q", config)
+            assert res.interaction_confidence == at
+            assert res.low_confidence is low
+
     def test_witness_pipeline_and_recombination(self):
         store = RatingStore("a")
         store.insert(rating(1.0, ts=0))  # one own success: low confidence
