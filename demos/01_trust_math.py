@@ -16,8 +16,8 @@ def main():
     print("Role-rule values on the bipolar scale [-1, 1] are mapped to [0, 1].")
     for raw in (-1.0, 0.0, 0.6, 1.0):
         rule = RoleRule("buyer", "courier", "quality", likelihood=1.0, expected_value=raw)
-        [pseudo] = role_pseudo_ratings([rule], ("buyer",), ("courier",), "quality")
-        print(f"  bipolar {raw:+.1f}  ->  {pseudo.value:.2f}")
+        [(value, _)] = role_pseudo_ratings([rule], ("buyer",), ("courier",), "quality")
+        print(f"  bipolar {raw:+.1f}  ->  {value:.2f}")
     print()
 
     print("Component trusts combine into a term trust by weighted mean.")

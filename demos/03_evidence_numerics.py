@@ -10,7 +10,6 @@ accuracy.
 
 from reptrace.travos import (
     BetaParams,
-    WitnessOpinion,
     combine_evidence,
     confidence,
     decomposition_weights,
@@ -28,7 +27,7 @@ def main():
     print()
 
     print("A witness holding 9 successes and 1 failure reports opinion 0.833.")
-    opinion = WitnessOpinion("w", "p", "quality", BetaParams(10, 2))
+    opinion = BetaParams(10, 2)
     print("Its weight depends on how its past opinions in the same range")
     print("turned out for us:")
     histories = {

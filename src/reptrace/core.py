@@ -17,8 +17,6 @@ import math
 from enum import Enum
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .errors import OutOfRangeError
-
 AgentId = str
 Term = str
 
@@ -75,7 +73,7 @@ class Rating(_RatingFields):
         if not source or not target or not term:
             raise ValueError("source, target and term must be non-empty")
         if not 0.0 <= value <= 1.0:
-            raise OutOfRangeError(f"rating value {value!r} outside [0, 1]")
+            raise ValueError(f"rating value {value!r} outside [0, 1]")
         if timestamp < 0:
             raise ValueError("timestamp must be a non-negative round index")
         return tuple.__new__(
@@ -157,7 +155,7 @@ class ComponentTrust(_ComponentTrustFields):
             if weight != 0.0:
                 raise ValueError("absent component value requires zero weight")
         elif not 0.0 <= value <= 1.0:
-            raise OutOfRangeError(f"component trust {value!r} outside [0, 1]")
+            raise ValueError(f"component trust {value!r} outside [0, 1]")
         if weight < 0:
             raise ValueError("component weight must be non-negative")
         return tuple.__new__(cls, (rep_type, value, weight))

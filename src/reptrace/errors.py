@@ -1,33 +1,18 @@
-"""Exception hierarchy shared by all reptrace modules."""
+"""Exception hierarchy shared by all reptrace modules. The command line
+exits 4 on ``NotPreferredError`` and 2 on ``ConfigError``,
+``UnknownAgentError`` and ``ValueError``, which out-of-range values, bad
+bins, failed numeric routines and missing diagnostics raise."""
 
 
 class ReptraceError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class OutOfRangeError(ReptraceError, ValueError):
-    """A trust value lies outside its range."""
-
-
-class BadBinError(ReptraceError, ValueError):
-    """An opinion bin index is outside 1..bins."""
-
-
-class NumericalFailureError(ReptraceError):
-    """A numeric routine produced a non-finite or out-of-bounds result."""
-
-
-class MissingDiagnosticsError(ReptraceError):
-    """A model-specific argument needs diagnostics absent from the context."""
-
-
 class NotPreferredError(ReptraceError):
-    """The allegedly preferred provider does not strictly outrank the other,
-    or the evidence both share gives no reason why it does."""
-
-
-class AmbiguousOrderError(NotPreferredError):
-    """The two overall scores are equal within tolerance."""
+    """The allegedly preferred provider does not strictly outrank the other:
+    the two overall scores are tied within tolerance (the message says
+    "are tied"), or the other one ranks higher, or the evidence both
+    share gives no reason why it does."""
 
 
 class UnknownAgentError(ReptraceError, KeyError):

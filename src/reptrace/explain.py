@@ -36,11 +36,11 @@ from .core import (
     total,
     weighted_mean,
 )
-from .errors import AmbiguousOrderError, MissingDiagnosticsError, NotPreferredError
+from .errors import NotPreferredError
 from .fire import RECENCY_TYPES
 from .travos import TravosTermDiagnostics
 
-#: Two overall scores closer than this are treated as an ambiguous order.
+#: Two overall scores at most this far apart are tied.
 ORDER_TOL = 1e-9
 
 #: Bounds nothing in this package: ``perfbench/workloads.py`` reads it to
@@ -426,9 +426,7 @@ def invert_permutation(
 
 def _require_fire_diagnostics(ctx: ComparisonContext) -> FireDiagnostics:
     if ctx.fire_diagnostics is None:
-        raise MissingDiagnosticsError(
-            "recency arguments need uniform-weight baseline assessments"
-        )
+        raise ValueError("recency arguments need uniform-weight baseline assessments")
     return ctx.fire_diagnostics
 
 
@@ -479,7 +477,7 @@ def travos_low_confidence(
 ) -> Optional[TravosLowConfidence]:
     """Argument emitted when witnesses decided a term under low confidence."""
     if ctx.travos_diagnostics is None:
-        raise MissingDiagnosticsError(
+        raise ValueError(
             "low-confidence arguments need interaction confidences and witness trusts"
         )
     diag = ctx.travos_diagnostics
@@ -512,7 +510,7 @@ def _check_order(ctx: ComparisonContext) -> None:
     if po is None or oo is None:
         raise NotPreferredError("cannot explain a comparison with missing overall scores")
     if abs(po - oo) <= ORDER_TOL:
-        raise AmbiguousOrderError(
+        raise NotPreferredError(
             f"{ctx.preferred.target} and {ctx.other.target} are tied "
             f"({po:.6f} vs {oo:.6f})"
         )

@@ -75,20 +75,14 @@ def _recency_weights(lambda_: float, now: int) -> dict[int, float]:
     return {}
 
 
-class PseudoRating(NamedTuple):
-    """Rule-derived evidence: a normalized value carrying its own weight."""
-
-    value: float
-    weight: float
-
-
 def role_pseudo_ratings(
     rules: Sequence[RoleRule],
     assessor_roles: Sequence[str],
     target_roles: Sequence[str],
     term: Term,
-) -> list[PseudoRating]:
-    """Instantiate matching role rules as weighted pseudo-ratings.
+) -> list[tuple[float, float]]:
+    """Instantiate matching role rules as pseudo-ratings, each a
+    ``(value, weight)`` pair as ``weighted_mean`` takes them.
 
     A rule's expected value in [-1, 1] maps affinely onto [0, 1], so -1,
     0 and 1 become 0, 0.5 and 1; its likelihood is the rating's weight.
@@ -98,11 +92,7 @@ def role_pseudo_ratings(
         if rule.term != term:
             continue
         if rule.role_a in assessor_roles and rule.role_b in target_roles:
-            out.append(
-                PseudoRating(
-                    value=(rule.expected_value + 1.0) / 2.0, weight=rule.likelihood
-                )
-            )
+            out.append(((rule.expected_value + 1.0) / 2.0, rule.likelihood))
     return out
 
 
@@ -112,7 +102,7 @@ def component_trust(
     importance: float,
     config: FireConfig,
     now: int,
-    role_evidence: Sequence[PseudoRating] = (),
+    role_evidence: Sequence[tuple[float, float]] = (),
     recency: bool = True,
 ) -> ComponentTrust:
     """Recency-weighted component trust (likelihood-weighted for roles).
@@ -124,7 +114,7 @@ def component_trust(
     is the component's importance.
     """
     if rep_type is ReputationType.ROLE_BASED:
-        value = weighted_mean([(p.value, p.weight) for p in role_evidence])
+        value = weighted_mean(role_evidence)
     elif recency:
         value = _recency_mean(ratings, config.lambda_, now)
     elif ratings:

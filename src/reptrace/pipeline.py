@@ -14,7 +14,7 @@ import json
 import math
 from collections.abc import Mapping
 from enum import Enum
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .core import AgentId, ComponentTrust, Preferences, Rating, ReputationType
 from .errors import ConfigError, UnknownAgentError
@@ -45,11 +45,6 @@ RANKING_SCHEMA = "reptrace/ranking/v1"
 EXPLANATION_SCHEMA = "reptrace/explanation/v1"
 
 
-class ProviderRef(NamedTuple):
-    id: AgentId
-    roles: tuple[str, ...] = ()
-
-
 class World:
     """Everything an assessment needs, detached from the generative model;
     ``witnesses`` maps agents to the witnesses their stores read."""
@@ -62,7 +57,7 @@ class World:
         fire: FireConfig,
         travos: TravosConfig,
         agents: tuple[AgentSpec, ...],
-        providers: tuple[ProviderRef, ...],
+        providers: tuple[AgentSpec, ...],
         role_rules: tuple[RoleRule, ...],
         rating_stores: dict[AgentId, RatingStore],
         observation_stores: dict[AgentId, ObservationStore],
@@ -110,7 +105,7 @@ def world_from_simulation(sim: SimulationWorld) -> World:
         fire=sc.fire,
         travos=sc.travos,
         agents=sc.agents,
-        providers=tuple(ProviderRef(id=p.id, roles=p.roles) for p in sc.providers),
+        providers=tuple(AgentSpec(id=p.id, roles=p.roles) for p in sc.providers),
         role_rules=sc.role_rules,
         rating_stores=sim.rating_stores,
         observation_stores=sim.observation_stores,
@@ -300,7 +295,7 @@ def world_from_document(doc: dict) -> World:
     return World(
         seed=int(doc["seed"]),
         providers=tuple(
-            ProviderRef(id=p["id"], roles=tuple(p.get("roles", ())))
+            AgentSpec(id=p["id"], roles=tuple(p.get("roles", ())))
             for p in doc["providers"]
         ),
         rating_stores=rating_stores,

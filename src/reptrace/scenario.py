@@ -32,8 +32,6 @@ from .validator import Violation, compile_schema
 #: Environment variable overriding the scenario seed.
 SEED_ENV_VAR = "REPTRACE_SEED"
 
-SCENARIO_SCHEMA_ID = "reptrace/scenario/v1"
-
 
 def load_schema(name: str) -> dict:
     """Read one of the shipped JSON schemas by file stem."""

@@ -17,7 +17,6 @@ import math
 from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .core import AgentId, Rating, ReputationType, Term
-from .errors import BadBinError
 
 
 def _content_key(rating: Rating):
@@ -211,15 +210,22 @@ class RoleRule(_RoleRuleFields):
 def bin_bounds(opinion_bin: int, bins: int) -> tuple[float, float]:
     """Half-open interval [lo, hi) of a bin; the last bin is closed at 1."""
     if not 1 <= opinion_bin <= bins:
-        raise BadBinError(f"bin {opinion_bin} outside 1..{bins}")
+        raise ValueError(f"bin {opinion_bin} outside 1..{bins}")
     return (opinion_bin - 1) / bins, opinion_bin / bins
 
 
 def bin_of(opinion_value: float, bins: int) -> int:
-    """1-based index of the bin containing an opinion value in [0, 1]."""
+    """1-based index of the bin whose ``bin_bounds`` interval holds an
+    opinion value in [0, 1]; where ``opinion_value * bins`` rounds across
+    an edge, the floor is one bin off and one step corrects it."""
     if not 0.0 <= opinion_value <= 1.0:
-        raise BadBinError(f"opinion value {opinion_value!r} outside [0, 1]")
-    return min(bins, int(math.floor(opinion_value * bins)) + 1)
+        raise ValueError(f"opinion value {opinion_value!r} outside [0, 1]")
+    b = min(bins, math.floor(opinion_value * bins) + 1)
+    if b < bins and opinion_value >= b / bins:
+        return b + 1
+    if opinion_value < (b - 1) / bins:
+        return b - 1
+    return b
 
 
 class ObservationStore:

@@ -31,7 +31,6 @@ from .core import (
     build_assessment,
     total,
 )
-from .errors import NumericalFailureError
 from .store import ObservationStore, RatingStore, bin_bounds, bin_of
 
 #: Standard deviation of the uniform prior Beta(1, 1).
@@ -105,15 +104,6 @@ class TravosConfig(_TravosConfigFields):
         if bins < 1:
             raise ValueError("bins must be positive")
         return tuple.__new__(cls, (epsilon, confidence_threshold, bins))
-
-
-class WitnessOpinion(NamedTuple):
-    """A witness's evidence counts about a target on one term."""
-
-    witness: AgentId
-    target: AgentId
-    term: Term
-    params: BetaParams
 
 
 def binarize_value(value: float) -> float:
@@ -191,7 +181,7 @@ def regularized_incomplete_beta(x: float, alpha: float, beta: float) -> float:
         else:
             result = 1.0 - front * _beta_continued_fraction(beta, alpha, 1.0 - x) / beta
     if not math.isfinite(result) or not -1e-12 <= result <= 1.0 + 1e-12:
-        raise NumericalFailureError(
+        raise ValueError(
             f"regularized incomplete beta failed for x={x}, a={alpha}, b={beta}"
         )
     return min(1.0, max(0.0, result))
@@ -249,8 +239,9 @@ def beta_from_moments(mean: float, std: float) -> BetaParams:
     return BetaParams(alpha, beta)
 
 
-def discount_opinion(opinion: WitnessOpinion, rho: float) -> BetaParams:
-    """Shrink a witness opinion toward the uniform prior by accuracy rho.
+def discount_opinion(opinion: BetaParams, rho: float) -> BetaParams:
+    """Shrink a witness's opinion, its evidence counts, toward the uniform
+    prior by accuracy rho.
 
     The opinion's expected value and standard deviation are moved linearly
     toward the uniform prior's (0.5 and sqrt(1/12)); the discounted
@@ -259,8 +250,8 @@ def discount_opinion(opinion: WitnessOpinion, rho: float) -> BetaParams:
     """
     if not 0.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [0, 1]")
-    e_bar = 0.5 + rho * (opinion.params.mean - 0.5)
-    s_bar = UNIFORM_STD + rho * (opinion.params.std - UNIFORM_STD)
+    e_bar = 0.5 + rho * (opinion.mean - 0.5)
+    s_bar = UNIFORM_STD + rho * (opinion.std - UNIFORM_STD)
     return beta_from_moments(e_bar, s_bar)
 
 
@@ -312,8 +303,9 @@ class TravosTermResult(NamedTuple):
 
 def gather_witness_opinions(
     rating_store: RatingStore, target: AgentId, term: Term
-) -> list[WitnessOpinion]:
-    """Build per-witness opinions from witness-type records about a target.
+) -> list[tuple[AgentId, BetaParams]]:
+    """Each witness's opinion of a target on one term, as ``(witness,
+    params)`` pairs in witness order, from the witness-type records.
 
     Each witness's records are binarized as ``binarized_beta`` does, counted
     in the one pass that groups them.
@@ -329,10 +321,7 @@ def gather_witness_opinions(
     opinions = []
     for witness in sorted(counts):
         n, successes = counts[witness]
-        params = BetaParams(1.0 + successes, 1.0 + (n - successes))
-        opinions.append(
-            WitnessOpinion(witness=witness, target=target, term=term, params=params)
-        )
+        opinions.append((witness, BetaParams(1.0 + successes, 1.0 + (n - successes))))
     return opinions
 
 
@@ -357,14 +346,14 @@ def assess_term(
 
     contributions: list[WitnessContribution] = []
     if low_confidence:
-        for opinion in gather_witness_opinions(rating_store, target, term):
-            opinion_bin = bin_of(opinion.params.mean, config.bins)
-            n, successes = obs_store.query(opinion.witness, term, opinion_bin, config.bins)
+        for witness, opinion in gather_witness_opinions(rating_store, target, term):
+            opinion_bin = bin_of(opinion.mean, config.bins)
+            n, successes = obs_store.query(witness, term, opinion_bin, config.bins)
             rho = witness_accuracy(n, successes, opinion_bin, config.bins)
             contributions.append(
                 WitnessContribution(
-                    witness=opinion.witness,
-                    opinion=opinion.params,
+                    witness=witness,
+                    opinion=opinion,
                     opinion_bin=opinion_bin,
                     accuracy=rho,
                     discounted=discount_opinion(opinion, rho),

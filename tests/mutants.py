@@ -176,7 +176,7 @@ MUTANTS = (
         "        if args not in memo:\n"
         "            try:\n"
         "                memo[args] = fn(*args)\n"
-        "            except NumericalFailureError:\n"
+        "            except ValueError:\n"
         "                memo[args] = math.nan\n"
         "                raise\n"
         "        return memo[args]\n"
@@ -412,6 +412,28 @@ MUTANTS = (
         "abs(po - oo) <= ORDER_TOL",
         "abs(po - oo) < ORDER_TOL",
         ("tests/test_explain.py::TestExplain::test_scores_the_tolerance_apart_are_tied",),
+    ),
+    Mutant(
+        "store: bin_of keeps the floor's bin when the value lies on a bin edge",
+        "store.py",
+        "    if b < bins and opinion_value >= b / bins:\n"
+        "        return b + 1\n"
+        "    if opinion_value < (b - 1) / bins:\n"
+        "        return b - 1\n",
+        "",
+        ("tests/test_store.py::TestObservationBins"
+         "::test_bin_of_agrees_with_bin_bounds_at_every_edge",
+         "tests/test_travos.py::TestAssessTerm"
+         "::test_opinion_on_a_bin_edge_reads_the_history_in_its_bin"),
+    ),
+    Mutant(
+        "explain: a tie is an invalid input, not an unpreferred provider",
+        "explain.py",
+        "        raise NotPreferredError(\n"
+        "            f\"{ctx.preferred.target} and {ctx.other.target} are tied \"",
+        "        raise ValueError(\n"
+        "            f\"{ctx.preferred.target} and {ctx.other.target} are tied \"",
+        ("tests/test_cli.py::TestExplain::test_tie_exits_four",),
     ),
 )
 

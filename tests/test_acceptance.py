@@ -26,7 +26,6 @@ from reptrace.explain import (
 )
 from reptrace.travos import (
     BetaParams,
-    WitnessOpinion,
     confidence,
     discount_opinion,
     regularized_incomplete_beta,
@@ -108,10 +107,9 @@ def test_criterion_5_travos_numerics():
         alpha = float(rng.uniform(1.0, 50.0))
         beta = float(rng.uniform(1.0, 50.0))
         p = BetaParams(alpha, beta)
-        op = WitnessOpinion("w", "b", "t", p)
-        zero = discount_opinion(op, 0.0)
+        zero = discount_opinion(p, 0.0)
         assert abs(zero.alpha - 1.0) <= 1e-9 and abs(zero.beta - 1.0) <= 1e-9
-        full = discount_opinion(op, 1.0)
+        full = discount_opinion(p, 1.0)
         assert abs(full.alpha - alpha) <= 1e-6 and abs(full.beta - beta) <= 1e-6
 
     grid = [

@@ -187,6 +187,20 @@ class TestExplain:
         ) == 4
         assert "outranks" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "model, score", [("fire", "0.782841"), ("travos", "0.667223")]
+    )
+    def test_tie_exits_four(self, stores_path, capsys, model, score):
+        assert main(
+            [
+                "explain", str(stores_path), "--model", model,
+                "--assessor", "alice", "--preferred", "steady", "--other", "steady",
+            ]
+        ) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: steady and steady are tied ({score} vs {score})\n"
+
 
 def _set_first_term_weight(doc, value):
     doc["terms"][next(iter(doc["terms"]))] = value

@@ -19,7 +19,6 @@ from reptrace.core import (
     total,
     weighted_mean,
 )
-from reptrace.errors import OutOfRangeError
 from reptrace.fire import role_pseudo_ratings
 from reptrace.store import RoleRule
 
@@ -36,8 +35,9 @@ def ct(rep_type, value, weight):
 def role_value(expected_value):
     """The pseudo-rating value FIRE derives from one matching role rule."""
     rule = RoleRule("buyer", "courier", "q", likelihood=1.0, expected_value=expected_value)
-    [pseudo] = role_pseudo_ratings([rule], ("buyer",), ("courier",), "q")
-    return pseudo.value
+    [(value, weight)] = role_pseudo_ratings([rule], ("buyer",), ("courier",), "q")
+    assert weight == rule.likelihood
+    return value
 
 
 class TestNormalize:
@@ -236,7 +236,7 @@ class TestTypes:
             ComponentTrust(rep_type=I, value=None, weight=0.5)
 
     def test_component_value_range(self):
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(ValueError, match=r"^component trust 1\.5 outside \[0, 1\]$"):
             ComponentTrust(rep_type=I, value=1.5, weight=1.0)
 
     def test_component_weight_non_negative(self):
@@ -245,7 +245,7 @@ class TestTypes:
         assert ComponentTrust(rep_type=I, value=0.5, weight=0.0).weight == 0.0
 
     def test_rating_validation(self):
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(ValueError, match=r"^rating value 1\.5 outside \[0, 1\]$"):
             Rating("a", "b", "t", I, value=1.5, timestamp=0)
         with pytest.raises(ValueError):
             Rating("", "b", "t", I, value=0.5, timestamp=0)

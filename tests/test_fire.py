@@ -17,7 +17,6 @@ from reptrace.core import (
 from reptrace import fire
 from reptrace.fire import (
     FireConfig,
-    PseudoRating,
     assess_provider,
     component_trust,
     recency_weight,
@@ -93,7 +92,7 @@ class TestComponentTrust:
         assert out.value == pytest.approx(0.5, abs=1e-12)
 
     def test_role_rules_weighted_by_likelihood(self):
-        pseudo = [PseudoRating(0.9, 0.8), PseudoRating(0.4, 0.2)]
+        pseudo = [(0.9, 0.8), (0.4, 0.2)]
         out = component_trust([], R, 0.25, config(), now=0, role_evidence=pseudo)
         assert out.value == pytest.approx(0.8, abs=1e-12)
 

@@ -11,8 +11,13 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import ObservationStoreOracle, RatingStoreOracle, content_key
 from reptrace.core import Rating, ReputationType
-from reptrace.errors import BadBinError, OutOfRangeError
-from reptrace.store import ObservationStore, RatingStore, bin_of, share_witness_evidence
+from reptrace.store import (
+    ObservationStore,
+    RatingStore,
+    bin_bounds,
+    bin_of,
+    share_witness_evidence,
+)
 
 I = ReputationType.INTERACTION
 W = ReputationType.WITNESS
@@ -48,9 +53,9 @@ INVALID_FIELDS = [
     (Rating, "source", "", ValueError, "source, target and term must be non-empty"),
     (Rating, "target", "", ValueError, "source, target and term must be non-empty"),
     (Rating, "term", "", ValueError, "source, target and term must be non-empty"),
-    (Rating, "value", 1.5, OutOfRangeError, "rating value 1.5 outside [0, 1]"),
-    (Rating, "value", -0.0625, OutOfRangeError, "rating value -0.0625 outside [0, 1]"),
-    (Rating, "value", math.nan, OutOfRangeError, "rating value nan outside [0, 1]"),
+    (Rating, "value", 1.5, ValueError, "rating value 1.5 outside [0, 1]"),
+    (Rating, "value", -0.0625, ValueError, "rating value -0.0625 outside [0, 1]"),
+    (Rating, "value", math.nan, ValueError, "rating value nan outside [0, 1]"),
     (Rating, "timestamp", -1, ValueError, "timestamp must be a non-negative round index"),
 ]
 
@@ -267,6 +272,22 @@ class TestObservationBins:
         assert bin_of(1.0, 5) == 5
         assert bin_of(0.0, 5) == 1
 
+    def test_bin_of_agrees_with_bin_bounds_at_every_edge(self):
+        # v * bins and the bounds k / bins round separately: 15/22 * 22
+        # rounds to 14.999999999999998, yet 15/22 is bin 16's lower bound.
+        assert bin_of(15 / 22, 22) == 16
+        for bins in range(1, 101):
+            for k in range(bins + 1):
+                v = k / bins
+                for _ in range(3):
+                    v = math.nextafter(v, -math.inf)
+                for _ in range(7):
+                    if 0.0 <= v <= 1.0:
+                        b = bin_of(v, bins)
+                        lo, hi = bin_bounds(b, bins)
+                        assert lo <= v < hi or (b == bins and v == hi), (v, bins, b)
+                    v = math.nextafter(v, math.inf)
+
     def test_bin_filtering(self):
         store = ObservationStore()
         store.add("w", "q", 0.60, 1, 1)
@@ -286,9 +307,9 @@ class TestObservationBins:
         assert ObservationStore().query("w", "q", 1, 5) == (0, 0)
 
     def test_bad_bin(self):
-        with pytest.raises(BadBinError):
+        with pytest.raises(ValueError, match=r"^bin 0 outside 1\.\.5$"):
             ObservationStore().query("w", "q", 0, 5)
-        with pytest.raises(BadBinError):
+        with pytest.raises(ValueError, match=r"^bin 6 outside 1\.\.5$"):
             ObservationStore().query("w", "q", 6, 5)
 
 

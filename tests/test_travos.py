@@ -10,14 +10,12 @@ from hypothesis import given, settings, strategies as st
 from oracles import beta_mass_quadrature, beta_mean_std
 from reptrace.core import Preferences, Rating, ReputationType
 from reptrace import travos
-from reptrace.errors import NumericalFailureError
 from reptrace.store import ObservationStore, RatingStore
 from reptrace.travos import (
     SUCCESS_THRESHOLD,
     BetaParams,
     TravosConfig,
     UNIFORM_STD,
-    WitnessOpinion,
     assess_provider,
     assess_term,
     beta_from_moments,
@@ -46,11 +44,6 @@ def rating(value, source="a", target="b", term="q", rep_type=I, ts=0, iid=None):
         timestamp=ts,
         interaction_id=iid,
     )
-
-
-def opinion(alpha, beta):
-    p = BetaParams(alpha, beta)
-    return WitnessOpinion(witness="w", target="b", term="q", params=p)
 
 
 params_strategy = st.tuples(
@@ -105,10 +98,7 @@ class TestGatherWitnessOpinions:
                     if (t, tm) == (target, term):
                         by_witness.setdefault(source, []).append(binarize_value(value))
                 expected = [
-                    WitnessOpinion(
-                        w, target, term,
-                        BetaParams(1.0 + sum(b), 1.0 + (len(b) - sum(b))),
-                    )
+                    (w, BetaParams(1.0 + sum(b), 1.0 + (len(b) - sum(b))))
                     for w, b in sorted(by_witness.items())
                 ]
                 assert gather_witness_opinions(store, target, term) == expected
@@ -202,7 +192,7 @@ class TestIncompleteBetaCache:
 
     def test_failure_is_raised_on_every_call(self):
         for _ in range(3):
-            with pytest.raises(NumericalFailureError):
+            with pytest.raises(ValueError, match="regularized incomplete beta failed"):
                 regularized_incomplete_beta(0.5, math.inf, 2.0)
 
 
@@ -224,15 +214,15 @@ class TestWitnessAccuracy:
 
 class TestDiscounting:
     def test_zero_accuracy_gives_uniform_prior(self):
-        p = discount_opinion(opinion(4, 2), 0.0)
+        p = discount_opinion(BetaParams(4, 2), 0.0)
         assert abs(p.alpha - 1.0) <= 1e-9 and abs(p.beta - 1.0) <= 1e-9
 
     def test_full_accuracy_roundtrips(self):
-        p = discount_opinion(opinion(4, 2), 1.0)
+        p = discount_opinion(BetaParams(4, 2), 1.0)
         assert abs(p.alpha - 4.0) <= 1e-6 and abs(p.beta - 2.0) <= 1e-6
 
     def test_half_accuracy_matches_moment_oracle(self):
-        source = opinion(4, 2)
+        source = BetaParams(4, 2)
         rho = 0.5
         p = discount_opinion(source, rho)
         mean, std = beta_mean_std(p.alpha, p.beta)
@@ -243,7 +233,7 @@ class TestDiscounting:
     @settings(max_examples=50, deadline=None)
     @given(params_strategy, st.floats(min_value=0.0, max_value=1.0))
     def test_discounted_mean_is_convex_toward_half(self, p, rho):
-        discounted = discount_opinion(opinion(p.alpha, p.beta), rho)
+        discounted = discount_opinion(p, rho)
         assert abs(discounted.mean - 0.5) <= abs(p.mean - 0.5) + 1e-9
 
     def test_degenerate_moments_clamp(self, caplog):
@@ -341,7 +331,7 @@ class TestAssessTerm:
 
     def test_formula_chain_with_perfect_witness(self):
         # Interaction prior only, one fully trusted witness holding (11, 1).
-        discounted = discount_opinion(opinion(11, 1), 1.0)
+        discounted = discount_opinion(BetaParams(11, 1), 1.0)
         combined = combine_evidence(BetaParams(1, 1), [discounted])
         assert abs(combined.mean - 12 / 14) <= 1e-6
 
@@ -367,6 +357,21 @@ class TestAssessTerm:
             res = assess_term(store, ObservationStore(), "a", "b", "q", config)
             assert res.interaction_confidence == at
             assert res.low_confidence is low
+
+    def test_opinion_on_a_bin_edge_reads_the_history_in_its_bin(self):
+        # The witness's opinion, 15/22, is the lower bound of bin 16 of
+        # 22; its history of that same opinion must count toward it.
+        store = RatingStore("a")
+        for ts in range(20):
+            store.insert(rating(1.0 if ts < 14 else 0.0, source="w", rep_type=W, ts=ts))
+        obs = ObservationStore()
+        obs.add("w", "q", 15 / 22, 6, 6)
+        config = make_config(epsilon=0.05, bins=22)
+        [contribution] = assess_term(store, obs, "a", "b", "q", config).witnesses
+        assert contribution.opinion.mean == 15 / 22
+        assert contribution.opinion_bin == 16
+        assert contribution.accuracy != witness_accuracy(0, 0, 16, 22)
+        assert contribution.accuracy == witness_accuracy(6, 6, 16, 22)
 
     def test_witness_pipeline_and_recombination(self):
         store = RatingStore("a")
