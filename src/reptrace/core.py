@@ -199,9 +199,9 @@ def total(values: Iterable[float]) -> float:
 
     Every float sum in the package goes through here, through
     ``weighted_mean`` or through FIRE's recency-weighted and uniform
-    means in ``fire.component_trust``, which add in the same order, so
-    the rounding is the same on every Python version: the built-in
-    ``sum`` compensates rounding from 3.12 on.
+    means, ``fire._recency_mean`` and ``fire._uniform_mean``, which add
+    in the same order, so the rounding is the same on every Python
+    version: the built-in ``sum`` compensates rounding from 3.12 on.
     """
     s = 0.0
     for v in values:

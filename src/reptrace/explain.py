@@ -225,8 +225,8 @@ def decisive_terms(ctx: ComparisonContext) -> DecisiveDominance | DecisiveTradeo
     Pros and no cons is domination: the argument names the pros whose
     weighted difference exceeds the equal-importance reference, 1/|T|
     times the mean absolute difference over the |T| compared terms, or
-    failing that the compared term with the largest weighted difference,
-    the earliest declared among equals. Otherwise ``decisive_terms_tradeoff``
+    failing that the pro with the largest weighted difference, the
+    earliest declared among equals. Otherwise ``decisive_terms_tradeoff``
     picks the trade-off. Raises NotPreferredError when the compared terms
     carry no weight, or when no pro outweighs what it leaves unmentioned.
     """
@@ -252,9 +252,8 @@ def decisive_terms(ctx: ComparisonContext) -> DecisiveDominance | DecisiveTradeo
         n = len(trusts)
         reference = (1.0 / n) * (total(deltas) / n)
         decisive = [t for t in pros if weighted[t] > reference]
-        # max() keeps the first of equal maxima, in declaration order.
         return DecisiveDominance(
-            pros=tuple(decisive or [max(weighted, key=weighted.__getitem__)]),
+            pros=tuple(decisive or pros[:1]),
             weighted_differences=weighted,
             reference=reference,
         )

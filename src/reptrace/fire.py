@@ -28,7 +28,7 @@ from .core import (
     build_assessment,
     weighted_mean,
 )
-from .store import RatingStore, RoleRule
+from .store import RatingStore, RoleRule, Snapshot
 
 #: Components whose rating weight is the recency factor.
 RECENCY_TYPES = (
@@ -112,50 +112,56 @@ def component_trust(
     because the recency factor never applies to rules. Empty evidence
     yields an absent value with zero weight; otherwise the returned weight
     is the component's importance.
+
+    Each mean is derived once per ``Snapshot`` of ratings, so a sealed
+    store's bucket is summed once per (lambda, now); other sequences are
+    summed on every call.
     """
     if rep_type is ReputationType.ROLE_BASED:
         value = weighted_mean(role_evidence)
-    elif recency:
-        value = _recency_mean(ratings, config.lambda_, now)
-    elif ratings:
-        # Bit for bit ``weighted_mean`` over unit weights: ``v * 1.0`` is v,
-        # and the weights add up to the count exactly.
-        s = 0.0
-        for r in ratings:
-            s += r.value
-        value = s / len(ratings)
     else:
-        value = None
+        if type(ratings) is not Snapshot:
+            ratings = Snapshot(ratings)
+        if recency:
+            value = ratings.derived(_recency_mean, config.lambda_, now)
+        else:
+            value = ratings.derived(_uniform_mean)
     if value is None:
         return ComponentTrust(rep_type=rep_type, value=None, weight=0.0)
     return ComponentTrust(rep_type=rep_type, value=value, weight=importance)
 
 
 def _recency_mean(ratings: Sequence[Rating], lambda_: float, now: int) -> Optional[float]:
-    """``weighted_mean`` of the ratings' values by their recency weights,
-    in one pass over the ratings unless a timestamp has no weight yet.
+    """``weighted_mean`` of the ratings' values by their recency weights.
 
-    A miss fills the weight of every missing timestamp of ``ratings``,
-    then sums once more. A rating dated after ``now`` raises
-    ``ValueError`` from ``recency_weight``; its weight is never stored.
+    A timestamp's weight comes from the ``_recency_weights`` table, filled
+    on a miss. A rating dated after ``now`` raises ``ValueError`` from
+    ``recency_weight``; its weight is never stored.
     """
     weights = _recency_weights(lambda_, now)
     num = 0.0
     den = 0.0
-    try:
-        for r in ratings:
-            w = weights[r.timestamp]
-            num += w * r.value
-            den += w
-    except KeyError:
-        for r in ratings:
-            t = r.timestamp
-            if t not in weights:
-                weights[t] = recency_weight(now - t, lambda_)
-        return _recency_mean(ratings, lambda_, now)
+    for r in ratings:
+        t = r.timestamp
+        w = weights.get(t)
+        if w is None:
+            w = weights[t] = recency_weight(now - t, lambda_)
+        num += w * r.value
+        den += w
     if den <= 0.0:
         return None
     return num / den
+
+
+def _uniform_mean(ratings: Sequence[Rating]) -> Optional[float]:
+    """Bit for bit ``weighted_mean`` over unit weights: ``v * 1.0`` is v,
+    and the weights add up to the count exactly."""
+    if not ratings:
+        return None
+    s = 0.0
+    for r in ratings:
+        s += r.value
+    return s / len(ratings)
 
 
 class FireAssessment(NamedTuple):

@@ -16,7 +16,7 @@ from collections.abc import Mapping
 from enum import Enum
 from typing import Optional
 
-from .core import AgentId, ComponentTrust, Preferences, Rating, ReputationType
+from .core import AgentId, Preferences, Rating, ReputationType
 from .errors import ConfigError, UnknownAgentError
 from .explain import (
     Argument,
@@ -322,7 +322,8 @@ def dump_document(doc: dict) -> str:
 def _json(o, indent: str) -> str:
     """``o`` as indented JSON whose lines start with ``indent``'s spaces.
 
-    Exact types take the fast paths. A subclass of dict, list or tuple is
+    Exact types take the fast paths, and a dict writes its ``str`` and
+    finite ``float`` values inline. A subclass of dict, list or tuple is
     written as its base type, like ``json.dumps`` does, and any other
     value goes to ``json.dumps`` itself.
     """
@@ -337,7 +338,20 @@ def _json(o, indent: str) -> str:
         if not o:
             return "{}"
         inner = indent + "  "
-        items = [_json_str(k) + ": " + _json(v, inner) for k, v in o.items()]
+        items = []
+        for k, v in o.items():
+            prefix = _key_prefixes.get(k)
+            if prefix is None:
+                prefix = _json_str(k) + ": "  # TypeError for a key that is not a str
+                if type(k) is str and len(_key_prefixes) < _KEY_PREFIX_LIMIT:
+                    _key_prefixes[k] = prefix
+            value_kind = type(v)
+            if value_kind is str:
+                items.append(prefix + _json_str(v))
+            elif value_kind is float and _isfinite(v):
+                items.append(prefix + _float_repr(v))
+            else:
+                items.append(prefix + _json(v, inner))
         return "{" + inner + ("," + inner).join(items) + indent + "}"
     if kind is list or kind is tuple:
         if not o:
@@ -363,6 +377,12 @@ _json_str = json.encoder.encode_basestring
 _float_repr = float.__repr__
 _int_repr = int.__repr__
 _isfinite = math.isfinite
+
+#: Written dict keys, each with its encoded ``"key": `` prefix. Documents
+#: reuse a few hundred keys (field names, ids, terms), so the cache stops
+#: growing at ``_KEY_PREFIX_LIMIT`` entries rather than keep every key.
+_key_prefixes: dict[str, str] = {}
+_KEY_PREFIX_LIMIT = 4096
 
 
 def _assess(
@@ -469,14 +489,9 @@ def explain_pair(
     return explain(build_context(world, model, assessor, preferred, other))
 
 
-def _component_to_doc(c: ComponentTrust) -> dict:
-    return {
-        "type": c.rep_type.value,
-        "value": c.value,
-        "weight": c.weight,
-        # Both models' reliability is the constant 1; ranking/v1 keeps the key.
-        "reliability": 1.0,
-    }
+#: Each reputation type's document name: ``Enum.value`` is a Python-level
+#: property call, once per component of a ranking.
+_TYPE_NAMES = {k: k.value for k in ReputationType}
 
 
 def ranking_to_document(
@@ -493,7 +508,17 @@ def ranking_to_document(
                 "terms": {
                     term: {
                         "trust": ta.term_trust,
-                        "components": [_component_to_doc(c) for c in ta.components],
+                        "components": [
+                            {
+                                "type": _TYPE_NAMES[rep_type],
+                                "value": value,
+                                "weight": weight,
+                                # Both models' reliability is the constant 1;
+                                # ranking/v1 keeps the key.
+                                "reliability": 1.0,
+                            }
+                            for rep_type, value, weight in ta.components
+                        ],
                     }
                     for term, ta in r.assessment.per_term.items()
                 },

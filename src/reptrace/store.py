@@ -4,9 +4,13 @@ Three stores back the reputation engines: a rating store with an optional
 bounded per-source history, a role-rule list, and an observation store
 counting the outcomes that followed past witness opinions.
 
-Mutations are expected to come from a single writer; query results are
-fresh lists that callers may keep across later mutations. Rating records
-are immutable, so one record may be read through several stores at once.
+Mutations are expected to come from a single writer. A rating query
+returns an immutable ``Snapshot`` of one bucket, kept until an insert
+touches that bucket, so a sealed store builds each snapshot once and
+whatever an engine derives from a snapshot is derived once too. A caller
+may keep a snapshot across later mutations; it never changes. Rating
+records are immutable, so one record may be read through several stores
+at once.
 """
 
 from __future__ import annotations
@@ -39,6 +43,28 @@ def _bucket_key(rating: Rating):
     return (rating.timestamp, rating.source, rating.value, rating.interaction_id or "")
 
 
+class Snapshot(tuple):
+    """The records of one query, in order: an immutable tuple that also
+    keeps what callers derive from it.
+
+    ``derived(fn, *args)`` is ``fn(snapshot, *args)``, computed on the
+    first call with those arguments and kept with the snapshot; a call
+    that raises keeps nothing, so it raises again on every call. ``fn``
+    must depend on nothing but its arguments.
+    """
+
+    def derived(self, fn, *args):
+        key = (fn, args)
+        try:
+            return self._derived[key]
+        except AttributeError:
+            self._derived = {}
+        except KeyError:
+            pass
+        value = self._derived[key] = fn(self, *args)
+        return value
+
+
 def share_witness_evidence(
     stores: Mapping[AgentId, "RatingStore"], witnesses: Mapping[AgentId, Iterable[AgentId]]
 ) -> None:
@@ -48,7 +74,8 @@ def share_witness_evidence(
     is made, and grouped into one run per (target, term) in
     ``_bucket_key`` order. Every store reads the runs, never copies them,
     so every store is sealed: its ``insert`` raises ``ValueError`` from
-    then on, since the runs would not see the new record.
+    then on, since the runs would not see the new record. Snapshots taken
+    before sharing are dropped, since they lack the runs.
     """
     runs: dict[tuple[AgentId, Term], list[Rating]] = {}
     for store in stores.values():
@@ -64,7 +91,7 @@ def share_witness_evidence(
         store._sealed = True
         store._witness_runs = runs
         store._peers = frozenset(witnesses.get(agent, ()))
-        store._witness_views = {}
+        store._snapshots.clear()
 
 
 class RatingStore:
@@ -72,7 +99,8 @@ class RatingStore:
 
     Records live in buckets keyed by (target, term, rep_type),
     each kept in ``_content_key`` order with equal keys in insertion
-    order. A query returns one bucket.
+    order. A query returns one bucket as a ``Snapshot``, built on the
+    first query of its key after the last insert that touched it.
 
     With ``history_cap`` set to H, each source agent keeps only its H
     ratings with the largest ``_content_key``: its most recent ones by
@@ -107,7 +135,7 @@ class RatingStore:
         self._sealed = False
         self._witness_runs: Mapping[tuple[AgentId, Term], list[Rating]] = {}
         self._peers: frozenset[AgentId] = frozenset()
-        self._witness_views: dict[tuple[AgentId, Term], list[Rating]] = {}
+        self._snapshots: dict[tuple[AgentId, Term, ReputationType], Snapshot] = {}
 
     def __len__(self) -> int:
         return self._size
@@ -130,9 +158,11 @@ class RatingStore:
             raise ValueError(
                 f"a witness rating in {self.owner}'s store must not have its owner as source"
             )
-        bucket = self._buckets.setdefault((rating.target, rating.term, rating.rep_type), [])
+        key = (rating.target, rating.term, rating.rep_type)
+        bucket = self._buckets.setdefault(key, [])
         # insort is insort_right: equal keys stay in insertion order.
         bisect.insort(bucket, rating, key=_bucket_key)
+        self._snapshots.pop(key, None)
         self._size += 1
         if self.history_cap is None:
             return []
@@ -151,26 +181,29 @@ class RatingStore:
         del bucket[bisect.bisect_left(bucket, _bucket_key(old), key=_bucket_key)]
         if not bucket:
             del self._buckets[key]
+        self._snapshots.pop(key, None)
         self._size -= 1
         return [old]
 
-    def query(self, target: AgentId, term: Term, rep_type: ReputationType) -> list[Rating]:
-        """The records about ``target`` on ``term`` of one reputation type.
+    def query(self, target: AgentId, term: Term, rep_type: ReputationType) -> Snapshot:
+        """The records about ``target`` on ``term`` of one reputation type,
+        as an immutable snapshot: the same object on every query until an
+        insert touches the bucket.
 
         For the witness type: the explicit records, then those of the
         owner's witnesses, each part in ``_bucket_key`` order.
         """
-        found = list(self._buckets.get((target, term, rep_type), ()))
-        if rep_type is ReputationType.WITNESS and self._peers:
-            view = self._witness_views.get((target, term))
-            if view is None:
-                # Filtered once: on every query it slowed FIRE ranking by
-                # ~20%. A view holds references, never copies.
+        key = (target, term, rep_type)
+        found = self._snapshots.get(key)
+        if found is None:
+            records = self._buckets.get(key, [])
+            if rep_type is ReputationType.WITNESS and self._peers:
                 peers = self._peers
-                view = self._witness_views[(target, term)] = [
+                shared = [
                     r for r in self._witness_runs.get((target, term), ()) if r.source in peers
                 ]
-            found += view
+                records = records + shared
+            found = self._snapshots[key] = Snapshot(records)
         return found
 
     def all_records(self) -> list[Rating]:
@@ -236,11 +269,16 @@ class ObservationStore:
     were successful. That pair is all TRAVOS reads of an observation. The
     key is the opinion value, not its bin, so a query can use any number
     of bins. ``len`` is the number of observations counted.
+
+    A query sums every bin of its (witness, term, bins) at once and keeps
+    the totals until an ``add`` for that witness and term drops them.
     """
 
     def __init__(self):
         self._counts: dict[tuple[AgentId, Term], dict[float, list[int]]] = {}
         self._size = 0
+        # (witness, term) -> bins -> (n, successes) of each bin, in bin order.
+        self._bin_totals: dict[tuple[AgentId, Term], dict[int, list[tuple[int, int]]]] = {}
 
     def __len__(self) -> int:
         return self._size
@@ -252,6 +290,7 @@ class ObservationStore:
         count[0] += n
         count[1] += successes
         self._size += n
+        self._bin_totals.pop((witness, term), None)
 
     def entries(self) -> list[tuple[AgentId, Term, float, int, int]]:
         """Every (witness, term, opinion_value, n, successes), sorted."""
@@ -263,11 +302,19 @@ class ObservationStore:
 
     def query(self, witness: AgentId, term: Term, opinion_bin: int, bins: int) -> tuple[int, int]:
         """(n, successes) summed over the opinion values in the given bin."""
-        lo, hi = bin_bounds(opinion_bin, bins)  # validate even when the store is empty
-        closed = opinion_bin == bins  # the last bin includes 1
-        n = successes = 0
-        for value, count in self._counts.get((witness, term), {}).items():
-            if lo <= value < hi or (closed and value == hi):
-                n += count[0]
-                successes += count[1]
-        return n, successes
+        bin_bounds(opinion_bin, bins)  # validate even when the store is empty
+        by_bins = self._bin_totals.setdefault((witness, term), {})
+        totals = by_bins.get(bins)
+        if totals is None:
+            counts = self._counts.get((witness, term), {})
+            totals = by_bins[bins] = []
+            for b in range(1, bins + 1):
+                lo, hi = bin_bounds(b, bins)
+                closed = b == bins  # the last bin includes 1
+                n = successes = 0
+                for value, count in counts.items():
+                    if lo <= value < hi or (closed and value == hi):
+                        n += count[0]
+                        successes += count[1]
+                totals.append((n, successes))
+        return totals[opinion_bin - 1]

@@ -204,6 +204,7 @@ def confidence(p: BetaParams, epsilon: float) -> float:
     return interval_mass(p, e - epsilon, e + epsilon)
 
 
+@functools.lru_cache(maxsize=2048)
 def witness_accuracy(n: int, successes: int, opinion_bin: int, bins: int) -> float:
     """Accuracy of a witness whose current opinion falls in the given bin.
 
@@ -211,7 +212,8 @@ def witness_accuracy(n: int, successes: int, opinion_bin: int, bins: int) -> flo
     ``successes`` of them were successful; they count into a beta
     distribution, and the accuracy is that distribution's mass over the
     bin interval. With no history this is the uniform prior's mass,
-    1 / bins.
+    1 / bins. Memoized like ``regularized_incomplete_beta``: it is pure
+    and logs nothing.
     """
     outcome_dist = BetaParams(1.0 + successes, 1.0 + (n - successes))
     lo, hi = bin_bounds(opinion_bin, bins)
@@ -222,12 +224,10 @@ def beta_from_moments(mean: float, std: float) -> BetaParams:
     """Invert (mean, std) to beta parameters by moment matching.
 
     When the moments are infeasible (non-positive parameters), clamps to
-    the uniform prior and logs a warning.
+    the uniform prior and logs a warning, on every call.
     """
-    var = std * std
-    alpha = (mean * mean - mean**3) / var - mean
-    beta = ((1.0 - mean) ** 2 - (1.0 - mean) ** 3) / var - (1.0 - mean)
-    if alpha <= 0.0 or beta <= 0.0:
+    params = _invert_moments(mean, std)
+    if params is None:
         import logging  # only this warning logs; most runs never import it
 
         logging.getLogger(__name__).warning(
@@ -236,6 +236,18 @@ def beta_from_moments(mean: float, std: float) -> BetaParams:
             std,
         )
         return UNIFORM_PRIOR
+    return params
+
+
+@functools.lru_cache(maxsize=2048)
+def _invert_moments(mean: float, std: float) -> Optional[BetaParams]:
+    """The moment inversion of ``beta_from_moments``, or None where it is
+    infeasible; memoized, since it is pure and logs nothing."""
+    var = std * std
+    alpha = (mean * mean - mean**3) / var - mean
+    beta = ((1.0 - mean) ** 2 - (1.0 - mean) ** 3) / var - (1.0 - mean)
+    if alpha <= 0.0 or beta <= 0.0:
+        return None
     return BetaParams(alpha, beta)
 
 
@@ -307,11 +319,17 @@ def gather_witness_opinions(
     """Each witness's opinion of a target on one term, as ``(witness,
     params)`` pairs in witness order, from the witness-type records.
 
-    Each witness's records are binarized as ``binarized_beta`` does, counted
-    in the one pass that groups them.
+    Each witness's records are binarized as ``binarized_beta`` does. The
+    opinions are derived once per snapshot of the records.
     """
+    return list(rating_store.query(target, term, ReputationType.WITNESS).derived(_opinions))
+
+
+def _opinions(records: Sequence[Rating]) -> tuple[tuple[AgentId, BetaParams], ...]:
+    """``gather_witness_opinions`` of the records, counted in the one pass
+    that groups them by witness."""
     counts: dict[AgentId, list[int]] = {}  # witness -> [n, successes]
-    for r in rating_store.query(target, term, ReputationType.WITNESS):
+    for r in records:
         count = counts.get(r.source)
         if count is None:
             count = counts[r.source] = [0, 0]
@@ -322,13 +340,12 @@ def gather_witness_opinions(
     for witness in sorted(counts):
         n, successes = counts[witness]
         opinions.append((witness, BetaParams(1.0 + successes, 1.0 + (n - successes))))
-    return opinions
+    return tuple(opinions)
 
 
 def assess_term(
     rating_store: RatingStore,
     obs_store: ObservationStore,
-    assessor: AgentId,
     target: AgentId,
     term: Term,
     config: TravosConfig,
@@ -338,9 +355,12 @@ def assess_term(
     Interaction evidence always contributes. Witnesses are consulted only
     when the interaction confidence falls below the configured threshold;
     each consulted opinion is discounted by the witness's historical
-    accuracy in the opinion's bin before pooling.
+    accuracy in the opinion's bin before pooling. The interaction beta is
+    derived once per snapshot of the interaction records.
     """
-    interaction = binarized_beta(rating_store.query(target, term, ReputationType.INTERACTION))
+    interaction = rating_store.query(target, term, ReputationType.INTERACTION).derived(
+        binarized_beta
+    )
     conf = confidence(interaction, config.epsilon)
     low_confidence = conf < config.confidence_threshold
 
@@ -427,7 +447,7 @@ def assess_provider(
     term_results: dict[Term, TravosTermResult] = {}
     components_by_term: dict[Term, tuple[ComponentTrust, ...]] = {}
     for term in preferences.terms:
-        res = assess_term(rating_store, obs_store, assessor, target, term, config)
+        res = assess_term(rating_store, obs_store, target, term, config)
         term_results[term] = res
         components_by_term[term] = res.components
     assessment = build_assessment(assessor, target, components_by_term, preferences)

@@ -116,9 +116,38 @@ MUTANTS = (
     Mutant(
         "store: a witness query puts the peers' records before the explicit ones",
         "store.py",
-        "            found += view\n",
-        "            found[:0] = view\n",
+        "records = records + shared",
+        "records = shared + records",
         ("tests/test_pipeline.py::TestWitnessEvidence",),
+    ),
+    Mutant(
+        "store: an insert keeps the stale snapshot of its bucket",
+        "store.py",
+        "        self._snapshots.pop(key, None)\n        self._size += 1\n",
+        "        self._size += 1\n",
+        ("tests/test_store.py::TestQuery::test_unsealed_query_sees_a_later_insert",
+         "tests/test_store.py::TestRatingStoreAgainstOracle::test_queries_match_a_full_scan"),
+    ),
+    Mutant(
+        "store: an eviction keeps the stale snapshot of the evicted record's bucket",
+        "store.py",
+        "            del self._buckets[key]\n        self._snapshots.pop(key, None)\n",
+        "            del self._buckets[key]\n",
+        ("tests/test_store.py::TestQuery::test_unsealed_query_sees_a_later_insert",),
+    ),
+    Mutant(
+        "store: sharing witness evidence keeps the snapshots taken before it",
+        "store.py",
+        "        store._snapshots.clear()\n",
+        "",
+        ("tests/test_store.py::TestOwnership::test_no_insert_once_shared",),
+    ),
+    Mutant(
+        "store: a snapshot keeps one derived value per function, whatever its arguments",
+        "store.py",
+        "        key = (fn, args)\n",
+        "        key = fn\n",
+        ("tests/test_store.py::TestQuery::test_snapshot_derives_once_per_arguments",),
     ),
     Mutant(
         "pipeline: an explicit witness rating may come from one of its owner's peers",
@@ -143,12 +172,22 @@ MUTANTS = (
         ("tests/test_simulate.py::TestWitnessCopyOracle",),
     ),
     Mutant(
-        "store: the last opinion bin is open at 1",
+        "store: bin totals leave 1.0 out of the last bin",
         "store.py",
-        "closed = opinion_bin == bins",
+        "closed = b == bins",
         "closed = False",
         ("tests/test_store.py::TestObservationBins::test_last_bin_closed",
+         "tests/test_store.py::TestObservationBins"
+         "::test_query_matches_a_per_value_scan_at_every_edge",
          "tests/test_store.py::TestObservationStoreAgainstOracle"),
+    ),
+    Mutant(
+        "store: an add keeps stale bin totals",
+        "store.py",
+        "        self._bin_totals.pop((witness, term), None)\n",
+        "",
+        ("tests/test_store.py::TestObservationBins"
+         "::test_query_matches_a_per_value_scan_at_every_edge",),
     ),
     Mutant(
         "simulate: an eviction leaves the witness counts unchanged",
@@ -220,22 +259,14 @@ MUTANTS = (
     Mutant(
         "fire: the recency weight table is keyed by age, not by timestamp",
         "fire.py",
-        "            w = weights[r.timestamp]\n"
-        "            num += w * r.value\n"
-        "            den += w\n"
-        "    except KeyError:\n"
-        "        for r in ratings:\n"
-        "            t = r.timestamp\n"
-        "            if t not in weights:\n"
-        "                weights[t] = recency_weight(now - t, lambda_)\n",
-        "            w = weights[now - r.timestamp]\n"
-        "            num += w * r.value\n"
-        "            den += w\n"
-        "    except KeyError:\n"
-        "        for r in ratings:\n"
-        "            t = now - r.timestamp\n"
-        "            if t not in weights:\n"
-        "                weights[t] = recency_weight(t, lambda_)\n",
+        "        t = r.timestamp\n"
+        "        w = weights.get(t)\n"
+        "        if w is None:\n"
+        "            w = weights[t] = recency_weight(now - t, lambda_)\n",
+        "        t = now - r.timestamp\n"
+        "        w = weights.get(t)\n"
+        "        if w is None:\n"
+        "            w = weights[t] = recency_weight(t, lambda_)\n",
         ("tests/test_fire.py::TestComponentTrust"
          "::test_weight_table_holds_only_the_timestamps_read",),
     ),
@@ -249,8 +280,8 @@ MUTANTS = (
     Mutant(
         "fire: the uniform baseline divides by one more than the count",
         "fire.py",
-        "value = s / len(ratings)",
-        "value = s / (len(ratings) + 1)",
+        "return s / len(ratings)",
+        "return s / (len(ratings) + 1)",
         ("tests/test_fire.py::TestComponentTrustUniform"
          "::test_equals_weighted_mean_of_unit_weights",),
     ),
@@ -291,6 +322,13 @@ MUTANTS = (
         ("tests/test_core.py::TestCombineTermTrust::test_no_evidence",
          "tests/test_core.py::TestOverallTrust::test_undefined_mean_is_none",
          "tests/test_fire.py::TestTermTrust::test_no_evidence_propagates"),
+    ),
+    Mutant(
+        "travos: the clamp warning is memoized with the moment inversion",
+        "travos.py",
+        "def beta_from_moments(",
+        "@functools.lru_cache(maxsize=2048)\ndef beta_from_moments(",
+        ("tests/test_travos.py::TestAssessTerm::test_every_assessment_logs_its_clamp",),
     ),
     Mutant(
         "travos: beta parameters may be non-positive",
@@ -391,6 +429,13 @@ MUTANTS = (
         "        ) > 0\n",
         "        ) >= 0\n",
         ("tests/test_explain.py::TestTradeoff::test_cover_test_is_exact",),
+    ),
+    Mutant(
+        "explain: the dominance fallback ranks every compared term",
+        "explain.py",
+        "decisive or pros[:1]",
+        "decisive or [max(weighted, key=weighted.__getitem__)]",
+        ("tests/test_explain.py::TestDominance::test_fallback_names_a_pro",),
     ),
     Mutant(
         "explain: pros with cons count as domination",

@@ -7,8 +7,9 @@ is rebuilt from the two providers' term trusts, moment checks recompute
 beta moments from first principles, the stores are plain lists
 scanned on every query, witness copies are inserted one at a time,
 documents are checked by jsonschema, an assessment's term and overall
-trusts are recomputed from its parts with ``math.fsum``, and a comparison
-context is picked out of every provider's assessment.
+trusts are recomputed from its parts with ``math.fsum``, a comparison
+context is picked out of every provider's assessment, and FIRE and TRAVOS
+assess from fresh scans of a world's records with nothing memoized.
 """
 
 from __future__ import annotations
@@ -23,7 +24,15 @@ from scipy.integrate import quad
 from scipy.special import betaln
 
 from reptrace import fire, travos
-from reptrace.core import REPUTATION_ORDER, Rating, ReputationType
+from reptrace.core import (
+    REPUTATION_ORDER,
+    ComponentTrust,
+    Rating,
+    ReputationType,
+    build_assessment,
+    total,
+    weighted_mean,
+)
 from reptrace.explain import (
     ComparisonContext,
     DecisiveDominance,
@@ -465,4 +474,135 @@ def context_oracle(world, model, assessor, preferred, other) -> ComparisonContex
         model=model,
         fire_diagnostics=fire_diag,
         travos_diagnostics=travos_diag,
+    )
+
+
+def query_scan(world, agent, target, term, rep_type) -> list:
+    """``world.rating_stores[agent].query(...)`` by scanning: the store's
+    own records of the bucket, then, for the witness type, a witness-tagged
+    copy of every interaction record its witnesses hold about ``target`` on
+    ``term``; each part in ``content_key`` order."""
+    key = (target, term, rep_type)
+    found = [
+        r for r in world.rating_stores[agent].all_records()
+        if (r.target, r.term, r.rep_type) == key
+    ]
+    if rep_type is ReputationType.WITNESS:
+        shared = [
+            r._replace(rep_type=ReputationType.WITNESS)
+            for witness in world.witnesses.get(agent, ())
+            for r in world.rating_stores[witness].all_records()
+            if (r.target, r.term, r.rep_type) == (target, term, ReputationType.INTERACTION)
+        ]
+        found += sorted(shared, key=content_key)
+    return found
+
+
+def fire_reference(world, agent, target) -> fire.FireAssessment:
+    """``fire.assess_provider`` with its uniform baseline, from a fresh
+    scan per component: each recency weight straight from
+    ``recency_weight``, every mean summed left to right."""
+    prefs = world.preferences
+    roles = world.agent_roles()
+    weighted, uniform = {}, {}
+    for term in prefs.terms:
+        weighted[term], uniform[term] = [], []
+        for k in REPUTATION_ORDER:
+            importance = prefs.component_weights.get(k, 0.0)
+            if not importance > 0.0:
+                continue
+            if k is ReputationType.ROLE_BASED:
+                pseudo = fire.role_pseudo_ratings(
+                    world.role_rules, roles.get(agent, ()), roles.get(target, ()), term
+                )
+                values = [weighted_mean(pseudo)] * 2
+            else:
+                ratings = query_scan(world, agent, target, term, k)
+                weights = [
+                    fire.recency_weight(world.now - r.timestamp, world.fire.lambda_)
+                    for r in ratings
+                ]
+                values = [
+                    weighted_mean(zip([r.value for r in ratings], weights)),
+                    weighted_mean((r.value, 1.0) for r in ratings),
+                ]
+            for components, value in zip((weighted[term], uniform[term]), values):
+                components.append(
+                    ComponentTrust(k, value, importance if value is not None else 0.0)
+                )
+    return fire.FireAssessment(
+        assessment=build_assessment(agent, target, weighted, prefs),
+        uniform=build_assessment(agent, target, uniform, prefs),
+    )
+
+
+def travos_reference(world, agent, target) -> travos.TravosAssessment:
+    """``travos.assess_provider`` from fresh scans: the interaction records
+    binarized per term, the witness records grouped per witness, each
+    observation count filtered by its bin's interval, and every accuracy
+    and discount computed from its formula."""
+    config = world.travos
+    bins = config.bins
+    entries = world.observation_stores[agent].entries()
+    results = {}
+    for term in world.preferences.terms:
+        own = query_scan(world, agent, target, term, ReputationType.INTERACTION)
+        pos = len([r for r in own if r.value >= travos.SUCCESS_THRESHOLD])
+        interaction = travos.BetaParams(1.0 + pos, 1.0 + (len(own) - pos))
+        conf = travos.confidence(interaction, config.epsilon)
+        contributions = []
+        if conf < config.confidence_threshold:
+            by_witness = {}
+            for r in query_scan(world, agent, target, term, ReputationType.WITNESS):
+                by_witness.setdefault(r.source, []).append(r.value >= travos.SUCCESS_THRESHOLD)
+            for witness, outcomes in sorted(by_witness.items()):
+                opinion = travos.BetaParams(
+                    1.0 + outcomes.count(True), 1.0 + outcomes.count(False)
+                )
+                opinion_bin = travos.bin_of(opinion.mean, bins)
+                lo, hi = (opinion_bin - 1) / bins, opinion_bin / bins
+                n = successes = 0
+                for w, t, value, count, good in entries:
+                    if (w, t) == (witness, term) and (
+                        lo <= value < hi or (opinion_bin == bins and value == hi)
+                    ):
+                        n += count
+                        successes += good
+                rho = travos.interval_mass(
+                    travos.BetaParams(1.0 + successes, 1.0 + (n - successes)), lo, hi
+                )
+                e_bar = 0.5 + rho * (opinion.mean - 0.5)
+                s_bar = travos.UNIFORM_STD + rho * (opinion.std - travos.UNIFORM_STD)
+                var = s_bar * s_bar
+                alpha = (e_bar * e_bar - e_bar**3) / var - e_bar
+                beta = ((1.0 - e_bar) ** 2 - (1.0 - e_bar) ** 3) / var - (1.0 - e_bar)
+                discounted = (
+                    travos.BetaParams(alpha, beta)
+                    if alpha > 0.0 and beta > 0.0 else travos.UNIFORM_PRIOR
+                )
+                contributions.append(
+                    travos.WitnessContribution(witness, opinion, opinion_bin, rho, discounted)
+                )
+        discounted = [c.discounted for c in contributions]
+        w_i, w_w = travos.decomposition_weights(interaction, discounted)
+        pooled_mean = None
+        if discounted:
+            pooled_mean = travos.BetaParams(
+                total(d.alpha for d in discounted), total(d.beta for d in discounted)
+            ).mean
+        results[term] = travos.TravosTermResult(
+            interaction=interaction,
+            interaction_confidence=conf,
+            low_confidence=conf < config.confidence_threshold,
+            witnesses=tuple(contributions),
+            components=(
+                ComponentTrust(ReputationType.INTERACTION, interaction.mean, w_i),
+                ComponentTrust(ReputationType.WITNESS, pooled_mean,
+                               w_w if discounted else 0.0),
+            ),
+        )
+    components = {term: res.components for term, res in results.items()}
+    return travos.TravosAssessment(
+        assessment=build_assessment(agent, target, components, world.preferences),
+        term_results=results,
     )

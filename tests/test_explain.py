@@ -138,6 +138,18 @@ class TestDominance:
         arg = decisive(ctx, DecisiveDominance)
         assert arg.pros == ("q",)
 
+    def test_fallback_names_a_pro(self):
+        # The providers are equal on a, and b, the one pro, weighs 0, so
+        # both weighted differences are 0 and none beats the reference:
+        # the fallback must name the pro b, never a. c is not compared.
+        ctx = context_from_values(
+            {"a": 0.5, "b": 0.9, "c": 0.9}, {"a": 0.5, "b": 0.1},
+            {"a": 1.0, "b": 0.0, "c": 1.0},
+        )
+        arg = decisive(ctx, DecisiveDominance)
+        assert arg.weighted_differences == {"a": 0.0, "b": 0.0}
+        assert arg.pros == ("b",)
+
     @pytest.mark.parametrize(
         "declared", [("q", "t", "c"), ("t", "q", "c"), ("c", "t", "q")]
     )

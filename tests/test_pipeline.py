@@ -9,8 +9,15 @@ from typing import NamedTuple
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import assert_schema_valid, context_oracle, validate_assessment
-from reptrace import fire, travos
+from oracles import (
+    assert_schema_valid,
+    context_oracle,
+    fire_reference,
+    query_scan,
+    travos_reference,
+    validate_assessment,
+)
+from reptrace import fire, pipeline, travos
 from reptrace.core import ReputationType
 from reptrace.errors import ConfigError, NotPreferredError, UnknownAgentError
 from reptrace.explain import (
@@ -40,8 +47,10 @@ from reptrace.pipeline import (
 )
 from reptrace.scenario import load_schema, load_scenario, scenario_from_document
 from reptrace.simulate import run_scenario
+from reptrace.store import Snapshot
 
 SCENARIO_PATH = Path(__file__).resolve().parent.parent / "demos" / "delivery_scenario.json"
+V1_STORES_PATH = Path(__file__).resolve().parent / "data" / "demo_stores_v1.json"
 
 I = ReputationType.INTERACTION
 W = ReputationType.WITNESS
@@ -192,16 +201,28 @@ class TestDumpDocument:
     def test_non_string_key_raises(self, key):
         with pytest.raises(TypeError):
             dump_document({"terms": {key: 1.0}})
+        # Also once a str key with the same text has its prefix cached.
+        dump_document({str(key): 1.0})
+        with pytest.raises(TypeError):
+            dump_document({key: 1.0})
+
+    def test_key_prefix_cache_stops_growing(self):
+        limit = pipeline._KEY_PREFIX_LIMIT
+        doc = {f"key{i}": i for i in range(limit + 10)}
+        for _ in range(2):
+            assert dump_document(doc) == json.dumps(doc, indent=2) + "\n"
+        assert len(pipeline._key_prefixes) == limit
 
 
 class TableStore:
-    """A rating store that answers each query from a fixed table."""
+    """A rating store that answers each query from a fixed table, with a
+    fresh snapshot every time."""
 
     def __init__(self, table):
         self.table = table
 
     def query(self, target, term, rep_type):
-        return list(self.table.get((target, term, rep_type), ()))
+        return Snapshot(self.table.get((target, term, rep_type), ()))
 
 
 class TestWitnessEvidence:
@@ -230,7 +251,7 @@ class TestWitnessEvidence:
                 for r in copies[agent]
                 if (r.target, r.term) == (provider, term)
             ]
-            assert store.query(provider, term, W) == table[(provider, term, W)]
+            assert list(store.query(provider, term, W)) == table[(provider, term, W)]
             assert {r.source for r in table[(provider, term, W)]} == {"bob", "alice"}
         for provider in world.providers:
             if model is Model.FIRE:
@@ -251,6 +272,82 @@ class TestWitnessEvidence:
                     for evidence in (store, TableStore(table))
                 )
             assert got == expected, provider.id
+
+
+#: Component weights of ``evidence_worlds``: the demo's, and one that also
+#: reads certified records.
+EVIDENCE_WORLD_WEIGHTS = (
+    {"interaction": 0.75, "witness": 0.25},
+    {"interaction": 0.5, "witness": 0.25, "certified": 0.25},
+)
+
+
+@st.composite
+def evidence_worlds(draw):
+    """A world of at most 3 agents, 3 providers and 8 rounds: simulated,
+    or loaded from its stores/v2 document with explicit witness and
+    certified records added, or the demo's stores/v1 document; loaded
+    worlds get a history cap of their own, so loading may evict."""
+    kind = draw(st.sampled_from(["simulated", "v2", "v1"]))
+    weights = draw(st.sampled_from(EVIDENCE_WORLD_WEIGHTS))
+    cap = draw(st.none() | st.integers(1, 6))
+    if kind == "v1":
+        doc = json.loads(V1_STORES_PATH.read_text())
+        doc["fire"]["history_cap"] = cap
+        doc["component_weights"] = weights
+        return world_from_document(doc)
+    doc = json.loads(SCENARIO_PATH.read_text())
+    doc["seed"] = draw(st.integers(0, 2**16))
+    doc["rounds"] = draw(st.integers(1, 8))
+    doc["agents"] = doc["agents"][: draw(st.integers(2, 3))]
+    doc["providers"] = doc["providers"][: draw(st.integers(1, 3))]
+    doc["component_weights"] = weights
+    doc["fire"]["history_cap"] = draw(st.none() | st.integers(1, 6))
+    ids = [a["id"] for a in doc["agents"]]
+    doc["witnesses"] = {
+        a: [b for b in ids if b != a and draw(st.booleans())] for a in ids
+    }
+    world = world_from_simulation(run_scenario(scenario_from_document(doc)))
+    if kind == "simulated":
+        return world
+    stores = world_to_document(world)
+    own = {a: [r for r in stores["ratings"][a] if r["rep_type"] == "interaction"] for a in ids}
+    for a in ids:
+        for b in ids:
+            if b != a and b not in doc["witnesses"][a] and draw(st.booleans()):
+                stores["ratings"][a] += [dict(r, rep_type="witness") for r in own[b]]
+        if draw(st.booleans()):
+            stores["ratings"][a] += [dict(r, rep_type="certified") for r in own[ids[0]]]
+    stores["fire"]["history_cap"] = cap
+    return world_from_document(stores)
+
+
+class TestSnapshotReads:
+    """Every read of a small world's stores against a fresh scan, and
+    both engines against references that scan on every read."""
+
+    @settings(max_examples=45, deadline=None, derandomize=True)
+    @given(evidence_worlds())
+    def test_queries_and_assessments_match_scans(self, world):
+        for agent, provider in itertools.product(world.agents, world.providers):
+            store = world.rating_stores[agent.id]
+            for term, rep_type in itertools.product(world.preferences.terms, (I, W, C)):
+                got = store.query(provider.id, term, rep_type)
+                assert list(got) == query_scan(world, agent.id, provider.id, term, rep_type)
+                assert store.query(provider.id, term, rep_type) is got
+            # Twice each: the second assessment reads what the first derived.
+            for _ in range(2):
+                fa = fire.assess_provider(
+                    store, agent.id, provider.id, world.preferences, world.fire,
+                    now=world.now, role_rules=world.role_rules,
+                    agent_roles=world.agent_roles(),
+                )
+                assert fa == fire_reference(world, agent.id, provider.id)
+                ta = travos.assess_provider(
+                    store, world.observation_stores[agent.id], agent.id, provider.id,
+                    world.preferences, world.travos,
+                )
+                assert ta == travos_reference(world, agent.id, provider.id)
 
 
 def pipeline_outputs(doc: dict) -> list:

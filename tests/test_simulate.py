@@ -498,4 +498,5 @@ class TestWitnessCopyOracle:
                 assert store.all_records() == own[agent.id], agent.id
                 assert len(store) == len(own[agent.id])
                 for bucket in buckets:
-                    assert store.query(*bucket) == oracle.query(*bucket), (agent.id, bucket)
+                    got = list(store.query(*bucket))
+                    assert got == oracle.query(*bucket), (agent.id, bucket)

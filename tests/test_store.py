@@ -195,7 +195,7 @@ class TestQuery:
         store = self.build()
         out = store.query("b", "q", I)
         assert [(rec.source, rec.timestamp) for rec in out] == [("a", 2)]
-        assert store.query("b", "q", C) == []
+        assert list(store.query("b", "q", C)) == []
 
     def test_witness_bucket(self):
         store = self.build()
@@ -213,12 +213,51 @@ class TestQuery:
             store.insert(r(ts=ts))
         assert [rec.timestamp for rec in store.query("b", "q", I)] == sorted(timestamps)
 
-    def test_query_returns_a_fresh_list(self):
+    def test_query_returns_an_immutable_snapshot(self):
         store = self.build()
         out = store.query("b", "q", I)
-        out.clear()
+        with pytest.raises(AttributeError):
+            out.clear()
+        with pytest.raises(TypeError):
+            out[0] = r(ts=9)
         store.all_records().clear()
-        assert len(store.query("b", "q", I)) == 1 and len(store.all_records()) == 4
+        assert store.query("b", "q", I) is out
+        assert len(out) == 1 and len(store.all_records()) == 4
+        # A later insert reaches the next query; the snapshot kept never changes.
+        store.insert(r(source="a", target="b", term="q", rep_type=I, ts=5))
+        assert [rec.timestamp for rec in store.query("b", "q", I)] == [2, 5]
+        assert [rec.timestamp for rec in out] == [2]
+
+    def test_snapshot_derives_once_per_arguments(self):
+        calls = []
+
+        def mean_plus(records, offset):
+            calls.append(offset)
+            if offset < 0:
+                raise ValueError("negative offset")
+            return sum(rec.value for rec in records) / len(records) + offset
+
+        snapshot = self.build().query("b", "q", I)
+        assert [snapshot.derived(mean_plus, k) for k in (0.0, 1.0, 0.0, 1.0)] == [
+            0.5, 1.5, 0.5, 1.5
+        ]
+        for _ in range(2):
+            with pytest.raises(ValueError, match="negative offset"):
+                snapshot.derived(mean_plus, -1.0)
+        assert calls == [0.0, 1.0, -1.0, -1.0]
+
+    def test_unsealed_query_sees_a_later_insert(self):
+        store = RatingStore("a", history_cap=2)
+        store.insert(r(source="a", target="b", term="q", ts=0))
+        store.insert(r(source="a", target="c", term="q", ts=1))
+        before_b, before_c = store.query("b", "q", I), store.query("c", "q", I)
+        assert [rec.timestamp for rec in before_c] == [1]
+        # The insert touches c's bucket, and its eviction b's.
+        store.insert(r(source="a", target="c", term="q", ts=2))
+        assert [rec.timestamp for rec in store.query("c", "q", I)] == [1, 2]
+        assert list(store.query("b", "q", I)) == []
+        assert [rec.timestamp for rec in before_b] == [0]
+        assert [rec.timestamp for rec in before_c] == [1]
 
     def test_result_independent_of_insertion_order(self):
         records = [
@@ -258,12 +297,13 @@ class TestOwnership:
         # into a after sharing would never reach z's view.
         a, z = RatingStore("a"), RatingStore("z")
         a.insert(r(source="a", ts=0))
+        assert list(z.query("b", "q", W)) == []  # a snapshot that sharing must drop
         share_witness_evidence({"a": a, "z": z}, {"z": ("a",)})
         for store, rec in ((a, r(source="a", ts=1)), (z, r(source="z", ts=1))):
             with pytest.raises(ValueError, match="sealed"):
                 store.insert(rec)
         assert len(a) == 1 and len(z) == 0
-        assert z.query("b", "q", W) == [r(source="a", rep_type=W, ts=0)]
+        assert list(z.query("b", "q", W)) == [r(source="a", rep_type=W, ts=0)]
 
 
 class TestObservationBins:
@@ -305,6 +345,42 @@ class TestObservationBins:
 
     def test_empty_store(self):
         assert ObservationStore().query("w", "q", 1, 5) == (0, 0)
+
+    def test_query_matches_a_per_value_scan_at_every_edge(self):
+        # Every bin edge of 1 to 10 bins, 3 ulps either side, with 1.0 in
+        # the closed last bin; each value counts its own (n, successes),
+        # so a total that takes or loses one value shows. The second pass
+        # reads totals kept from the first after an add changed them.
+        values = {1.0}
+        for bins in range(1, 11):
+            for k in range(bins + 1):
+                v = k / bins
+                for _ in range(3):
+                    v = math.nextafter(v, -math.inf)
+                for _ in range(7):
+                    if 0.0 <= v <= 1.0:
+                        values.add(v)
+                    v = math.nextafter(v, math.inf)
+        store = ObservationStore()
+        counts = {}
+        for i, value in enumerate(sorted(values)):
+            counts[value] = (2**i, 2**i if i % 2 else 0)
+            store.add("w", "q", value, *counts[value])
+        for later in (None, 1.0):
+            if later is not None:
+                store.add("w", "q", later, 1, 1)
+                n, successes = counts[later]
+                counts[later] = (n + 1, successes + 1)
+            for bins in range(1, 11):
+                for opinion_bin in range(1, bins + 1):
+                    lo, hi = bin_bounds(opinion_bin, bins)
+                    inside = [
+                        counts[v] for v in values
+                        if lo <= v < hi or (opinion_bin == bins and v == hi)
+                    ]
+                    expected = (sum(n for n, _ in inside), sum(s for _, s in inside))
+                    assert store.query("w", "q", opinion_bin, bins) == expected, (
+                        later, opinion_bin, bins)
 
     def test_bad_bin(self):
         with pytest.raises(ValueError, match=r"^bin 0 outside 1\.\.5$"):

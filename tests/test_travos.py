@@ -299,7 +299,7 @@ class TestAssessTerm:
         for ts in range(30):
             store.insert(rating(1.0 if ts % 2 else 0.0, ts=ts))
         store.insert(rating(0.9, source="w", rep_type=W, ts=0))
-        res = assess_term(store, ObservationStore(), "a", "b", "q", make_config())
+        res = assess_term(store, ObservationStore(), "b", "q", make_config())
         assert not res.low_confidence
         assert res.witnesses == ()
         interaction_component = res.components[0]
@@ -316,7 +316,7 @@ class TestAssessTerm:
             with pytest.raises(ValueError):
                 mixed.insert(rating(1.0, source="w", ts=ts))
         results = [
-            assess_term(store, ObservationStore(), "a", "b", "q", make_config())
+            assess_term(store, ObservationStore(), "b", "q", make_config())
             for store in (own, mixed)
         ]
         assert results[0] == results[1]
@@ -326,7 +326,7 @@ class TestAssessTerm:
         with pytest.raises(ValueError):
             store.insert(rating(1.0, source="a", rep_type=W, ts=0))
         store.insert(rating(0.0, source="w", rep_type=W, ts=0))
-        res = assess_term(store, ObservationStore(), "a", "b", "q", make_config())
+        res = assess_term(store, ObservationStore(), "b", "q", make_config())
         assert [c.witness for c in res.witnesses] == ["w"]
 
     def test_formula_chain_with_perfect_witness(self):
@@ -337,7 +337,7 @@ class TestAssessTerm:
 
     def test_no_evidence_flags_low_confidence(self):
         res = assess_term(
-            RatingStore("a"), ObservationStore(), "a", "b", "q", make_config()
+            RatingStore("a"), ObservationStore(), "b", "q", make_config()
         )
         # The prior alone: the term trust is the interaction mean, 0.5.
         assert [(c.value, c.weight) for c in res.components] == [(0.5, 1.0), (None, 0.0)]
@@ -354,7 +354,7 @@ class TestAssessTerm:
         at = 0.6400000000000002
         for threshold, low in ((at, False), (math.nextafter(at, 1.0), True)):
             config = make_config(epsilon=0.2, confidence_threshold=threshold)
-            res = assess_term(store, ObservationStore(), "a", "b", "q", config)
+            res = assess_term(store, ObservationStore(), "b", "q", config)
             assert res.interaction_confidence == at
             assert res.low_confidence is low
 
@@ -367,7 +367,7 @@ class TestAssessTerm:
         obs = ObservationStore()
         obs.add("w", "q", 15 / 22, 6, 6)
         config = make_config(epsilon=0.05, bins=22)
-        [contribution] = assess_term(store, obs, "a", "b", "q", config).witnesses
+        [contribution] = assess_term(store, obs, "b", "q", config).witnesses
         assert contribution.opinion.mean == 15 / 22
         assert contribution.opinion_bin == 16
         assert contribution.accuracy != witness_accuracy(0, 0, 16, 22)
@@ -384,7 +384,7 @@ class TestAssessTerm:
         obs = ObservationStore()
         # w1 has been accurate before: high opinions followed by good outcomes.
         obs.add("w1", "q", 0.85, 6, 6)
-        res = assess_term(store, obs, "a", "b", "q", make_config())
+        res = assess_term(store, obs, "b", "q", make_config())
         assert res.low_confidence
         assert {c.witness for c in res.witnesses} == {"w1", "w2"}
         w_i, w_w = (res.components[0].weight, res.components[1].weight)
