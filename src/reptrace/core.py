@@ -197,10 +197,8 @@ class Assessment(NamedTuple):
 def total(values: Iterable[float]) -> float:
     """Sum of ``values``, added left to right in the order given.
 
-    Every float sum in the package goes through here, through
-    ``weighted_mean`` or through FIRE's recency-weighted and uniform
-    means, ``fire._recency_mean`` and ``fire._uniform_mean``, which add
-    in the same order, so the rounding is the same on every Python
+    Every float sum in the package goes through here or through
+    ``weighted_mean``, so the rounding is the same on every Python
     version: the built-in ``sum`` compensates rounding from 3.12 on.
     """
     s = 0.0

@@ -12,7 +12,6 @@ detect rankings that recency alone flipped; rankings never build it.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Mapping, NamedTuple, Optional, Sequence
 
@@ -68,13 +67,6 @@ def recency_weight(delta_tau: float, lambda_: float) -> float:
     return math.exp(-delta_tau / lambda_)
 
 
-@functools.lru_cache(maxsize=16)
-def _recency_weights(lambda_: float, now: int) -> dict[int, float]:
-    """``recency_weight(now - t, lambda_)`` by timestamp t, for the
-    timestamps read so far; ``_recency_mean`` fills it."""
-    return {}
-
-
 def role_pseudo_ratings(
     rules: Sequence[RoleRule],
     assessor_roles: Sequence[str],
@@ -113,9 +105,10 @@ def component_trust(
     yields an absent value with zero weight; otherwise the returned weight
     is the component's importance.
 
-    Each mean is derived once per ``Snapshot`` of ratings, so a sealed
-    store's bucket is summed once per (lambda, now); other sequences are
-    summed on every call.
+    Every value is one ``weighted_mean``. Each rating mean is derived
+    once per ``Snapshot`` of ratings, so a sealed store's bucket is
+    summed once per (lambda, now); other sequences are summed on every
+    call.
     """
     if rep_type is ReputationType.ROLE_BASED:
         value = weighted_mean(role_evidence)
@@ -132,36 +125,13 @@ def component_trust(
 
 
 def _recency_mean(ratings: Sequence[Rating], lambda_: float, now: int) -> Optional[float]:
-    """``weighted_mean`` of the ratings' values by their recency weights.
-
-    A timestamp's weight comes from the ``_recency_weights`` table, filled
-    on a miss. A rating dated after ``now`` raises ``ValueError`` from
-    ``recency_weight``; its weight is never stored.
-    """
-    weights = _recency_weights(lambda_, now)
-    num = 0.0
-    den = 0.0
-    for r in ratings:
-        t = r.timestamp
-        w = weights.get(t)
-        if w is None:
-            w = weights[t] = recency_weight(now - t, lambda_)
-        num += w * r.value
-        den += w
-    if den <= 0.0:
-        return None
-    return num / den
+    """``weighted_mean`` of the ratings' values by their recency weights."""
+    return weighted_mean((r.value, recency_weight(now - r.timestamp, lambda_)) for r in ratings)
 
 
 def _uniform_mean(ratings: Sequence[Rating]) -> Optional[float]:
-    """Bit for bit ``weighted_mean`` over unit weights: ``v * 1.0`` is v,
-    and the weights add up to the count exactly."""
-    if not ratings:
-        return None
-    s = 0.0
-    for r in ratings:
-        s += r.value
-    return s / len(ratings)
+    """``weighted_mean`` of the ratings' values, each of weight 1."""
+    return weighted_mean((r.value, 1.0) for r in ratings)
 
 
 class FireAssessment(NamedTuple):

@@ -5,12 +5,12 @@ bounded per-source history, a role-rule list, and an observation store
 counting the outcomes that followed past witness opinions.
 
 Mutations are expected to come from a single writer. A rating query
-returns an immutable ``Snapshot`` of one bucket, kept until an insert
-touches that bucket, so a sealed store builds each snapshot once and
-whatever an engine derives from a snapshot is derived once too. A caller
-may keep a snapshot across later mutations; it never changes. Rating
-records are immutable, so one record may be read through several stores
-at once.
+returns an immutable ``Snapshot`` of one bucket, kept until the next
+insert clears every snapshot, so a sealed store builds each snapshot
+once and whatever an engine derives from a snapshot is derived once too.
+A caller may keep a snapshot across later mutations; it never changes.
+Rating records are immutable, so one record may be read through several
+stores at once.
 """
 
 from __future__ import annotations
@@ -100,7 +100,8 @@ class RatingStore:
     Records live in buckets keyed by (target, term, rep_type),
     each kept in ``_content_key`` order with equal keys in insertion
     order. A query returns one bucket as a ``Snapshot``, built on the
-    first query of its key after the last insert that touched it.
+    first query of its key after the last insert; an insert clears every
+    snapshot of the store.
 
     With ``history_cap`` set to H, each source agent keeps only its H
     ratings with the largest ``_content_key``: its most recent ones by
@@ -162,7 +163,7 @@ class RatingStore:
         bucket = self._buckets.setdefault(key, [])
         # insort is insort_right: equal keys stay in insertion order.
         bisect.insort(bucket, rating, key=_bucket_key)
-        self._snapshots.pop(key, None)
+        self._snapshots.clear()
         self._size += 1
         if self.history_cap is None:
             return []
@@ -181,14 +182,13 @@ class RatingStore:
         del bucket[bisect.bisect_left(bucket, _bucket_key(old), key=_bucket_key)]
         if not bucket:
             del self._buckets[key]
-        self._snapshots.pop(key, None)
         self._size -= 1
         return [old]
 
     def query(self, target: AgentId, term: Term, rep_type: ReputationType) -> Snapshot:
         """The records about ``target`` on ``term`` of one reputation type,
-        as an immutable snapshot: the same object on every query until an
-        insert touches the bucket.
+        as an immutable snapshot: the same object on every query until the
+        next insert.
 
         For the witness type: the explicit records, then those of the
         owner's witnesses, each part in ``_bucket_key`` order.
@@ -270,15 +270,16 @@ class ObservationStore:
     key is the opinion value, not its bin, so a query can use any number
     of bins. ``len`` is the number of observations counted.
 
-    A query sums every bin of its (witness, term, bins) at once and keeps
-    the totals until an ``add`` for that witness and term drops them.
+    A query sums every bin of its (witness, term, bins) at once, binning
+    each value by ``bin_of``, and keeps the totals until the next ``add``
+    clears every total of the store.
     """
 
     def __init__(self):
         self._counts: dict[tuple[AgentId, Term], dict[float, list[int]]] = {}
         self._size = 0
-        # (witness, term) -> bins -> (n, successes) of each bin, in bin order.
-        self._bin_totals: dict[tuple[AgentId, Term], dict[int, list[tuple[int, int]]]] = {}
+        # (witness, term, bins) -> [n, successes] of each bin, in bin order.
+        self._bin_totals: dict[tuple[AgentId, Term, int], list[list[int]]] = {}
 
     def __len__(self) -> int:
         return self._size
@@ -290,7 +291,7 @@ class ObservationStore:
         count[0] += n
         count[1] += successes
         self._size += n
-        self._bin_totals.pop((witness, term), None)
+        self._bin_totals.clear()
 
     def entries(self) -> list[tuple[AgentId, Term, float, int, int]]:
         """Every (witness, term, opinion_value, n, successes), sorted."""
@@ -301,20 +302,19 @@ class ObservationStore:
         )
 
     def query(self, witness: AgentId, term: Term, opinion_bin: int, bins: int) -> tuple[int, int]:
-        """(n, successes) summed over the opinion values in the given bin."""
+        """(n, successes) summed over the opinion values in the given bin.
+
+        Raises ``ValueError`` from ``bin_of`` for a stored opinion value
+        outside [0, 1].
+        """
         bin_bounds(opinion_bin, bins)  # validate even when the store is empty
-        by_bins = self._bin_totals.setdefault((witness, term), {})
-        totals = by_bins.get(bins)
+        key = (witness, term, bins)
+        totals = self._bin_totals.get(key)
         if totals is None:
-            counts = self._counts.get((witness, term), {})
-            totals = by_bins[bins] = []
-            for b in range(1, bins + 1):
-                lo, hi = bin_bounds(b, bins)
-                closed = b == bins  # the last bin includes 1
-                n = successes = 0
-                for value, count in counts.items():
-                    if lo <= value < hi or (closed and value == hi):
-                        n += count[0]
-                        successes += count[1]
-                totals.append((n, successes))
-        return totals[opinion_bin - 1]
+            totals = [[0, 0] for _ in range(bins)]
+            for value, (n, successes) in self._counts.get((witness, term), {}).items():
+                total = totals[bin_of(value, bins) - 1]
+                total[0] += n
+                total[1] += successes
+            self._bin_totals[key] = totals
+        return tuple(totals[opinion_bin - 1])

@@ -226,8 +226,10 @@ def beta_from_moments(mean: float, std: float) -> BetaParams:
     When the moments are infeasible (non-positive parameters), clamps to
     the uniform prior and logs a warning, on every call.
     """
-    params = _invert_moments(mean, std)
-    if params is None:
+    var = std * std
+    alpha = (mean * mean - mean**3) / var - mean
+    beta = ((1.0 - mean) ** 2 - (1.0 - mean) ** 3) / var - (1.0 - mean)
+    if alpha <= 0.0 or beta <= 0.0:
         import logging  # only this warning logs; most runs never import it
 
         logging.getLogger(__name__).warning(
@@ -236,18 +238,6 @@ def beta_from_moments(mean: float, std: float) -> BetaParams:
             std,
         )
         return UNIFORM_PRIOR
-    return params
-
-
-@functools.lru_cache(maxsize=2048)
-def _invert_moments(mean: float, std: float) -> Optional[BetaParams]:
-    """The moment inversion of ``beta_from_moments``, or None where it is
-    infeasible; memoized, since it is pure and logs nothing."""
-    var = std * std
-    alpha = (mean * mean - mean**3) / var - mean
-    beta = ((1.0 - mean) ** 2 - (1.0 - mean) ** 3) / var - (1.0 - mean)
-    if alpha <= 0.0 or beta <= 0.0:
-        return None
     return BetaParams(alpha, beta)
 
 
@@ -258,7 +248,7 @@ def discount_opinion(opinion: BetaParams, rho: float) -> BetaParams:
     The opinion's expected value and standard deviation are moved linearly
     toward the uniform prior's (0.5 and sqrt(1/12)); the discounted
     parameters are recovered from the adjusted moments. rho = 0 yields the
-    uniform prior, rho = 1 returns the original parameters.
+    uniform prior, rho = 1 returns the original parameters within rounding.
     """
     if not 0.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [0, 1]")

@@ -2,21 +2,27 @@
 
 Usage, from any directory, with the test dependencies installed:
 
-    python tests/mutants.py
+    python tests/mutants.py [NAME-PREFIX ...]
 
-For each entry of ``MUTANTS`` the runner copies ``src/`` to a temporary
-directory, replaces the entry's old text, which must occur exactly once in
-its file, by the new text, and runs the entry's tests against the copy
-with ``pytest -x`` and Hypothesis's shrinking off. The mutant is killed
-when a test fails. Before any mutant, the named tests run once against an
-unchanged copy and must pass, so a failure is the mutant's doing.
+With no argument every entry runs. Given prefixes, such as ``fire store``,
+only the entries whose name starts with one of them run; a prefix that
+names no entry is an error.
 
-Exit status: 0 when every mutant is killed; 1 when some survive, each one
-listed; 2 when an entry is broken (its old text does not occur exactly
-once, or its tests cannot run) or the unchanged copy fails. A survivor is
-a finding about the tests. It stays on the list until a test kills it.
-The runner itself uses only the standard library; the tests it runs need
-pytest and Hypothesis.
+For each chosen entry of ``MUTANTS`` the runner copies ``src/`` to a
+temporary directory, replaces the entry's old text, which must occur
+exactly once in its file, by the new text, and runs the entry's tests
+against the copy with ``pytest -x`` and Hypothesis's shrinking off. The
+mutant is killed when a test fails. Before any mutant, the named tests
+run once against an unchanged copy and must pass, so a failure is the
+mutant's doing.
+
+Exit status: 0 when every chosen mutant is killed; 1 when some survive,
+each one listed; 2 when an entry is broken (its old text does not occur
+exactly once, whether chosen or not, or its tests cannot run), a prefix
+names no entry, or the unchanged copy fails. A survivor is a finding
+about the tests. It stays on the list until a test kills it. The runner
+itself uses only the standard library; the tests it runs need pytest and
+Hypothesis.
 """
 
 from __future__ import annotations
@@ -121,19 +127,12 @@ MUTANTS = (
         ("tests/test_pipeline.py::TestWitnessEvidence",),
     ),
     Mutant(
-        "store: an insert keeps the stale snapshot of its bucket",
+        "store: an insert keeps stale snapshots",
         "store.py",
-        "        self._snapshots.pop(key, None)\n        self._size += 1\n",
-        "        self._size += 1\n",
+        "        self._snapshots.clear()\n",
+        "",
         ("tests/test_store.py::TestQuery::test_unsealed_query_sees_a_later_insert",
          "tests/test_store.py::TestRatingStoreAgainstOracle::test_queries_match_a_full_scan"),
-    ),
-    Mutant(
-        "store: an eviction keeps the stale snapshot of the evicted record's bucket",
-        "store.py",
-        "            del self._buckets[key]\n        self._snapshots.pop(key, None)\n",
-        "            del self._buckets[key]\n",
-        ("tests/test_store.py::TestQuery::test_unsealed_query_sees_a_later_insert",),
     ),
     Mutant(
         "store: sharing witness evidence keeps the snapshots taken before it",
@@ -172,19 +171,17 @@ MUTANTS = (
         ("tests/test_simulate.py::TestWitnessCopyOracle",),
     ),
     Mutant(
-        "store: bin totals leave 1.0 out of the last bin",
+        "store: bin totals binned by the bare floor",
         "store.py",
-        "closed = b == bins",
-        "closed = False",
-        ("tests/test_store.py::TestObservationBins::test_last_bin_closed",
-         "tests/test_store.py::TestObservationBins"
-         "::test_query_matches_a_per_value_scan_at_every_edge",
-         "tests/test_store.py::TestObservationStoreAgainstOracle"),
+        "bin_of(value, bins)",
+        "min(bins, math.floor(value * bins) + 1)",
+        ("tests/test_store.py::TestObservationBins"
+         "::test_query_matches_a_per_value_scan_at_every_edge",),
     ),
     Mutant(
         "store: an add keeps stale bin totals",
         "store.py",
-        "        self._bin_totals.pop((witness, term), None)\n",
+        "        self._bin_totals.clear()\n",
         "",
         ("tests/test_store.py::TestObservationBins"
          "::test_query_matches_a_per_value_scan_at_every_edge",),
@@ -257,31 +254,25 @@ MUTANTS = (
         ("tests/test_travos.py::TestGatherWitnessOpinions",),
     ),
     Mutant(
-        "fire: the recency weight table is keyed by age, not by timestamp",
+        "fire: the recency weight uses the timestamp instead of the age",
         "fire.py",
-        "        t = r.timestamp\n"
-        "        w = weights.get(t)\n"
-        "        if w is None:\n"
-        "            w = weights[t] = recency_weight(now - t, lambda_)\n",
-        "        t = now - r.timestamp\n"
-        "        w = weights.get(t)\n"
-        "        if w is None:\n"
-        "            w = weights[t] = recency_weight(t, lambda_)\n",
+        "recency_weight(now - r.timestamp, lambda_)",
+        "recency_weight(r.timestamp, lambda_)",
         ("tests/test_fire.py::TestComponentTrust"
-         "::test_weight_table_holds_only_the_timestamps_read",),
+         "::test_weights_equal_per_rating_recency_weights",),
     ),
     Mutant(
-        "fire: a weight filled on a miss skips the non-negative age check",
+        "fire: the recency weight skips the non-negative age check",
         "fire.py",
-        "weights[t] = recency_weight(now - t, lambda_)",
-        "weights[t] = math.exp((t - now) / lambda_)",
+        "recency_weight(now - r.timestamp, lambda_)",
+        "math.exp((r.timestamp - now) / lambda_)",
         ("tests/test_fire.py::TestComponentTrust::test_rating_after_now_rejected",),
     ),
     Mutant(
-        "fire: the uniform baseline divides by one more than the count",
+        "fire: the uniform mean takes one extra rating of 0",
         "fire.py",
-        "return s / len(ratings)",
-        "return s / (len(ratings) + 1)",
+        "weighted_mean((r.value, 1.0) for r in ratings)",
+        "weighted_mean([*((r.value, 1.0) for r in ratings), (0.0, 1.0)])",
         ("tests/test_fire.py::TestComponentTrustUniform"
          "::test_equals_weighted_mean_of_unit_weights",),
     ),
@@ -514,12 +505,16 @@ def _broken(message: str, output: str = "") -> int:
     return 2
 
 
-def main() -> int:
+def main(prefixes: list[str]) -> int:
     for mutant in MUTANTS:
         found = (REPO / "src" / "reptrace" / mutant.file).read_text().count(mutant.old)
         if found != 1:
             return _broken(f"{mutant.name}: old text occurs {found} times in {mutant.file}")
-    every_test = list(dict.fromkeys(t for m in MUTANTS for t in m.tests))
+    for prefix in prefixes:
+        if not any(m.name.startswith(prefix) for m in MUTANTS):
+            return _broken(f"no mutant name starts with {prefix!r}")
+    chosen = [m for m in MUTANTS if not prefixes or m.name.startswith(tuple(prefixes))]
+    every_test = list(dict.fromkeys(t for m in chosen for t in m.tests))
     with tempfile.TemporaryDirectory(prefix="reptrace-mutants-") as tmp:
         src = _copy_src(Path(tmp))
         probe = subprocess.run(
@@ -532,7 +527,7 @@ def main() -> int:
         if clean.returncode != 0:
             return _broken("the named tests fail on the unchanged source", clean.stdout)
     survivors = []
-    for mutant in MUTANTS:
+    for mutant in chosen:
         with tempfile.TemporaryDirectory(prefix="reptrace-mutant-") as tmp:
             src = _copy_src(Path(tmp))
             path = src / "reptrace" / mutant.file
@@ -548,9 +543,9 @@ def main() -> int:
             return _broken(
                 f"{mutant.name}: pytest exited {run.returncode}", run.stdout + run.stderr
             )
-    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed")
+    print(f"{len(chosen) - len(survivors)} of {len(chosen)} mutants killed")
     return 1 if survivors else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

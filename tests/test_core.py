@@ -1,5 +1,6 @@
 """Core combination math and domain type invariants."""
 
+import ast
 import json
 import math
 import pickle
@@ -23,6 +24,7 @@ from reptrace.fire import role_pseudo_ratings
 from reptrace.store import RoleRule
 
 SCENARIO_PATH = Path(__file__).resolve().parent.parent / "demos" / "delivery_scenario.json"
+SRC = Path(__file__).resolve().parent.parent / "src" / "reptrace"
 
 I = ReputationType.INTERACTION
 W = ReputationType.WITNESS
@@ -203,6 +205,24 @@ class TestOverallTrust:
         assert abs(a - b) <= 1e-12
 
 
+def _scopes(node, name):
+    """(dotted name, nodes in source order) of ``node``'s own scope, then
+    of every function and class inside it; a scope's nodes leave out
+    those of the scopes inside it."""
+    own, inner, stack = [], [], list(ast.iter_child_nodes(node))
+    while stack:
+        child = stack.pop()
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner.append(child)
+            continue
+        if hasattr(child, "lineno"):
+            own.append(child)
+        stack.extend(ast.iter_child_nodes(child))
+    yield name, sorted(own, key=lambda n: (n.lineno, n.col_offset))
+    for child in inner:
+        yield from _scopes(child, f"{name}.{child.name}")
+
+
 class TestSummationOrder:
     """Figures are summed left to right, so no Python version rounds them
     differently: the built-in ``sum`` compensates rounding from 3.12 on."""
@@ -213,6 +233,33 @@ class TestSummationOrder:
         assert total([1e16, -1e16, 1.0]) == 1.0
         # So does the numerator of a weighted mean.
         assert weighted_mean([(1.0, 1e16), (1.0, 1.0), (-1.0, 1e16)]) == 0.0
+
+    def test_every_float_sum_goes_through_core(self):
+        # Flags any call of the built-in sum, and any += onto a name that
+        # its function first set to a float literal, outside the two folds.
+        folds = {"core.total", "core.weighted_mean"}
+        paths = sorted(SRC.glob("*.py"))
+        assert paths
+        found = []
+        for path in paths:
+            tree = ast.parse(path.read_text(), filename=str(path))
+            for where, nodes in _scopes(tree, path.stem):
+                first_float: dict[str, bool] = {}
+                for node in nodes:
+                    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                            and node.func.id == "sum"):
+                        found.append(f"{where}:{node.lineno} calls sum")
+                    elif isinstance(node, ast.Assign):
+                        is_float = (isinstance(node.value, ast.Constant)
+                                    and type(node.value.value) is float)
+                        for target in node.targets:
+                            if isinstance(target, ast.Name):
+                                first_float.setdefault(target.id, is_float)
+                    elif (isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add)
+                            and isinstance(node.target, ast.Name)
+                            and first_float.get(node.target.id) and where not in folds):
+                        found.append(f"{where}:{node.lineno} adds onto {node.target.id}")
+        assert not found, found
 
 
 class TestTypes:

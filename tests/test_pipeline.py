@@ -457,10 +457,12 @@ def small_worlds(draw):
 
 
 def explanation_outcome(make):
+    """The explanation document ``make`` builds, or the message the
+    ``explain`` command would exit 4 with."""
     try:
         explanation = make()
     except NotPreferredError as exc:
-        return type(exc).__name__
+        return f"error: {exc}"
     return dump_document(explanation_to_document(explanation))
 
 
@@ -485,6 +487,56 @@ class TestContextEquivalence:
                 assert explanation_outcome(
                     lambda: explain_pair(world, model, agent, preferred, other)
                 ) == explanation_outcome(lambda: explain(expected))
+
+
+@st.composite
+def documents_with_a_newcomer(draw):
+    """The stores document of an uncapped small world, and a copy with
+    one more provider that some agents rated in interactions and that no
+    observation mentions."""
+    doc = json.loads(SCENARIO_PATH.read_text())
+    doc["seed"] = draw(st.integers(0, 2**32 - 1))
+    doc["rounds"] = draw(st.integers(1, 10))
+    doc["agents"] = doc["agents"][: draw(st.integers(1, 3))]
+    doc["providers"] = doc["providers"][: draw(st.integers(2, 3))]
+    # The cap counts a source's ratings across providers, so the
+    # newcomer's ratings would evict old ones.
+    doc["fire"]["history_cap"] = None
+    stores = world_to_document(world_from_simulation(run_scenario(scenario_from_document(doc))))
+    grown = json.loads(json.dumps(stores))
+    newcomer = draw(st.sampled_from(["aaron", "mallow", "zed"]))
+    grown["providers"].insert(
+        draw(st.integers(0, len(grown["providers"]))), {"id": newcomer, "roles": []}
+    )
+    values = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+    for agent, ratings in grown["ratings"].items():
+        rounds = draw(st.lists(st.integers(0, doc["rounds"] - 1), max_size=3))
+        ratings += [
+            {"source": agent, "target": newcomer, "term": term, "rep_type": "interaction",
+             "value": draw(values), "timestamp": t, "interaction_id": f"{agent}-{newcomer}-x{i}"}
+            for i, t in enumerate(rounds)
+            for term in grown["terms"]
+        ]
+    return stores, grown
+
+
+class TestIrrelevantProvider:
+    """A provider that the old pairs do not involve changes none of their
+    explanations, and no old provider's place or scores in a ranking."""
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(documents_with_a_newcomer())
+    def test_old_pairs_and_rankings_unchanged(self, documents):
+        old, new = (world_from_document(doc) for doc in documents)
+        old_ids = [p.id for p in old.providers]
+        for model, agent in itertools.product(Model, (a.id for a in old.agents)):
+            before = ranking_to_document(model, agent, rank(old, model, agent))
+            after = ranking_to_document(model, agent, rank(new, model, agent))
+            assert [p for p in after["providers"] if p["id"] in old_ids] == before["providers"]
+            for preferred, other in itertools.permutations(old_ids, 2):
+                assert explanation_outcome(
+                    lambda: explain_pair(new, model, agent, preferred, other)
+                ) == explanation_outcome(lambda: explain_pair(old, model, agent, preferred, other))
 
 
 class TestExplanationDocuments:
