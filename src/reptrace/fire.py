@@ -27,7 +27,7 @@ from .core import (
     build_assessment,
     weighted_mean,
 )
-from .store import RatingStore, RoleRule, Snapshot
+from .store import RatingStore, RoleRule
 
 #: Components whose rating weight is the recency factor.
 RECENCY_TYPES = (
@@ -94,8 +94,8 @@ def component_trust(
     importance: float,
     config: FireConfig,
     now: int,
-    role_evidence: Sequence[tuple[float, float]] = (),
     recency: bool = True,
+    role_evidence: Sequence[tuple[float, float]] = (),
 ) -> ComponentTrust:
     """Recency-weighted component trust (likelihood-weighted for roles).
 
@@ -105,23 +105,37 @@ def component_trust(
     yields an absent value with zero weight; otherwise the returned weight
     is the component's importance.
 
-    Every value is one ``weighted_mean``. Each rating mean is derived
-    once per ``Snapshot`` of ratings, so a sealed store's bucket is
-    summed once per (lambda, now); other sequences are summed on every
-    call.
+    Every value is one ``weighted_mean``.
     """
     if rep_type is ReputationType.ROLE_BASED:
         value = weighted_mean(role_evidence)
+    elif recency:
+        value = _recency_mean(ratings, config.lambda_, now)
     else:
-        if type(ratings) is not Snapshot:
-            ratings = Snapshot(ratings)
-        if recency:
-            value = ratings.derived(_recency_mean, config.lambda_, now)
-        else:
-            value = ratings.derived(_uniform_mean)
+        value = _uniform_mean(ratings)
     if value is None:
         return ComponentTrust(rep_type=rep_type, value=None, weight=0.0)
     return ComponentTrust(rep_type=rep_type, value=value, weight=importance)
+
+
+def _rated_components(
+    ratings: Sequence[Rating],
+    rep_type: ReputationType,
+    importance: float,
+    config: FireConfig,
+    now: int,
+    baseline: bool,
+) -> tuple[ComponentTrust, Optional[ComponentTrust]]:
+    """A rating component and, with ``baseline`` on, its uniform baseline
+    (else None): what ``assess_provider`` keeps with the bucket, so a
+    sealed store's bucket is summed once per (importance, config, now,
+    baseline flag)."""
+    return (
+        component_trust(ratings, rep_type, importance, config, now),
+        component_trust(ratings, rep_type, importance, config, now, recency=False)
+        if baseline
+        else None,
+    )
 
 
 def _recency_mean(ratings: Sequence[Rating], lambda_: float, now: int) -> Optional[float]:
@@ -162,7 +176,8 @@ def assess_provider(
 
     Only components of positive importance are read: a term queries the
     store for those rating types alone, and instantiates role rules only
-    when the role-based component counts.
+    when the role-based component counts. Each rating component, with its
+    baseline, is the one its bucket keeps (``RatingStore.derived``).
     """
     agent_roles = agent_roles or {}
     assessor_roles = agent_roles.get(assessor, ())
@@ -179,16 +194,17 @@ def assess_provider(
             uniform[term] = uniform_components = []
         for k, weight in active:
             if k is ReputationType.ROLE_BASED:
-                ratings = ()
                 pseudo = role_pseudo_ratings(role_rules, assessor_roles, target_roles, term)
-            else:
-                ratings = rating_store.query(target, term, k)
-                pseudo = ()
-            components.append(component_trust(ratings, k, weight, config, now, pseudo))
-            if baseline:
-                uniform_components.append(
-                    component_trust(ratings, k, weight, config, now, pseudo, recency=False)
+                component = uniform_component = component_trust(
+                    (), k, weight, config, now, role_evidence=pseudo
                 )
+            else:
+                component, uniform_component = rating_store.derived(
+                    target, term, k, _rated_components, k, weight, config, now, baseline
+                )
+            components.append(component)
+            if baseline:
+                uniform_components.append(uniform_component)
     return FireAssessment(
         assessment=build_assessment(assessor, target, weighted, preferences),
         uniform=(

@@ -5,12 +5,30 @@ bounded per-source history, a role-rule list, and an observation store
 counting the outcomes that followed past witness opinions.
 
 Mutations are expected to come from a single writer. A rating query
-returns an immutable ``Snapshot`` of one bucket, kept until the next
-insert clears every snapshot, so a sealed store builds each snapshot
-once and whatever an engine derives from a snapshot is derived once too.
-A caller may keep a snapshot across later mutations; it never changes.
-Rating records are immutable, so one record may be read through several
-stores at once.
+returns one bucket as an immutable tuple, its snapshot, built on the
+first query of the bucket after the last mutation; a caller may keep it
+across later mutations, and it never changes. Rating records are
+immutable, so one record may be read through several stores at once.
+
+A rating store also keeps, in one dict, what the engines finish from
+each bucket (``RatingStore.derived``):
+
+- each interaction, witness and certified bucket keeps FIRE's component
+  trust per (importance, config, now), with its uniform baseline when
+  one is asked for;
+- each interaction bucket keeps TRAVOS's term result from the
+  assessor's own evidence: its beta, confidence and low-confidence
+  flag, and for a confident term the whole result;
+- for a term of low confidence, the witness bucket keeps TRAVOS's
+  witness contributions and pooled witness evidence, per observation
+  store and number of bins.
+
+``RatingStore.insert`` and ``share_witness_evidence`` drop every
+snapshot and every kept value of the stores they change, and
+``ObservationStore.add`` drops every value derived from that
+observation store. A value lives only as long as its store, so it pays
+only when one store serves several requests: a fresh command builds its
+stores anew and reads each bucket once per model.
 """
 
 from __future__ import annotations
@@ -43,28 +61,6 @@ def _bucket_key(rating: Rating):
     return (rating.timestamp, rating.source, rating.value, rating.interaction_id or "")
 
 
-class Snapshot(tuple):
-    """The records of one query, in order: an immutable tuple that also
-    keeps what callers derive from it.
-
-    ``derived(fn, *args)`` is ``fn(snapshot, *args)``, computed on the
-    first call with those arguments and kept with the snapshot; a call
-    that raises keeps nothing, so it raises again on every call. ``fn``
-    must depend on nothing but its arguments.
-    """
-
-    def derived(self, fn, *args):
-        key = (fn, args)
-        try:
-            return self._derived[key]
-        except AttributeError:
-            self._derived = {}
-        except KeyError:
-            pass
-        value = self._derived[key] = fn(self, *args)
-        return value
-
-
 def share_witness_evidence(
     stores: Mapping[AgentId, "RatingStore"], witnesses: Mapping[AgentId, Iterable[AgentId]]
 ) -> None:
@@ -74,8 +70,9 @@ def share_witness_evidence(
     is made, and grouped into one run per (target, term) in
     ``_bucket_key`` order. Every store reads the runs, never copies them,
     so every store is sealed: its ``insert`` raises ``ValueError`` from
-    then on, since the runs would not see the new record. Snapshots taken
-    before sharing are dropped, since they lack the runs.
+    then on, since the runs would not see the new record. Snapshots and
+    derived values taken before sharing are dropped, since they lack the
+    runs.
     """
     runs: dict[tuple[AgentId, Term], list[Rating]] = {}
     for store in stores.values():
@@ -92,6 +89,7 @@ def share_witness_evidence(
         store._witness_runs = runs
         store._peers = frozenset(witnesses.get(agent, ()))
         store._snapshots.clear()
+        store._derived.clear()
 
 
 class RatingStore:
@@ -99,9 +97,10 @@ class RatingStore:
 
     Records live in buckets keyed by (target, term, rep_type),
     each kept in ``_content_key`` order with equal keys in insertion
-    order. A query returns one bucket as a ``Snapshot``, built on the
-    first query of its key after the last insert; an insert clears every
-    snapshot of the store.
+    order. A query returns one bucket as a tuple, built on the first
+    query of its key after the last insert; ``derived`` keeps what is
+    computed from a bucket. An insert clears every snapshot and every
+    derived value of the store.
 
     With ``history_cap`` set to H, each source agent keeps only its H
     ratings with the largest ``_content_key``: its most recent ones by
@@ -136,7 +135,9 @@ class RatingStore:
         self._sealed = False
         self._witness_runs: Mapping[tuple[AgentId, Term], list[Rating]] = {}
         self._peers: frozenset[AgentId] = frozenset()
-        self._snapshots: dict[tuple[AgentId, Term, ReputationType], Snapshot] = {}
+        self._snapshots: dict[tuple[AgentId, Term, ReputationType], tuple[Rating, ...]] = {}
+        # (target, term, rep_type, fn, args) -> fn(that bucket's snapshot, *args).
+        self._derived: dict[tuple, object] = {}
 
     def __len__(self) -> int:
         return self._size
@@ -164,6 +165,7 @@ class RatingStore:
         # insort is insort_right: equal keys stay in insertion order.
         bisect.insort(bucket, rating, key=_bucket_key)
         self._snapshots.clear()
+        self._derived.clear()
         self._size += 1
         if self.history_cap is None:
             return []
@@ -185,9 +187,11 @@ class RatingStore:
         self._size -= 1
         return [old]
 
-    def query(self, target: AgentId, term: Term, rep_type: ReputationType) -> Snapshot:
+    def query(
+        self, target: AgentId, term: Term, rep_type: ReputationType
+    ) -> tuple[Rating, ...]:
         """The records about ``target`` on ``term`` of one reputation type,
-        as an immutable snapshot: the same object on every query until the
+        as an immutable snapshot: the same tuple on every query until the
         next insert.
 
         For the witness type: the explicit records, then those of the
@@ -203,8 +207,33 @@ class RatingStore:
                     r for r in self._witness_runs.get((target, term), ()) if r.source in peers
                 ]
                 records = records + shared
-            found = self._snapshots[key] = Snapshot(records)
+            found = self._snapshots[key] = tuple(records)
         return found
+
+    def derived(self, target: AgentId, term: Term, rep_type: ReputationType, fn, *args):
+        """``fn(self.query(target, term, rep_type), *args)``, computed on
+        the first call with this bucket and these arguments and kept until
+        the next insert.
+
+        The query runs on every call, so every read of evidence goes
+        through ``query``. A call that raises keeps nothing, so it raises
+        again on every call. ``fn`` must depend on nothing but its
+        arguments and, for an ``ObservationStore`` among them, on what
+        the observation store holds: its ``add`` drops every value
+        computed from it.
+        """
+        records = self.query(target, term, rep_type)
+        key = (target, term, rep_type, fn, args)
+        try:
+            return self._derived[key]
+        except KeyError:
+            pass
+        value = fn(records, *args)
+        for arg in args:
+            if type(arg) is ObservationStore:
+                arg._readers.add(self)
+        self._derived[key] = value
+        return value
 
     def all_records(self) -> list[Rating]:
         """Every record held, in ``_content_key`` order, equal keys in
@@ -270,16 +299,16 @@ class ObservationStore:
     key is the opinion value, not its bin, so a query can use any number
     of bins. ``len`` is the number of observations counted.
 
-    A query sums every bin of its (witness, term, bins) at once, binning
-    each value by ``bin_of``, and keeps the totals until the next ``add``
-    clears every total of the store.
+    A query bins each opinion value of its (witness, term) by ``bin_of``.
+    An ``add`` drops every value a ``RatingStore`` derived from this
+    store.
     """
 
     def __init__(self):
         self._counts: dict[tuple[AgentId, Term], dict[float, list[int]]] = {}
         self._size = 0
-        # (witness, term, bins) -> [n, successes] of each bin, in bin order.
-        self._bin_totals: dict[tuple[AgentId, Term, int], list[list[int]]] = {}
+        # Rating stores holding values derived from this store.
+        self._readers: set[RatingStore] = set()
 
     def __len__(self) -> int:
         return self._size
@@ -291,7 +320,9 @@ class ObservationStore:
         count[0] += n
         count[1] += successes
         self._size += n
-        self._bin_totals.clear()
+        for reader in self._readers:
+            reader._derived = {k: v for k, v in reader._derived.items() if self not in k[4]}
+        self._readers.clear()
 
     def entries(self) -> list[tuple[AgentId, Term, float, int, int]]:
         """Every (witness, term, opinion_value, n, successes), sorted."""
@@ -308,13 +339,9 @@ class ObservationStore:
         outside [0, 1].
         """
         bin_bounds(opinion_bin, bins)  # validate even when the store is empty
-        key = (witness, term, bins)
-        totals = self._bin_totals.get(key)
-        if totals is None:
-            totals = [[0, 0] for _ in range(bins)]
-            for value, (n, successes) in self._counts.get((witness, term), {}).items():
-                total = totals[bin_of(value, bins) - 1]
-                total[0] += n
-                total[1] += successes
-            self._bin_totals[key] = totals
-        return tuple(totals[opinion_bin - 1])
+        n_total = successes_total = 0
+        for value, (n, successes) in self._counts.get((witness, term), {}).items():
+            if bin_of(value, bins) == opinion_bin:
+                n_total += n
+                successes_total += successes
+        return n_total, successes_total

@@ -204,7 +204,6 @@ def confidence(p: BetaParams, epsilon: float) -> float:
     return interval_mass(p, e - epsilon, e + epsilon)
 
 
-@functools.lru_cache(maxsize=2048)
 def witness_accuracy(n: int, successes: int, opinion_bin: int, bins: int) -> float:
     """Accuracy of a witness whose current opinion falls in the given bin.
 
@@ -212,8 +211,7 @@ def witness_accuracy(n: int, successes: int, opinion_bin: int, bins: int) -> flo
     ``successes`` of them were successful; they count into a beta
     distribution, and the accuracy is that distribution's mass over the
     bin interval. With no history this is the uniform prior's mass,
-    1 / bins. Memoized like ``regularized_incomplete_beta``: it is pure
-    and logs nothing.
+    1 / bins.
     """
     outcome_dist = BetaParams(1.0 + successes, 1.0 + (n - successes))
     lo, hi = bin_bounds(opinion_bin, bins)
@@ -226,19 +224,31 @@ def beta_from_moments(mean: float, std: float) -> BetaParams:
     When the moments are infeasible (non-positive parameters), clamps to
     the uniform prior and logs a warning, on every call.
     """
+    params = _invert_moments(mean, std)
+    if params is None:
+        _log_clamp(mean, std)
+        return UNIFORM_PRIOR
+    return params
+
+
+def _invert_moments(mean: float, std: float) -> Optional[BetaParams]:
+    """``beta_from_moments`` without the clamp: None when infeasible."""
     var = std * std
     alpha = (mean * mean - mean**3) / var - mean
     beta = ((1.0 - mean) ** 2 - (1.0 - mean) ** 3) / var - (1.0 - mean)
     if alpha <= 0.0 or beta <= 0.0:
-        import logging  # only this warning logs; most runs never import it
-
-        logging.getLogger(__name__).warning(
-            "degenerate moment inversion (mean=%s, std=%s); clamping to uniform prior",
-            mean,
-            std,
-        )
-        return UNIFORM_PRIOR
+        return None
     return BetaParams(alpha, beta)
+
+
+def _log_clamp(mean: float, std: float) -> None:
+    import logging  # only this warning logs; most runs never import it
+
+    logging.getLogger(__name__).warning(
+        "degenerate moment inversion (mean=%s, std=%s); clamping to uniform prior",
+        mean,
+        std,
+    )
 
 
 def discount_opinion(opinion: BetaParams, rho: float) -> BetaParams:
@@ -250,11 +260,16 @@ def discount_opinion(opinion: BetaParams, rho: float) -> BetaParams:
     parameters are recovered from the adjusted moments. rho = 0 yields the
     uniform prior, rho = 1 returns the original parameters within rounding.
     """
+    return beta_from_moments(*_discounted_moments(opinion, rho))
+
+
+def _discounted_moments(opinion: BetaParams, rho: float) -> tuple[float, float]:
+    """The (mean, std) ``discount_opinion`` inverts."""
     if not 0.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [0, 1]")
     e_bar = 0.5 + rho * (opinion.mean - 0.5)
     s_bar = UNIFORM_STD + rho * (opinion.std - UNIFORM_STD)
-    return beta_from_moments(e_bar, s_bar)
+    return e_bar, s_bar
 
 
 def combine_evidence(
@@ -271,8 +286,11 @@ def decomposition_weights(
     interaction: BetaParams, discounted: Sequence[BetaParams]
 ) -> tuple[float, float]:
     """Evidence-mass shares (interaction, witness) of the pooled distribution."""
-    witness_mass = total(d.mass for d in discounted)
-    w_i = interaction.mass / (interaction.mass + witness_mass)
+    return _mass_shares(interaction.mass, total(d.mass for d in discounted))
+
+
+def _mass_shares(interaction_mass: float, witness_mass: float) -> tuple[float, float]:
+    w_i = interaction_mass / (interaction_mass + witness_mass)
     return w_i, 1.0 - w_i
 
 
@@ -309,13 +327,12 @@ def gather_witness_opinions(
     """Each witness's opinion of a target on one term, as ``(witness,
     params)`` pairs in witness order, from the witness-type records.
 
-    Each witness's records are binarized as ``binarized_beta`` does. The
-    opinions are derived once per snapshot of the records.
+    Each witness's records are binarized as ``binarized_beta`` does.
     """
-    return list(rating_store.query(target, term, ReputationType.WITNESS).derived(_opinions))
+    return _opinions(rating_store.query(target, term, ReputationType.WITNESS))
 
 
-def _opinions(records: Sequence[Rating]) -> tuple[tuple[AgentId, BetaParams], ...]:
+def _opinions(records: Sequence[Rating]) -> list[tuple[AgentId, BetaParams]]:
     """``gather_witness_opinions`` of the records, counted in the one pass
     that groups them by witness."""
     counts: dict[AgentId, list[int]] = {}  # witness -> [n, successes]
@@ -330,7 +347,7 @@ def _opinions(records: Sequence[Rating]) -> tuple[tuple[AgentId, BetaParams], ..
     for witness in sorted(counts):
         n, successes = counts[witness]
         opinions.append((witness, BetaParams(1.0 + successes, 1.0 + (n - successes))))
-    return tuple(opinions)
+    return opinions
 
 
 def assess_term(
@@ -345,58 +362,109 @@ def assess_term(
     Interaction evidence always contributes. Witnesses are consulted only
     when the interaction confidence falls below the configured threshold;
     each consulted opinion is discounted by the witness's historical
-    accuracy in the opinion's bin before pooling. The interaction beta is
-    derived once per snapshot of the interaction records.
+    accuracy in the opinion's bin before pooling.
+
+    The interaction bucket keeps the term's result from its own evidence
+    (``RatingStore.derived``), which is the whole result of a confident
+    term. For a term of low confidence the witness bucket keeps the
+    witness contributions and their pooled evidence per observation store
+    and number of bins, and the two combine here. Every clamped discount
+    logs its warning on every call, kept or not.
     """
-    interaction = rating_store.query(target, term, ReputationType.INTERACTION).derived(
-        binarized_beta
+    own = rating_store.derived(
+        target, term, ReputationType.INTERACTION, _interaction_result, config
     )
+    if not own.low_confidence:
+        return own
+    pool = rating_store.derived(
+        target, term, ReputationType.WITNESS, _witness_pool, term, obs_store, config.bins
+    )
+    for mean, std in pool.clamps:
+        _log_clamp(mean, std)
+    if not pool.contributions:
+        return own
+    interaction = own.interaction
+    w_i, w_w = _mass_shares(interaction.mass, pool.mass)
+    return own._replace(
+        witnesses=pool.contributions,
+        components=(
+            ComponentTrust(
+                rep_type=ReputationType.INTERACTION, value=interaction.mean, weight=w_i
+            ),
+            ComponentTrust(rep_type=ReputationType.WITNESS, value=pool.trust, weight=w_w),
+        ),
+    )
+
+
+def _interaction_result(records: Sequence[Rating], config: TravosConfig) -> TravosTermResult:
+    """The term's result from the interaction records alone, consulting
+    no witness."""
+    interaction = binarized_beta(records)
     conf = confidence(interaction, config.epsilon)
     low_confidence = conf < config.confidence_threshold
-
-    contributions: list[WitnessContribution] = []
-    if low_confidence:
-        for witness, opinion in gather_witness_opinions(rating_store, target, term):
-            opinion_bin = bin_of(opinion.mean, config.bins)
-            n, successes = obs_store.query(witness, term, opinion_bin, config.bins)
-            rho = witness_accuracy(n, successes, opinion_bin, config.bins)
-            contributions.append(
-                WitnessContribution(
-                    witness=witness,
-                    opinion=opinion,
-                    opinion_bin=opinion_bin,
-                    accuracy=rho,
-                    discounted=discount_opinion(opinion, rho),
-                )
-            )
-
-    discounted = [c.discounted for c in contributions]
-    w_i, w_w = decomposition_weights(interaction, discounted)
-
-    if discounted:
-        pooled = BetaParams(
-            total(d.alpha for d in discounted), total(d.beta for d in discounted)
-        )
-        witness_component = ComponentTrust(
-            rep_type=ReputationType.WITNESS, value=pooled.mean, weight=w_w
-        )
-    else:
-        witness_component = ComponentTrust(
-            rep_type=ReputationType.WITNESS, value=None, weight=0.0
-        )
-
-    components = (
-        ComponentTrust(
-            rep_type=ReputationType.INTERACTION, value=interaction.mean, weight=w_i
-        ),
-        witness_component,
-    )
+    w_i, _ = decomposition_weights(interaction, ())
     return TravosTermResult(
         interaction=interaction,
         interaction_confidence=conf,
         low_confidence=low_confidence,
-        witnesses=tuple(contributions),
-        components=components,
+        witnesses=(),
+        components=(
+            ComponentTrust(
+                rep_type=ReputationType.INTERACTION, value=interaction.mean, weight=w_i
+            ),
+            ComponentTrust(rep_type=ReputationType.WITNESS, value=None, weight=0.0),
+        ),
+    )
+
+
+class _WitnessPool(NamedTuple):
+    """The witness side of a term of low confidence."""
+
+    contributions: tuple[WitnessContribution, ...]
+    #: Discounted evidence mass, summed witness by witness.
+    mass: float
+    #: Mean of the pooled discounted evidence; None without a witness.
+    trust: Optional[float]
+    #: (mean, std) of each discount that clamped to the uniform prior.
+    clamps: tuple[tuple[float, float], ...]
+
+
+def _witness_pool(
+    records: Sequence[Rating], term: Term, obs_store: ObservationStore, bins: int
+) -> _WitnessPool:
+    """Discount each witness's opinion in the witness records by its
+    accuracy in the opinion's bin, and pool the discounted evidence."""
+    contributions = []
+    clamps = []
+    for witness, opinion in _opinions(records):
+        opinion_bin = bin_of(opinion.mean, bins)
+        n, successes = obs_store.query(witness, term, opinion_bin, bins)
+        rho = witness_accuracy(n, successes, opinion_bin, bins)
+        moments = _discounted_moments(opinion, rho)
+        discounted = _invert_moments(*moments)
+        if discounted is None:
+            clamps.append(moments)
+            discounted = UNIFORM_PRIOR
+        contributions.append(
+            WitnessContribution(
+                witness=witness,
+                opinion=opinion,
+                opinion_bin=opinion_bin,
+                accuracy=rho,
+                discounted=discounted,
+            )
+        )
+    discounted = [c.discounted for c in contributions]
+    trust = None
+    if discounted:
+        trust = BetaParams(
+            total(d.alpha for d in discounted), total(d.beta for d in discounted)
+        ).mean
+    return _WitnessPool(
+        contributions=tuple(contributions),
+        mass=total(d.mass for d in discounted),
+        trust=trust,
+        clamps=tuple(clamps),
     )
 
 

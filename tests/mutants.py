@@ -142,11 +142,29 @@ MUTANTS = (
         ("tests/test_store.py::TestOwnership::test_no_insert_once_shared",),
     ),
     Mutant(
-        "store: a snapshot keeps one derived value per function, whatever its arguments",
+        "store: a bucket keeps one derived value per function, whatever its arguments",
         "store.py",
-        "        key = (fn, args)\n",
-        "        key = fn\n",
-        ("tests/test_store.py::TestQuery::test_snapshot_derives_once_per_arguments",),
+        "        key = (target, term, rep_type, fn, args)\n",
+        "        key = (target, term, rep_type, fn)\n",
+        ("tests/test_store.py::TestQuery::test_derives_once_per_bucket_and_arguments",),
+    ),
+    Mutant(
+        "store: an insert keeps the derived values",
+        "store.py",
+        "        self._snapshots.clear()\n        self._derived.clear()\n        self._size += 1\n",
+        "        self._snapshots.clear()\n        self._size += 1\n",
+        ("tests/test_pipeline.py::TestKeptValuesFollowMutations"
+         "::test_an_insert_after_an_assessment_reaches_the_next",),
+    ),
+    Mutant(
+        "store: an observation add keeps the values derived from it",
+        "store.py",
+        "        for reader in self._readers:\n"
+        "            reader._derived = {k: v for k, v in reader._derived.items()"
+        " if self not in k[4]}\n",
+        "",
+        ("tests/test_pipeline.py::TestKeptValuesFollowMutations"
+         "::test_an_observation_added_after_a_ranking_reaches_the_next",),
     ),
     Mutant(
         "pipeline: an explicit witness rating may come from one of its owner's peers",
@@ -171,18 +189,10 @@ MUTANTS = (
         ("tests/test_simulate.py::TestWitnessCopyOracle",),
     ),
     Mutant(
-        "store: bin totals binned by the bare floor",
+        "store: an observation query bins by the bare floor",
         "store.py",
         "bin_of(value, bins)",
         "min(bins, math.floor(value * bins) + 1)",
-        ("tests/test_store.py::TestObservationBins"
-         "::test_query_matches_a_per_value_scan_at_every_edge",),
-    ),
-    Mutant(
-        "store: an add keeps stale bin totals",
-        "store.py",
-        "        self._bin_totals.clear()\n",
-        "",
         ("tests/test_store.py::TestObservationBins"
          "::test_query_matches_a_per_value_scan_at_every_edge",),
     ),
@@ -315,10 +325,10 @@ MUTANTS = (
          "tests/test_fire.py::TestTermTrust::test_no_evidence_propagates"),
     ),
     Mutant(
-        "travos: the clamp warning is memoized with the moment inversion",
+        "travos: a kept witness pool logs its clamps only when it is computed",
         "travos.py",
-        "def beta_from_moments(",
-        "@functools.lru_cache(maxsize=2048)\ndef beta_from_moments(",
+        "        discounted = _invert_moments(*moments)\n",
+        "        discounted = beta_from_moments(*moments)\n",
         ("tests/test_travos.py::TestAssessTerm::test_every_assessment_logs_its_clamp",),
     ),
     Mutant(

@@ -18,7 +18,7 @@ from oracles import (
     validate_assessment,
 )
 from reptrace import fire, pipeline, travos
-from reptrace.core import ReputationType
+from reptrace.core import Preferences, Rating, ReputationType
 from reptrace.errors import ConfigError, NotPreferredError, UnknownAgentError
 from reptrace.explain import (
     ARGUMENT_KINDS,
@@ -47,7 +47,8 @@ from reptrace.pipeline import (
 )
 from reptrace.scenario import load_schema, load_scenario, scenario_from_document
 from reptrace.simulate import run_scenario
-from reptrace.store import Snapshot
+from reptrace.store import ObservationStore, RatingStore
+from test_rung_pin import rung_scenario
 
 SCENARIO_PATH = Path(__file__).resolve().parent.parent / "demos" / "delivery_scenario.json"
 V1_STORES_PATH = Path(__file__).resolve().parent / "data" / "demo_stores_v1.json"
@@ -214,15 +215,16 @@ class TestDumpDocument:
         assert len(pipeline._key_prefixes) == limit
 
 
-class TableStore:
+class TableStore(RatingStore):
     """A rating store that answers each query from a fixed table, with a
-    fresh snapshot every time."""
+    fresh snapshot every time; ``derived`` reads it through ``query``."""
 
     def __init__(self, table):
+        super().__init__("carol")
         self.table = table
 
     def query(self, target, term, rep_type):
-        return Snapshot(self.table.get((target, term, rep_type), ()))
+        return tuple(self.table.get((target, term, rep_type), ()))
 
 
 class TestWitnessEvidence:
@@ -537,6 +539,101 @@ class TestIrrelevantProvider:
                 assert explanation_outcome(
                     lambda: explain_pair(new, model, agent, preferred, other)
                 ) == explanation_outcome(lambda: explain_pair(old, model, agent, preferred, other))
+
+
+def request_outputs(world, requests) -> list:
+    """The ranking document, or the explanation outcome, of each
+    ``(model, agent)`` or ``(model, agent, preferred, other)`` request."""
+    out = []
+    for model, agent, *pair in requests:
+        if pair:
+            out.append(explanation_outcome(lambda: explain_pair(world, model, agent, *pair)))
+        else:
+            out.append(dump_document(ranking_to_document(model, agent, rank(world, model, agent))))
+    return out
+
+
+class TestWarmEqualsCold:
+    """What a world keeps from one request never changes another's output."""
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(small_worlds())
+    def test_every_output_equals_a_fresh_worlds(self, world):
+        text = dump_document(world_to_document(world))
+        providers = [p.id for p in world.providers]
+        requests = []
+        for model, agent in itertools.product(Model, (a.id for a in world.agents)):
+            requests.append((model, agent))
+            requests += [(model, agent, *pair) for pair in itertools.permutations(providers, 2)]
+        cold = [
+            request_outputs(world_from_document(json.loads(text)), [request])[0]
+            for request in requests
+        ]
+        served = world_from_document(json.loads(text))
+        for _ in range(2):
+            assert request_outputs(served, requests) == cold
+
+
+class TestKeptValuesFollowMutations:
+    """A store mutated after an assessment gives the next assessment what
+    a store never assessed before gives."""
+
+    def test_an_observation_added_after_a_ranking_reaches_the_next(self):
+        # agent06 of the 16x8x60 world, seed 1, consults witnesses on terms
+        # of low confidence; 50 failures after a consulted witness's opinion
+        # change that witness's accuracy in the opinion's bin.
+        doc = rung_scenario(16, 8, 60, 1)
+        world = world_from_simulation(run_scenario(scenario_from_document(doc)))
+        agent = "agent06"
+        before = {r.assessment.target: r for r in rank(world, Model.TRAVOS, agent)}
+        provider, term, consulted = next(
+            (provider, term, contribution)
+            for provider, result in before.items()
+            for term, res in result.term_results.items()
+            if res.low_confidence
+            for contribution in res.witnesses
+        )
+        world.observation_stores[agent].add(
+            consulted.witness, term, consulted.opinion.mean, 50, 0
+        )
+        after = {r.assessment.target: r for r in rank(world, Model.TRAVOS, agent)}
+        assert after[provider] != before[provider]
+        assert after[provider] == travos_reference(world, agent, provider)
+
+    def test_an_insert_after_an_assessment_reaches_the_next(self):
+        prefs = Preferences(term_weights={"q": 1.0}, component_weights={I: 0.75, W: 0.25})
+        # A threshold high enough that every term here is of low confidence.
+        fire_config = fire.FireConfig()
+        travos_config = travos.TravosConfig(confidence_threshold=0.9)
+        obs = ObservationStore()
+        obs.add("w", "q", 0.75, 4, 1)
+
+        def assess(store):
+            return (
+                fire.assess_provider(store, "a", "b", prefs, fire_config, now=3),
+                travos.assess_provider(store, obs, "a", "b", prefs, travos_config),
+            )
+
+        def rating(value, source="a", rep_type=I, ts=0):
+            return Rating(source, "b", "q", rep_type, value, ts)
+
+        records = [rating(0.8), rating(0.9, source="w", rep_type=W)]
+        store = RatingStore("a")
+        for record in records:
+            store.insert(record)
+        # An interaction rating, then a witness rating: TRAVOS reads both
+        # buckets each time.
+        for new in (rating(0.1, ts=1), rating(0.2, source="w", rep_type=W, ts=2)):
+            before = assess(store)
+            store.insert(new)
+            records.append(new)
+            fresh = RatingStore("a")
+            for record in records:
+                fresh.insert(record)
+            after = assess(store)
+            assert after == assess(fresh)
+            assert after[0] != before[0] and after[1] != before[1]
+            assert after[1].term_results["q"].low_confidence
 
 
 class TestExplanationDocuments:

@@ -228,23 +228,48 @@ class TestQuery:
         assert [rec.timestamp for rec in store.query("b", "q", I)] == [2, 5]
         assert [rec.timestamp for rec in out] == [2]
 
-    def test_snapshot_derives_once_per_arguments(self):
+    def test_derives_once_per_bucket_and_arguments(self):
         calls = []
 
         def mean_plus(records, offset):
-            calls.append(offset)
+            calls.append((len(records), offset))
             if offset < 0:
                 raise ValueError("negative offset")
             return sum(rec.value for rec in records) / len(records) + offset
 
-        snapshot = self.build().query("b", "q", I)
-        assert [snapshot.derived(mean_plus, k) for k in (0.0, 1.0, 0.0, 1.0)] == [
+        store = self.build()
+        assert [store.derived("b", "q", I, mean_plus, k) for k in (0.0, 1.0, 0.0, 1.0)] == [
             0.5, 1.5, 0.5, 1.5
         ]
         for _ in range(2):
             with pytest.raises(ValueError, match="negative offset"):
-                snapshot.derived(mean_plus, -1.0)
-        assert calls == [0.0, 1.0, -1.0, -1.0]
+                store.derived("b", "q", I, mean_plus, -1.0)
+        # Another bucket is another value.
+        assert store.derived("b", "q", W, mean_plus, 0.0) == 0.5
+        assert calls == [(1, 0.0), (1, 1.0), (1, -1.0), (1, -1.0), (1, 0.0)]
+        # An insert drops every kept value.
+        store.insert(r(source="a", target="b", term="q", rep_type=I, value=1.0, ts=4))
+        assert store.derived("b", "q", I, mean_plus, 0.0) == 0.75
+        assert calls[-1] == (2, 0.0)
+
+    def test_an_observation_add_drops_only_what_was_derived_from_it(self):
+        calls = []
+
+        def count(records, *stores):
+            calls.append(stores)
+            return sum(len(s) for s in stores)
+
+        store, obs, other = self.build(), ObservationStore(), ObservationStore()
+        for _ in range(2):
+            assert [store.derived("b", "q", W, count, *s) for s in ((), (obs,), (other,))] == [
+                0, 0, 0
+            ]
+        assert calls == [(), (obs,), (other,)]
+        obs.add("w", "q", 0.5, 3, 1)
+        assert [store.derived("b", "q", W, count, *s) for s in ((), (obs,), (other,))] == [
+            0, 3, 0
+        ]
+        assert calls == [(), (obs,), (other,), (obs,)]
 
     def test_unsealed_query_sees_a_later_insert(self):
         store = RatingStore("a", history_cap=2)
@@ -350,7 +375,7 @@ class TestObservationBins:
         # Every bin edge of 1 to 10 bins, 3 ulps either side, with 1.0 in
         # the closed last bin; each value counts its own (n, successes),
         # so a total that takes or loses one value shows. The second pass
-        # reads totals kept from the first after an add changed them.
+        # follows an add that changes one count.
         values = {1.0}
         for bins in range(1, 11):
             for k in range(bins + 1):

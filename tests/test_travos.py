@@ -406,11 +406,14 @@ class TestAssessTerm:
         store = RatingStore("a")
         store.insert(rating(1.0, source="w", rep_type=W, ts=0))
         prefs = Preferences(term_weights={"q": 1.0}, component_weights={I: 0.75, W: 0.25})
+        # One pair of stores: the second assessment reads the witness pool
+        # the first one kept.
+        obs = ObservationStore()
         clamps = []
         for _ in range(2):
             caplog.clear()
             with caplog.at_level(logging.WARNING, logger="reptrace.travos"):
-                result = assess_provider(store, ObservationStore(), "a", "b", prefs, make_config())
+                result = assess_provider(store, obs, "a", "b", prefs, make_config())
             (witness,) = result.term_results["q"].witnesses
             assert witness.discounted == BetaParams(1.0, 1.0)
             clamps.append(sum("degenerate" in rec.message for rec in caplog.records))
