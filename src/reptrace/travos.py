@@ -242,6 +242,7 @@ def _invert_moments(mean: float, std: float) -> Optional[BetaParams]:
 
 
 def _log_clamp(mean: float, std: float) -> None:
+    """Log ``beta_from_moments``'s clamp warning."""
     import logging  # only this warning logs; most runs never import it
 
     logging.getLogger(__name__).warning(
@@ -290,6 +291,7 @@ def decomposition_weights(
 
 
 def _mass_shares(interaction_mass: float, witness_mass: float) -> tuple[float, float]:
+    """``decomposition_weights`` from the two evidence masses."""
     w_i = interaction_mass / (interaction_mass + witness_mass)
     return w_i, 1.0 - w_i
 
