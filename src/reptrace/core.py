@@ -220,26 +220,48 @@ def weighted_mean(pairs: Iterable[tuple[float, float]]) -> Optional[float]:
     return num / den
 
 
+def term_assessment(components: Iterable[ComponentTrust]) -> TermAssessment:
+    """A term's components and its trust: the mean of the evidenced
+    components' values weighted by their weights, None when none has
+    evidence and weight."""
+    comps = tuple(components)
+    return TermAssessment(
+        comps, weighted_mean([(c.value, c.weight) for c in comps if c.value is not None])
+    )
+
+
+def assessment_of_terms(
+    assessor: AgentId,
+    target: AgentId,
+    per_term: Mapping[Term, TermAssessment],
+    preferences: Preferences,
+) -> Assessment:
+    """An Assessment whose ``per_term`` holds one TermAssessment per
+    preferred term, in declaration order.
+
+    Terms with a None term trust are left out of the overall mean, which
+    renormalises over the remaining terms. The overall score is None only
+    when no evidenced term carries weight.
+    """
+    evidenced: list[tuple[float, float]] = []
+    for term, term_weight in preferences.term_weights.items():
+        tt = per_term[term].term_trust
+        if tt is not None:
+            evidenced.append((tt, term_weight))
+    return Assessment(assessor, target, per_term, weighted_mean(evidenced))
+
+
 def build_assessment(
     assessor: AgentId,
     target: AgentId,
     components_by_term: Mapping[Term, Sequence[ComponentTrust]],
     preferences: Preferences,
 ) -> Assessment:
-    """Assemble an Assessment from per-term component trusts.
-
-    Terms without any usable evidence get a None term trust and are left
-    out of the overall mean, which renormalises over the remaining terms.
-    The overall score is None only when no evidenced term carries weight.
-    """
-    per_term: dict[Term, TermAssessment] = {}
-    for term in preferences.terms:
-        comps = tuple(components_by_term.get(term, ()))
-        tt = weighted_mean((c.value, c.weight) for c in comps if c.value is not None)
-        per_term[term] = TermAssessment(components=comps, term_trust=tt)
-    overall = weighted_mean(
-        (ta.term_trust, preferences.term_weights[t])
-        for t, ta in per_term.items()
-        if ta.term_trust is not None
-    )
-    return Assessment(assessor=assessor, target=target, per_term=per_term, overall=overall)
+    """Assemble an Assessment from per-term component trusts: each term's
+    ``term_assessment``, combined by ``assessment_of_terms``. A term
+    without components gets a None term trust."""
+    per_term = {
+        term: term_assessment(components_by_term.get(term, ()))
+        for term in preferences.term_weights
+    }
+    return assessment_of_terms(assessor, target, per_term, preferences)

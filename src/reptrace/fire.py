@@ -24,7 +24,9 @@ from .core import (
     ReputationType,
     REPUTATION_ORDER,
     Term,
-    build_assessment,
+    TermAssessment,
+    assessment_of_terms,
+    term_assessment,
     weighted_mean,
 )
 from .store import RatingStore, RoleRule
@@ -118,26 +120,6 @@ def component_trust(
     return ComponentTrust(rep_type=rep_type, value=value, weight=importance)
 
 
-def _rated_components(
-    ratings: Sequence[Rating],
-    rep_type: ReputationType,
-    importance: float,
-    config: FireConfig,
-    now: int,
-    baseline: bool,
-) -> tuple[ComponentTrust, Optional[ComponentTrust]]:
-    """A rating component and, with ``baseline`` on, its uniform baseline
-    (else None): what ``assess_provider`` keeps with the bucket, so a
-    sealed store's bucket is summed once per (importance, config, now,
-    baseline flag)."""
-    return (
-        component_trust(ratings, rep_type, importance, config, now),
-        component_trust(ratings, rep_type, importance, config, now, recency=False)
-        if baseline
-        else None,
-    )
-
-
 def _recency_mean(ratings: Sequence[Rating], lambda_: float, now: int) -> Optional[float]:
     """``weighted_mean`` of the ratings' values by their recency weights."""
     return weighted_mean((r.value, recency_weight(now - r.timestamp, lambda_)) for r in ratings)
@@ -176,38 +158,73 @@ def assess_provider(
 
     Only components of positive importance are read: a term queries the
     store for those rating types alone, and instantiates role rules only
-    when the role-based component counts. Each rating component, with its
-    baseline, is the one its bucket keeps (``RatingStore.derived``).
+    when the role-based component counts. The terms' assessments, with
+    their baselines, are the ones the store keeps from the target's
+    buckets (``RatingStore.derived_terms``), so a sealed store's buckets
+    are summed once per (terms, importances, config, now, baseline flag,
+    role evidence).
     """
     agent_roles = agent_roles or {}
     assessor_roles = agent_roles.get(assessor, ())
     target_roles = agent_roles.get(target, ())
     importance = preferences.component_weights
-    active = [
-        (k, importance[k]) for k in REPUTATION_ORDER if importance.get(k, 0.0) > 0.0
-    ]
-    weighted: dict[Term, list[ComponentTrust]] = {}
-    uniform: dict[Term, list[ComponentTrust]] = {}
-    for term in preferences.terms:
-        weighted[term] = components = []
-        if baseline:
-            uniform[term] = uniform_components = []
+    active = tuple(
+        [(k, importance[k]) for k in REPUTATION_ORDER if importance.get(k, 0.0) > 0.0]
+    )
+    rated = tuple([k for k, _ in active if k is not ReputationType.ROLE_BASED])
+    roles = len(rated) < len(active)
+    terms = tuple(preferences.term_weights)
+    pseudo = tuple(
+        [tuple(role_pseudo_ratings(role_rules, assessor_roles, target_roles, t)) for t in terms]
+        if roles
+        else [()] * len(terms)
+    )
+    weighted, uniform = rating_store.derived_terms(
+        target, terms, rated, _term_assessments, active, config, now, baseline, pseudo
+    )
+    return FireAssessment(
+        assessment=assessment_of_terms(assessor, target, dict(zip(terms, weighted)), preferences),
+        uniform=(
+            assessment_of_terms(assessor, target, dict(zip(terms, uniform)), preferences)
+            if baseline
+            else None
+        ),
+    )
+
+
+def _term_assessments(
+    snapshots: Sequence[Sequence[Sequence[Rating]]],
+    active: Sequence[tuple[ReputationType, float]],
+    config: FireConfig,
+    now: int,
+    baseline: bool,
+    role_evidence: Sequence[Sequence[tuple[float, float]]],
+) -> tuple[tuple[TermAssessment, ...], tuple[Optional[TermAssessment], ...]]:
+    """Each term's assessment from the ``active`` (type, importance)
+    pairs, each rating type reading the next of the term's ``snapshots``
+    and the role-based type the term's ``role_evidence``, and, with
+    ``baseline`` on, each term's uniform baseline (else None)."""
+    weighted = []
+    uniform = []
+    for term_snapshots, term_role_evidence in zip(snapshots, role_evidence):
+        components = []
+        uniform_components = []
+        ratings = iter(term_snapshots)
         for k, weight in active:
             if k is ReputationType.ROLE_BASED:
-                pseudo = role_pseudo_ratings(role_rules, assessor_roles, target_roles, term)
                 component = uniform_component = component_trust(
-                    (), k, weight, config, now, role_evidence=pseudo
+                    (), k, weight, config, now, role_evidence=term_role_evidence
                 )
             else:
-                component, uniform_component = rating_store.derived(
-                    target, term, k, _rated_components, k, weight, config, now, baseline
-                )
+                records = next(ratings)
+                component = component_trust(records, k, weight, config, now)
+                if baseline:
+                    uniform_component = component_trust(
+                        records, k, weight, config, now, recency=False
+                    )
             components.append(component)
             if baseline:
                 uniform_components.append(uniform_component)
-    return FireAssessment(
-        assessment=build_assessment(assessor, target, weighted, preferences),
-        uniform=(
-            build_assessment(assessor, target, uniform, preferences) if baseline else None
-        ),
-    )
+        weighted.append(term_assessment(components))
+        uniform.append(term_assessment(uniform_components) if baseline else None)
+    return tuple(weighted), tuple(uniform)

@@ -74,9 +74,12 @@ class World:
         self.rating_stores = rating_stores
         self.observation_stores = observation_stores
         self.witnesses = witnesses or {}
-        # Agents and providers never change, so every assessment reads one map.
+        # Agents and providers never change, so every assessment reads one
+        # map and every request checks its ids against one set of each.
         self._roles = {a.id: a.roles for a in agents}
         self._roles.update({p.id: p.roles for p in providers})
+        self._agent_ids = frozenset(a.id for a in agents)
+        self._provider_ids = frozenset(p.id for p in providers)
 
     @property
     def now(self) -> int:
@@ -88,11 +91,11 @@ class World:
         return self._roles
 
     def require_agent(self, agent_id: AgentId) -> None:
-        if agent_id not in {a.id for a in self.agents}:
+        if agent_id not in self._agent_ids:
             raise UnknownAgentError(f"unknown assessor {agent_id!r}")
 
     def require_provider(self, provider_id: AgentId) -> None:
-        if provider_id not in {p.id for p in self.providers}:
+        if provider_id not in self._provider_ids:
             raise UnknownAgentError(f"unknown provider {provider_id!r}")
 
 
@@ -309,14 +312,134 @@ def dump_document(doc: dict) -> str:
     """Deterministic JSON serialization (insertion-ordered keys).
 
     The text is ``json.dumps(doc, indent=2, ensure_ascii=False,
-    allow_nan=False)`` plus a newline, byte for byte, but written by
-    ``_json`` in one recursive pass: any ``indent`` puts ``json.dumps`` on
-    its pure-Python encoder, about twice as slow. A non-finite float
-    raises the same ``ValueError``. A key that is not a string raises
-    ``TypeError``, where ``json.dumps`` would coerce an int, float, bool
-    or None key; no document has one.
+    allow_nan=False)`` plus a newline, byte for byte: any ``indent`` puts
+    ``json.dumps`` on its pure-Python encoder, about twice as slow. A
+    ranking document (a plain dict whose ``"schema"`` is
+    ``RANKING_SCHEMA``) is written by ``_ranking_json`` in one
+    fixed-shape pass; every other document, and a ranking that strays
+    from ranking/v1's shape, by ``_json`` in one recursive pass. A
+    non-finite float raises the same ``ValueError``. A key that is not a
+    string raises ``TypeError``, where ``json.dumps`` would coerce an
+    int, float, bool or None key; no document has one.
     """
+    if type(doc) is dict and doc.get("schema") == RANKING_SCHEMA:
+        try:
+            return _ranking_json(doc)
+        except _OffShape:
+            pass
     return _json(doc, "\n") + "\n"
+
+
+class _OffShape(Exception):
+    """A ranking document strays from ranking/v1's shape."""
+
+
+_RANKING_KEYS = ["schema", "model", "assessor", "providers"]
+_PROVIDER_KEYS = ["id", "overall", "terms"]
+_TERM_KEYS = ["trust", "components"]
+_COMPONENT_KEYS = ["type", "value", "weight", "reliability"]
+
+
+def _ranking_json(doc: dict) -> str:
+    """A ranking document as ``dump_document`` writes it, from literal
+    templates: one string per component, term and provider.
+
+    Each dict must be exact, with exactly ranking/v1's keys in its order;
+    each id, model, type and term a ``str``; each list exact; each number
+    an exact ``float``, an exact ``int`` or None. Anything else raises
+    ``_OffShape``. The document is read in ``json.dumps``'s order, so the
+    first non-finite float raises what ``json.dumps`` would raise.
+
+    A ranking repeats a few floats (the reliability 1.0, FIRE's
+    importances, TRAVOS's term trust equal to its interaction value), so
+    each call keeps the text of every non-zero float it writes; a zero is
+    never kept, since ``0.0 == -0.0``.
+    """
+    if [*doc] != _RANKING_KEYS:
+        raise _OffShape
+    schema, model, assessor, providers = doc.values()
+    if (
+        type(schema) is not str
+        or type(model) is not str
+        or type(assessor) is not str
+        or type(providers) is not list
+    ):
+        raise _OffShape
+    written: dict[float, str] = {}
+
+    def number(v) -> str:
+        kind = type(v)
+        if kind is float:
+            text = written.get(v)
+            if text is None:
+                if not _isfinite(v):
+                    raise ValueError(
+                        "Out of range float values are not JSON compliant: " + repr(v)
+                    )
+                text = _float_repr(v)
+                if v:
+                    written[v] = text
+            return text
+        if kind is int:
+            return _int_repr(v)
+        if v is None:
+            return "null"
+        raise _OffShape
+
+    provider_texts = []
+    for provider in providers:
+        if type(provider) is not dict or [*provider] != _PROVIDER_KEYS:
+            raise _OffShape
+        provider_id, overall, terms = provider.values()
+        if type(provider_id) is not str:
+            raise _OffShape
+        head = (
+            f'{{\n      "id": {_json_str(provider_id)},\n      "overall": {number(overall)},'
+            '\n      "terms": '
+        )
+        if type(terms) is not dict:
+            raise _OffShape
+        term_texts = []
+        for term, term_doc in terms.items():
+            if type(term) is not str or type(term_doc) is not dict or [*term_doc] != _TERM_KEYS:
+                raise _OffShape
+            trust, components = term_doc.values()
+            trust = number(trust)
+            if type(components) is not list:
+                raise _OffShape
+            component_texts = []
+            for c in components:
+                if type(c) is not dict or [*c] != _COMPONENT_KEYS:
+                    raise _OffShape
+                rep_type, value, weight, reliability = c.values()
+                if type(rep_type) is not str:
+                    raise _OffShape
+                component_texts.append(
+                    f'{{\n              "type": {_json_str(rep_type)},'
+                    f'\n              "value": {number(value)},'
+                    f'\n              "weight": {number(weight)},'
+                    f'\n              "reliability": {number(reliability)}\n            }}'
+                )
+            term_texts.append(
+                f'{_json_str(term)}: {{\n          "trust": {trust},\n          "components": '
+                + _json_items("[", component_texts, "\n            ", "]")
+                + "\n        }"
+            )
+        provider_texts.append(head + _json_items("{", term_texts, "\n        ", "}") + "\n    }")
+    return (
+        f'{{\n  "schema": "{RANKING_SCHEMA}",\n  "model": {_json_str(model)},'
+        f'\n  "assessor": {_json_str(assessor)},\n  "providers": '
+        + _json_items("[", provider_texts, "\n    ", "]")
+        + "\n}\n"
+    )
+
+
+def _json_items(open_: str, items: list[str], indent: str, close: str) -> str:
+    """Written items in brackets, one a line at ``indent``; the closing
+    bracket sits one level out."""
+    if not items:
+        return open_ + close
+    return open_ + indent + ("," + indent).join(items) + indent[:-2] + close
 
 
 def _json(o, indent: str) -> str:

@@ -11,22 +11,27 @@ across later mutations, and it never changes. Rating records are
 immutable, so one record may be read through several stores at once.
 
 A rating store also keeps, in one dict, what the engines finish from
-each bucket (``RatingStore.derived``):
+one bucket (``RatingStore.derived``) or from several buckets of one
+target (``RatingStore.derived_terms``):
 
-- each interaction, witness and certified bucket keeps FIRE's component
-  trust per (importance, config, now), with its uniform baseline when
-  one is asked for;
+- each target keeps FIRE's term assessments from the interaction,
+  witness and certified buckets of its terms per (terms, importances,
+  config, now, role evidence), with their uniform baselines when they
+  are asked for;
 - each interaction bucket keeps TRAVOS's term result from the
-  assessor's own evidence: its beta, confidence and low-confidence
-  flag, and for a confident term the whole result;
+  assessor's own evidence with its term assessment: its beta,
+  confidence and low-confidence flag, and for a confident term the
+  whole result;
 - for a term of low confidence, the witness bucket keeps TRAVOS's
-  witness contributions and pooled witness evidence, per observation
-  store and number of bins.
+  witness contributions and pooled witness evidence, per number of bins,
+  for the last observation store the rating store was read with.
 
 ``RatingStore.insert`` and ``share_witness_evidence`` drop every
 snapshot and every kept value of the stores they change, and
 ``ObservationStore.add`` drops every value derived from that
-observation store. A value lives only as long as its store, so it pays
+observation store. A rating store keeps values derived from one
+observation store at a time: reading it with another drops those of the
+one before. A value lives only as long as its store, so it pays
 only when one store serves several requests: a fresh command builds its
 stores anew and reads each bucket once per model.
 """
@@ -136,8 +141,11 @@ class RatingStore:
         self._witness_runs: Mapping[tuple[AgentId, Term], list[Rating]] = {}
         self._peers: frozenset[AgentId] = frozenset()
         self._snapshots: dict[tuple[AgentId, Term, ReputationType], tuple[Rating, ...]] = {}
-        # (target, term, rep_type, fn, args) -> fn(that bucket's snapshot, *args).
+        # (target, term, rep_type, fn, args) -> fn(that bucket's snapshot, *args),
+        # and (target, terms, rep_types, fn, args) -> fn(those snapshots, *args).
         self._derived: dict[tuple, object] = {}
+        # The observation store whose derived values ``_derived`` may hold.
+        self._observations: Optional[ObservationStore] = None
 
     def __len__(self) -> int:
         return self._size
@@ -220,20 +228,60 @@ class RatingStore:
         again on every call. ``fn`` must depend on nothing but its
         arguments and, for an ``ObservationStore`` among them, on what
         the observation store holds: its ``add`` drops every value
-        computed from it.
+        computed from it. Values are kept for one observation store at a
+        time: a miss with another one drops those computed from the one
+        before, so a caller that passes a fresh observation store to every
+        call keeps one set of them, not one per store.
         """
         records = self.query(target, term, rep_type)
-        key = (target, term, rep_type, fn, args)
+        return self._kept((target, term, rep_type, fn, args), fn, records, args)
+
+    def derived_terms(
+        self,
+        target: AgentId,
+        terms: tuple[Term, ...],
+        rep_types: tuple[ReputationType, ...],
+        fn,
+        *args,
+    ):
+        """``fn(snapshots, *args)``, where ``snapshots`` holds, for each
+        term of ``terms`` in order, the tuple of ``self.query(target,
+        term, k)`` for each type ``k`` of ``rep_types``: a value that
+        combines several buckets of one target, kept as ``derived`` keeps
+        its values.
+
+        Every query runs on every call, as in ``derived``.
+        """
+        snapshots = tuple(
+            [tuple([self.query(target, term, k) for k in rep_types]) for term in terms]
+        )
+        return self._kept((target, terms, rep_types, fn, args), fn, snapshots, args)
+
+    def _kept(self, key: tuple, fn, evidence, args: tuple):
+        """The value kept under ``key``, or ``fn(evidence, *args)`` kept
+        there now."""
         try:
             return self._derived[key]
         except KeyError:
             pass
-        value = fn(records, *args)
+        self._read_with(args)
+        value = self._derived[key] = fn(evidence, *args)
+        return value
+
+    def _read_with(self, args: tuple) -> None:
+        """Register with each observation store among ``args``, dropping
+        first the values computed from another one."""
         for arg in args:
             if type(arg) is ObservationStore:
+                if arg is not self._observations:
+                    if self._observations is not None:
+                        self._drop_derived_from(self._observations)
+                    self._observations = arg
                 arg._readers.add(self)
-        self._derived[key] = value
-        return value
+
+    def _drop_derived_from(self, observations: "ObservationStore") -> None:
+        """Drop every kept value computed from ``observations``."""
+        self._derived = {k: v for k, v in self._derived.items() if observations not in k[4]}
 
     def all_records(self) -> list[Rating]:
         """Every record held, in ``_content_key`` order, equal keys in
@@ -321,7 +369,7 @@ class ObservationStore:
         count[1] += successes
         self._size += n
         for reader in self._readers:
-            reader._derived = {k: v for k, v in reader._derived.items() if self not in k[4]}
+            reader._drop_derived_from(self)
         self._readers.clear()
 
     def entries(self) -> list[tuple[AgentId, Term, float, int, int]]:

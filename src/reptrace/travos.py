@@ -28,7 +28,9 @@ from .core import (
     Rating,
     ReputationType,
     Term,
-    build_assessment,
+    TermAssessment,
+    assessment_of_terms,
+    term_assessment,
     total,
 )
 from .store import ObservationStore, RatingStore, bin_bounds, bin_of
@@ -367,27 +369,39 @@ def assess_term(
     accuracy in the opinion's bin before pooling.
 
     The interaction bucket keeps the term's result from its own evidence
-    (``RatingStore.derived``), which is the whole result of a confident
-    term. For a term of low confidence the witness bucket keeps the
-    witness contributions and their pooled evidence per observation store
-    and number of bins, and the two combine here. Every clamped discount
-    logs its warning on every call, kept or not.
+    (``RatingStore.derived``), with its ``TermAssessment``; it is the
+    whole result of a confident term. For a term of low confidence the
+    witness bucket keeps the witness contributions and their pooled
+    evidence per number of bins, for the last observation store the
+    rating store was read with, and the two combine here. Every clamped
+    discount logs its warning on every call, kept or not.
     """
-    own = rating_store.derived(
+    return _assessed_term(rating_store, obs_store, target, term, config)[0]
+
+
+def _assessed_term(
+    rating_store: RatingStore,
+    obs_store: ObservationStore,
+    target: AgentId,
+    term: Term,
+    config: TravosConfig,
+) -> tuple[TravosTermResult, TermAssessment]:
+    """``assess_term``'s result and the term's ``TermAssessment``."""
+    own, own_assessment = rating_store.derived(
         target, term, ReputationType.INTERACTION, _interaction_result, config
     )
     if not own.low_confidence:
-        return own
+        return own, own_assessment
     pool = rating_store.derived(
         target, term, ReputationType.WITNESS, _witness_pool, term, obs_store, config.bins
     )
     for mean, std in pool.clamps:
         _log_clamp(mean, std)
     if not pool.contributions:
-        return own
+        return own, own_assessment
     interaction = own.interaction
     w_i, w_w = _mass_shares(interaction.mass, pool.mass)
-    return own._replace(
+    result = own._replace(
         witnesses=pool.contributions,
         components=(
             ComponentTrust(
@@ -396,16 +410,19 @@ def assess_term(
             ComponentTrust(rep_type=ReputationType.WITNESS, value=pool.trust, weight=w_w),
         ),
     )
+    return result, term_assessment(result.components)
 
 
-def _interaction_result(records: Sequence[Rating], config: TravosConfig) -> TravosTermResult:
+def _interaction_result(
+    records: Sequence[Rating], config: TravosConfig
+) -> tuple[TravosTermResult, TermAssessment]:
     """The term's result from the interaction records alone, consulting
-    no witness."""
+    no witness, and its ``TermAssessment``."""
     interaction = binarized_beta(records)
     conf = confidence(interaction, config.epsilon)
     low_confidence = conf < config.confidence_threshold
     w_i, _ = decomposition_weights(interaction, ())
-    return TravosTermResult(
+    result = TravosTermResult(
         interaction=interaction,
         interaction_confidence=conf,
         low_confidence=low_confidence,
@@ -417,6 +434,7 @@ def _interaction_result(records: Sequence[Rating], config: TravosConfig) -> Trav
             ComponentTrust(rep_type=ReputationType.WITNESS, value=None, weight=0.0),
         ),
     )
+    return result, term_assessment(result.components)
 
 
 class _WitnessPool(NamedTuple):
@@ -503,12 +521,16 @@ def assess_provider(
     preferences: Preferences,
     config: TravosConfig,
 ) -> TravosAssessment:
-    """Assess one provider on every preferred term."""
+    """Assess one provider on every preferred term: each term's
+    ``assess_term`` result, whose ``TermAssessment`` the interaction
+    bucket keeps with it for a confident term."""
     term_results: dict[Term, TravosTermResult] = {}
-    components_by_term: dict[Term, tuple[ComponentTrust, ...]] = {}
-    for term in preferences.terms:
-        res = assess_term(rating_store, obs_store, target, term, config)
-        term_results[term] = res
-        components_by_term[term] = res.components
-    assessment = build_assessment(assessor, target, components_by_term, preferences)
-    return TravosAssessment(assessment=assessment, term_results=term_results)
+    per_term: dict[Term, TermAssessment] = {}
+    for term in preferences.term_weights:
+        term_results[term], per_term[term] = _assessed_term(
+            rating_store, obs_store, target, term, config
+        )
+    return TravosAssessment(
+        assessment=assessment_of_terms(assessor, target, per_term, preferences),
+        term_results=term_results,
+    )

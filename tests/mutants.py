@@ -144,9 +144,16 @@ MUTANTS = (
     Mutant(
         "store: a bucket keeps one derived value per function, whatever its arguments",
         "store.py",
-        "        key = (target, term, rep_type, fn, args)\n",
-        "        key = (target, term, rep_type, fn)\n",
+        "        return self._kept((target, term, rep_type, fn, args), fn, records, args)\n",
+        "        return self._kept((target, term, rep_type, fn), fn, records, args)\n",
         ("tests/test_store.py::TestQuery::test_derives_once_per_bucket_and_arguments",),
+    ),
+    Mutant(
+        "store: a target keeps one value per function, whatever buckets it reads",
+        "store.py",
+        "self._kept((target, terms, rep_types, fn, args), fn, snapshots, args)",
+        "self._kept((target, (), (), fn, args), fn, snapshots, args)",
+        ("tests/test_store.py::TestQuery::test_derives_once_per_terms_types_and_arguments",),
     ),
     Mutant(
         "store: an insert keeps the derived values",
@@ -160,11 +167,19 @@ MUTANTS = (
         "store: an observation add keeps the values derived from it",
         "store.py",
         "        for reader in self._readers:\n"
-        "            reader._derived = {k: v for k, v in reader._derived.items()"
-        " if self not in k[4]}\n",
+        "            reader._drop_derived_from(self)\n",
         "",
         ("tests/test_pipeline.py::TestKeptValuesFollowMutations"
          "::test_an_observation_added_after_a_ranking_reaches_the_next",),
+    ),
+    Mutant(
+        "store: reading another observation store keeps the values derived from the last",
+        "store.py",
+        "                        self._drop_derived_from(self._observations)\n",
+        "                        pass\n",
+        ("tests/test_travos.py::TestAssessTerm::test_fresh_observation_stores_are_not_kept",
+         "tests/test_store.py::TestQuery"
+         "::test_keeps_values_from_one_observation_store_at_a_time"),
     ),
     Mutant(
         "pipeline: an explicit witness rating may come from one of its owner's peers",
@@ -351,6 +366,27 @@ MUTANTS = (
         "        if not _isfinite(o):\n",
         "        if False:\n",
         ("tests/test_pipeline.py::TestDumpDocument::test_non_finite_raises_the_json_error",),
+    ),
+    Mutant(
+        "pipeline: the ranking writer prints non-finite floats",
+        "pipeline.py",
+        "                if not _isfinite(v):\n",
+        "                if False:\n",
+        ("tests/test_pipeline.py::TestRankingWriter::test_non_finite_raises_the_json_error",),
+    ),
+    Mutant(
+        "pipeline: the ranking writer reads a component whatever its key order",
+        "pipeline.py",
+        "[*c] != _COMPONENT_KEYS",
+        "c.keys() != {*_COMPONENT_KEYS}",
+        ("tests/test_pipeline.py::TestRankingWriter::test_off_shape_matches_indented_json_dumps",),
+    ),
+    Mutant(
+        "pipeline: the ranking writer keeps the text of a zero, whose sign then sticks",
+        "pipeline.py",
+        "                if v:\n                    written[v] = text\n",
+        "                written[v] = text\n",
+        ("tests/test_pipeline.py::TestRankingWriter::test_on_shape_matches_indented_json_dumps",),
     ),
     Mutant(
         "pipeline: the writer separates object members with \", \"",

@@ -215,6 +215,145 @@ class TestDumpDocument:
         assert len(pipeline._key_prefixes) == limit
 
 
+#: Ids, models, types and terms: short text, and every kind of character
+#: json escapes or keeps.
+ranking_text = st.text(max_size=3) | st.sampled_from(
+    ['"', "\\", "\x00\x1f\x7f", "é", "\u2028", "😀"]
+)
+ranking_numbers = (
+    st.none()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([0.0, -0.0, 1.0, 0.75, 0.25])
+)
+
+
+def ranking_docs(min_size=0, max_size=2):
+    """Documents of ranking/v1's shape, with any number where it has one;
+    every list and terms object holds ``min_size`` to ``max_size`` items."""
+    components = st.builds(
+        lambda kind, value, weight, reliability: {
+            "type": kind, "value": value, "weight": weight, "reliability": reliability
+        },
+        ranking_text, ranking_numbers, ranking_numbers, ranking_numbers,
+    )
+    terms = st.builds(
+        lambda trust, components: {"trust": trust, "components": components},
+        ranking_numbers, st.lists(components, min_size=min_size, max_size=max_size),
+    )
+    providers = st.builds(
+        lambda provider_id, overall, terms: {
+            "id": provider_id, "overall": overall, "terms": terms
+        },
+        ranking_text, ranking_numbers,
+        st.dictionaries(ranking_text, terms, min_size=min_size, max_size=max_size),
+    )
+    return st.builds(
+        lambda model, assessor, providers: {
+            "schema": pipeline.RANKING_SCHEMA, "model": model, "assessor": assessor,
+            "providers": providers,
+        },
+        ranking_text, ranking_text, st.lists(providers, min_size=min_size, max_size=max_size),
+    )
+
+
+def _ranking_sites(doc):
+    """Per level (document, provider, term, component), every
+    (parent, slot, object) of a ranking/v1 object in ``doc``; and every
+    (object, key) that holds a number."""
+    levels, numbers = [[(None, None, doc)], [], [], []], []
+    for i, provider in enumerate(doc["providers"]):
+        levels[1].append((doc["providers"], i, provider))
+        numbers.append((provider, "overall"))
+        for term, term_doc in provider["terms"].items():
+            levels[2].append((provider["terms"], term, term_doc))
+            numbers.append((term_doc, "trust"))
+            for j, component in enumerate(term_doc["components"]):
+                levels[3].append((term_doc["components"], j, component))
+                numbers += [(component, k) for k in ("value", "weight", "reliability")]
+    return levels, numbers
+
+
+@st.composite
+def off_shape_rankings(draw):
+    """A ranking document with one object or number off ranking/v1's shape,
+    at an evenly drawn level."""
+    how = draw(st.sampled_from(
+        ["extra key", "reordered keys", "dict subclass", "bool", "nested list", "float subclass"]
+    ))
+    level = draw(st.integers(0, 3))
+    doc = draw(ranking_docs(min_size=1, max_size=1))
+    levels, numbers = _ranking_sites(doc)
+    if how in ("bool", "nested list", "float subclass"):
+        owner, key = draw(st.sampled_from(numbers))
+        if how == "bool":
+            owner[key] = draw(st.booleans())
+        elif how == "nested list":
+            owner[key] = [[owner[key]]]
+        else:
+            owner[key] = _Float(draw(st.floats(allow_nan=False, allow_infinity=False)))
+        return doc
+    parent, slot, target = draw(st.sampled_from(levels[level]))
+    if how == "extra key":
+        target["extra"] = draw(ranking_numbers)
+    elif how == "reordered keys":
+        items = list(target.items())
+        i = draw(st.integers(0, len(items) - 2))
+        items[i], items[i + 1] = items[i + 1], items[i]
+        target.clear()
+        target.update(items)
+    elif parent is None:
+        return _Dict(target)
+    else:
+        parent[slot] = _Dict(target)
+    return doc
+
+
+def _indented_json(doc) -> str:
+    return json.dumps(doc, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
+
+
+class TestRankingWriter:
+    """Ranking documents take a fixed-shape pass; its text is still the
+    indented ``json.dumps``, on shape or off it."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(ranking_docs())
+    def test_on_shape_matches_indented_json_dumps(self, doc):
+        assert dump_document(doc) == _indented_json(doc)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(off_shape_rankings())
+    def test_off_shape_matches_indented_json_dumps(self, doc):
+        assert dump_document(doc) == _indented_json(doc)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(ranking_docs(), st.data())
+    def test_non_finite_raises_the_json_error(self, doc, data):
+        _, numbers = _ranking_sites(doc)
+        if not numbers:
+            numbers = [(doc, "extra")]  # off shape: the generic writer raises
+        sites = data.draw(st.lists(st.sampled_from(numbers), min_size=1, max_size=2))
+        for owner, key in sites:
+            owner[key] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        with pytest.raises(ValueError) as expected:
+            _indented_json(doc)
+        with pytest.raises(ValueError) as info:
+            dump_document(doc)
+        assert str(info.value) == str(expected.value)
+
+    @pytest.mark.parametrize("key", [1, 1.5, True, None])
+    def test_non_string_term_raises(self, key):
+        doc = {
+            "schema": pipeline.RANKING_SCHEMA, "model": "fire", "assessor": "a",
+            "providers": [{"id": "p", "overall": 0.5, "terms": {key: {
+                "trust": 0.5, "components": [],
+            }}}],
+        }
+        with pytest.raises(TypeError):
+            dump_document(doc)
+
+
 class TableStore(RatingStore):
     """A rating store that answers each query from a fixed table, with a
     fresh snapshot every time; ``derived`` reads it through ``query``."""

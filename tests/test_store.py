@@ -252,6 +252,41 @@ class TestQuery:
         assert store.derived("b", "q", I, mean_plus, 0.0) == 0.75
         assert calls[-1] == (2, 0.0)
 
+    def test_derives_once_per_terms_types_and_arguments(self):
+        calls, queried = [], []
+
+        def sizes(snapshots, offset):
+            calls.append((tuple(tuple(len(s) for s in term) for term in snapshots), offset))
+            return [[len(s) + offset for s in term] for term in snapshots]
+
+        store = self.build()
+        query = store.query
+        store.query = lambda *key: queried.append(key[1:]) or query(*key)
+        got = [
+            store.derived_terms("b", terms, types, sizes, offset)
+            for terms, types, offset in (
+                (("q",), (I,), 0),
+                (("q",), (I, W), 0),
+                (("q", "t"), (I, W), 0),
+                (("q", "t"), (I, W), 1),
+                (("q", "t"), (I, W), 0),
+                (("q",), (I,), 0),
+            )
+        ]
+        assert got == [
+            [[1]], [[1, 1]], [[1, 1], [1, 0]], [[2, 2], [2, 1]], [[1, 1], [1, 0]], [[1]]
+        ]
+        assert calls == [
+            (((1,),), 0), (((1, 1),), 0), (((1, 1), (1, 0)), 0), (((1, 1), (1, 0)), 1)
+        ]
+        # Every call reads each of its buckets through ``query``, term by term.
+        assert queried == [
+            ("q", I), ("q", I), ("q", W), *[("q", I), ("q", W), ("t", I), ("t", W)] * 3, ("q", I)
+        ]
+        # An insert drops the kept values.
+        store.insert(r(source="a", target="b", term="q", rep_type=I, value=1.0, ts=4))
+        assert store.derived_terms("b", ("q", "t"), (I, W), sizes, 0) == [[2, 1], [1, 0]]
+
     def test_an_observation_add_drops_only_what_was_derived_from_it(self):
         calls = []
 
@@ -260,16 +295,37 @@ class TestQuery:
             return sum(len(s) for s in stores)
 
         store, obs, other = self.build(), ObservationStore(), ObservationStore()
+        # ``other`` is read by a second rating store: this one keeps values
+        # from one observation store at a time.
+        second = self.build()
         for _ in range(2):
-            assert [store.derived("b", "q", W, count, *s) for s in ((), (obs,), (other,))] == [
-                0, 0, 0
-            ]
+            assert [store.derived("b", "q", W, count, *s) for s in ((), (obs,))] == [0, 0]
+            assert second.derived("b", "q", W, count, other) == 0
         assert calls == [(), (obs,), (other,)]
         obs.add("w", "q", 0.5, 3, 1)
-        assert [store.derived("b", "q", W, count, *s) for s in ((), (obs,), (other,))] == [
-            0, 3, 0
-        ]
+        assert [store.derived("b", "q", W, count, *s) for s in ((), (obs,))] == [0, 3]
+        assert second.derived("b", "q", W, count, other) == 0
         assert calls == [(), (obs,), (other,), (obs,)]
+
+    def test_keeps_values_from_one_observation_store_at_a_time(self):
+        calls = []
+
+        def count(records, obs=None):
+            calls.append(obs)
+            return 0 if obs is None else len(obs)
+
+        store, first, fresh = self.build(), ObservationStore(), ObservationStore()
+        assert [store.derived("b", "q", W, count, *s) for s in ((), (first,))] == [0, 0]
+        # Reading another observation store drops what came from the first
+        # one, and only that.
+        assert [store.derived("b", "q", W, count, *s) for s in ((), (fresh,))] == [0, 0]
+        assert [store.derived("b", "q", W, count, *s) for s in ((), (first,))] == [0, 0]
+        assert calls == [None, first, fresh, first]
+        assert len(store._derived) == 2
+        # The first store no longer reaches this one through ``add``.
+        fresh.add("w", "q", 0.5, 3, 1)
+        assert store.derived("b", "q", W, count, first) == 0
+        assert calls == [None, first, fresh, first]
 
     def test_unsealed_query_sees_a_later_insert(self):
         store = RatingStore("a", history_cap=2)

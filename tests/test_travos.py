@@ -3,6 +3,7 @@
 import logging
 import math
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -418,6 +419,24 @@ class TestAssessTerm:
             assert witness.discounted == BetaParams(1.0, 1.0)
             clamps.append(sum("degenerate" in rec.message for rec in caplog.records))
         assert clamps == [1, 1]
+
+    def test_fresh_observation_stores_are_not_kept(self):
+        # One rating store assessed with a fresh observation store each
+        # time keeps one witness pool, not one per observation store.
+        store = RatingStore("a")
+        store.insert(rating(1.0, source="w", rep_type=W, ts=0))
+        prefs = Preferences(term_weights={"q": 1.0}, component_weights={I: 0.75, W: 0.25})
+        config = make_config(confidence_threshold=0.9)
+        observation_stores, kept = [], []
+        for _ in range(50):
+            obs = ObservationStore()
+            observation_stores.append(weakref.ref(obs))
+            result = assess_provider(store, obs, "a", "b", prefs, config)
+            assert [c.witness for c in result.term_results["q"].witnesses] == ["w"]
+            kept.append(len(store._derived))
+        del obs
+        assert kept == kept[:1] * 50
+        assert [ref() for ref in observation_stores[:-1]] == [None] * 49
 
     def test_assess_provider_overall(self):
         prefs = Preferences(
