@@ -181,8 +181,12 @@ class Assessment(NamedTuple):
         return None if ta is None else ta.term_trust
 
     def component_value(self, term: Term, rep_type: ReputationType) -> Optional[float]:
-        c = self.component(term, rep_type)
-        return None if c is None else c.value
+        ta = self.per_term.get(term)
+        if ta is not None:
+            for k, value, _ in ta.components:
+                if k is rep_type:
+                    return value
+        return None
 
     def component(self, term: Term, rep_type: ReputationType) -> Optional[ComponentTrust]:
         ta = self.per_term.get(term)

@@ -47,9 +47,9 @@ ORDER_TOL = 1e-9
 #: size its wide-terms comparisons. It goes with the next benchmark change.
 EXHAUSTIVE_TERM_LIMIT = 12
 
-#: How far the lowest mean the preferred provider can reach under a weight
-#: permutation must lie above the other's highest before
-#: ``invert_permutation`` skips its search. Far above float rounding.
+#: How far from zero a weight permutation's score table must put it, or put
+#: the lower bound of every permutation, before ``invert_permutation``
+#: decides from the table alone. Far above float rounding.
 PERMUTATION_BOUND_MARGIN = 1e-12
 
 class Model(Enum):
@@ -191,10 +191,13 @@ def decisive_terms_tradeoff(
     depend on float summation order.
     """
 
+    gains = [weighted[t] for t in pros]
+    losses = [-weighted[t] for t in cons]
+
     def covers(n_pros: int, n_cons: int) -> bool:
         """Do the top n_pros pros outweigh all but the top n_cons cons?"""
         return math.fsum(
-            [weighted[t] for t in pros[:n_pros]] + [-weighted[t] for t in cons[n_cons:]]
+            gains[:n_pros] + losses[n_cons:]
         ) > 0
 
     for k in range(1, len(pros) + 1):
@@ -231,10 +234,8 @@ def decisive_terms(ctx: ComparisonContext) -> DecisiveDominance | DecisiveTradeo
     carry no weight, or when no pro outweighs what it leaves unmentioned.
     """
     weights = ctx.preferences.term_weights
-    trusts = [
-        (t, ctx.preferred.term_trust(t), ctx.other.term_trust(t))
-        for t in ctx.preferences.terms
-    ]
+    pref_trust, other_trust = ctx.preferred.term_trust, ctx.other.term_trust
+    trusts = [(t, pref_trust(t), other_trust(t)) for t in weights]
     trusts = [(t, pv, ov) for t, pv, ov in trusts if pv is not None and ov is not None]
     den = total([weights[t] for t, _, _ in trusts])
     if den <= 0:
@@ -243,8 +244,9 @@ def decisive_terms(ctx: ComparisonContext) -> DecisiveDominance | DecisiveTradeo
     weighted = {t: weights[t] / den * d for (t, _, _), d in zip(trusts, deltas)}
 
     def largest_first(pool):
-        # Terms come in declaration order and sorted() is stable.
-        return sorted(pool, key=lambda t: -weighted[t])
+        # Terms come in declaration order, and sorted() keeps equal keys in
+        # their given order, reversed or not.
+        return sorted(pool, key=weighted.__getitem__, reverse=True)
 
     pros = largest_first(t for t, pv, ov in trusts if pv > ov)
     cons = largest_first(t for t, pv, ov in trusts if pv < ov)
@@ -269,27 +271,28 @@ def decisive_terms(ctx: ComparisonContext) -> DecisiveDominance | DecisiveTradeo
 def _component_table(
     assessment: Assessment, term: Term
 ) -> dict[ReputationType, tuple[float, float]]:
-    """Present components of one term as {type: (value, weight)}."""
-    out = {}
+    """Present components of one term as {type: (value, weight)}, in
+    component order."""
     ta = assessment.per_term.get(term)
     if ta is None:
-        return out
-    for c in ta.components:
-        if c.value is not None:
-            out[c.rep_type] = (c.value, c.weight)
-    return out
+        return {}
+    return {k: (v, w) for k, v, w in ta.components if v is not None}
 
 
 def _recombine(
-    rows: Sequence[tuple[float, float, int]],
+    table: Mapping[ReputationType, tuple[float, float]],
+    shared: Sequence[ReputationType],
     weights: Sequence[float],
     image: Sequence[int],
 ) -> float:
-    """Weighted mean of the rows' values, in component order, after each
-    shared type ``j`` takes the weight ``weights[image[j]]``; rows of
-    unshared types (``j`` is -1) keep theirs. The rows are a compared
-    term's, so their weights have a positive sum."""
-    return weighted_mean([(v, w if j < 0 else weights[image[j]]) for v, w, j in rows])
+    """Weighted mean of a component table's values, in component order,
+    after each shared type ``shared[j]`` takes the weight
+    ``weights[image[j]]``; the other types keep theirs. The table's
+    weights have a positive sum."""
+    permuted = dict(table)
+    for k, i in zip(shared, image):
+        permuted[k] = (table[k][0], weights[i])
+    return weighted_mean(permuted.values())
 
 
 @functools.cache
@@ -316,43 +319,21 @@ def _candidates(n: int) -> tuple[tuple, ...]:
     return tuple(tuple(sorted(g, key=lambda c: c[1])) for g in groups)
 
 
-def _index_table(
-    table: Mapping[ReputationType, tuple[float, float]], index: Mapping[ReputationType, int]
-) -> tuple[list[tuple[float, float, int]], list[float], list[float]]:
-    """One provider's side of a permutation search: a ``(value, weight, j)``
-    row per present component, in component order, ``j`` being the type's
-    index among the shared types (``index``, in canonical order) or -1;
-    then the shared types' values and weights, in canonical order."""
-    rows = [(v, w, index.get(k, -1)) for k, (v, w) in table.items()]
-    return rows, [table[k][0] for k in index], [table[k][1] for k in index]
+@functools.cache
+def _pickers(n: int) -> tuple:
+    """Getters over a row-major n×n score table: one for its rows, one for
+    its columns, and for each swap-count group of ``_candidates(n)`` one
+    per candidate, taking the entries (j, image[j]), next to the group."""
+    rows = operator.itemgetter(*[slice(j * n, j * n + n) for j in range(n)])
+    columns = operator.itemgetter(*[slice(k, None, n) for k in range(n)])
 
+    def picker(image):
+        return operator.itemgetter(*[j * n + k for j, k in enumerate(image)])
 
-def _settled_by_bound(pref: tuple, other: tuple) -> bool:
-    """True when no permutation of the shared types' weights can bring the
-    preferred mean below the other's; each side is an ``_index_table``.
-
-    By the rearrangement inequality the preferred mean is lowest with its
-    shared values ascending against its shared weights descending, and the
-    other mean highest with both ascending; the weight sums do not change.
-    Values lie in [0, 1] and each sum has at most four non-negative terms,
-    so every computed mean is within about 1e-15 of its exact value while
-    the weight sum is neither subnormal nor near overflow. A lowest mean
-    more than ``PERMUTATION_BOUND_MARGIN`` above the highest one therefore
-    settles the search for the computed means as well.
-    """
-
-    def extreme_mean(side, descending):
-        rows, values, weights = side
-        den = total([w for _, w, _ in rows])
-        if not 1e-300 <= den <= 1e300:
-            return math.nan  # rounding is unbounded here: never settle
-        products = [w * v for v, w in zip(sorted(values), sorted(weights, reverse=descending))]
-        products += [w * v for v, w, j in rows if j < 0]
-        return total(products) / den
-
-    lowest = extreme_mean(pref, descending=True)
-    highest = extreme_mean(other, descending=False)
-    return lowest - highest > PERMUTATION_BOUND_MARGIN
+    groups = tuple(
+        (tuple(picker(image) for image, _ in group), group) for group in _candidates(n)
+    )
+    return rows, columns, groups
 
 
 def invert_permutation(
@@ -361,65 +342,105 @@ def invert_permutation(
     """Search for weight swaps among reputation types flipping this term.
 
     Returns None when the preferred provider already dominates at the
-    component level (no further justification needed) or when no
-    permutation of the shared types' component weights reverses the
-    term-trust order. Each provider's weights are permuted the same way;
-    components the other provider lacks keep their weights.
+    component level (no further justification needed), when either
+    provider's present components on the term all weigh zero (it has no
+    term trust to invert), or when no permutation of the shared types'
+    component weights reverses the term-trust order. Each provider's
+    weights are permuted the same way; components the other provider lacks
+    keep their weights.
 
     Among inverting permutations the fewest swaps win; ties prefer the
     largest total weight gap across swapped pairs, measured on the
-    preferred provider's weights, then canonical type order. The search
-    first applies a rearrangement bound (see ``_settled_by_bound``), which
-    returns None without enumerating when no permutation can invert. It
-    then tries one swap, then two, then three, and stops at the first
-    swap count with an inverting permutation.
+    preferred provider's weights, then canonical type order.
 
-    The search runs on small integer-indexed tables: one per provider
-    (see ``_index_table``) and one cached candidate table per number n of
-    shared types, whose permutations of ``range(n)`` carry their swaps as
-    index pairs (see ``_candidates``). Only the answer's swaps are mapped
-    back to reputation types.
+    The preferred mean minus the other's is linear in the permutation, so
+    one table scores every candidate. Over the n shared types in canonical
+    order, with values p and o, weights w and v and weight sums W_p and
+    W_o, ``C[j][k] = p[j]·w[k]/W_p − o[j]·v[k]/W_o``; a permutation
+    ``image`` scores ``offset + Σ_j C[j][image[j]]``, the offset holding
+    the unshared components. Values lie in [0, 1] and weights are
+    non-negative, so while both sums lie in [1e-300, 1e300] every entry,
+    score and recombined mean is within a few ulp of its exact value. A
+    score above ``PERMUTATION_BOUND_MARGIN`` therefore cannot invert, and
+    one below its negative does. Only the candidates within the margin,
+    and the answer, are recombined (see ``_recombine``); with a sum
+    outside that range, every candidate is. The offset plus the row
+    minima, or plus the column minima, bounds every score from below:
+    either above the margin settles the search before any candidate.
+
+    Candidates come from one cached table per n (see ``_candidates`` and
+    ``_pickers``). Only the answer's swaps are mapped back to reputation
+    types.
     """
     pref_table = _component_table(ctx.preferred, term)
     other_table = _component_table(ctx.other, term)
-    shared = tuple(k for k in REPUTATION_ORDER if k in pref_table and k in other_table)
+    shared = [k for k in REPUTATION_ORDER if k in pref_table and k in other_table]
     n = len(shared)
     if n < 2:
         return None
-
-    index = {k: j for j, k in enumerate(shared)}
-    pref = pref_rows, pref_values, pref_weights = _index_table(pref_table, index)
-    other = other_rows, other_values, other_weights = _index_table(other_table, index)
-    any_better = any(map(operator.gt, pref_values, other_values))
-    any_worse = any(map(operator.lt, pref_values, other_values))
-    if any_better and not any_worse:
+    of_shared = operator.itemgetter(*shared)
+    pref_values, pref_weights = zip(*of_shared(pref_table))
+    other_values, other_weights = zip(*of_shared(other_table))
+    if any(map(operator.gt, pref_values, other_values)) and not any(
+        map(operator.lt, pref_values, other_values)
+    ):
         return None  # component-level domination: decisive term is enough
-    if _settled_by_bound(pref, other):
+    pref_sum = total([w for _, w in pref_table.values()])
+    other_sum = total([w for _, w in other_table.values()])
+    if pref_sum <= 0 or other_sum <= 0:
+        return None  # a side without term trust: nothing to invert
+    if 1e-300 <= pref_sum <= 1e300 and 1e-300 <= other_sum <= 1e300:
+        margin = PERMUTATION_BOUND_MARGIN
+    else:
+        margin = math.inf  # rounding is unbounded: every candidate is recombined
+
+    pref_shares = [w / pref_sum for w in pref_weights]
+    other_shares = [v / other_sum for v in other_weights]
+    table = [
+        p * w - o * v
+        for p, o in zip(pref_values, other_values)
+        for w, v in zip(pref_shares, other_shares)
+    ]
+    offset = 0.0  # what the components of unshared types add to every score
+    if len(pref_table) > n or len(other_table) > n:
+        offset = math.fsum(
+            [v * (w / pref_sum) for k, (v, w) in pref_table.items() if k not in other_table]
+            + [-v * (w / other_sum) for k, (v, w) in other_table.items() if k not in pref_table]
+        )
+    rows, columns, groups = _pickers(n)
+    bound = max(math.fsum(map(min, rows(table))), math.fsum(map(min, columns(table))))
+    if offset + bound > margin:
         return None
 
-    def gap(candidate):
-        return total(abs(pref_weights[a] - pref_weights[b]) for a, b in candidate[1])
-
-    for group in _candidates(n):
-        # Largest gap first; sorted() is stable, so canonical order breaks ties.
-        for image, swaps in sorted(group, key=gap, reverse=True):
-            pref_swapped = _recombine(pref_rows, pref_weights, image)
-            other_swapped = _recombine(other_rows, other_weights, image)
-            if pref_swapped < other_swapped:
-                identity = range(n)
-                return TypePermutation(
-                    term=term,
-                    swaps=tuple(
-                        (shared[a], shared[b])
-                        if pref_weights[a] >= pref_weights[b]
-                        else (shared[b], shared[a])
-                        for a, b in swaps
-                    ),
-                    preferred_original=_recombine(pref_rows, pref_weights, identity),
-                    other_original=_recombine(other_rows, other_weights, identity),
-                    preferred_swapped=pref_swapped,
-                    other_swapped=other_swapped,
-                )
+    for picks, group in groups:
+        scores = [offset + math.fsum(pick(table)) for pick in picks]
+        if min(scores) > margin:
+            continue
+        best = None
+        for score, (image, swaps) in zip(scores, group):
+            if score > margin or not score < -margin and not (
+                _recombine(pref_table, shared, pref_weights, image)
+                < _recombine(other_table, shared, other_weights, image)
+            ):
+                continue
+            gap = total([abs(pref_weights[a] - pref_weights[b]) for a, b in swaps])
+            if best is None or gap > best[0]:
+                best = gap, image, swaps
+        if best is not None:
+            _, image, swaps = best
+            return TypePermutation(
+                term=term,
+                swaps=tuple([
+                    (shared[a], shared[b])
+                    if pref_weights[a] >= pref_weights[b]
+                    else (shared[b], shared[a])
+                    for a, b in swaps
+                ]),
+                preferred_original=weighted_mean(pref_table.values()),
+                other_original=weighted_mean(other_table.values()),
+                preferred_swapped=_recombine(pref_table, shared, pref_weights, image),
+                other_swapped=_recombine(other_table, shared, other_weights, image),
+            )
     return None
 
 
@@ -531,8 +552,9 @@ def explain(ctx: ComparisonContext) -> Explanation:
     _check_order(ctx)
     decisive = decisive_terms(ctx)
     arguments: list[Argument] = [decisive]
+    model = ctx.model
 
-    if ctx.model is Model.FIRE:
+    if model is Model.FIRE:
         arg = fire_recency_global(ctx)
         if arg is not None:
             arguments.append(arg)
@@ -544,11 +566,11 @@ def explain(ctx: ComparisonContext) -> Explanation:
         perm = invert_permutation(ctx, term)
         if perm is not None:
             arguments.append(perm)
-        if ctx.model is Model.TRAVOS:
+        if model is Model.TRAVOS:
             arg = travos_low_confidence(ctx, term)
             if arg is not None:
                 arguments.append(arg)
-        if ctx.model is Model.FIRE:
+        if model is Model.FIRE:
             for rep_type in RECENCY_TYPES:
                 arg = fire_recency_local(ctx, term, rep_type)
                 if arg is not None:
@@ -559,5 +581,5 @@ def explain(ctx: ComparisonContext) -> Explanation:
         preferred=ctx.preferred.target,
         other=ctx.other.target,
         arguments=tuple(arguments),
-        model=ctx.model,
+        model=model,
     )

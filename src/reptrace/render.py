@@ -3,17 +3,19 @@
 Each argument kind maps to exactly one ``str.format`` sentence in
 ``SENTENCES``, keyed by the kind's tag in explanation documents. A slot
 names one of the argument's own fields or ``preferred`` or ``other``, the
-display names of the two providers. Rendering is a pure function of the
-explanation and the display names.
+display names of the two providers; only the fields a kind's sentence
+names are read, planned once per kind. Rendering is a pure function of
+the explanation and the display names.
 """
 
 from __future__ import annotations
 
+import string
 from typing import Mapping
 
 from .core import ReputationType
 from .errors import UnknownAgentError
-from .explain import DecisiveTradeoff, Explanation, TypePermutation
+from .explain import ARGUMENT_KINDS, DecisiveTradeoff, Explanation, TypePermutation
 
 #: Human names of the evidence channels.
 REP_TYPE_DISPLAY = {
@@ -73,11 +75,28 @@ def join_terms(terms) -> str:
     return ", ".join(items[:-1]) + ", and " + items[-1]
 
 
+def _named_fields(cls) -> tuple[tuple[int, str], ...]:
+    """(index, name) of each field of an argument kind that its sentence
+    names, with ``CONS_CLAUSE``'s for a trade-off, in field order."""
+    sentences = [SENTENCES[cls.kind]] + ([CONS_CLAUSE] if cls is DecisiveTradeoff else [])
+    named = {
+        field for sentence in sentences for _, field, _, _ in string.Formatter().parse(sentence)
+    }
+    return tuple((i, field) for i, field in enumerate(cls._fields) if field in named)
+
+
+#: Per argument kind, the fields that ``_slots`` binds.
+_SLOT_PLANS = {cls.kind: _named_fields(cls) for cls in ARGUMENT_KINDS}
+
+
 def _slots(argument, ascending_pros: bool) -> dict[str, str]:
-    """Display text of the argument's term, term-tuple and reputation-type
-    fields; number, mapping and swap fields bind nothing."""
+    """Display text of the fields the argument's sentence names, as
+    ``_SLOT_PLANS`` lists them: a term as itself, a tuple of terms joined
+    (the pros reversed under ``ascending_pros``), a reputation type by its
+    display name. No other field is read."""
     slots = {}
-    for field, value in zip(argument._fields, argument):
+    for i, field in _SLOT_PLANS[argument.kind]:
+        value = argument[i]
         if isinstance(value, ReputationType):
             slots[field] = REP_TYPE_DISPLAY[value]
         elif isinstance(value, str):
@@ -124,5 +143,5 @@ def render_text(
                 for more_important, less_important in argument.swaps
             )
         else:
-            blocks.append(sentence.format(**slots))
+            blocks.append(sentence.format_map(slots))
     return "\n".join(blocks)

@@ -419,6 +419,13 @@ MUTANTS = (
         ("tests/test_render.py::TestEveryKind",),
     ),
     Mutant(
+        "render: the slot plan leaves out the cons clause's fields",
+        "render.py",
+        "[SENTENCES[cls.kind]] + ([CONS_CLAUSE] if cls is DecisiveTradeoff else [])",
+        "[SENTENCES[cls.kind]]",
+        ("tests/test_render.py::TestEveryKind",),
+    ),
+    Mutant(
         "render: a trade-off's cons clause is dropped",
         "render.py",
         'CONS_CLAUSE.format(**slots) if argument.cons else ""',
@@ -428,9 +435,9 @@ MUTANTS = (
     Mutant(
         "explain: a tie after the swaps counts as an inversion",
         "explain.py",
-        "            if pref_swapped < other_swapped:\n",
-        "            if pref_swapped <= other_swapped:\n",
-        ("tests/test_explain.py::TestPermutationSearchOracle::test_matches_exhaustive_search",),
+        "                < _recombine(other_table, shared, other_weights, image)\n",
+        "                <= _recombine(other_table, shared, other_weights, image)\n",
+        ("tests/test_explain.py::TestPermutationSearchOracle",),
     ),
     Mutant(
         "explain: a swap of equal weights names its second type first",
@@ -440,18 +447,25 @@ MUTANTS = (
         ("tests/test_explain.py::TestPermutationSearchOracle::test_matches_exhaustive_search",),
     ),
     Mutant(
-        "explain: candidates are tried smallest weight gap first",
+        "explain: the smallest weight gap wins among inverting swaps",
         "explain.py",
-        "sorted(group, key=gap, reverse=True)",
-        "sorted(group, key=gap)",
+        "if best is None or gap > best[0]:",
+        "if best is None or gap < best[0]:",
         ("tests/test_explain.py::TestPermutationSearchOracle::test_matches_exhaustive_search",),
     ),
     Mutant(
-        "explain: the permutation bound settles with no margin",
+        "explain: the score table decides with no margin",
         "explain.py",
         "PERMUTATION_BOUND_MARGIN = 1e-12",
         "PERMUTATION_BOUND_MARGIN = 0.0",
         ("tests/test_explain.py::TestPermutationSearchOracle::test_bound_within_margin_enumerates",),
+    ),
+    Mutant(
+        "explain: the permutation bound sums the row maxima",
+        "explain.py",
+        "math.fsum(map(min, rows(table)))",
+        "math.fsum(map(max, rows(table)))",
+        ("tests/test_explain.py::TestPermutationSearchOracle::test_matches_exhaustive_search",),
     ),
     Mutant(
         "explain: a weighted difference equal to the reference is decisive",

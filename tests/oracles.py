@@ -226,7 +226,8 @@ def permutation_oracle(ctx, term):
     rebuilding both weight tables per candidate, and keeps the inverting
     one with the fewest swaps, then the largest weight gap on the
     preferred provider's weights, then canonical type order. Means are
-    summed in component order, so the floats match the library's.
+    summed in component order, so the floats match the library's. A side
+    whose present components weigh nothing in total gives None.
     """
     def component_table(assessment):
         ta = assessment.per_term.get(term)
@@ -242,6 +243,9 @@ def permutation_oracle(ctx, term):
     any_better = any(pref_table[k][0] > other_table[k][0] for k in shared)
     any_worse = any(pref_table[k][0] < other_table[k][0] for k in shared)
     if any_better and not any_worse:
+        return None
+    # A side whose present components all weigh zero has no term trust.
+    if sum(w for _, w in pref_table.values()) <= 0 or sum(w for _, w in other_table.values()) <= 0:
         return None
 
     pref_orig = _permuted_mean(pref_table, {k: w for k, (_, w) in pref_table.items()})

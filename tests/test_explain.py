@@ -1,12 +1,13 @@
 """Argument selection: decisive terms, weight swaps, model arguments."""
 
 import itertools
+import math
 import types
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from oracles import (
     any_inverting_permutation,
@@ -500,13 +501,18 @@ class TestInvertPermutation:
 #: tenths are not dyadic, so sums also round.
 GRID_VALUES = (0.0, 0.1, 0.25, 0.3, 0.5, 0.75, 1.0)
 GRID_WEIGHTS = (0.0, 0.25, 0.5, 1.0, 2.0)
+#: Factors on one side's weights. Mostly none; a subnormal factor puts that
+#: side's weight sum below 1e-300 and a huge one above 1e300, where the
+#: search recombines every candidate.
+WEIGHT_SCALES = (1.0, 1.0, 1.0, 1e-310, 1e305)
 
 
 @st.composite
 def permutation_tables(draw):
     """Two component tables for one term: 2-4 shared types, each other
     type on one side or neither, every side in its own shuffled order and
-    with its own weights."""
+    with its own weights, scaled by a draw from ``WEIGHT_SCALES``. A side's
+    weights may all be zero."""
     types = draw(st.permutations(REPUTATION_ORDER))
     n_shared = draw(st.integers(2, 4))
     sides = {k: "both" for k in types[:n_shared]}
@@ -517,9 +523,39 @@ def permutation_tables(draw):
     for side in ("preferred", "other"):
         keys = draw(st.permutations([k for k, s in sides.items() if s in ("both", side)]))
         table = {k: draw(cell) for k in keys}
-        assume(sum(w for _, w in table.values()) > 0)
-        tables.append(table)
+        scale = draw(st.sampled_from(WEIGHT_SCALES))
+        tables.append({k: (v, w * scale) for k, (v, w) in table.items()})
     return tables
+
+
+@st.composite
+def near_tie_tables(draw):
+    """``permutation_tables`` in range, with one of the other provider's
+    shared values moved so that one candidate's two permuted means are
+    equal, up to a few ulp either way: the score table puts that
+    candidate within the margin, and recombination decides it."""
+    pref_table, other_table = draw(permutation_tables())
+    shared = [k for k in REPUTATION_ORDER if k in pref_table and k in other_table]
+    image = draw(st.permutations(shared))
+    assume(list(image) != shared)
+    pref_weights = {k: w for k, (_, w) in pref_table.items()}
+    other_weights = {k: w for k, (_, w) in other_table.items()}
+    pref_weights.update({k: pref_table[j][1] for k, j in zip(shared, image)})
+    other_weights.update({k: other_table[j][1] for k, j in zip(shared, image)})
+    pref_sum, other_sum = sum(pref_weights.values()), sum(other_weights.values())
+    assume(1e-300 <= pref_sum <= 1e300 and 1e-300 <= other_sum <= 1e300)
+    target = sum(w * pref_table[k][0] for k, w in pref_weights.items()) / pref_sum
+    moved = draw(st.sampled_from(shared))
+    assume(other_weights[moved] > 0)
+    rest = sum(w * other_table[k][0] for k, w in other_weights.items() if k != moved)
+    value = (target * other_sum - rest) / other_weights[moved]
+    steps = draw(st.integers(-3, 3))
+    for _ in range(abs(steps)):
+        value = math.nextafter(value, math.inf if steps > 0 else -math.inf)
+    assume(0.0 <= value <= 1.0)
+    other_table = dict(other_table)
+    other_table[moved] = (value, other_table[moved][1])
+    return pref_table, other_table
 
 
 def term_context(pref_table, other_table):
@@ -562,16 +598,57 @@ class TestCandidateTable:
                 assert tuple(slots) == image
 
 
+def assert_matches_oracle(tables):
+    ctx = term_context(*tables)
+    found, expected = invert_permutation(ctx, "q"), permutation_oracle(ctx, "q")
+    # Named-tuple equality: swaps, and every float bit for bit. Tuple
+    # equality ignores the class, so the type is checked on its own.
+    assert type(found) is type(expected)
+    assert found == expected
+
+
+def counting_recombine(monkeypatch):
+    """Patch ``_recombine`` to record its calls; return the record."""
+    calls = []
+    recombine = explain_module._recombine
+
+    def counting(*args):
+        calls.append(args)
+        return recombine(*args)
+
+    monkeypatch.setattr(explain_module, "_recombine", counting)
+    return calls
+
+
 class TestPermutationSearchOracle:
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(permutation_tables())
     def test_matches_exhaustive_search(self, tables):
+        assert_matches_oracle(tables)
+
+    @settings(
+        max_examples=300,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.filter_too_much],
+    )
+    @given(near_tie_tables())
+    def test_near_ties_match_exhaustive_search(self, tables):
+        assert_matches_oracle(tables)
+
+    @pytest.mark.parametrize(
+        "tables",
+        [
+            ({I: (0.9, 0.0), W: (0.1, 0.0)}, {I: (0.1, 1.0), W: (0.8, 1.0)}),
+            ({I: (0.9, 1.0), W: (0.1, 1.0)}, {I: (0.1, 0.0), W: (0.8, 0.0)}),
+        ],
+        ids=["preferred", "other"],
+    )
+    def test_side_without_weight_has_nothing_to_invert(self, tables):
+        # That side has no term trust, so there is no order to reverse.
         ctx = term_context(*tables)
-        found, expected = invert_permutation(ctx, "q"), permutation_oracle(ctx, "q")
-        # Named-tuple equality: swaps, and every float bit for bit. Tuple
-        # equality ignores the class, so the type is checked on its own.
-        assert type(found) is type(expected)
-        assert found == expected
+        assert invert_permutation(ctx, "q") is None
+        assert permutation_oracle(ctx, "q") is None
 
     def test_bound_settles_without_enumerating(self, monkeypatch):
         # Lowest preferred mean (0.9*1 + 0.6*2)/3 = 0.7 exceeds the
@@ -585,19 +662,28 @@ class TestPermutationSearchOracle:
         monkeypatch.setattr(explain_module, "_recombine", no_recombine)
         assert invert_permutation(ctx, "q") is None
 
-    def test_bound_within_margin_enumerates(self):
-        # Mathematically the lowest preferred mean equals the highest other
-        # mean. The bound, summed in its own order, reads them one ulp apart
-        # in the preferred provider's favour; the swap itself, summed in
-        # component order, inverts the term by one ulp.
+    def test_bound_within_margin_enumerates(self, monkeypatch):
+        # Swapping the two weights makes both means exactly 0.6: the
+        # preferred mean is 0.6 under any weights, and the other's becomes
+        # (0.8*0.3 + 0.0*0.1)/0.4. The score table reads the swap, and so
+        # the bound, about 3e-17 below zero. Within the margin the swap is
+        # recombined, and a tie does not invert.
+        ctx = term_context({I: (0.6, 1.0), W: (0.6, 2.0)}, {I: (0.8, 0.1), W: (0.0, 0.3)})
+        assert permutation_oracle(ctx, "q") is None
+        calls = counting_recombine(monkeypatch)
+        assert invert_permutation(ctx, "q") is None
+        assert len(calls) == 2
+
+    def test_sums_out_of_range_recombine_every_candidate(self, monkeypatch):
+        # The settling table above, with weights of 1e305: the sums pass
+        # 1e300, so the table decides nothing and the one swap is recombined.
         ctx = term_context(
-            {ROLE: (0.3, 0.6), I: (0.8, 0.7), W: (0.2, 0.6)},
-            {W: (0.4842105263157893, 0.2), CERT: (0.4, 0.7), I: (0.4, 0.3)},
+            {I: (0.9, 1e305), W: (0.6, 2e305)}, {I: (0.1, 1e305), W: (0.8, 2e305)}
         )
-        arg = invert_permutation(ctx, "q")
-        assert arg is not None and arg.swaps == ((I, W),)
-        assert type(arg) is TypePermutation
-        assert arg == permutation_oracle(ctx, "q")
+        assert permutation_oracle(ctx, "q") is None
+        calls = counting_recombine(monkeypatch)
+        assert invert_permutation(ctx, "q") is None
+        assert len(calls) == 2
 
 
 @st.composite

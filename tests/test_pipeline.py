@@ -680,6 +680,50 @@ class TestIrrelevantProvider:
                 ) == explanation_outcome(lambda: explain_pair(old, model, agent, preferred, other))
 
 
+def explains(world, model, agent, preferred, other) -> bool:
+    """Does ``explain`` justify ``preferred`` over ``other``? False when it
+    refuses with NotPreferredError, as the command exits 4."""
+    try:
+        explain_pair(world, model, agent, preferred, other)
+    except NotPreferredError:
+        return False
+    return True
+
+
+class TestPairOrientation:
+    """``explain A B`` succeeds exactly when ``explain B A`` is refused.
+    Both are refused only for a tie within ``ORDER_TOL``, when the
+    higher-scored provider is better on no weighted term both have
+    evidence on, or when a provider has no overall score: small worlds
+    leave some providers without evidence, and ``rank`` lists those last
+    while ``explain`` has no argument for that order."""
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(small_worlds())
+    def test_one_orientation_or_a_named_refusal(self, world):
+        providers = [p.id for p in world.providers]
+        for model, agent in itertools.product(Model, (a.id for a in world.agents)):
+            for a, b in itertools.combinations(providers, 2):
+                forward = explains(world, model, agent, a, b)
+                backward = explains(world, model, agent, b, a)
+                assert not (forward and backward)
+                if forward or backward:
+                    continue
+                ctx = build_context(world, model, agent, a, b)
+                high, low = ctx.preferred, ctx.other
+                if high.overall is None or low.overall is None:
+                    continue
+                if abs(high.overall - low.overall) <= ORDER_TOL:
+                    continue
+                if high.overall < low.overall:
+                    high, low = low, high
+                weights = ctx.preferences.term_weights
+                trusts = [(weights[t], high.term_trust(t), low.term_trust(t)) for t in weights]
+                assert not any(
+                    w > 0 and h is not None and o is not None and h > o for w, h, o in trusts
+                )
+
+
 def request_outputs(world, requests) -> list:
     """The ranking document, or the explanation outcome, of each
     ``(model, agent)`` or ``(model, agent, preferred, other)`` request."""
