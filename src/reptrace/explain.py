@@ -364,9 +364,15 @@ def invert_permutation(
     score above ``PERMUTATION_BOUND_MARGIN`` therefore cannot invert, and
     one below its negative does. Only the candidates within the margin,
     and the answer, are recombined (see ``_recombine``); with a sum
-    outside that range, every candidate is. The offset plus the row
-    minima, or plus the column minima, bounds every score from below:
-    either above the margin settles the search before any candidate.
+    outside that range, every candidate is.
+
+    One bound settles a search before any candidate. Subtracting each
+    row's minimum from its row leaves a table with no negative entry; a
+    permutation takes one entry of every row and of every column, so the
+    offset plus the row minima plus that table's column minima bounds
+    every score from below. It is never below the row minima alone, and
+    it is as close to its exact value as a score is to its own, so a
+    bound above the margin means no candidate can invert.
 
     Candidates come from one cached table per n (see ``_candidates`` and
     ``_pickers``). Only the answer's swaps are mapped back to reputation
@@ -408,7 +414,10 @@ def invert_permutation(
             + [-v * (w / other_sum) for k, (v, w) in other_table.items() if k not in pref_table]
         )
     rows, columns, groups = _pickers(n)
-    bound = max(math.fsum(map(min, rows(table))), math.fsum(map(min, columns(table))))
+    table_rows = rows(table)
+    row_minima = [min(row) for row in table_rows]
+    reduced = [entry - low for row, low in zip(table_rows, row_minima) for entry in row]
+    bound = math.fsum(row_minima) + math.fsum(map(min, columns(reduced)))
     if offset + bound > margin:
         return None
 

@@ -316,11 +316,13 @@ def dump_document(doc: dict) -> str:
     ``json.dumps`` on its pure-Python encoder, about twice as slow. A
     ranking document (a plain dict whose ``"schema"`` is
     ``RANKING_SCHEMA``) is written by ``_ranking_json`` in one
-    fixed-shape pass; every other document, and a ranking that strays
-    from ranking/v1's shape, by ``_json`` in one recursive pass. A
-    non-finite float raises the same ``ValueError``. A key that is not a
-    string raises ``TypeError``, where ``json.dumps`` would coerce an
-    int, float, bool or None key; no document has one.
+    fixed-shape pass, which takes the text of a float written before,
+    by this call or an earlier one, from a bounded memo; every other
+    document, and a ranking that strays from ranking/v1's shape, by
+    ``_json`` in one recursive pass. A non-finite float raises the same
+    ``ValueError``. A key that is not a string raises ``TypeError``,
+    where ``json.dumps`` would coerce an int, float, bool or None key; no
+    document has one.
     """
     if type(doc) is dict and doc.get("schema") == RANKING_SCHEMA:
         try:
@@ -350,10 +352,12 @@ def _ranking_json(doc: dict) -> str:
     ``_OffShape``. The document is read in ``json.dumps``'s order, so the
     first non-finite float raises what ``json.dumps`` would raise.
 
-    A ranking repeats a few floats (the reliability 1.0, FIRE's
-    importances, TRAVOS's term trust equal to its interaction value), so
-    each call keeps the text of every non-zero float it writes; a zero is
-    never kept, since ``0.0 == -0.0``.
+    Float texts come from ``_float_texts``, which lives across calls: a
+    ranking repeats a few floats (the reliability 1.0, FIRE's
+    importances, TRAVOS's term trust equal to its interaction value), and
+    a world serving several requests writes the same kept assessments
+    again. A number is looked up only once its type is exactly ``float``,
+    since ``1 == 1.0 == True`` share a key; a miss goes to ``_number``.
     """
     if [*doc] != _RANKING_KEYS:
         raise _OffShape
@@ -365,26 +369,7 @@ def _ranking_json(doc: dict) -> str:
         or type(providers) is not list
     ):
         raise _OffShape
-    written: dict[float, str] = {}
-
-    def number(v) -> str:
-        kind = type(v)
-        if kind is float:
-            text = written.get(v)
-            if text is None:
-                if not _isfinite(v):
-                    raise ValueError(
-                        "Out of range float values are not JSON compliant: " + repr(v)
-                    )
-                text = _float_repr(v)
-                if v:
-                    written[v] = text
-            return text
-        if kind is int:
-            return _int_repr(v)
-        if v is None:
-            return "null"
-        raise _OffShape
+    hit = _float_texts.get
 
     provider_texts = []
     for provider in providers:
@@ -394,7 +379,8 @@ def _ranking_json(doc: dict) -> str:
         if type(provider_id) is not str:
             raise _OffShape
         head = (
-            f'{{\n      "id": {_json_str(provider_id)},\n      "overall": {number(overall)},'
+            f'{{\n      "id": {_json_str(provider_id)},'
+            f'\n      "overall": {type(overall) is float and hit(overall) or _number(overall)},'
             '\n      "terms": '
         )
         if type(terms) is not dict:
@@ -404,42 +390,69 @@ def _ranking_json(doc: dict) -> str:
             if type(term) is not str or type(term_doc) is not dict or [*term_doc] != _TERM_KEYS:
                 raise _OffShape
             trust, components = term_doc.values()
-            trust = number(trust)
+            trust = type(trust) is float and hit(trust) or _number(trust)
             if type(components) is not list:
                 raise _OffShape
             component_texts = []
             for c in components:
                 if type(c) is not dict or [*c] != _COMPONENT_KEYS:
                     raise _OffShape
-                rep_type, value, weight, reliability = c.values()
+                rep_type, value, weight, rel = c.values()
                 if type(rep_type) is not str:
                     raise _OffShape
+                value = type(value) is float and hit(value) or _number(value)
+                weight = type(weight) is float and hit(weight) or _number(weight)
+                rel = type(rel) is float and hit(rel) or _number(rel)
                 component_texts.append(
                     f'{{\n              "type": {_json_str(rep_type)},'
-                    f'\n              "value": {number(value)},'
-                    f'\n              "weight": {number(weight)},'
-                    f'\n              "reliability": {number(reliability)}\n            }}'
+                    f'\n              "value": {value},\n              "weight": {weight},'
+                    f'\n              "reliability": {rel}\n            }}'
                 )
             term_texts.append(
                 f'{_json_str(term)}: {{\n          "trust": {trust},\n          "components": '
-                + _json_items("[", component_texts, "\n            ", "]")
+                + (
+                    "[\n            " + ",\n            ".join(component_texts) + "\n          ]"
+                    if component_texts
+                    else "[]"
+                )
                 + "\n        }"
             )
-        provider_texts.append(head + _json_items("{", term_texts, "\n        ", "}") + "\n    }")
+        provider_texts.append(
+            head
+            + ("{\n        " + ",\n        ".join(term_texts) + "\n      }" if term_texts else "{}")
+            + "\n    }"
+        )
     return (
         f'{{\n  "schema": "{RANKING_SCHEMA}",\n  "model": {_json_str(model)},'
         f'\n  "assessor": {_json_str(assessor)},\n  "providers": '
-        + _json_items("[", provider_texts, "\n    ", "]")
+        + ("[\n    " + ",\n    ".join(provider_texts) + "\n  ]" if provider_texts else "[]")
         + "\n}\n"
     )
 
 
-def _json_items(open_: str, items: list[str], indent: str, close: str) -> str:
-    """Written items in brackets, one a line at ``indent``; the closing
-    bracket sits one level out."""
-    if not items:
-        return open_ + close
-    return open_ + indent + ("," + indent).join(items) + indent[:-2] + close
+def _number(v) -> str:
+    """A ranking number that ``_float_texts`` does not hold, as JSON text.
+
+    A finite non-zero float's text is kept; a zero never is, since
+    ``0.0 == -0.0``. When the memo is full it is cleared first, so a
+    process writing many different rankings still reuses texts within
+    each one.
+    """
+    kind = type(v)
+    if kind is float:
+        if not _isfinite(v):
+            raise ValueError("Out of range float values are not JSON compliant: " + repr(v))
+        text = _float_repr(v)
+        if v:
+            if len(_float_texts) >= _MEMO_LIMIT:
+                _float_texts.clear()
+            _float_texts[v] = text
+        return text
+    if kind is int:
+        return _int_repr(v)
+    if v is None:
+        return "null"
+    raise _OffShape
 
 
 def _json(o, indent: str) -> str:
@@ -466,7 +479,7 @@ def _json(o, indent: str) -> str:
             prefix = _key_prefixes.get(k)
             if prefix is None:
                 prefix = _json_str(k) + ": "  # TypeError for a key that is not a str
-                if type(k) is str and len(_key_prefixes) < _KEY_PREFIX_LIMIT:
+                if type(k) is str and len(_key_prefixes) < _MEMO_LIMIT:
                     _key_prefixes[k] = prefix
             value_kind = type(v)
             if value_kind is str:
@@ -503,9 +516,13 @@ _isfinite = math.isfinite
 
 #: Written dict keys, each with its encoded ``"key": `` prefix. Documents
 #: reuse a few hundred keys (field names, ids, terms), so the cache stops
-#: growing at ``_KEY_PREFIX_LIMIT`` entries rather than keep every key.
+#: growing at ``_MEMO_LIMIT`` entries rather than keep every key.
 _key_prefixes: dict[str, str] = {}
-_KEY_PREFIX_LIMIT = 4096
+#: Ranking float texts (see ``_ranking_json``), cleared when it reaches
+#: ``_MEMO_LIMIT`` entries. The FIRE and TRAVOS rankings of the 16
+#: assessors of a 16×8×60 world hold about 1,900 distinct floats.
+_float_texts: dict[float, str] = {}
+_MEMO_LIMIT = 4096
 
 
 def _assess(

@@ -370,8 +370,8 @@ MUTANTS = (
     Mutant(
         "pipeline: the ranking writer prints non-finite floats",
         "pipeline.py",
-        "                if not _isfinite(v):\n",
-        "                if False:\n",
+        "        if not _isfinite(v):\n",
+        "        if False:\n",
         ("tests/test_pipeline.py::TestRankingWriter::test_non_finite_raises_the_json_error",),
     ),
     Mutant(
@@ -384,9 +384,25 @@ MUTANTS = (
     Mutant(
         "pipeline: the ranking writer keeps the text of a zero, whose sign then sticks",
         "pipeline.py",
-        "                if v:\n                    written[v] = text\n",
-        "                written[v] = text\n",
-        ("tests/test_pipeline.py::TestRankingWriter::test_on_shape_matches_indented_json_dumps",),
+        "        if v:\n            if len(_float_texts)",
+        "        if True:\n            if len(_float_texts)",
+        ("tests/test_pipeline.py::TestRankingNumberMemo"
+         "::test_zeros_keep_their_sign_after_non_zero_floats",),
+    ),
+    Mutant(
+        "pipeline: the inline hit skips its float type test",
+        "pipeline.py",
+        "value = type(value) is float and hit(value) or _number(value)",
+        "value = hit(value) or _number(value)",
+        ("tests/test_pipeline.py::TestRankingNumberMemo"
+         "::test_int_after_an_equal_float_prints_as_an_int",),
+    ),
+    Mutant(
+        "pipeline: the memo never clears",
+        "pipeline.py",
+        "                _float_texts.clear()\n",
+        "                pass\n",
+        ("tests/test_pipeline.py::TestRankingNumberMemo::test_memo_clears_at_its_limit",),
     ),
     Mutant(
         "pipeline: the writer separates object members with \", \"",
@@ -463,9 +479,16 @@ MUTANTS = (
     Mutant(
         "explain: the permutation bound sums the row maxima",
         "explain.py",
-        "math.fsum(map(min, rows(table)))",
-        "math.fsum(map(max, rows(table)))",
+        "bound = math.fsum(row_minima)",
+        "bound = math.fsum(map(max, rows(table)))",
         ("tests/test_explain.py::TestPermutationSearchOracle::test_matches_exhaustive_search",),
+    ),
+    Mutant(
+        "explain: the permutation bound takes the column minima of the unreduced table",
+        "explain.py",
+        "math.fsum(map(min, columns(reduced)))",
+        "math.fsum(map(min, columns(table)))",
+        ("tests/test_explain.py::TestPermutationSearchOracle",),
     ),
     Mutant(
         "explain: a weighted difference equal to the reference is decisive",

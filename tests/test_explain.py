@@ -662,6 +662,22 @@ class TestPermutationSearchOracle:
         monkeypatch.setattr(explain_module, "_recombine", no_recombine)
         assert invert_permutation(ctx, "q") is None
 
+    def test_row_reduced_bound_settles_where_rows_or_columns_alone_do_not(self, monkeypatch):
+        # The score table is [[-0.075, -0.025], [0.05, 0.15]]: its row
+        # minima sum to -0.025 and its column minima to -0.1. Less each
+        # row's minimum it reads [[0, 0.05], [0, 0.1]], whose column minima
+        # add 0.05: the bound 0.025 is the swap's score, above the margin.
+        ctx = term_context({I: (0.0, 1.0), W: (0.2, 3.0)}, {I: (0.1, 3.0), W: (0.0, 1.0)})
+        assert permutation_oracle(ctx, "q") is None
+        pickers = explain_module._pickers
+
+        class Unread:
+            def __iter__(self):
+                raise AssertionError("the bound should have settled the search")
+
+        monkeypatch.setattr(explain_module, "_pickers", lambda n: (*pickers(n)[:2], Unread()))
+        assert invert_permutation(ctx, "q") is None
+
     def test_bound_within_margin_enumerates(self, monkeypatch):
         # Swapping the two weights makes both means exactly 0.6: the
         # preferred mean is 0.6 under any weights, and the other's becomes

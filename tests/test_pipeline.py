@@ -5,6 +5,7 @@ import json
 import math
 from pathlib import Path
 from typing import NamedTuple
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -208,7 +209,7 @@ class TestDumpDocument:
             dump_document({key: 1.0})
 
     def test_key_prefix_cache_stops_growing(self):
-        limit = pipeline._KEY_PREFIX_LIMIT
+        limit = pipeline._MEMO_LIMIT
         doc = {f"key{i}": i for i in range(limit + 10)}
         for _ in range(2):
             assert dump_document(doc) == json.dumps(doc, indent=2) + "\n"
@@ -352,6 +353,68 @@ class TestRankingWriter:
         }
         with pytest.raises(TypeError):
             dump_document(doc)
+
+
+def _uniform_ranking(numbers) -> dict:
+    """A ranking/v1 document with one component per three numbers, and
+    ``numbers[0]`` also as every overall and trust."""
+    components = [
+        {"type": "interaction", "value": v, "weight": w, "reliability": r}
+        for v, w, r in zip(numbers[0::3], numbers[1::3], numbers[2::3])
+    ]
+    return {
+        "schema": pipeline.RANKING_SCHEMA, "model": "fire", "assessor": "a",
+        "providers": [{"id": "p", "overall": numbers[0], "terms": {
+            "quality": {"trust": numbers[0], "components": components},
+        }}],
+    }
+
+
+class TestRankingNumberMemo:
+    """The ranking writer keeps float texts across documents in one
+    bounded memo; what one document leaves must not change the next."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "_float_texts", {})
+
+    def test_int_after_an_equal_float_prints_as_an_int(self):
+        for numbers in ([1.0] * 6, [1] * 6, [True] * 6, [1.0, 1, 1.0, 1, 1.0, 1]):
+            doc = _uniform_ranking(numbers)
+            assert dump_document(doc) == _indented_json(doc)
+
+    def test_zeros_keep_their_sign_after_non_zero_floats(self):
+        for numbers in ([0.5, 1.0, 0.25] * 2, [0.0] * 6, [-0.0] * 6, [-0.0, 0.0, 0.5] * 2):
+            doc = _uniform_ranking(numbers)
+            assert dump_document(doc) == _indented_json(doc)
+        assert set(map(repr, pipeline._float_texts)) == {"0.5", "1.0", "0.25"}
+
+    def test_memo_clears_at_its_limit(self):
+        limit = pipeline._MEMO_LIMIT
+        numbers = [i / (limit + 300) for i in range(1, limit + 301)]
+        for doc in (_uniform_ranking(numbers), _uniform_ranking(numbers[::-1])):
+            assert dump_document(doc) == _indented_json(doc)
+            assert 0 < len(pipeline._float_texts) <= limit
+
+    def test_a_warm_write_formats_no_float(self, monkeypatch):
+        doc = _uniform_ranking([0.5, 0.1, 1.0, 0.3, 0.7, 1.0])
+        first = dump_document(doc)
+        formatted = []
+        number = pipeline._number
+        monkeypatch.setattr(pipeline, "_number", lambda v: formatted.append(v) or number(v))
+        assert dump_document(doc) == first
+        assert formatted == []
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.lists(ranking_docs(), min_size=2, max_size=6), st.integers(1, 8))
+    def test_a_sequence_through_one_memo_matches_indented_json_dumps(self, docs, limit):
+        # The small drawn limit clears the memo inside documents too.
+        with mock.patch.object(pipeline, "_float_texts", {}), mock.patch.object(
+            pipeline, "_MEMO_LIMIT", limit
+        ):
+            for doc in docs:
+                assert dump_document(doc) == _indented_json(doc)
+                assert len(pipeline._float_texts) <= limit
 
 
 class TableStore(RatingStore):

@@ -1,20 +1,24 @@
-"""Every output of the 10x5x40 world, seed 1, pinned by two SHA-256 digests.
+"""Every output of the 10x5x40 and 20x10x80 worlds, seed 1, pinned by
+two SHA-256 digests per rung.
 
-The world is the demo scenario resized to 10 agents, 5 providers and 40
-rounds, its providers reusing the demo's three provider models in turn,
-with the complete witness topology. One digest covers its stores
+Each world is the demo scenario resized to the rung's agents, providers
+and rounds, its providers reusing the demo's three provider models in
+turn, with the complete witness topology. One digest covers its stores
 document. The other covers, after the document is loaded back, for every
 assessor and both models: the ranking document, then for each pair the
 ranking orders, higher-ranked first, the explanation document or the
-message the ``explain`` command would exit 4 with. That is 220 outputs,
-each followed by one NUL byte.
+message the ``explain`` command would exit 4 with. That is 220 outputs
+at 10x5x40 and 1,840 at 20x10x80, each followed by one NUL byte.
 
 The demo's golden file pins every output of a 3x3x10 world; this pins
-the same pipeline at a size where stores hold hundreds of records per
-bucket and TRAVOS consults witnesses on only some terms.
+the same pipeline at sizes where stores hold hundreds of records per
+bucket and TRAVOS consults witnesses on only some terms. The 20x10x80
+rung writes 40 rankings in one process, 2,869 distinct float texts, so
+it also covers the ranking writer's float-text memo across documents.
 
-Run as a script, it prints both digests and exits 1 when either differs
-from the pinned one; it needs only the standard library and ``reptrace``:
+Run as a script, it prints both digests of each rung and exits 1 when
+any differs from the pinned one; it needs only the standard library and
+``reptrace``:
 
     PYTHONPATH=src python tests/test_rung_pin.py
 """
@@ -44,10 +48,21 @@ from reptrace.scenario import scenario_from_document
 from reptrace.simulate import run_scenario
 
 SCENARIO_PATH = Path(__file__).resolve().parent.parent / "demos" / "delivery_scenario.json"
-RUNG = (10, 5, 40)
 SEED = 1
-STORES_SHA256 = "79118fb96acc0e87431b333c546633ad51ccd47d8c51c76408cc2bd51ceec34a"
-OUTPUTS_SHA256 = "aee8a059878eb5a8c2e15eafd095d194ce7bccf22ce11d231ecee6166cbad1b4"
+#: Per rung (agents, providers, rounds): the stores digest, the outputs
+#: digest and the number of outputs.
+PINS = {
+    (10, 5, 40): (
+        "79118fb96acc0e87431b333c546633ad51ccd47d8c51c76408cc2bd51ceec34a",
+        "aee8a059878eb5a8c2e15eafd095d194ce7bccf22ce11d231ecee6166cbad1b4",
+        220,
+    ),
+    (20, 10, 80): (
+        "4afa52b417bb0c72c5eb3ee2be9e2fc31a1529e5e1bb60c9ce8d2cf80b4fc643",
+        "19c450ac2110d879f04764166ca8dd343e23d4f9270f9547e44a04259757376c",
+        1840,
+    ),
+}
 
 
 def rung_scenario(agents: int, providers: int, rounds: int, seed: int) -> dict:
@@ -81,9 +96,9 @@ def rung_outputs(stores_text: str):
                 yield dump_document(explanation_to_document(explanation))
 
 
-def digests() -> tuple[str, str, int]:
-    """(stores digest, outputs digest, number of outputs)."""
-    sim = run_scenario(scenario_from_document(rung_scenario(*RUNG, SEED)))
+def digests(rung: tuple[int, int, int]) -> tuple[str, str, int]:
+    """(stores digest, outputs digest, number of outputs) of one rung."""
+    sim = run_scenario(scenario_from_document(rung_scenario(*rung, SEED)))
     stores_text = dump_document(world_to_document(world_from_simulation(sim)))
     outputs = hashlib.sha256()
     count = 0
@@ -94,10 +109,18 @@ def digests() -> tuple[str, str, int]:
 
 
 def test_rung_outputs_match_the_pinned_digests():
-    assert digests() == (STORES_SHA256, OUTPUTS_SHA256, 220)
+    assert digests((10, 5, 40)) == PINS[(10, 5, 40)]
+
+
+def test_20x10x80_outputs_match_the_pinned_digests():
+    assert digests((20, 10, 80)) == PINS[(20, 10, 80)]
 
 
 if __name__ == "__main__":
-    got = digests()
-    print(f"stores  {got[0]}\noutputs {got[1]} over {got[2]} outputs")
-    sys.exit(0 if got == (STORES_SHA256, OUTPUTS_SHA256, 220) else 1)
+    failed = False
+    for rung, pinned in PINS.items():
+        got = digests(rung)
+        print("x".join(map(str, rung)))
+        print(f"  stores  {got[0]}\n  outputs {got[1]} over {got[2]} outputs")
+        failed |= got != pinned
+    sys.exit(1 if failed else 0)
